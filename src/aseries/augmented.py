@@ -17,6 +17,15 @@ vbar parameterizes the kernel-orthogonal correction v = G_u vbar, so
 orthogonality to the kernel holds exactly even on coarse grids.  All
 Jacobians are analytic, including the u- and lam-derivatives of the
 cubic vbar terms.
+
+The level-3 Jacobian is returned as a RankOneUpdate, a sparse core S
+plus one outer product c d^T.  The vbar-equation rows differentiate to
+a vbar^T + (a.vbar) I + 2 diag(f_uu . a) in alpha and G_u^2 + a a^T in
+vbar; both rank-one terms share the left vector a, so c holds a in the
+vbar rows and d holds vbar in the alpha columns and a in the vbar
+columns.  S then has O(n) nonzeros, and a Newton step factors the
+bordered matrix [[S, c], [d^T, -1]] instead of a matrix with dense
+n x n blocks.
 """
 
 from __future__ import annotations
@@ -248,17 +257,41 @@ def f2_residual_jacobian(state: AugmentedState):
     return res, sp.vstack([jac1, row], format="csr")
 
 
-def rank_one_solve(a_sparse, alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (A + alpha alpha^T) x = b without densifying the rank-one part.
+@dataclass(frozen=True)
+class RankOneUpdate:
+    """The matrix core + left right^T, with the outer product never formed.
 
-    Uses the bordered equivalent [[A, alpha], [alpha^T, -1]] [x; y] = [b; 0],
-    whose Schur complement reproduces A + alpha alpha^T; it is nonsingular
-    exactly when the regularized matrix is.
+    Linear solves go through `bordered()`: [[core, left], [right^T, -1]]
+    [x; y] = [b; 0] gives y = right . x and (core + left right^T) x = b,
+    and the bordered matrix is nonsingular exactly when the sum is.
     """
+
+    core: sp.csr_matrix
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.core.shape
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries: the core's plus the nonzeros of both vectors."""
+        return int(self.core.nnz + np.count_nonzero(self.left)
+                   + np.count_nonzero(self.right))
+
+    def toarray(self) -> np.ndarray:
+        return self.core.toarray() + np.outer(self.left, self.right)
+
+    def bordered(self) -> sp.csc_matrix:
+        return sp.bmat([[self.core, self.left[:, None]],
+                        [self.right[None, :], [[-1.0]]]], format="csc")
+
+
+def rank_one_solve(a_sparse, alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (A + alpha alpha^T) x = b without densifying the rank-one part."""
     n = alpha.shape[0]
-    bordered = sp.bmat(
-        [[a_sparse, alpha[:, None]], [alpha[None, :], [[-1.0]]]], format="csc"
-    )
+    bordered = RankOneUpdate(a_sparse, alpha, alpha).bordered()
     try:
         solution = splu(bordered).solve(np.append(b, 0.0))
     except RuntimeError as exc:
@@ -307,7 +340,9 @@ def f3_residual_jacobian(state: AugmentedState):
 
     Unknown layout [u, alpha, vbar, lam_active]; rows are the fold and
     cusp equations followed by the vbar equation and the swallowtail
-    value written in vbar form (3 vbar . G_u^3 vbar).
+    value written in vbar form (3 vbar . G_u^3 vbar).  The Jacobian is a
+    RankOneUpdate whose outer product holds the a vbar^T and a a^T terms
+    of the vbar equation; everything else is in the sparse core.
     """
     if state.level != 3:
         raise ValueError("f3 needs a level-3 state")
@@ -339,8 +374,8 @@ def f3_residual_jacobian(state: AugmentedState):
         gu @ sp.diags(f2 * vbar)
         + sp.diags(f2 * v + f3 * a**2)
     )
-    row5_da = np.outer(a, vbar) + (a @ vbar) * np.eye(n) + 2.0 * np.diag(f2 * a)
-    row5_dv = (gu @ gu).toarray() + np.outer(a, a)
+    row5_da = sp.diags((a @ vbar) + 2.0 * f2 * a)   # plus a vbar^T
+    row5_dv = gu @ gu                                # plus a a^T
     row5_dlam = (
         v[:, None] * dlam_fu
         + gu @ (vbar[:, None] * dlam_fu)
@@ -366,7 +401,7 @@ def f3_residual_jacobian(state: AugmentedState):
     )
 
     act = state.active
-    jac = sp.bmat(
+    core = sp.bmat(
         [
             [gu, None, None, _dense(_slice_lambda(dlam_f, act))],
             [sp.diags(f2 * a), gu, None,
@@ -374,14 +409,19 @@ def f3_residual_jacobian(state: AugmentedState):
             [None, _dense(2.0 * area * a), None, sp.csr_matrix((1, len(act)))],
             [_dense(cusp_du), _dense(cusp_da), None,
              _dense(_slice_lambda(cusp_dlam, act))],
-            [row5_du, _dense(row5_da), _dense(row5_dv),
+            [row5_du, row5_da, row5_dv,
              _dense(_slice_lambda(row5_dlam, act))],
             [_dense(row6_du), _dense(row6_da), _dense(row6_dv),
              _dense(_slice_lambda(row6_dlam, act))],
         ],
         format="csr",
     )
-    return res, jac
+    left = np.zeros(state.residual_size)
+    left[2 * n + 2 : 3 * n + 2] = a
+    right = np.zeros(state.dimension)
+    right[n : 2 * n] = vbar
+    right[2 * n : 3 * n] = a
+    return res, RankOneUpdate(core, left, right)
 
 
 def evaluate_monitors(state: AugmentedState, with_butterfly: bool = False,

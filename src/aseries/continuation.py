@@ -2,11 +2,13 @@
 
 Continues any square-plus-one residual system R(z) = 0, R: R^(n+1) -> R^n,
 by an Euler predictor and an orthogonal corrector (Newton on R stacked
-with tangent . (z - z_pred) = 0).  Monitors are named scalar functions
-of z recorded at every accepted point; sign changes between consecutive
-points are refined by re-stepping with a secant rule on arclength.  A
-fold event is a sign change of the tangent component belonging to the
-designated parameter.
+with tangent . (z - z_pred) = 0).  Residual and Jacobian come from one
+callable, so each Newton iterate assembles once, and the Jacobian of
+the converged corrector is reused for the rank check and the tangent.
+Monitors are named scalar functions of z recorded at every accepted
+point; sign changes between consecutive points are refined by
+re-stepping with a secant rule on arclength.  A fold event is a sign
+change of the tangent component belonging to the designated parameter.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from scipy.sparse.linalg import splu
 
 from .augmented import (
     MonitorRecord,
+    RankOneUpdate,
     butterfly_monitor,
     cusp_monitor,
     flag_blowup,
@@ -54,6 +57,10 @@ class RankDeficientError(ContinuationError):
     """Extended Jacobian lost full row rank at an accepted point."""
 
 
+class NonFiniteResidualError(ContinuationError):
+    """Newton met a NaN or infinite residual."""
+
+
 class ConvergenceError(ContinuationError):
     """Newton ran out of iterations; carries the best iterate seen."""
 
@@ -65,8 +72,11 @@ class ConvergenceError(ContinuationError):
 
 
 def _linear_solve(mat, rhs: np.ndarray) -> np.ndarray:
+    """Solve mat x = rhs by sparse LU, dense LU, or LU of the bordered form."""
     try:
-        if sp.issparse(mat):
+        if isinstance(mat, RankOneUpdate):
+            sol = splu(mat.bordered()).solve(np.append(rhs, 0.0))[:-1]
+        elif sp.issparse(mat):
             sol = splu(mat.tocsc()).solve(rhs)
         else:
             sol = np.linalg.solve(np.asarray(mat, dtype=float), rhs)
@@ -77,10 +87,11 @@ def _linear_solve(mat, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def newton_solve(residual, jacobian, z0, tol_inf: float = NEWTON_TOL,
+def newton_solve(system, z0, tol_inf: float = NEWTON_TOL,
                  max_iter: int = MAX_NEWTON):
     """Newton iteration on a square system; returns (z, iterations).
 
+    system(z) returns the residual and its Jacobian together.
     Convergence is measured by the infinity norm of the residual; the
     count excludes the final accepting evaluation, so a start that is
     already converged reports zero iterations.
@@ -88,13 +99,17 @@ def newton_solve(residual, jacobian, z0, tol_inf: float = NEWTON_TOL,
     z = np.array(z0, dtype=float)
     norm = np.inf
     for iters in range(max_iter + 1):
-        r = np.asarray(residual(z), dtype=float)
+        r, jac = system(z)
+        r = np.asarray(r, dtype=float)
         norm = float(np.max(np.abs(r))) if r.size else 0.0
+        if not np.isfinite(norm):
+            raise NonFiniteResidualError(
+                f"non-finite residual at iteration {iters} (|R| = {norm})")
         if norm < tol_inf:
             return z, iters
         if iters == max_iter:
             break
-        z = z - _linear_solve(jacobian(z), r)
+        z = z - _linear_solve(jac, r)
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (|R| = {norm:.3e})",
         z=z, iterations=max_iter, residual_norm=norm,
@@ -105,14 +120,14 @@ def newton_solve(residual, jacobian, z0, tol_inf: float = NEWTON_TOL,
 class ContinuationProblem:
     """Residual, Jacobian and diagnostics of one branch family.
 
-    monitors maps names from {cusp, swallowtail, butterfly} to scalar
-    functions of z; fold_index is the packed position of the parameter
-    whose turning defines a fold event; signature maps z to the sign
-    of det G_u (0 when absent).
+    system maps z to the pair (residual, Jacobian); monitors maps names
+    from {cusp, swallowtail, butterfly} to scalar functions of z;
+    fold_index is the packed position of the parameter whose turning
+    defines a fold event; signature maps z to the sign of det G_u (0
+    when absent).
     """
 
-    residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], object]
+    system: Callable[[np.ndarray], tuple]
     monitors: Mapping[str, Callable[[np.ndarray], float]] = field(
         default_factory=dict)
     signature: Callable[[np.ndarray], int] | None = None
@@ -221,6 +236,28 @@ def _signature(problem: ContinuationProblem, z: np.ndarray) -> int:
     return problem.signature(z) if problem.signature is not None else 0
 
 
+def _pinned_newton(problem: ContinuationProblem, anchor: np.ndarray,
+                   row: np.ndarray, newton_tol: float, max_newton: int):
+    """Newton on R(z) = 0 stacked with row . (z - anchor) = 0, from anchor.
+
+    Returns (z, iterations, jac) with jac the Jacobian of R alone at the
+    converged z, as assembled by the accepting Newton evaluation.
+    """
+    jac = None
+
+    def system(z):
+        nonlocal jac
+        res, jac = problem.system(z)
+        if sp.issparse(jac):
+            stacked = sp.vstack([jac.tocsr(), sp.csr_matrix(row[None, :])])
+        else:
+            stacked = np.vstack([np.asarray(jac, dtype=float), row[None, :]])
+        return np.append(res, row @ (z - anchor)), stacked
+
+    z, iters = newton_solve(system, anchor, newton_tol, max_newton)
+    return z, iters, jac
+
+
 def initial_point(problem: ContinuationProblem, z0: np.ndarray,
                   orient_index: int | None = None,
                   orient_vector: np.ndarray | None = None,
@@ -235,18 +272,7 @@ def initial_point(problem: ContinuationProblem, z0: np.ndarray,
     pin = len(z0) - 1 if orient_index is None else orient_index
     row = np.zeros(len(z0))
     row[pin] = 1.0
-
-    def residual(z):
-        return np.append(problem.residual(z), row @ (z - z0))
-
-    def jacobian(z):
-        jac = problem.jacobian(z)
-        if sp.issparse(jac):
-            return sp.vstack([jac.tocsr(), sp.csr_matrix(row[None, :])])
-        return np.vstack([np.asarray(jac, dtype=float), row[None, :]])
-
-    z, iters = newton_solve(residual, jacobian, z0, newton_tol, max_newton)
-    jac = problem.jacobian(z)
+    z, iters, jac = _pinned_newton(problem, z0, row, newton_tol, max_newton)
     _check_rank(problem, jac)
     t = tangent(jac, previous=orient_vector, orient_index=pin)
     rec = _record(problem, z, t, None)
@@ -258,19 +284,8 @@ def step(problem: ContinuationProblem, point: BranchPoint, ds: float,
          max_newton: int = MAX_NEWTON) -> BranchPoint:
     """One predictor-corrector step of length ds from an accepted point."""
     t = point.tangent
-    z_pred = point.z + ds * t
-
-    def residual(z):
-        return np.append(problem.residual(z), t @ (z - z_pred))
-
-    def jacobian(z):
-        jac = problem.jacobian(z)
-        if sp.issparse(jac):
-            return sp.vstack([jac.tocsr(), sp.csr_matrix(t[None, :])])
-        return np.vstack([np.asarray(jac, dtype=float), t[None, :]])
-
-    z, iters = newton_solve(residual, jacobian, z_pred, newton_tol, max_newton)
-    jac = problem.jacobian(z)
+    z, iters, jac = _pinned_newton(problem, point.z + ds * t, t, newton_tol,
+                                   max_newton)
     _check_rank(problem, jac)
     t_new = tangent(jac, previous=t)
     rec = _record(problem, z, t_new, point.monitors)
@@ -416,11 +431,8 @@ def augmented_continuation_problem(template, monitors=(),
         raise ValueError("continuation needs a square-plus-one system; "
                          "free exactly one extra parameter")
 
-    def residual(z):
-        return residual_jacobian(template.with_vector(z))[0]
-
-    def jacobian(z):
-        return residual_jacobian(template.with_vector(z))[1]
+    def system(z):
+        return residual_jacobian(template.with_vector(z))
 
     fold_index = None
     if fold_parameter is not None:
@@ -439,7 +451,7 @@ def augmented_continuation_problem(template, monitors=(),
             gu = st.problem.lap + sp.diags(f1)
             return solution_signature(gu.tocsc())
 
-    return ContinuationProblem(residual, jacobian, named, signature,
+    return ContinuationProblem(system, named, signature,
                                fold_index, check_rank, rank_tol)
 
 

@@ -193,19 +193,20 @@ def locate(template: AugmentedState, tol: float = NEWTON_TOL,
                          f"got {template.dimension} unknowns for "
                          f"{template.residual_size} equations")
 
-    def res(z):
-        return residual_jacobian(template.with_vector(z))[0]
+    def system(z):
+        return residual_jacobian(template.with_vector(z))
 
-    def jac(z):
-        return residual_jacobian(template.with_vector(z))[1]
-
-    z, iters = newton_solve(res, jac, template.pack(), tol, max_newton)
+    z, iters = newton_solve(system, template.pack(), tol, max_newton)
     state = template.with_vector(z)
     check = _recheck(state)
     if not check < tol:
         raise ConvergenceError(f"re-check failed: |R| = {check:.3e}", z,
                                iters, check)
     return state, iters
+
+
+def _cause(err: ContinuationError) -> str:
+    return f"{type(err).__name__}: {err}"
 
 
 def _located(kind: str, state: AugmentedState, iters: int,
@@ -357,7 +358,7 @@ def _slice_for_cusp(problem: Problem, pivot: AugmentedState,
                     AugmentedState(problem, 2, candidate.u, lam_c,
                                    alpha=candidate.alpha, active=(0, 1)),
                     config.newton_tol, config.max_newton)
-            except ConvergenceError:
+            except ContinuationError:
                 continue
             if np.linalg.norm(refined.lam - pivot.lam) > config.distinct_tol:
                 return refined, iters, event
@@ -412,8 +413,8 @@ def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
             AugmentedState(problem, 1, at_fold.u, at_fold.lam.copy(),
                            alpha=_seed_alpha(grid, config.seed), active=(0,)),
             config.newton_tol, config.max_newton)
-    except ConvergenceError as err:
-        report.note = f"fold system did not converge: {err}"
+    except ContinuationError as err:
+        report.note = f"fold system did not converge: {_cause(err)}"
         return report
     report.chain.append(_located("fold", fold, iters))
     report.stage_reached = "fold"
@@ -446,8 +447,8 @@ def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
             AugmentedState(problem, 2, at_cusp.u, at_cusp.lam.copy(),
                            alpha=at_cusp.alpha, active=(0, 1)),
             config.newton_tol, config.max_newton)
-    except ConvergenceError as err:
-        report.note = f"cusp system did not converge: {err}"
+    except ContinuationError as err:
+        report.note = f"cusp system did not converge: {_cause(err)}"
         report.timings["cusp"] = time.perf_counter() - t0
         return report
     report.chain.append(_located("cusp", cusp, iters))
@@ -527,8 +528,8 @@ def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
                            alpha=found.alpha, vbar=np.zeros(n),
                            active=(0, 1, 2)),
             config.newton_tol, config.max_newton)
-    except ConvergenceError as err:
-        report.note = f"swallowtail system did not converge: {err}"
+    except ContinuationError as err:
+        report.note = f"swallowtail system did not converge: {_cause(err)}"
         report.timings["swallowtail"] = time.perf_counter() - t0
         return report
     report.chain.append(_located("swallowtail", sw, iters,
@@ -573,6 +574,10 @@ def refine_on_grid(state: AugmentedState, grid: Grid,
         raise RefinementError(
             f"no convergence on {grid.nx}x{grid.ny}: |R| = "
             f"{err.residual_norm:.3e}", best, err.residual_norm) from err
+    except ContinuationError as err:
+        raise RefinementError(
+            f"Newton failed on {grid.nx}x{grid.ny}: {_cause(err)}",
+            template) from err
 
 
 @dataclass
@@ -777,7 +782,7 @@ def verify_swallowtail_geometry(state: AugmentedState,
             anchor, _ = locate(
                 AugmentedState(problem, 2, end.u, lam_t, alpha=end.alpha,
                                active=(0, 1)), tol, max_newton)
-        except ConvergenceError:
+        except ContinuationError:
             continue
         anchors[side].append(anchor)
     if not anchors[1] and not anchors[-1]:
@@ -804,9 +809,9 @@ def verify_swallowtail_geometry(state: AugmentedState,
                     AugmentedState(problem, 1, state.u, lam_t,
                                    alpha=state.alpha, active=(0,)),
                     tol, max(max_newton, 40))
-            except ConvergenceError as err:
+            except ContinuationError as err:
                 raise GeometryError(
-                    f"smooth-side fold solve failed: {err}") from err
+                    f"smooth-side fold solve failed: {_cause(err)}") from err
             template = AugmentedState(problem, 1, base.u, base.lam.copy(),
                                       alpha=base.alpha, active=(0, 1))
             start_kind = "fold-solve"

@@ -206,6 +206,11 @@ def fd_jacobian(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return jac
 
 
+def dense_newton_step(jac, res: np.ndarray) -> np.ndarray:
+    """Newton step of a (possibly bordered) Jacobian by dense LU."""
+    return np.linalg.solve(jac.toarray(), res)
+
+
 def relative_error(found: np.ndarray, expected: np.ndarray) -> float:
     found = np.asarray(found, dtype=float)
     expected = np.asarray(expected, dtype=float)

@@ -8,6 +8,7 @@ from aseries.augmented import (
     AugmentedState,
     MonitorRecord,
     Problem,
+    RankOneUpdate,
     SingularAuxiliaryError,
     butterfly_monitor,
     cusp_monitor,
@@ -23,6 +24,7 @@ from aseries.augmented import (
     swallowtail_monitor,
 )
 from aseries.classifier import DEGENERATE, Tolerances, closed_form_tests
+from aseries.continuation import SingularJacobianError, _linear_solve
 from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
@@ -33,7 +35,7 @@ from aseries.poisson import (
     poisson_oracle,
 )
 
-from helpers import fd_jacobian
+from helpers import dense_newton_step, fd_jacobian, relative_error
 
 
 def unit_problem(nl=None):
@@ -351,6 +353,49 @@ class TestAnalyticJacobians:
         assert np.array_equal(d3[: res2.size, : 2 * n], d2[:, : 2 * n])
         assert np.array_equal(d3[: res2.size, 2 * n : 3 * n],
                               np.zeros((res2.size, n)))
+
+
+class TestBorderedSolve:
+    """The level-3 Newton step through the bordered sparse factorization."""
+
+    @pytest.mark.parametrize("nl", [PolynomialNonlinearity(tail=(0.3, -0.2)),
+                                    ExpSineNonlinearity()],
+                             ids=["polynomial", "exp-sine"])
+    @pytest.mark.parametrize("side", [4, 8])
+    def test_step_matches_dense_oracle(self, nl, side):
+        prob = Problem(Grid(side, side), nl)
+        rng = np.random.default_rng(side)
+        for _ in range(3):
+            st = random_state(prob, 3, (0, 1, 2), rng)
+            res, jac = f3_residual_jacobian(st)
+            assert isinstance(jac, RankOneUpdate)
+            assert relative_error(_linear_solve(jac, res),
+                                  dense_newton_step(jac, res)) < 1e-10
+
+    def test_nonzeros_grow_linearly(self):
+        nnz = {}
+        for side in (8, 16):
+            prob = Problem(Grid(side, side), ExpSineNonlinearity())
+            st = random_state(prob, 3, (0, 1, 2), np.random.default_rng(2))
+            nnz[side] = f3_residual_jacobian(st)[1].nnz
+        # four times the unknowns; a dense n x n block would give ~16x
+        assert nnz[16] <= 4.5 * nnz[8]
+
+    def test_singular_core_with_regular_sum_solves(self):
+        jac = RankOneUpdate(sp.csr_matrix(np.diag([0.0, 1.0])),
+                            np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        rhs = np.array([2.0, 3.0])
+        assert np.allclose(_linear_solve(jac, rhs), [2.0, 3.0])
+        assert np.allclose(dense_newton_step(jac, rhs), [2.0, 3.0])
+
+    def test_singular_sum_rejected_like_the_oracle(self):
+        jac = RankOneUpdate(sp.csr_matrix(np.diag([1.0, 0.0])),
+                            np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        rhs = np.array([1.0, 1.0])
+        with pytest.raises(SingularJacobianError):
+            _linear_solve(jac, rhs)
+        with pytest.raises(np.linalg.LinAlgError):
+            dense_newton_step(jac, rhs)
 
 
 class TestSolutionSignature:

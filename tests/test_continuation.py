@@ -8,6 +8,7 @@ from aseries.continuation import (
     BranchPoint,
     ContinuationProblem,
     ConvergenceError,
+    NonFiniteResidualError,
     RankDeficientError,
     SingularJacobianError,
     augmented_continuation_problem,
@@ -25,8 +26,8 @@ from aseries.augmented import residual_jacobian
 def circle_problem():
     """Unit circle with the first coordinate as the fold parameter."""
     return ContinuationProblem(
-        residual=lambda z: np.array([z[0] ** 2 + z[1] ** 2 - 1.0]),
-        jacobian=lambda z: np.array([[2.0 * z[0], 2.0 * z[1]]]),
+        system=lambda z: (np.array([z[0] ** 2 + z[1] ** 2 - 1.0]),
+                          np.array([[2.0 * z[0], 2.0 * z[1]]])),
         monitors={"cusp": lambda z: z[1] - 0.5},
         fold_index=0,
     )
@@ -39,26 +40,36 @@ def circle_start():
 
 class TestNewton:
     def test_scalar_quadratic(self):
-        z, iters = newton_solve(lambda z: z**2 - 4.0,
-                                lambda z: np.array([[2.0 * z[0]]]),
+        z, iters = newton_solve(lambda z: (z**2 - 4.0,
+                                           np.array([[2.0 * z[0]]])),
                                 np.array([3.0]))
         assert z[0] == pytest.approx(2.0, abs=1e-9)
         assert iters <= 6
 
     def test_already_converged_counts_zero(self):
-        z, iters = newton_solve(lambda z: z - 2.0,
-                                lambda z: np.eye(1), np.array([2.0]))
+        z, iters = newton_solve(lambda z: (z - 2.0, np.eye(1)),
+                                np.array([2.0]))
         assert iters == 0
 
     def test_singular_jacobian(self):
         with pytest.raises(SingularJacobianError):
-            newton_solve(lambda z: z**2 + 1.0,
-                         lambda z: np.array([[0.0]]), np.array([0.0]))
+            newton_solve(lambda z: (z**2 + 1.0, np.array([[0.0]])),
+                         np.array([0.0]))
+
+    def test_non_finite_residual_named(self):
+        # the first step lands on z = 3, where the residual overflows
+        def system(z):
+            return np.where(z > 1.0, np.inf, z - 3.0), np.eye(1)
+
+        with pytest.raises(NonFiniteResidualError,
+                           match=r"iteration 1 \(\|R\| = inf\)") as info:
+            newton_solve(system, np.array([0.0]))
+        assert not isinstance(info.value, ConvergenceError)
 
     def test_nonconvergence_carries_best_iterate(self):
         # Newton on z^(1/3)-like slow contraction: z -> (2/3) z
         with pytest.raises(ConvergenceError) as info:
-            newton_solve(lambda z: z**3, lambda z: np.array([[3.0 * z[0] ** 2]]),
+            newton_solve(lambda z: (z**3, np.array([[3.0 * z[0] ** 2]])),
                          np.array([1000.0]), max_iter=10)
         err = info.value
         assert err.iterations == 10
@@ -73,8 +84,7 @@ class TestNewton:
                                   np.array([16.1, 0.0, 0.0]),
                                   alpha=np.array([a0]), active=(0,))
             z, iters = newton_solve(
-                lambda z: residual_jacobian(tmpl.with_vector(z))[0],
-                lambda z: residual_jacobian(tmpl.with_vector(z))[1],
+                lambda z: residual_jacobian(tmpl.with_vector(z)),
                 tmpl.pack())
             out = tmpl.with_vector(z)
             assert out.lam[0] == pytest.approx(16.0, abs=1e-8)
@@ -105,16 +115,16 @@ class TestTangent:
 
 class TestStep:
     def test_linear_problem_exact(self):
-        lin = ContinuationProblem(lambda z: np.array([z[0] - z[1]]),
-                                  lambda z: np.array([[1.0, -1.0]]))
+        lin = ContinuationProblem(lambda z: (np.array([z[0] - z[1]]),
+                                             np.array([[1.0, -1.0]])))
         p0 = initial_point(lin, np.zeros(2))
         p1 = step(lin, p0, np.sqrt(2.0))
         assert np.allclose(p1.z, [1.0, 1.0], atol=1e-12)
         assert p1.newton_iters <= 1
 
     def test_arclength_is_path_length_on_linear_problem(self):
-        lin = ContinuationProblem(lambda z: np.array([z[0] - z[1]]),
-                                  lambda z: np.array([[1.0, -1.0]]))
+        lin = ContinuationProblem(lambda z: (np.array([z[0] - z[1]]),
+                                             np.array([[1.0, -1.0]])))
         p0 = initial_point(lin, np.zeros(2))
         res = run_branch(lin, p0, ds0=np.sqrt(2.0), max_steps=5, ds_max=2.0)
         path = sum(np.linalg.norm(b.z - a.z)
@@ -168,8 +178,8 @@ class TestEvents:
         assert events[0].point is b
 
     def test_fold_events_need_fold_index(self):
-        lin = ContinuationProblem(lambda z: np.array([z[0] - z[1]]),
-                                  lambda z: np.array([[1.0, -1.0]]))
+        lin = ContinuationProblem(lambda z: (np.array([z[0] - z[1]]),
+                                             np.array([[1.0, -1.0]])))
         p0 = initial_point(lin, np.zeros(2))
         p1 = step(lin, p0, 0.5)
         with pytest.raises(ValueError):

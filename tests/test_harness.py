@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from aseries import continuation
 from aseries.augmented import AugmentedState, Problem, residual_jacobian
+from aseries.continuation import SingularJacobianError
 from aseries.harness import (
     ConvergenceTable,
     GeometryReport,
@@ -113,6 +115,22 @@ class TestHuntBudget:
         assert report.events == []
         assert [p.kind for p in report.chain] == ["solution"]
         assert report.note.startswith("no fold event")
+
+    def test_singular_fold_solve_gives_partial_report(self, monkeypatch):
+        # only the square fold system on 6 x 6 has 2 * 36 + 1 rows
+        solve = continuation._linear_solve
+
+        def singular_fold(mat, rhs):
+            if mat.shape[0] == 2 * 36 + 1:
+                raise SingularJacobianError("Factor is exactly singular")
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(continuation, "_linear_solve", singular_fold)
+        report = hunt_swallowtail(ExpSineNonlinearity(), Grid(6, 6))
+        assert report.stage_reached == "solution"
+        assert [p.kind for p in report.chain] == ["solution"]
+        assert report.note.startswith("fold system did not converge: "
+                                      "SingularJacobianError")
 
 
 class TestStagedHunt:
@@ -253,6 +271,22 @@ class TestConvergenceStudy:
                                   poly_report.swallowtail.state, max_newton=1)
         assert len(table.rows) == 1
         assert table.note.startswith("stopped at N = 3")
+
+    def test_truncates_on_singular_solve(self, poly_report, monkeypatch):
+        # the level-3 matrix on the 7 x 7 grid has 3 * 49 + 3 rows
+        solve = continuation._linear_solve
+
+        def singular_beyond_3x3(mat, rhs):
+            if mat.shape[0] > 3 * 9 + 3:
+                raise SingularJacobianError("Factor is exactly singular")
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(continuation, "_linear_solve", singular_beyond_3x3)
+        table = convergence_study(PolynomialNonlinearity((1.0,)), (1, 3, 7),
+                                  poly_report.swallowtail.state)
+        assert [row.n for row in table.rows] == [1, 3]
+        assert table.note.startswith("stopped at N = 7")
+        assert "SingularJacobianError" in table.note
 
     def test_serializes(self, poly_report):
         table = convergence_study(PolynomialNonlinearity((1.0,)), (1, 3),
