@@ -5,6 +5,14 @@ by an Euler predictor and an orthogonal corrector (Newton on R stacked
 with tangent . (z - z_pred) = 0).  Residual and Jacobian come from one
 callable, so each Newton iterate assembles once, and the Jacobian of
 the converged corrector is reused for the rank check and the tangent.
+Every accepted point is checked to be regular, i.e. its n x (n+1)
+Jacobian J keeps full row rank: sigma_min(J) < rank_tol *
+max(sigma_max(J), 1) rejects it.  The check borders J with its scaled
+unit null vector, B = [J; c t^T] with c = max(sigma_max(J), 1), so the
+singular values of B are those of J plus c and sigma_min(B) =
+sigma_min(J).  One sparse LU of B then gives sigma_min(B) = 1 /
+||B^-1||_2 by Lanczos on B^-T B^-1, and Lanczos on J^T J gives
+sigma_max(J); the check forms no dense matrix.
 Monitors are named scalar functions of z recorded at every accepted
 point; sign changes between consecutive points are refined by
 re-stepping with a secant rule on arclength.  A fold event is a sign
@@ -18,8 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import svdvals
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .augmented import (
     MonitorRecord,
@@ -43,6 +50,10 @@ NEWTON_TOL = 1e-9
 MAX_NEWTON = 25
 EVENT_TOL = 1e-8
 REFINE_BUDGET = 60
+#: Relative Ritz residual at which the rank check's Lanczos runs stop.
+#: The eigenvalue error is at most this, far below the eps * sigma_max
+#: rounding of a dense SVD's sigma_min near the rank_tol threshold.
+RANK_LANCZOS_TOL = 1e-10
 
 
 class ContinuationError(RuntimeError):
@@ -201,24 +212,66 @@ def tangent(jac, previous: np.ndarray | None = None,
         sol = None
     if sol is None:
         dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, float)
-        sing = np.linalg.svd(dense, compute_uv=False)
+        _, sing, vt = np.linalg.svd(dense)
         if sing[-1] < rank_tol * max(sing[0], 1.0):
             raise RankDeficientError("extended Jacobian is rank deficient")
-        sol = np.linalg.svd(dense)[2][-1]
+        sol = vt[-1]
     t = sol / np.linalg.norm(sol)
     if row @ t < 0.0:
         t = -t
     return t
 
 
-def _check_rank(problem: ContinuationProblem, jac) -> None:
+def _largest_eigenvalue(matvec, size: int) -> float:
+    """Largest eigenvalue of a symmetric positive semidefinite operator.
+
+    Lanczos (ARPACK) from a fixed random start vector, stopped at a
+    Ritz residual of RANK_LANCZOS_TOL relative; a failure to converge is
+    a ContinuationError.
+    """
+    op = LinearOperator((size, size), matvec=matvec, dtype=float)
+    start = np.random.default_rng(0).standard_normal(size)
+    try:
+        return float(eigsh(op, k=1, v0=start, tol=RANK_LANCZOS_TOL,
+                           return_eigenvectors=False)[0])
+    except ArpackError as exc:
+        raise ContinuationError(f"rank check: ARPACK failed: {exc}") from exc
+
+
+def _check_rank(problem: ContinuationProblem, jac,
+                null: np.ndarray | None = None) -> None:
+    """Reject an n x (n+1) Jacobian that has lost full row rank.
+
+    The verdict is sigma_min(J) < rank_tol * max(sigma_max(J), 1).  null
+    is a unit null vector of jac (the tangent); it is computed when not
+    given.  Bordering with c t^T, c = max(sigma_max, 1), adds the
+    singular value c and keeps the others, so sigma_min of the bordered
+    square matrix is sigma_min(J) exactly, read off one sparse LU.
+    """
     if not problem.check_rank:
         return
-    dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, float)
-    sing = svdvals(dense)
-    if sing[-1] < problem.rank_tol * max(sing[0], 1.0):
+    if null is None:
+        null = tangent(jac, rank_tol=problem.rank_tol)
+    mat = sp.csr_matrix(jac)
+    mat_t = mat.T.tocsr()
+    size = mat.shape[1]
+    sigma_max = np.sqrt(_largest_eigenvalue(lambda x: mat_t @ (mat @ x),
+                                            size))
+    scale = max(sigma_max, 1.0)
+    bordered = sp.vstack([mat, sp.csr_matrix(scale * null[None, :])],
+                         format="csc")
+    try:
+        lu = splu(bordered)
+    except RuntimeError as exc:
         raise RankDeficientError(
-            f"smallest singular value {sing[-1]:.3e} at an accepted point")
+            f"bordered Jacobian is exactly singular ({exc}) at an accepted "
+            "point") from exc
+    inv_norm_sq = _largest_eigenvalue(
+        lambda x: lu.solve(lu.solve(x), trans="T"), size)
+    sigma_min = 1.0 / np.sqrt(inv_norm_sq)
+    if not sigma_min >= problem.rank_tol * scale:
+        raise RankDeficientError(
+            f"smallest singular value {sigma_min:.3e} at an accepted point")
 
 
 def _record(problem: ContinuationProblem, z: np.ndarray, tang: np.ndarray,
@@ -273,8 +326,9 @@ def initial_point(problem: ContinuationProblem, z0: np.ndarray,
     row = np.zeros(len(z0))
     row[pin] = 1.0
     z, iters, jac = _pinned_newton(problem, z0, row, newton_tol, max_newton)
-    _check_rank(problem, jac)
-    t = tangent(jac, previous=orient_vector, orient_index=pin)
+    t = tangent(jac, previous=orient_vector, orient_index=pin,
+                rank_tol=problem.rank_tol)
+    _check_rank(problem, jac, t)
     rec = _record(problem, z, t, None)
     return BranchPoint(z, 0.0, t, rec, _signature(problem, z), iters)
 
@@ -286,8 +340,8 @@ def step(problem: ContinuationProblem, point: BranchPoint, ds: float,
     t = point.tangent
     z, iters, jac = _pinned_newton(problem, point.z + ds * t, t, newton_tol,
                                    max_newton)
-    _check_rank(problem, jac)
-    t_new = tangent(jac, previous=t)
+    t_new = tangent(jac, previous=t, rank_tol=problem.rank_tol)
+    _check_rank(problem, jac, t_new)
     rec = _record(problem, z, t_new, point.monitors)
     return BranchPoint(z, point.s + ds, t_new, rec,
                        _signature(problem, z), iters)
@@ -418,14 +472,16 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
 
 def augmented_continuation_problem(template, monitors=(),
                                    fold_parameter: int | None = None,
-                                   with_signature: bool = True,
                                    check_rank: bool = True,
                                    rank_tol: float = 1e-8):
     """Wrap an augmented state template as a ContinuationProblem.
 
     The template must carry one more active parameter than its level
     pins, so the packed system is square plus one.  fold_parameter is
-    the lam index whose turning marks fold events.
+    the lam index whose turning marks fold events.  Only a level-0
+    branch carries the sign of det G_u: on a fold, cusp or swallowtail
+    line G_u is singular by construction, so the sign is undefined there
+    and the recorded signature is 0.
     """
     if template.dimension != template.residual_size + 1:
         raise ValueError("continuation needs a square-plus-one system; "
@@ -444,7 +500,7 @@ def augmented_continuation_problem(template, monitors=(),
         named[name] = _pde_monitor(template, name)
 
     signature = None
-    if with_signature:
+    if template.level == 0:
         def signature(z):
             st = template.with_vector(z)
             f1 = st.problem.nl.derivative(1, st.u, st.lam)

@@ -180,13 +180,14 @@ def _recheck(state: AugmentedState) -> float:
 
 
 def locate(template: AugmentedState, tol: float = NEWTON_TOL,
-           max_newton: int = MAX_NEWTON) -> tuple[AugmentedState, int]:
+           max_newton: int = MAX_NEWTON
+           ) -> tuple[AugmentedState, int, float]:
     """Direct Newton solve of a square augmented system.
 
     The template must pin as many parameters as its system has surplus
     equations, making the packed system square.  Returns the converged
-    state and the iteration count; the residual is re-checked on the
-    returned state rather than trusted from the solver.
+    state, the iteration count and the residual infinity norm, which is
+    re-checked on the returned state rather than trusted from the solver.
     """
     if template.dimension != template.residual_size:
         raise ValueError("direct location needs a square system; "
@@ -202,19 +203,20 @@ def locate(template: AugmentedState, tol: float = NEWTON_TOL,
     if not check < tol:
         raise ConvergenceError(f"re-check failed: |R| = {check:.3e}", z,
                                iters, check)
-    return state, iters
+    return state, iters, check
 
 
 def _cause(err: ContinuationError) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def _located(kind: str, state: AugmentedState, iters: int,
+def _located(kind: str, state: AugmentedState, iters: int, residual: float,
              with_butterfly: bool = False, note: str = "") -> LocatedPoint:
+    """LocatedPoint of a `locate` result; residual is its re-checked norm."""
     monitors = None
     if state.level >= 1:
         monitors = evaluate_monitors(state, with_butterfly=with_butterfly)
-    return LocatedPoint(kind, state, _recheck(state), iters, monitors, note)
+    return LocatedPoint(kind, state, residual, iters, monitors, note)
 
 
 def _event_doc(stage: str, event, active: tuple) -> dict:
@@ -279,29 +281,30 @@ def _direct_chain(problem: Problem, config: HuntConfig,
     alpha = _seed_alpha(grid, config.seed)
     u = np.zeros(grid.size)
     t0 = time.perf_counter()
-    fold, iters = locate(
+    fold, iters, res = locate(
         AugmentedState(problem, 1, u, lam0.copy(), alpha=alpha, active=(0,)),
         config.newton_tol, config.max_newton)
-    report.chain.append(_located("fold", fold, iters))
+    report.chain.append(_located("fold", fold, iters, res))
     report.stage_reached = "fold"
     report.timings["fold"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cusp, iters = locate(
+    cusp, iters, res = locate(
         AugmentedState(problem, 2, fold.u, _nudged(fold.lam),
                        alpha=fold.alpha, active=(0, 1)),
         config.newton_tol, config.max_newton)
-    report.chain.append(_located("cusp", cusp, iters))
+    report.chain.append(_located("cusp", cusp, iters, res))
     report.stage_reached = "cusp"
     report.timings["cusp"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sw, iters = locate(
+    sw, iters, res = locate(
         AugmentedState(problem, 3, cusp.u, _nudged(cusp.lam),
                        alpha=cusp.alpha, vbar=np.zeros(grid.size),
                        active=(0, 1, 2)),
         config.newton_tol, config.max_newton)
-    report.chain.append(_located("swallowtail", sw, iters, with_butterfly=True))
+    report.chain.append(_located("swallowtail", sw, iters, res,
+                                 with_butterfly=True))
     report.stage_reached = "swallowtail"
     report.timings["swallowtail"] = time.perf_counter() - t0
     return report
@@ -328,7 +331,8 @@ def _slice_for_cusp(problem: Problem, pivot: AugmentedState,
 
     The pivot is an exact cusp-line point, hence an exact fold-system
     root; the slice continues that fold line in both directions and
-    returns the first cusp event distinct from the pivot itself.
+    returns the `locate` result of the first cusp event distinct from
+    the pivot itself, followed by that event.
     """
     template = AugmentedState(problem, 1, pivot.u, pivot.lam.copy(),
                               alpha=pivot.alpha, active=(0, 1))
@@ -354,14 +358,14 @@ def _slice_for_cusp(problem: Problem, pivot: AugmentedState,
             candidate = template.with_vector(event.point.z)
             lam_c = candidate.lam.copy()
             try:
-                refined, iters = locate(
+                refined, iters, res = locate(
                     AugmentedState(problem, 2, candidate.u, lam_c,
                                    alpha=candidate.alpha, active=(0, 1)),
                     config.newton_tol, config.max_newton)
             except ContinuationError:
                 continue
             if np.linalg.norm(refined.lam - pivot.lam) > config.distinct_tol:
-                return refined, iters, event
+                return refined, iters, res, event
     return None
 
 
@@ -409,14 +413,14 @@ def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
     t0 = time.perf_counter()
     at_fold = tmpl0.with_vector(fold_events[0].point.z)
     try:
-        fold, iters = locate(
+        fold, iters, res = locate(
             AugmentedState(problem, 1, at_fold.u, at_fold.lam.copy(),
                            alpha=_seed_alpha(grid, config.seed), active=(0,)),
             config.newton_tol, config.max_newton)
     except ContinuationError as err:
         report.note = f"fold system did not converge: {_cause(err)}"
         return report
-    report.chain.append(_located("fold", fold, iters))
+    report.chain.append(_located("fold", fold, iters, res))
     report.stage_reached = "fold"
 
     tmpl1 = AugmentedState(problem, 1, fold.u, fold.lam.copy(),
@@ -443,7 +447,7 @@ def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
     t0 = time.perf_counter()
     at_cusp = tmpl1.with_vector(cusp_events[0].point.z)
     try:
-        cusp, iters = locate(
+        cusp, iters, res = locate(
             AugmentedState(problem, 2, at_cusp.u, at_cusp.lam.copy(),
                            alpha=at_cusp.alpha, active=(0, 1)),
             config.newton_tol, config.max_newton)
@@ -451,7 +455,7 @@ def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
         report.note = f"cusp system did not converge: {_cause(err)}"
         report.timings["cusp"] = time.perf_counter() - t0
         return report
-    report.chain.append(_located("cusp", cusp, iters))
+    report.chain.append(_located("cusp", cusp, iters, res))
     report.stage_reached = "cusp"
     report.timings["cusp"] = time.perf_counter() - t0
 
@@ -489,11 +493,11 @@ def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
             hit = _slice_for_cusp(problem, pivot, config)
             if hit is None:
                 continue
-            cusp_b, iters_b, slice_event = hit
+            cusp_b, iters_b, res_b, slice_event = hit
             notes.append(f"pivot slice at lam3 = {pivot.lam[2]:+.6f} "
                          f"found a second cusp line")
             report.events.append(_event_doc("pivot", slice_event, (0, 1)))
-            report.chain.append(_located("cusp", cusp_b, iters_b,
+            report.chain.append(_located("cusp", cusp_b, iters_b, res_b,
                                          note="pivot slice"))
             tmpl2b = AugmentedState(problem, 2, cusp_b.u, cusp_b.lam.copy(),
                                     alpha=cusp_b.alpha, active=(0, 1, 2))
@@ -523,7 +527,7 @@ def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
         return report
 
     try:
-        sw, iters = locate(
+        sw, iters, res = locate(
             AugmentedState(problem, 3, found.u, found.lam.copy(),
                            alpha=found.alpha, vbar=np.zeros(n),
                            active=(0, 1, 2)),
@@ -532,7 +536,7 @@ def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
         report.note = f"swallowtail system did not converge: {_cause(err)}"
         report.timings["swallowtail"] = time.perf_counter() - t0
         return report
-    report.chain.append(_located("swallowtail", sw, iters,
+    report.chain.append(_located("swallowtail", sw, iters, res,
                                  with_butterfly=True))
     report.stage_reached = "swallowtail"
     report.timings["swallowtail"] = time.perf_counter() - t0
@@ -568,7 +572,7 @@ def refine_on_grid(state: AugmentedState, grid: Grid,
     template = AugmentedState(target, state.level, u, state.lam.copy(),
                               alpha=alpha, vbar=vbar, active=state.active)
     try:
-        return locate(template, tol, max_newton)
+        return locate(template, tol, max_newton)[:2]
     except ConvergenceError as err:
         best = template.with_vector(err.z) if err.z is not None else template
         raise RefinementError(
@@ -779,9 +783,9 @@ def verify_swallowtail_geometry(state: AugmentedState,
         lam_t = end.lam.copy()
         lam_t[2] = lam_sw[2] + side * dlam3
         try:
-            anchor, _ = locate(
+            anchor = locate(
                 AugmentedState(problem, 2, end.u, lam_t, alpha=end.alpha,
-                               active=(0, 1)), tol, max_newton)
+                               active=(0, 1)), tol, max_newton)[0]
         except ContinuationError:
             continue
         anchors[side].append(anchor)
@@ -805,10 +809,10 @@ def verify_swallowtail_geometry(state: AugmentedState,
             lam_t = lam_sw.copy()
             lam_t[2] = lam3_here
             try:
-                base, _ = locate(
+                base = locate(
                     AugmentedState(problem, 1, state.u, lam_t,
                                    alpha=state.alpha, active=(0,)),
-                    tol, max(max_newton, 40))
+                    tol, max(max_newton, 40))[0]
             except ContinuationError as err:
                 raise GeometryError(
                     f"smooth-side fold solve failed: {_cause(err)}") from err

@@ -11,8 +11,11 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import svdvals
 
 from aseries.classifier import TensorOracle
+from aseries.continuation import RankDeficientError
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +207,19 @@ def fd_jacobian(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         xm[j] -= step
         jac[:, j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2 * step)
     return jac
+
+
+def dense_rank_check(jac, rank_tol: float = 1e-8) -> None:
+    """Full-row-rank check of an n x (n+1) Jacobian by a dense SVD.
+
+    Raises RankDeficientError when sigma_min < rank_tol * max(sigma_max, 1),
+    the verdict the library's sparse rank check must reproduce.
+    """
+    dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, float)
+    sing = svdvals(dense)
+    if sing[-1] < rank_tol * max(sing[0], 1.0):
+        raise RankDeficientError(
+            f"smallest singular value {sing[-1]:.3e} at an accepted point")
 
 
 def dense_newton_step(jac, res: np.ndarray) -> np.ndarray:

@@ -218,9 +218,10 @@ def test_criterion_6_fold_location_with_richardson_consistency():
     events = [e for e in run.events if e.kind == "fold"]
     assert events, f"no fold event ({run.stopped_on})"
     at_fold = template.with_vector(events[0].point.z)
-    fold, _ = locate(AugmentedState(prob, 1, at_fold.u, at_fold.lam.copy(),
-                                    alpha=seed_kernel_vector(grid, 0),
-                                    active=(0,)))
+    fold, _, _ = locate(AugmentedState(prob, 1, at_fold.u,
+                                       at_fold.lam.copy(),
+                                       alpha=seed_kernel_vector(grid, 0),
+                                       active=(0,)))
     values = [fold.lam[0]]
     state = fold
     for size in (31, 63):

@@ -1,11 +1,22 @@
 """Predictor-corrector continuation, tangents, events, branch control."""
 
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from aseries.augmented import AugmentedState, MonitorRecord, Problem, cusp_monitor
+from aseries import continuation
+from aseries.augmented import (
+    AugmentedState,
+    MonitorRecord,
+    Problem,
+    cusp_monitor,
+)
 from aseries.continuation import (
     BranchPoint,
+    ContinuationError,
     ContinuationProblem,
     ConvergenceError,
     NonFiniteResidualError,
@@ -19,8 +30,10 @@ from aseries.continuation import (
     step,
     tangent,
 )
+from aseries.harness import locate, seed_kernel_vector
 from aseries.poisson import ExpSineNonlinearity, Grid, PolynomialNonlinearity
 from aseries.augmented import residual_jacobian
+from helpers import dense_rank_check
 
 
 def circle_problem():
@@ -106,6 +119,16 @@ class TestTangent:
         with pytest.raises(RankDeficientError):
             tangent(np.array([[0.0, 0.0]]))
 
+    def test_fallback_honours_rank_tol(self):
+        # the bordering row repeats the first row, so the bordered solve
+        # fails and the SVD fallback decides with the given tolerance
+        jac = np.array([[1.0, 0.0, 0.0], [0.0, 1e-5, 0.0]])
+        prev = np.array([1.0, 0.0, 0.0])
+        t = tangent(jac, previous=prev)
+        assert np.allclose(np.abs(t), [0.0, 0.0, 1.0])
+        with pytest.raises(RankDeficientError):
+            tangent(jac, previous=prev, rank_tol=1e-3)
+
     def test_fold_parameter_component_vanishes_at_fold(self):
         # circle at (1, 0): the z0 component of the tangent is zero
         t = tangent(np.array([[2.0, 0.0]]), previous=np.array([0.0, 1.0]))
@@ -114,6 +137,24 @@ class TestTangent:
 
 
 class TestStep:
+    def test_rank_tol_reaches_tangent(self):
+        # check_rank is off, so only the tangent's SVD fallback can see
+        # the small singular value; it must use the problem's rank_tol
+        jac = np.array([[1.0, 0.0, 0.0], [0.0, 1e-5, 0.0]])
+        loose = ContinuationProblem(lambda z: (jac @ z, jac),
+                                    check_rank=False)
+        strict = ContinuationProblem(lambda z: (jac @ z, jac),
+                                     check_rank=False, rank_tol=1e-3)
+        p0 = initial_point(loose, np.zeros(3), orient_index=0)
+        assert np.allclose(np.abs(p0.tangent), [0.0, 0.0, 1.0])
+        with pytest.raises(RankDeficientError):
+            initial_point(strict, np.zeros(3), orient_index=0)
+        point = BranchPoint(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]),
+                            MonitorRecord(), 0, 0)
+        step(loose, point, 0.0)
+        with pytest.raises(RankDeficientError):
+            step(strict, point, 0.0)
+
     def test_linear_problem_exact(self):
         lin = ContinuationProblem(lambda z: (np.array([z[0] - z[1]]),
                                              np.array([[1.0, -1.0]])))
@@ -284,3 +325,172 @@ class TestBratuBranch:
             assert np.array_equal(a.z, b.z)
             assert a.s == b.s
             assert np.array_equal(a.tangent, b.tangent)
+
+
+def _rejects(check, jac, **kwargs) -> bool:
+    try:
+        check(jac, **kwargs)
+    except RankDeficientError:
+        return True
+    return False
+
+
+def sparse_rank_check(jac, rank_tol: float = 1e-8, null=None) -> None:
+    probe = ContinuationProblem(lambda z: None, rank_tol=rank_tol)
+    continuation._check_rank(probe, jac, null)
+
+
+def _givens_blocks(rng, size: int) -> sp.csr_matrix:
+    """Sparse orthogonal matrix: random 2 x 2 rotations on index pairs."""
+    perm = rng.permutation(size)
+    rows, cols, vals = [], [], []
+    for k in range(0, size - 1, 2):
+        i, j = perm[k], perm[k + 1]
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        c, s = np.cos(angle), np.sin(angle)
+        rows += [i, i, j, j]
+        cols += [i, j, i, j]
+        vals += [c, -s, s, c]
+    if size % 2:
+        rows.append(perm[-1])
+        cols.append(perm[-1])
+        vals.append(1.0)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+
+
+def jacobian_with_singular_values(sigma, seed: int, sparse: bool):
+    """n x (n+1) matrix with exactly the singular values sigma.
+
+    Dense: random orthogonal factors.  Sparse: two layers of 2 x 2
+    rotations on each side, so the matrix keeps O(n) nonzeros.
+    """
+    rng = np.random.default_rng(seed)
+    n = len(sigma)
+    core = sp.hstack([sp.diags(np.asarray(sigma, dtype=float)),
+                      sp.csr_matrix((n, 1))]).tocsr()
+    if not sparse:
+        left = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        right = np.linalg.qr(rng.standard_normal((n + 1, n + 1)))[0]
+        return left @ core.toarray() @ right
+    left = _givens_blocks(rng, n) @ _givens_blocks(rng, n)
+    right = _givens_blocks(rng, n + 1) @ _givens_blocks(rng, n + 1)
+    return (left @ core @ right).tocsr()
+
+
+def _reported_sigma(jac, rank_tol) -> float:
+    with pytest.raises(RankDeficientError) as info:
+        sparse_rank_check(jac, rank_tol=rank_tol)
+    return float(re.search(r"value (\S+) at", str(info.value)).group(1))
+
+
+class TestRankCheckOracle:
+    """The sparse bordered-LU rank check against the dense SVD verdict."""
+
+    def test_existing_rank_deficient_case(self):
+        jac = np.array([[0.0, 0.0]])
+        assert _rejects(dense_rank_check, jac)
+        assert _rejects(sparse_rank_check, jac)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("factor", [1e-3, 1e3])
+    def test_random_near_threshold(self, sparse, seed, factor):
+        n, rank_tol = 40, 1e-8
+        rng = np.random.default_rng(100 + seed)
+        sigma = np.sort(rng.uniform(1.0, 50.0, n))[::-1]
+        sigma[-1] = factor * rank_tol * sigma[0]
+        jac = jacobian_with_singular_values(sigma, seed, sparse)
+        assert sp.issparse(jac) == sparse
+        verdict = _rejects(dense_rank_check, jac, rank_tol=rank_tol)
+        assert verdict == (factor < 1.0)
+        assert _rejects(sparse_rank_check, jac, rank_tol=rank_tol) == verdict
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_smallest_singular_value_above_one(self, sparse):
+        # bordering with the unscaled tangent would read sigma_min = 1
+        # here and reject; the scaled border keeps sigma_min(J) = 20
+        rank_tol = 1e-2
+        sigma = np.geomspace(1e3, 20.0, 30)
+        jac = jacobian_with_singular_values(sigma, 3, sparse)
+        assert not _rejects(dense_rank_check, jac, rank_tol=rank_tol)
+        assert not _rejects(sparse_rank_check, jac, rank_tol=rank_tol)
+        # below the threshold of 1e3 * 3e-2 = 30 both reject, and the
+        # sparse check reports sigma_min(J) itself
+        assert _rejects(dense_rank_check, jac, rank_tol=3e-2)
+        assert _reported_sigma(jac, 3e-2) == pytest.approx(20.0, rel=1e-3)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_two_dimensional_kernel(self, sparse):
+        sigma = np.linspace(5.0, 1.0, 20)
+        sigma[-1] = 0.0
+        jac = jacobian_with_singular_values(sigma, 4, sparse)
+        assert _rejects(dense_rank_check, jac)
+        assert _rejects(sparse_rank_check, jac)
+        # bordering with one kernel vector leaves the other one
+        kernel = np.linalg.svd(sp.csr_matrix(jac).toarray())[2][-2:]
+        for null in kernel:
+            assert _rejects(sparse_rank_check, jac, null=null)
+
+    def test_exactly_singular_border_is_named(self):
+        jac = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(RankDeficientError, match="exactly singular"):
+            sparse_rank_check(jac, null=np.array([0.0, 0.0, 1.0]))
+
+    def test_arpack_failure_is_named(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(continuation, "eigsh", no_convergence)
+        with pytest.raises(ContinuationError, match="ARPACK") as info:
+            sparse_rank_check(np.array([[1.0, -1.0]]))
+        assert not isinstance(info.value, RankDeficientError)
+
+    def test_sparse_level0_jacobian_stays_sparse(self, monkeypatch):
+        grid = Grid(20, 20)
+        state = AugmentedState(Problem(grid, ExpSineNonlinearity()), 0,
+                               np.zeros(grid.size), np.array([1.0, 0.0, 0.0]),
+                               active=(0,))
+        _, jac = residual_jacobian(state)
+        assert sp.issparse(jac)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("dense copy of a sparse Jacobian")
+
+        classes = {cls for base in (type(jac), sp.csr_matrix, sp.csc_matrix,
+                                    sp.coo_matrix)
+                   for cls in base.__mro__ if "toarray" in vars(cls)}
+        for cls in classes:
+            monkeypatch.setattr(cls, "toarray", refuse)
+        with pytest.raises(AssertionError, match="dense copy"):
+            jac.toarray()
+        continuation._check_rank(ContinuationProblem(lambda z: None), jac)
+
+
+def test_signature_only_on_solution_branches(branch):
+    """On a fold line G_u is singular, so the sign of det G_u is undefined.
+
+    Its smallest eigenvalue sits at the Newton tolerance's rounding
+    level; the level-1 wrapper carries no signature and records 0.
+    """
+    cp, tmpl, start = branch
+    res = run_branch(cp, start, ds0=0.2, max_steps=120,
+                     monitor_names=("fold",), stop_at=("fold",))
+    at_fold = tmpl.with_vector(res.events[0].point.z)
+    fold, _, _ = locate(AugmentedState(
+        tmpl.problem, 1, at_fold.u, at_fold.lam.copy(),
+        alpha=seed_kernel_vector(tmpl.problem.grid, 0), active=(0,)))
+    line = AugmentedState(tmpl.problem, 1, fold.u, fold.lam.copy(),
+                          alpha=fold.alpha, active=(0, 1))
+    wrapper = augmented_continuation_problem(line)
+    assert cp.signature is not None and wrapper.signature is None
+    start1 = initial_point(wrapper, line.pack(),
+                           orient_vector=np.eye(line.dimension)[-1])
+    run = run_branch(wrapper, start1, ds0=0.1, max_steps=15)
+    assert len(run.points) == 16
+    for point in run.points:
+        state = line.with_vector(point.z)
+        f1 = state.problem.nl.derivative(1, state.u, state.lam)
+        eigs = np.abs(np.linalg.eigvalsh(
+            (state.problem.lap + sp.diags(f1)).toarray()))
+        assert eigs.min() < 1e-11 * eigs.max()
+        assert point.signature == 0

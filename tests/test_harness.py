@@ -14,6 +14,7 @@ from aseries.harness import (
     HuntConfig,
     HuntReport,
     RefinementError,
+    _recheck,
     convergence_study,
     hunt_swallowtail,
     locate,
@@ -76,10 +77,11 @@ class TestLocate:
         tmpl = AugmentedState(prob, 1, np.zeros(1),
                               np.array([15.0, 0.0, 0.0]),
                               alpha=np.array([1.5]), active=(0,))
-        state, iters = locate(tmpl)
+        state, iters, residual = locate(tmpl)
         assert state.lam[0] == pytest.approx(16.0, abs=1e-9)
         assert abs(state.alpha[0]) == pytest.approx(2.0, abs=1e-9)
         assert iters <= 8
+        assert residual == _recheck(state) < 1e-9
 
 
 class TestDirectChain:
