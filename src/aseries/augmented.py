@@ -37,9 +37,10 @@ import scipy.sparse as sp
 from scipy.linalg import ldl
 from scipy.sparse.linalg import splu
 
-from .classifier import DEGENERATE
 from .poisson import Grid, Nonlinearity, build_laplacian
 
+#: `solution_signature` of a numerically singular matrix.
+DEGENERATE = 0
 #: Monitor magnitude treated as a blow-up (D4-type degeneracy heuristic).
 BLOWUP_ABS = 1e6
 #: Monitor growth factor over one step treated as a blow-up.

@@ -18,9 +18,6 @@ import numpy as np
 
 from .bell import enumerate_multi_indices, multi_index_coefficient
 
-#: Return value of the signature routines for a numerically singular matrix.
-DEGENERATE = 0
-
 
 class ClassifierError(RuntimeError):
     pass
@@ -394,35 +391,3 @@ def detect(
         alpha=alpha,
         jet=jet,
     )
-
-
-def signature_of_hessian(h: np.ndarray, tol: float = 1e-10):
-    """Sign of det(H) via LU without pivoting; DEGENERATE on near-singularity.
-
-    Counts negative diagonal entries during Doolittle elimination.  If a
-    pivot underflows the working tolerance the symmetric-inertia fallback
-    (eigenvalues) decides; a near-zero eigenvalue reports DEGENERATE.
-    """
-    a = np.array(h, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("need a square matrix")
-    m = a.shape[0]
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    negatives = 0
-    for k in range(m):
-        pivot = a[k, k]
-        if abs(pivot) < tol * scale:
-            return _inertia_sign(h, tol * scale)
-        if pivot < 0:
-            negatives += 1
-        factors = a[k + 1 :, k] / pivot
-        a[k + 1 :, k + 1 :] -= np.outer(factors, a[k, k + 1 :])
-    return -1 if negatives % 2 else 1
-
-
-def _inertia_sign(h: np.ndarray, abs_tol: float):
-    eigs = np.linalg.eigvalsh(np.asarray(h, dtype=float))
-    if np.min(np.abs(eigs)) < abs_tol:
-        return DEGENERATE
-    negatives = int(np.sum(eigs < 0))
-    return -1 if negatives % 2 else 1

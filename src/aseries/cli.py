@@ -36,9 +36,7 @@ from .continuation import (
 )
 from .harness import (
     STAGES,
-    GeometryError,
     HuntConfig,
-    HuntError,
     RefinementError,
     convergence_study,
     hunt_swallowtail,
@@ -59,9 +57,9 @@ CSV_COLUMNS = ("step", "s", "lambda1", "lambda2", "lambda3", "norm_u_inf",
                "signature", "newton_iters")
 LAM_NAMES = {"l1": 0, "l2": 1, "l3": 2}
 MONITOR_NAMES = ("cusp", "swallowtail", "butterfly")
-NUMERICAL_ERRORS = (ContinuationError, HuntError, RefinementError,
-                    GeometryError, SingularAuxiliaryError, PoleError,
-                    ClassifierError, np.linalg.LinAlgError)
+NUMERICAL_ERRORS = (ContinuationError, RefinementError,
+                    SingularAuxiliaryError, PoleError, ClassifierError,
+                    np.linalg.LinAlgError)
 
 
 class UsageError(Exception):
@@ -357,7 +355,7 @@ CLASSIFY_OPTIONS = (
 
 EXPORT_OPTIONS = (
     Option("report", _parse_str, required=True,
-           help="hunt/convergence/geometry report JSON"),
+           help="hunt or convergence report JSON"),
     Option("out", _parse_str, required=True, help="CSV path"),
 )
 
@@ -784,14 +782,6 @@ def cmd_export_plot(opts: dict) -> int:
         rows.append("dx,distance")
         for row in doc["rows"]:
             rows.append(f"{_g(1.0 / (row['N'] + 1))},{_g(row['distance'])}")
-    elif "slices" in doc:
-        rows.append("side,lam3,kind,lambda1,lambda2")
-        for piece in doc["slices"]:
-            lam3 = _g(piece["lam3"])
-            for a, b in piece.get("polyline", []):
-                rows.append(f"{piece['side']},{lam3},line,{_g(a)},{_g(b)}")
-            for a, b in piece.get("zeros", []):
-                rows.append(f"{piece['side']},{lam3},cusp,{_g(a)},{_g(b)}")
     elif "chain" in doc:
         rows.append("kind,lambda1,lambda2,lambda3,residual_inf,newton_iters")
         for entry in doc["chain"]:
@@ -800,7 +790,7 @@ def cmd_export_plot(opts: dict) -> int:
                         f"{entry['newton_iters']}")
     else:
         raise UsageError("--report: unrecognized document (expected a hunt "
-                         "chain, convergence table, or geometry report)")
+                         "chain or a convergence table)")
     with open(opts["out"], "w") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {len(rows) - 1} rows to {opts['out']}")

@@ -1,26 +1,29 @@
 """End-to-end singularity workflows on the discretized problems.
 
-Chains the continuation module over the augmented systems: hunt a
-swallowtail through the solution -> fold -> cusp stages, refine located
-points across grids, run grid-convergence studies, and verify the
-fold-sheet geometry around a located swallowtail by slicing the third
-parameter.
+Hunts a swallowtail through the solution -> fold -> cusp stages, refines
+located points across grids, runs grid-convergence studies, and verifies
+the fold-sheet geometry around a located swallowtail by slicing the
+third parameter.
 
-The hunt follows the staged protocol: continue the known solution until
-a fold event, solve the fold system directly, continue the fold line
-until a cusp event, solve the cusp system, then continue the cusp line
-watching the swallowtail monitor.  Cusp lines can run into regions
-where the monitor grows without bound (a two-dimensional kernel ahead);
-the hunt then pivots: it freezes the third parameter at a point already
-reached on the cusp line, continues the fold line of that slice to find
-a neighbouring cusp line, and resumes the monitor search there.
+Each hunt stage handles its level k the same way: `climb` solves the
+square level-k system and `trace_line` continues the level-k line,
+watching the level-(k+1) test function.  Cusp lines can run into
+regions where the monitor grows without bound (a two-dimensional kernel
+ahead); the hunt then pivots: it freezes the third parameter at a point
+already reached on the cusp line, continues the fold line of that slice
+to find a neighbouring cusp line, and resumes the monitor search there.
+
+`report.timings[stage]` is the time to locate that stage's point plus
+trace its line.  No `ContinuationError` escapes a hunt: a failed solve
+or a line that cannot start gives a partial report whose note names the
+error.  The pivot slice's window and directions are module constants.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -44,10 +47,16 @@ from .continuation import (
 from .poisson import Grid, GridFunction, Nonlinearity, interpolate_to
 
 STAGES = ("solution", "fold", "cusp", "swallowtail")
-
-
-class HuntError(RuntimeError):
-    """A hunt stage failed outright (distinct from a partial report)."""
+LINES = ("solution branch", "fold line", "cusp line")
+#: Pivot slices: (lam1, lam2) half-widths and continuation directions.
+PIVOT_WINDOW = (0.05, 0.01)
+SLICE_DIRECTIONS = (-1.0, 1.0)
+#: Parameter distance below which two cusp points count as one.
+DISTINCT_TOL = 1e-6
+#: Geometry check: trace and slice step budgets, largest slice step.
+TRACE_STEPS = 60
+SLICE_STEPS = 200
+SLICE_DS_MAX = 0.05
 
 
 class RefinementError(RuntimeError):
@@ -84,9 +93,6 @@ class HuntConfig:
     lam_bounds: float = 50.0
     stage3_window: tuple = (3.0, 0.05, 0.12)
     pivot_offsets: tuple = (0.005, 0.01, 0.02, 0.04)
-    pivot_window: tuple = (0.05, 0.01)
-    slice_directions: tuple = (-1.0, 1.0)
-    distinct_tol: float = 1e-6
     newton_tol: float = NEWTON_TOL
     max_newton: int = MAX_NEWTON
     direct_start: bool = False
@@ -210,31 +216,23 @@ def _cause(err: ContinuationError) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def _located(kind: str, state: AugmentedState, iters: int, residual: float,
-             with_butterfly: bool = False, note: str = "") -> LocatedPoint:
+def _located(state: AugmentedState, iters: int, residual: float,
+             note: str = "") -> LocatedPoint:
     """LocatedPoint of a `locate` result; residual is its re-checked norm."""
-    monitors = None
-    if state.level >= 1:
-        monitors = evaluate_monitors(state, with_butterfly=with_butterfly)
-    return LocatedPoint(kind, state, residual, iters, monitors, note)
+    monitors = evaluate_monitors(state, with_butterfly=state.level == 3)
+    return LocatedPoint(STAGES[state.level], state, residual, iters,
+                        monitors, note)
 
 
 def _event_doc(stage: str, event, active: tuple) -> dict:
-    lam_tail = event.point.z[-len(active):]
     return {
         "stage": stage,
         "kind": event.kind,
-        "lam_active": [float(v) for v in lam_tail],
+        "lam_active": [float(v) for v in event.point.z[-len(active):]],
         "s": float(event.point.s),
         "monitor_value": float(event.monitor_value),
         "approximate": bool(event.approximate),
     }
-
-
-def _orient(dimension: int, direction: float) -> np.ndarray:
-    vec = np.zeros(dimension)
-    vec[-1] = direction
-    return vec
 
 
 def _window_bounds(center: np.ndarray, widths) -> callable:
@@ -251,9 +249,6 @@ def seed_kernel_vector(grid: Grid, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     alpha = rng.standard_normal(grid.size)
     return alpha / np.sqrt(grid.cell_area * (alpha @ alpha))
-
-
-_seed_alpha = seed_kernel_vector
 
 
 def _clean(events, kind: str):
@@ -273,273 +268,197 @@ def _nudged(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _direct_chain(problem: Problem, config: HuntConfig,
-                  report: HuntReport) -> HuntReport:
-    """Chain of direct solves at increasing level, no continuation."""
-    grid = problem.grid
-    lam0 = np.asarray(config.lam0, dtype=float)
-    alpha = _seed_alpha(grid, config.seed)
-    u = np.zeros(grid.size)
-    t0 = time.perf_counter()
-    fold, iters, res = locate(
-        AugmentedState(problem, 1, u, lam0.copy(), alpha=alpha, active=(0,)),
-        config.newton_tol, config.max_newton)
-    report.chain.append(_located("fold", fold, iters, res))
-    report.stage_reached = "fold"
-    report.timings["fold"] = time.perf_counter() - t0
+def climb(state: AugmentedState, level: int, tol: float, max_newton: int,
+          **overrides) -> tuple[AugmentedState, int, float]:
+    """`locate` the square level-`level` system seeded by `state`.
 
-    t0 = time.perf_counter()
-    cusp, iters, res = locate(
-        AugmentedState(problem, 2, fold.u, _nudged(fold.lam),
-                       alpha=fold.alpha, active=(0, 1)),
-        config.newton_tol, config.max_newton)
-    report.chain.append(_located("cusp", cusp, iters, res))
-    report.stage_reached = "cusp"
-    report.timings["cusp"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sw, iters, res = locate(
-        AugmentedState(problem, 3, cusp.u, _nudged(cusp.lam),
-                       alpha=cusp.alpha, vbar=np.zeros(grid.size),
-                       active=(0, 1, 2)),
-        config.newton_tol, config.max_newton)
-    report.chain.append(_located("swallowtail", sw, iters, res,
-                                 with_butterfly=True))
-    report.stage_reached = "swallowtail"
-    report.timings["swallowtail"] = time.perf_counter() - t0
-    return report
-
-
-def _cusp_line_run(problem_wrapper, template, direction: float,
-                   config: HuntConfig):
-    start = initial_point(problem_wrapper, template.pack(),
-                          orient_vector=_orient(template.dimension, direction),
-                          newton_tol=config.newton_tol,
-                          max_newton=config.max_newton)
-    window = _window_bounds(template.lam.copy(), config.stage3_window)
-    return run_branch(problem_wrapper, start, ds0=0.05, ds_max=0.1,
-                      max_steps=config.max_steps,
-                      monitor_names=("swallowtail",),
-                      stop_at=("swallowtail",), bounds=window,
-                      newton_tol=config.newton_tol,
-                      max_newton=config.max_newton)
-
-
-def _slice_for_cusp(problem: Problem, pivot: AugmentedState,
-                    config: HuntConfig):
-    """Fold-line slice at the pivot's frozen third parameter.
-
-    The pivot is an exact cusp-line point, hence an exact fold-system
-    root; the slice continues that fold line in both directions and
-    returns the `locate` result of the first cusp event distinct from
-    the pivot itself, followed by that event.
+    Frees lam[:level], starts a level-3 vbar at zero and takes every
+    other field from `overrides`, else from `state`.
     """
-    template = AugmentedState(problem, 1, pivot.u, pivot.lam.copy(),
-                              alpha=pivot.alpha, active=(0, 1))
-    wrapper = augmented_continuation_problem(template, monitors=("cusp",))
-    center = pivot.lam[:2].copy()
-    for direction in config.slice_directions:
+    vbar = np.zeros(state.problem.grid.size) if level == 3 else None
+    fields = dict(level=level, lam=state.lam.copy(), vbar=vbar,
+                  active=tuple(range(level)))
+    fields.update(overrides)
+    return locate(replace(state, **fields), tol, max_newton)
+
+
+def trace_line(state: AugmentedState, level: int, direction: float,
+               bounds, ds0: float, ds_max: float, max_steps: int,
+               tol: float, max_newton: int, stop: bool = True):
+    """Continue the level-`level` line through `state`, lam[:level + 1] free.
+
+    The run watches the next stage (lam1 turning on the solution branch,
+    else its monitor) and with `stop` ends at its first event.  Returns
+    the template and the run, whose first point is the oriented start.
+    """
+    template = replace(state, level=level, lam=state.lam.copy(), vbar=None,
+                       active=tuple(range(level + 1)))
+    watch = STAGES[level + 1]
+    if level == 0:
+        wrapper = augmented_continuation_problem(template, fold_parameter=0)
+    else:
+        wrapper = augmented_continuation_problem(template, monitors=(watch,))
+    orient = np.zeros(template.dimension)
+    orient[-1] = direction
+    start = initial_point(wrapper, template.pack(), orient_vector=orient,
+                          newton_tol=tol, max_newton=max_newton)
+    return template, run_branch(wrapper, start, ds0=ds0, ds_max=ds_max,
+                                max_steps=max_steps, monitor_names=(watch,),
+                                stop_at=(watch,) if stop else (),
+                                bounds=bounds, newton_tol=tol,
+                                max_newton=max_newton)
+
+
+def _line_event(state: AugmentedState, level: int, direction: float,
+                config: HuntConfig, report: HuntReport, notes: list):
+    """The hunt's level-`level` line: (event state or None, template, run).
+
+    A cusp line keeps to stage3_window, the others to the lam_bounds
+    box.  A line that cannot start, or a solution or fold line without
+    event, leaves a note.
+    """
+    if level < 2:
+        width = (config.lam_bounds,) * (level + 1)
+        bounds = _window_bounds(np.zeros(level + 1), width)
+        ds0, ds_max = config.ds0, config.ds_max
+    else:
+        bounds = _window_bounds(state.lam.copy(), config.stage3_window)
+        ds0, ds_max = 0.05, 0.1
+    try:
+        template, run = trace_line(state, level, direction, bounds, ds0,
+                                   ds_max, config.max_steps,
+                                   config.newton_tol, config.max_newton)
+    except ContinuationError as err:
+        notes.append(f"{LINES[level]} dir {direction:+.0f}: {_cause(err)}")
+        return None, None, None
+    if level == 0:  # its start is the hunt's first chain point
+        start = template.with_vector(run.points[0].z)
+        report.chain.append(LocatedPoint("solution", start, _recheck(start),
+                                         run.points[0].newton_iters))
+    # the solution branch's first fold event counts even when bracketed
+    watch = STAGES[level + 1]
+    events = [e for e in run.events
+              if e.kind == watch and (level == 0 or not e.approximate)]
+    if not events:
+        if level < 2:
+            notes.append(f"no {watch} event "
+                         f"({LINES[level]}: {run.stopped_on})")
+        return None, template, run
+    report.events.append(_event_doc(STAGES[level], events[0],
+                                    template.active))
+    return template.with_vector(events[0].point.z), template, run
+
+
+def _slice_for_cusp(pivot: AugmentedState, config: HuntConfig):
+    """(`climb` result, event) of a new cusp on the pivot's lam3 slice.
+
+    (None, None) when the slice finds no cusp distinct from the pivot.
+    """
+    window = _window_bounds(pivot.lam[:2].copy(), PIVOT_WINDOW)
+    for direction in SLICE_DIRECTIONS:
         try:
-            start = initial_point(wrapper, template.pack(),
-                                  orient_vector=_orient(template.dimension,
-                                                        direction),
-                                  newton_tol=config.newton_tol,
-                                  max_newton=config.max_newton)
-            result = run_branch(wrapper, start, ds0=0.02, ds_max=0.1,
-                                max_steps=config.max_steps,
-                                monitor_names=("cusp",), stop_at=("cusp",),
-                                bounds=_window_bounds(center,
-                                                      config.pivot_window),
-                                newton_tol=config.newton_tol,
-                                max_newton=config.max_newton)
+            template, run = trace_line(pivot, 1, direction, window, 0.02, 0.1,
+                                       config.max_steps, config.newton_tol,
+                                       config.max_newton)
         except ContinuationError:
             continue
-        for event in _clean(result.events, "cusp"):
-            candidate = template.with_vector(event.point.z)
-            lam_c = candidate.lam.copy()
+        for event in _clean(run.events, "cusp"):
             try:
-                refined, iters, res = locate(
-                    AugmentedState(problem, 2, candidate.u, lam_c,
-                                   alpha=candidate.alpha, active=(0, 1)),
-                    config.newton_tol, config.max_newton)
+                located = climb(template.with_vector(event.point.z), 2,
+                                config.newton_tol, config.max_newton)
             except ContinuationError:
                 continue
-            if np.linalg.norm(refined.lam - pivot.lam) > config.distinct_tol:
-                return refined, iters, res, event
+            if np.linalg.norm(located[0].lam - pivot.lam) > DISTINCT_TOL:
+                return located, event
+    return None, None
+
+
+def _swallowtail_event(cusp: AugmentedState, config: HuntConfig,
+                       report: HuntReport, notes: list):
+    """State at the first refined swallowtail event (or None); pivots."""
+    sign = float(config.lam3_direction)
+    for direction in (sign, -sign):
+        found, template, run = _line_event(cusp, 2, direction, config,
+                                           report, notes)
+        if found is not None:
+            return found
+        if run is None:
+            continue
+        notes.append(f"cusp line dir {direction:+.0f}: monitor kept sign "
+                     f"({run.stopped_on})")
+        for offset in config.pivot_offsets:
+            point = next((p for p in run.points
+                          if abs(p.z[-1] - cusp.lam[2]) >= offset), None)
+            if point is None:
+                break
+            pivot = template.with_vector(point.z)
+            located, slice_event = _slice_for_cusp(pivot, config)
+            if located is None:
+                continue
+            notes.append(f"pivot slice at lam3 = {pivot.lam[2]:+.6f} "
+                         f"found a second cusp line")
+            report.events.append(_event_doc("pivot", slice_event, (0, 1)))
+            report.chain.append(_located(*located, note="pivot slice"))
+            for retry in (-sign, sign):
+                found = _line_event(located[0], 2, retry, config, report,
+                                    notes)[0]
+                if found is not None:
+                    return found
     return None
+
+
+def _stage(state: AugmentedState, level: int, config: HuntConfig,
+           report: HuntReport, notes: list) -> AugmentedState | None:
+    """Locate the level's point from `state`, then trace its line.
+
+    A direct chain traces no line and nudges lam off the previous root.
+    Returns the next stage's start, or None with a note.
+    """
+    stage = STAGES[level]
+    if level > 0:
+        overrides = {}
+        if level == 1:
+            overrides["alpha"] = seed_kernel_vector(state.problem.grid,
+                                                    config.seed)
+        elif config.direct_start:
+            overrides["lam"] = _nudged(state.lam)
+        try:
+            located = climb(state, level, config.newton_tol,
+                            config.max_newton, **overrides)
+        except ContinuationError as err:
+            notes.append(f"{stage} system did not converge: {_cause(err)}")
+            return None
+        report.chain.append(_located(*located))
+        report.stage_reached = stage
+        state = located[0]
+    if level == 3 or config.direct_start:
+        return state
+    if level == 2:
+        return _swallowtail_event(state, config, report, notes)
+    direction = 1.0 if level == 0 else float(config.lam2_direction)
+    return _line_event(state, level, direction, config, report, notes)[0]
 
 
 def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
                      config: HuntConfig | None = None) -> HuntReport:
     """Stage the solution -> fold -> cusp -> swallowtail chain.
 
-    Returns a partial report (stage_reached before "swallowtail") when
-    an event is not found within the budget, rather than raising.
+    A stage that fails or finds no event within the budget ends the hunt
+    with a partial report whose note says why.
     """
     config = config or HuntConfig()
-    problem = Problem(grid, nl)
     report = HuntReport(type(nl).__name__, (grid.nx, grid.ny), config)
-
-    if config.direct_start:
-        return _direct_chain(problem, config, report)
-
-    lam0 = np.asarray(config.lam0, dtype=float)
-    n = grid.size
-
-    # stage 1: solution branch along lam1 until a fold event
-    t0 = time.perf_counter()
-    tmpl0 = AugmentedState(problem, 0, np.zeros(n), lam0.copy(), active=(0,))
-    wrap0 = augmented_continuation_problem(tmpl0, fold_parameter=0)
-    start0 = initial_point(wrap0, tmpl0.pack(), orient_index=n,
-                           newton_tol=config.newton_tol,
-                           max_newton=config.max_newton)
-    sol0 = tmpl0.with_vector(start0.z)
-    report.chain.append(LocatedPoint("solution", sol0, _recheck(sol0),
-                                     start0.newton_iters))
-    run0 = run_branch(wrap0, start0, ds0=config.ds0, ds_max=config.ds_max,
-                      max_steps=config.max_steps, monitor_names=("fold",),
-                      stop_at=("fold",),
-                      bounds=lambda z: abs(z[-1]) < config.lam_bounds,
-                      newton_tol=config.newton_tol,
-                      max_newton=config.max_newton)
-    report.timings["solution"] = time.perf_counter() - t0
-    fold_events = [e for e in run0.events if e.kind == "fold"]
-    if not fold_events:
-        report.note = f"no fold event (solution branch: {run0.stopped_on})"
-        return report
-    report.events.append(_event_doc("solution", fold_events[0], tmpl0.active))
-
-    # stage 2: fold system, then the fold line until a cusp event
-    t0 = time.perf_counter()
-    at_fold = tmpl0.with_vector(fold_events[0].point.z)
-    try:
-        fold, iters, res = locate(
-            AugmentedState(problem, 1, at_fold.u, at_fold.lam.copy(),
-                           alpha=_seed_alpha(grid, config.seed), active=(0,)),
-            config.newton_tol, config.max_newton)
-    except ContinuationError as err:
-        report.note = f"fold system did not converge: {_cause(err)}"
-        return report
-    report.chain.append(_located("fold", fold, iters, res))
-    report.stage_reached = "fold"
-
-    tmpl1 = AugmentedState(problem, 1, fold.u, fold.lam.copy(),
-                           alpha=fold.alpha, active=(0, 1))
-    wrap1 = augmented_continuation_problem(tmpl1, monitors=("cusp",))
-    start1 = initial_point(
-        wrap1, tmpl1.pack(),
-        orient_vector=_orient(tmpl1.dimension, float(config.lam2_direction)),
-        newton_tol=config.newton_tol, max_newton=config.max_newton)
-    run1 = run_branch(wrap1, start1, ds0=config.ds0, ds_max=config.ds_max,
-                      max_steps=config.max_steps, monitor_names=("cusp",),
-                      stop_at=("cusp",),
-                      bounds=lambda z: bool(
-                          np.all(np.abs(z[-2:]) < config.lam_bounds)),
-                      newton_tol=config.newton_tol,
-                      max_newton=config.max_newton)
-    report.timings["fold"] = time.perf_counter() - t0
-    cusp_events = _clean(run1.events, "cusp")
-    if not cusp_events:
-        report.note = f"no cusp event (fold line: {run1.stopped_on})"
-        return report
-    report.events.append(_event_doc("fold", cusp_events[0], tmpl1.active))
-
-    t0 = time.perf_counter()
-    at_cusp = tmpl1.with_vector(cusp_events[0].point.z)
-    try:
-        cusp, iters, res = locate(
-            AugmentedState(problem, 2, at_cusp.u, at_cusp.lam.copy(),
-                           alpha=at_cusp.alpha, active=(0, 1)),
-            config.newton_tol, config.max_newton)
-    except ContinuationError as err:
-        report.note = f"cusp system did not converge: {_cause(err)}"
-        report.timings["cusp"] = time.perf_counter() - t0
-        return report
-    report.chain.append(_located("cusp", cusp, iters, res))
-    report.stage_reached = "cusp"
-    report.timings["cusp"] = time.perf_counter() - t0
-
-    # stage 3: cusp line, watching the swallowtail monitor; pivot to a
-    # neighbouring cusp line when the monitor diverges without a root
-    t0 = time.perf_counter()
-    found = None
+    state = AugmentedState(Problem(grid, nl), 0, np.zeros(grid.size),
+                           config.lam0, active=(0,))
     notes = []
-    for direction in (float(config.lam3_direction),
-                      -float(config.lam3_direction)):
-        tmpl2 = AugmentedState(problem, 2, cusp.u, cusp.lam.copy(),
-                               alpha=cusp.alpha, active=(0, 1, 2))
-        wrap2 = augmented_continuation_problem(tmpl2,
-                                               monitors=("swallowtail",))
-        try:
-            run2 = _cusp_line_run(wrap2, tmpl2, direction, config)
-        except ContinuationError as err:
-            notes.append(f"cusp line dir {direction:+.0f}: {err}")
+    for level, stage in enumerate(STAGES):
+        if level == 0 and config.direct_start:
             continue
-        clean_sw = _clean(run2.events, "swallowtail")
-        if clean_sw:
-            report.events.append(_event_doc("cusp", clean_sw[0], tmpl2.active))
-            found = tmpl2.with_vector(clean_sw[0].point.z)
+        t0 = time.perf_counter()
+        state = _stage(state, level, config, report, notes)
+        report.timings[stage] = time.perf_counter() - t0
+        if state is None:
             break
-        notes.append(f"cusp line dir {direction:+.0f}: monitor kept sign "
-                     f"({run2.stopped_on})")
-        # pivot ladder along this cusp line
-        for offset in config.pivot_offsets:
-            pivot_point = next(
-                (p for p in run2.points
-                 if abs(p.z[-1] - cusp.lam[2]) >= offset), None)
-            if pivot_point is None:
-                break
-            pivot = tmpl2.with_vector(pivot_point.z)
-            hit = _slice_for_cusp(problem, pivot, config)
-            if hit is None:
-                continue
-            cusp_b, iters_b, res_b, slice_event = hit
-            notes.append(f"pivot slice at lam3 = {pivot.lam[2]:+.6f} "
-                         f"found a second cusp line")
-            report.events.append(_event_doc("pivot", slice_event, (0, 1)))
-            report.chain.append(_located("cusp", cusp_b, iters_b, res_b,
-                                         note="pivot slice"))
-            tmpl2b = AugmentedState(problem, 2, cusp_b.u, cusp_b.lam.copy(),
-                                    alpha=cusp_b.alpha, active=(0, 1, 2))
-            wrap2b = augmented_continuation_problem(
-                tmpl2b, monitors=("swallowtail",))
-            for retry_dir in (-float(config.lam3_direction),
-                              float(config.lam3_direction)):
-                try:
-                    run2b = _cusp_line_run(wrap2b, tmpl2b, retry_dir, config)
-                except ContinuationError as err:
-                    notes.append(f"second cusp line dir {retry_dir:+.0f}: "
-                                 f"{err}")
-                    continue
-                clean_sw = _clean(run2b.events, "swallowtail")
-                if clean_sw:
-                    report.events.append(
-                        _event_doc("cusp", clean_sw[0], tmpl2b.active))
-                    found = tmpl2b.with_vector(clean_sw[0].point.z)
-                    break
-            if found is not None:
-                break
-        if found is not None:
-            break
-    if found is None:
-        report.note = "; ".join(notes) or "swallowtail monitor never crossed"
-        report.timings["swallowtail"] = time.perf_counter() - t0
-        return report
-
-    try:
-        sw, iters, res = locate(
-            AugmentedState(problem, 3, found.u, found.lam.copy(),
-                           alpha=found.alpha, vbar=np.zeros(n),
-                           active=(0, 1, 2)),
-            config.newton_tol, config.max_newton)
-    except ContinuationError as err:
-        report.note = f"swallowtail system did not converge: {_cause(err)}"
-        report.timings["swallowtail"] = time.perf_counter() - t0
-        return report
-    report.chain.append(_located("swallowtail", sw, iters, res,
-                                 with_butterfly=True))
-    report.stage_reached = "swallowtail"
-    report.timings["swallowtail"] = time.perf_counter() - t0
     report.note = "; ".join(notes)
     return report
 
@@ -721,23 +640,19 @@ class GeometryReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _dedup_zeros(zeros, tol: float) -> list:
+def _dedup_zeros(zeros) -> list:
     kept = []
     for z in zeros:
-        if all(np.linalg.norm(np.asarray(z) - np.asarray(k)) > tol
+        if all(np.linalg.norm(np.asarray(z) - np.asarray(k)) > DISTINCT_TOL
                for k in kept):
             kept.append(z)
     return kept
 
 
-def verify_swallowtail_geometry(state: AugmentedState,
-                                dlam3: float | None = None,
-                                ds_max: float = 0.05,
-                                max_steps: int = 200,
-                                trace_steps: int = 60,
-                                dedup_tol: float = 1e-6,
-                                tol: float = NEWTON_TOL,
-                                max_newton: int = MAX_NEWTON) -> GeometryReport:
+def verify_swallowtail_geometry(
+        state: AugmentedState, dlam3: float | None = None,
+        tol: float = NEWTON_TOL,
+        max_newton: int = MAX_NEWTON) -> GeometryReport:
     """Count cusps on fold-line slices just off a swallowtail.
 
     Traces the cusp line through the given swallowtail until the third
@@ -750,7 +665,6 @@ def verify_swallowtail_geometry(state: AugmentedState,
     """
     if state.level < 2:
         raise ValueError("need a swallowtail state with a kernel vector")
-    problem = state.problem
     lam_sw = state.lam.copy()
     if dlam3 is None:
         dlam3 = 0.1 * abs(lam_sw[2])
@@ -758,24 +672,16 @@ def verify_swallowtail_geometry(state: AugmentedState,
         return GeometryReport(tuple(lam_sw), 0.0, at_singularity=True)
 
     # trace the cusp line away from the swallowtail on both sides
-    tmpl = AugmentedState(problem, 2, state.u, lam_sw.copy(),
-                          alpha=state.alpha, active=(0, 1, 2))
-    wrap = augmented_continuation_problem(tmpl, monitors=("swallowtail",))
-    anchors = {1: [], -1: []}
+    anchors = {}
     for direction in (1.0, -1.0):
         try:
-            start = initial_point(wrap, tmpl.pack(),
-                                  orient_vector=_orient(tmpl.dimension,
-                                                        direction),
-                                  newton_tol=tol, max_newton=max_newton)
-            run = run_branch(wrap, start, ds0=0.02, ds_max=0.1,
-                             max_steps=trace_steps,
-                             monitor_names=("swallowtail",),
-                             bounds=lambda z: abs(z[-1] - lam_sw[2]) < dlam3,
-                             newton_tol=tol, max_newton=max_newton)
+            template, run = trace_line(
+                state, 2, direction,
+                lambda z: abs(z[-1] - lam_sw[2]) < dlam3, 0.02, 0.1,
+                TRACE_STEPS, tol, max_newton, stop=False)
         except ContinuationError as err:
             raise GeometryError(f"cusp line trace failed: {err}") from err
-        end = tmpl.with_vector(run.points[-1].z)
+        end = template.with_vector(run.points[-1].z)
         offset = end.lam[2] - lam_sw[2]
         if abs(offset) < dlam3:
             continue
@@ -783,44 +689,29 @@ def verify_swallowtail_geometry(state: AugmentedState,
         lam_t = end.lam.copy()
         lam_t[2] = lam_sw[2] + side * dlam3
         try:
-            anchor = locate(
-                AugmentedState(problem, 2, end.u, lam_t, alpha=end.alpha,
-                               active=(0, 1)), tol, max_newton)[0]
+            anchor = climb(end, 2, tol, max_newton, lam=lam_t)[0]
         except ContinuationError:
             continue
-        anchors[side].append(anchor)
-    if not anchors[1] and not anchors[-1]:
+        anchors.setdefault(side, anchor)
+    if not anchors:
         raise GeometryError("cusp line never left the slice window")
-    cusp_side = 1 if len(anchors[1]) >= len(anchors[-1]) else -1
+    cusp_side = 1 if 1 in anchors else -1
+
+    lam_t = lam_sw.copy()
+    lam_t[2] = lam_sw[2] - cusp_side * dlam3
+    try:
+        smooth = climb(state, 1, tol, max(max_newton, 40), lam=lam_t)[0]
+    except ContinuationError as err:
+        raise GeometryError(
+            f"smooth-side fold solve failed: {_cause(err)}") from err
 
     report = GeometryReport(tuple(lam_sw), dlam3, cusp_side=cusp_side)
     radius = 2.0 * dlam3
-    for side_name, sign in (("cusp", cusp_side), ("smooth", -cusp_side)):
+    for side_name, sign, base, start_kind in (
+            ("cusp", cusp_side, anchors[cusp_side], "anchored-cusp"),
+            ("smooth", -cusp_side, smooth, "fold-solve")):
         lam3_here = lam_sw[2] + sign * dlam3
-        zeros = []
-        if side_name == "cusp":
-            anchor = anchors[cusp_side][0]
-            template = AugmentedState(problem, 1, anchor.u,
-                                      anchor.lam.copy(), alpha=anchor.alpha,
-                                      active=(0, 1))
-            zeros.append(tuple(anchor.lam[:2]))
-            start_kind = "anchored-cusp"
-        else:
-            lam_t = lam_sw.copy()
-            lam_t[2] = lam3_here
-            try:
-                base = locate(
-                    AugmentedState(problem, 1, state.u, lam_t,
-                                   alpha=state.alpha, active=(0,)),
-                    tol, max(max_newton, 40))[0]
-            except ContinuationError as err:
-                raise GeometryError(
-                    f"smooth-side fold solve failed: {_cause(err)}") from err
-            template = AugmentedState(problem, 1, base.u, base.lam.copy(),
-                                      alpha=base.alpha, active=(0, 1))
-            start_kind = "fold-solve"
-        wrapper = augmented_continuation_problem(template,
-                                                 monitors=("cusp",))
+        zeros = [tuple(base.lam[:2])] if side_name == "cusp" else []
 
         def in_ball(z, lam3_fixed=lam3_here):
             lam = np.array([z[-2], z[-1], lam3_fixed])
@@ -830,14 +721,9 @@ def verify_swallowtail_geometry(state: AugmentedState,
         stopped = []
         for direction in (1.0, -1.0):
             try:
-                start = initial_point(
-                    wrapper, template.pack(),
-                    orient_vector=_orient(template.dimension, direction),
-                    newton_tol=tol, max_newton=max_newton)
-                run = run_branch(wrapper, start, ds0=0.01, ds_max=ds_max,
-                                 max_steps=max_steps,
-                                 monitor_names=("cusp",), bounds=in_ball,
-                                 newton_tol=tol, max_newton=max_newton)
+                _, run = trace_line(base, 1, direction, in_ball, 0.01,
+                                    SLICE_DS_MAX, SLICE_STEPS, tol,
+                                    max_newton, stop=False)
             except ContinuationError as err:
                 raise GeometryError(
                     f"{side_name}-side fold line lost: {err}") from err
@@ -846,7 +732,7 @@ def verify_swallowtail_geometry(state: AugmentedState,
                             for p in run.points)
             zeros.extend(tuple(e.point.z[-2:])
                          for e in _clean(run.events, "cusp"))
-        distinct = _dedup_zeros(zeros, dedup_tol)
+        distinct = _dedup_zeros(zeros)
         report.slices.append(SliceReport(side_name, lam3_here, start_kind,
                                          len(distinct), distinct, polyline,
                                          stopped))

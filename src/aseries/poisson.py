@@ -381,7 +381,3 @@ class PoissonOracle(DerivativeOracle):
 
     def hessian(self) -> np.ndarray:
         return self._jacobian.toarray()
-
-
-def poisson_oracle(u, lam, nl: Nonlinearity, lap) -> PoissonOracle:
-    return PoissonOracle(u, lam, nl, lap)

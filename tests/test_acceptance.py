@@ -47,11 +47,11 @@ from aseries.harness import (
 from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
+    PoissonOracle,
     PolynomialNonlinearity,
     laplacian_eigenvalue,
     laplacian_eigenvector,
 )
-from aseries.poisson import poisson_oracle
 from helpers import (
     fd_jacobian,
     fit_derivatives,
@@ -295,7 +295,7 @@ def test_criterion_9_commutation_with_classifier_oracle():
         u = np.zeros(n)
         level1 = AugmentedState(prob, 1, u, lam, alpha=alpha, active=(0,))
         vbar, v = solve_v(level1)
-        oracle = poisson_oracle(u, lam, nl, prob.lap)
+        oracle = PoissonOracle(u, lam, nl, prob.lap)
         closed = closed_form_tests(oracle, alpha,
                                    Tolerances(zero_test=np.inf,
                                               solvability=np.inf))

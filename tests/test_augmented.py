@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from aseries.augmented import (
+    DEGENERATE,
     AugmentedState,
     MonitorRecord,
     Problem,
@@ -23,16 +24,16 @@ from aseries.augmented import (
     solve_v,
     swallowtail_monitor,
 )
-from aseries.classifier import DEGENERATE, Tolerances, closed_form_tests
+from aseries.classifier import Tolerances, closed_form_tests
 from aseries.continuation import SingularJacobianError, _linear_solve
 from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
+    PoissonOracle,
     PolynomialNonlinearity,
     build_laplacian,
     laplacian_eigenvalue,
     laplacian_eigenvector,
-    poisson_oracle,
 )
 
 from helpers import dense_newton_step, fd_jacobian, relative_error
@@ -270,7 +271,7 @@ class TestHigherMonitors:
         grid = Grid(3, 3)
         nl = PolynomialNonlinearity(tail=(0.37, -0.21))
         st = eigen_fold_state(grid, nl, lam2=0.45, lam3=-0.3)
-        orc = poisson_oracle(st.u, st.lam, nl, st.problem.lap)
+        orc = PoissonOracle(st.u, st.lam, nl, st.problem.lap)
         loose = Tolerances(zero_test=np.inf, solvability=np.inf)
         cf = closed_form_tests(orc, st.alpha, loose)
         _, v = solve_v(st)
@@ -413,8 +414,12 @@ class TestSolutionSignature:
         grid = Grid(2, 2)
         gu = build_laplacian(grid) - laplacian_eigenvalue(grid) * sp.identity(4)
         assert solution_signature(gu.tocsc()) == DEGENERATE
+        assert solution_signature(sp.diags([0.0, 3.0]).tocsc()) == DEGENERATE
 
     def test_matches_eigenvalue_parity(self):
+        for diag, expected in (([2.0, 3.0], 1), ([-2.0, 3.0], -1),
+                               ([-2.0, -3.0], 1)):
+            assert solution_signature(sp.diags(diag).tocsc()) == expected
         rng = np.random.default_rng(17)
         for _ in range(20):
             n = rng.integers(2, 10)
@@ -423,6 +428,17 @@ class TestSolutionSignature:
             mat = (q * eigs) @ q.T
             expected = (-1) ** int(np.sum(eigs < 0))
             assert solution_signature(sp.csc_matrix(mat)) == expected
+        # random symmetric matrices, not built from their spectrum
+        rng = np.random.default_rng(51)
+        for _ in range(30):
+            m = rng.integers(2, 7)
+            a = rng.standard_normal((m, m))
+            h = a + a.T
+            det = np.linalg.det(h)
+            if abs(det) < 1e-8:
+                continue
+            expected = 1 if det > 0 else -1
+            assert solution_signature(sp.csc_matrix(h)) == expected
 
     def test_zero_diagonal_uses_inertia_fallback(self):
         mat = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -10,9 +10,11 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from aseries import augmented, continuation
+from aseries import augmented, continuation, harness
+from aseries.poisson import Grid, PolynomialNonlinearity
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -48,3 +50,25 @@ def test_rank_check_two_argument_call(scaling):
     assert continuation._check_rank(probe, jac) is None
     # the scaling probe builds the same call itself
     assert scaling._rank_check(state)() is None
+
+
+def test_locate_is_looked_up_at_call_time(monkeypatch):
+    # the tracer's harness.locate span wraps the module attribute; a
+    # stage that bound `locate` at definition time would bypass it
+    nl, grid = PolynomialNonlinearity((1.0,)), Grid(1, 1)
+    config = harness.HuntConfig(direct_start=True)
+    plain = harness.hunt_swallowtail(nl, grid, config)
+    locate = harness.locate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "locate", counted)
+    wrapped = harness.hunt_swallowtail(nl, grid, config)
+    assert len(calls) == 3
+    assert [p.kind for p in wrapped.chain] == [p.kind for p in plain.chain]
+    for ours, theirs in zip(wrapped.chain, plain.chain):
+        assert np.array_equal(ours.state.pack(), theirs.state.pack())
+        assert np.array_equal(ours.lam, theirs.lam)

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from aseries.classifier import (
-    DEGENERATE,
     SolvabilityError,
     TensorOracle,
     Tolerances,
     closed_form_tests,
     detect,
     kernel_of_hessian,
-    signature_of_hessian,
     solve_jet_step,
 )
 from aseries.classifier import test_value as order_test
@@ -303,27 +301,3 @@ class TestDetect:
         assert all(abs(v) <= tol for v in rep.test_values[:-1])
         assert abs(rep.test_values[-1]) > tol
         assert len(rep.test_values) == n - 2
-
-
-class TestSignature:
-    def test_pinned(self):
-        assert signature_of_hessian(np.diag([2.0, 3.0])) == 1
-        assert signature_of_hessian(np.diag([-2.0, 3.0])) == -1
-        assert signature_of_hessian(np.diag([-2.0, -3.0])) == 1
-        assert signature_of_hessian(np.diag([0.0, 3.0])) == DEGENERATE
-
-    def test_matches_determinant_sign(self):
-        rng = np.random.default_rng(51)
-        for _ in range(30):
-            m = rng.integers(2, 7)
-            a = rng.standard_normal((m, m))
-            h = a + a.T
-            det = np.linalg.det(h)
-            if abs(det) < 1e-8:
-                continue
-            assert signature_of_hessian(h) == (1 if det > 0 else -1)
-
-    def test_zero_pivot_fallback(self):
-        # leading pivot vanishes but the matrix is nonsingular
-        h = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert signature_of_hessian(h) == -1

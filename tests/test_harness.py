@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from aseries import continuation
+from aseries import continuation, harness
 from aseries.augmented import AugmentedState, Problem, residual_jacobian
-from aseries.continuation import SingularJacobianError
+from aseries.continuation import RankDeficientError, SingularJacobianError
 from aseries.harness import (
     ConvergenceTable,
     GeometryReport,
@@ -133,6 +133,47 @@ class TestHuntBudget:
         assert [p.kind for p in report.chain] == ["solution"]
         assert report.note.startswith("fold system did not converge: "
                                       "SingularJacobianError")
+
+    @pytest.mark.parametrize("failing_call, chain", [
+        (1, []), (2, ["solution", "fold"])], ids=["solution", "fold"])
+    def test_line_that_cannot_start_gives_partial_report(
+            self, monkeypatch, failing_call, chain):
+        # call 1 starts the solution branch, call 2 the fold line
+        start = harness.initial_point
+        calls = []
+
+        def rank_deficient(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise RankDeficientError("rank deficient")
+            return start(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "initial_point", rank_deficient)
+        report = hunt_swallowtail(ExpSineNonlinearity(), Grid(6, 6))
+        assert [p.kind for p in report.chain] == chain
+        line = ("solution branch", "fold line")[failing_call - 1]
+        assert report.note.startswith(f"{line} dir +1: RankDeficientError")
+
+    def test_singular_direct_solve_gives_partial_report(self, monkeypatch):
+        # only the square cusp system on one cell has 2 * 1 + 2 rows
+        solve = continuation._linear_solve
+
+        def singular_cusp(mat, rhs):
+            if mat.shape[0] == 2 * 1 + 2:
+                raise SingularJacobianError("Factor is exactly singular")
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(continuation, "_linear_solve", singular_cusp)
+        nl = PolynomialNonlinearity((1.0,))
+        config = HuntConfig(direct_start=True, lam0=(18.0, 0.0, 0.0))
+        report = hunt_swallowtail(nl, Grid(1, 1), config)
+        assert report.stage_reached == "fold"
+        assert report.note.startswith("cusp system did not converge: "
+                                      "SingularJacobianError")
+        table = convergence_study(nl, (1, 3), independent=True,
+                                  config=config)
+        assert table.rows == []
+        assert table.note.startswith("stopped at N = 1: hunt reached fold")
 
 
 class TestStagedHunt:

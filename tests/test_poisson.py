@@ -7,6 +7,7 @@ from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
     GridFunction,
+    PoissonOracle,
     PoleError,
     PolynomialNonlinearity,
     build_laplacian,
@@ -16,7 +17,6 @@ from aseries.poisson import (
     laplacian_eigenvalue,
     laplacian_eigenvector,
     load_grid_function,
-    poisson_oracle,
     residual,
     save_grid_function,
 )
@@ -252,7 +252,7 @@ class TestOracle:
         self.nl = ExpSineNonlinearity()
         rng = np.random.default_rng(31)
         self.u = rng.uniform(-0.4, 0.4, self.grid.size)
-        self.orc = poisson_oracle(self.u, LAM, self.nl, self.lap)
+        self.orc = PoissonOracle(self.u, LAM, self.nl, self.lap)
         self.rng = rng
 
     def test_contract_one_is_residual(self):
@@ -283,7 +283,7 @@ class TestOracle:
 
     def test_polynomial_cubic_form(self):
         lam = np.array([1.0, 0.7, 0.0])
-        orc = poisson_oracle(
+        orc = PoissonOracle(
             np.zeros(self.grid.size), lam, PolynomialNonlinearity(), self.lap
         )
         alpha = self.rng.standard_normal(self.grid.size)
@@ -295,7 +295,8 @@ class TestOracle:
         grid = Grid(5, 5)
         lap = build_laplacian(grid)
         lam = np.array([-laplacian_eigenvalue(grid), 0.0, 0.0])
-        orc = poisson_oracle(np.zeros(grid.size), lam, PolynomialNonlinearity(), lap)
+        orc = PoissonOracle(np.zeros(grid.size), lam,
+                            PolynomialNonlinearity(), lap)
         alpha = laplacian_eigenvector(grid)
         assert orc.contract(2, alpha, alpha) == pytest.approx(0.0, abs=1e-9)
 
