@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from aseries.augmented import DEGENERATE, solution_signature
 from aseries.classifier import (
     SolvabilityError,
     TensorOracle,
@@ -301,3 +303,33 @@ class TestDetect:
         assert all(abs(v) <= tol for v in rep.test_values[:-1])
         assert abs(rep.test_values[-1]) > tol
         assert len(rep.test_values) == n - 2
+
+
+class TestSignature:
+    """The sign of det(G_u), from the one routine that computes it."""
+
+    def test_pinned(self):
+        def sign(diag):
+            return solution_signature(sp.diags(diag).tocsc())
+
+        assert sign([2.0, 3.0]) == 1
+        assert sign([-2.0, 3.0]) == -1
+        assert sign([-2.0, -3.0]) == 1
+        assert sign([0.0, 3.0]) == DEGENERATE
+
+    def test_matches_determinant_sign(self):
+        rng = np.random.default_rng(51)
+        for _ in range(30):
+            m = rng.integers(2, 7)
+            a = rng.standard_normal((m, m))
+            h = a + a.T
+            det = np.linalg.det(h)
+            if abs(det) < 1e-8:
+                continue
+            expected = 1 if det > 0 else -1
+            assert solution_signature(sp.csc_matrix(h)) == expected
+
+    def test_zero_pivot_fallback(self):
+        # leading pivot vanishes but the matrix is nonsingular
+        h = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert solution_signature(sp.csc_matrix(h)) == -1

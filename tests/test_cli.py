@@ -315,12 +315,22 @@ class TestExportPlot:
         assert lines[0].startswith("kind,lambda1")
         assert lines[-1].startswith("swallowtail,")
 
-    def test_unknown_document(self, tmp_path):
+    def test_geometry_document(self, tmp_path):
         # no command writes geometry reports, so export-plot rejects them
-        geometry = {"slices": [{"side": "cusp", "lam3": 0.7,
-                                "polyline": [[8.0, 0.1]], "zeros": []}]}
-        for doc in ({}, geometry):
-            src = tmp_path / "odd.json"
-            src.write_text(json.dumps(doc))
-            assert main(["export-plot", "--report", str(src),
-                         "--out", str(tmp_path / "x.csv")]) == 2
+        src = tmp_path / "geom.json"
+        src.write_text(json.dumps({"slices": [
+            {"side": "cusp", "lam3": 0.7, "polyline": [[8.0, 0.1]],
+             "zeros": [[7.9, 0.12], [7.95, 0.13]]},
+            {"side": "smooth", "lam3": 0.5, "polyline": [[8.1, 0.2]],
+             "zeros": []},
+        ]}))
+        out = tmp_path / "geom.csv"
+        assert main(["export-plot", "--report", str(src),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unknown_document(self, tmp_path):
+        src = tmp_path / "odd.json"
+        src.write_text("{}")
+        assert main(["export-plot", "--report", str(src),
+                     "--out", str(tmp_path / "x.csv")]) == 2
