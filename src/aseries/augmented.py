@@ -1,22 +1,29 @@
 """Augmented systems locating folds, cusps and swallowtails directly.
 
-Stacks the discrete residual G(u, lam) with kernel, normalization and
-test-value equations:
+The level-k system is the level-(k-1) system plus its own test
+equations, one level of rows on top of the last:
 
-    level 1 (fold):        [G; G_u a; dx dy a.a - 1]
-    level 2 (cusp):        level 1 rows plus f_uu . a^3
-    level 3 (swallowtail): level 2 rows plus the v-equation
-                           (G_u^2 + a a^T) vbar + f_uu . a^2
-                           and the swallowtail value
-                           f_uuu . a^4 + 6 (f_uu a^2) . G_u vbar
+    level 0 (solution):    G(u, lam)
+    level 1 (fold):        + G_u a and dx dy a.a - 1
+    level 2 (cusp):        + f_uu . a^3
+    level 3 (swallowtail): + the vbar equation
+                             (G_u^2 + a a^T) vbar + f_uu . a^2
+                           + the swallowtail value
+                             f_uuu . a^4 + 6 (f_uu a^2) . G_u vbar
                              + 3 vbar . G_u^3 vbar
 
-(. is the componentwise product, vector powers componentwise).  Every
-level uses the discrete-L2 normalization dx dy a.a = 1.  The auxiliary
+(. is the componentwise product, vector powers componentwise).  The
+unknowns are u, then alpha (level >= 1), then vbar (level 3), then the
+active parameters.  One routine, `_assemble(state, level)`, builds the
+residual and the analytic Jacobian of every level: it evaluates the
+derivative diagonals f .. f^(level+1) and their lam-gradients once and
+stacks the rows level by level.  `solution_residual_jacobian` and
+`f1_`/`f2_`/`f3_residual_jacobian` each assemble one fixed level, so a
+level-k name applied to a higher-level state still gives level k.
+
+The normalization is the discrete-L2 dx dy a.a = 1.  The auxiliary
 vbar parameterizes the kernel-orthogonal correction v = G_u vbar, so
-orthogonality to the kernel holds exactly even on coarse grids.  All
-Jacobians are analytic, including the u- and lam-derivatives of the
-cubic vbar terms.
+orthogonality to the kernel holds exactly even on coarse grids.
 
 The level-3 Jacobian is returned as a RankOneUpdate, a sparse core S
 plus one outer product c d^T.  The vbar-equation rows differentiate to
@@ -175,87 +182,9 @@ def _stacks(state: AugmentedState, top: int):
     return [nl.derivative(k, u, lam) for k in range(1, top + 1)]
 
 
-def _lambda_stacks(state: AugmentedState, top: int):
-    """lam-gradients of f, f_u, .. f^(top-1); each of shape (n, 3)."""
-    nl, u, lam = state.problem.nl, state.u, state.lam
-    return [nl.lambda_derivative(k, u, lam) for k in range(top)]
-
-
-def _slice_lambda(block: np.ndarray, active) -> np.ndarray:
-    return np.atleast_2d(block)[:, list(active)]
-
-
 def _dense(block) -> sp.csr_matrix:
     # bmat rejects rows made of bare ndarrays with mixed widths
     return sp.csr_matrix(np.atleast_2d(block))
-
-
-def solution_residual_jacobian(state: AugmentedState):
-    """Plain solution branch: G(u, lam) with u and the active lam free."""
-    prob = state.problem
-    f0, f1 = (prob.nl.derivative(k, state.u, state.lam) for k in (0, 1))
-    gu = (prob.lap + sp.diags(f1)).tocsr()
-    res = prob.lap @ state.u + f0
-    dlam_f = prob.nl.lambda_derivative(0, state.u, state.lam)
-    jac = sp.bmat([[gu, _dense(_slice_lambda(dlam_f, state.active))]], format="csr")
-    return res, jac
-
-
-def residual_jacobian(state: AugmentedState):
-    """Dispatch to the assembly routine matching state.level."""
-    return {
-        0: solution_residual_jacobian,
-        1: f1_residual_jacobian,
-        2: f2_residual_jacobian,
-        3: f3_residual_jacobian,
-    }[state.level](state)
-
-
-def f1_residual_jacobian(state: AugmentedState):
-    """Fold system: [G; G_u a; dx dy a.a - 1] and its Jacobian."""
-    prob, grid = state.problem, state.problem.grid
-    a, u = state.alpha, state.u
-    area = grid.cell_area
-    f0, f1, f2 = (state.problem.nl.derivative(k, u, state.lam) for k in (0, 1, 2))
-    gu = (prob.lap + sp.diags(f1)).tocsr()
-    res = np.concatenate([prob.lap @ u + f0, gu @ a, [area * (a @ a) - 1.0]])
-
-    dlam_f, dlam_fu = _lambda_stacks(state, 2)
-    jac = sp.bmat(
-        [
-            [gu, None, _dense(_slice_lambda(dlam_f, state.active))],
-            [sp.diags(f2 * a), gu,
-             _dense(_slice_lambda(a[:, None] * dlam_fu, state.active))],
-            [None, _dense(2.0 * area * a), sp.csr_matrix((1, len(state.active)))],
-        ],
-        format="csr",
-    )
-    return res, jac
-
-
-def cusp_monitor(state: AugmentedState) -> float:
-    f2 = state.problem.nl.derivative(2, state.u, state.lam)
-    return float(f2 @ state.alpha**3)
-
-
-def _cusp_jacobian_rows(state: AugmentedState):
-    """u-, alpha- and lam-blocks of the cusp row."""
-    a = state.alpha
-    f2, f3 = (state.problem.nl.derivative(k, state.u, state.lam) for k in (2, 3))
-    dlam_f2 = state.problem.nl.lambda_derivative(2, state.u, state.lam)
-    return f3 * a**3, 3.0 * f2 * a**2, a**3 @ dlam_f2
-
-
-def f2_residual_jacobian(state: AugmentedState):
-    """Cusp system: fold rows plus the cusp test value."""
-    res1, jac1 = f1_residual_jacobian(state)
-    res = np.append(res1, cusp_monitor(state))
-    du, da, dlam = _cusp_jacobian_rows(state)
-    row = sp.bmat(
-        [[_dense(du), _dense(da), _dense(_slice_lambda(dlam, state.active))]],
-        format="csr",
-    )
-    return res, sp.vstack([jac1, row], format="csr")
 
 
 @dataclass(frozen=True)
@@ -299,8 +228,128 @@ def rank_one_solve(a_sparse, alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularAuxiliaryError("regularized system is singular") from exc
     x = solution[:n]
     if not np.all(np.isfinite(x)):
-        raise SingularAuxiliaryError("regularized system is numerically singular")
+        raise SingularAuxiliaryError(
+            "regularized system is numerically singular")
     return x
+
+
+def _swallowtail_rows(gu, f, dlam, a, vbar):
+    """Residuals and block rows of the vbar equation and the swallowtail
+    value, in the columns u, alpha, vbar and the full lam-gradient.
+
+    The alpha and vbar blocks of the vbar equation leave out their
+    rank-one parts a vbar^T and a a^T.  The cubic vbar term
+    differentiates into the weight 2 vbar . G_u^2 vbar + (G_u vbar)^2
+    against d(f_u).
+    """
+    f2, f3, f4 = f[2:]
+    dlam_fu, dlam_fuu, dlam_fuuu = dlam[1:]
+    v = gu @ vbar          # kernel-orthogonal correction
+    q = gu @ v             # G_u^2 vbar
+    res = [q + a * (a @ vbar) + f2 * a**2,
+           [f3 @ a**4 + 6.0 * (f2 * a**2) @ v + 3.0 * vbar @ (gu @ q)]]
+    weight = 2.0 * vbar * q + v * v
+    vbar_row = [
+        gu @ sp.diags(f2 * vbar) + sp.diags(f2 * v + f3 * a**2),
+        sp.diags((a @ vbar) + 2.0 * f2 * a),
+        gu @ gu,
+        v[:, None] * dlam_fu + gu @ (vbar[:, None] * dlam_fu)
+        + (a**2)[:, None] * dlam_fuu,
+    ]
+    value_row = [
+        _dense(f4 * a**4 + 6.0 * f3 * a**2 * v + 6.0 * f2**2 * a**2 * vbar
+               + 3.0 * f2 * weight),
+        _dense(4.0 * f3 * a**3 + 12.0 * f2 * a * v),
+        _dense(6.0 * (f2 * a**2) @ gu + 6.0 * (gu @ q)),
+        a**4 @ dlam_fuuu + 6.0 * (a**2 * v) @ dlam_fuu
+        + 6.0 * (f2 * a**2 * vbar) @ dlam_fu + 3.0 * weight @ dlam_fu,
+    ]
+    return res, [vbar_row, value_row]
+
+
+def _assemble(state: AugmentedState, level: int):
+    """Residual and analytic Jacobian of the level-`level` system.
+
+    Each level appends its rows to the rows of the level below, and
+    every t-derivative and lam-gradient is evaluated once.  A block row
+    is [u, alpha, vbar, lam] with the lam-gradient over all three
+    parameters; columns the level does not have are dropped and the
+    gradient is sliced to the active parameters at the end.
+    """
+    if level > state.level:
+        raise ValueError(f"level-{level} assembly needs a level-{level} "
+                         "state")
+    prob, u, lam = state.problem, state.u, state.lam
+    f = [prob.nl.derivative(k, u, lam) for k in range(level + 2)]
+    dlam = [prob.nl.lambda_derivative(k, u, lam) for k in range(level + 1)]
+    gu = (prob.lap + sp.diags(f[1])).tocsr()
+    res = [prob.lap @ u + f[0]]
+    rows = [[gu, None, None, dlam[0]]]
+    if level >= 1:
+        a, area = state.alpha, prob.grid.cell_area
+        res += [gu @ a, [area * (a @ a) - 1.0]]
+        rows += [[sp.diags(f[2] * a), gu, None, a[:, None] * dlam[1]],
+                 [None, _dense(2.0 * area * a), None, np.zeros(3)]]
+    if level >= 2:
+        res.append([f[2] @ a**3])
+        rows.append([_dense(f[3] * a**3), _dense(3.0 * f[2] * a**2), None,
+                     a**3 @ dlam[2]])
+    if level == 3:
+        more_res, more_rows = _swallowtail_rows(gu, f, dlam, a, state.vbar)
+        res += more_res
+        rows += more_rows
+    columns = {0: (0,), 1: (0, 1), 2: (0, 1), 3: (0, 1, 2)}[level]
+    act = list(state.active)
+    jac = sp.bmat([[row[j] for j in columns]
+                   + [_dense(np.atleast_2d(row[3])[:, act])] for row in rows],
+                  format="csr")
+    res = np.concatenate(res)
+    if level < 3:
+        return res, jac
+    # the outer product of the vbar rows: a times (vbar, a) in (alpha, vbar)
+    n = u.size
+    left = np.zeros(jac.shape[0])
+    left[2 * n + 2 : 3 * n + 2] = a
+    right = np.zeros(jac.shape[1])
+    right[n : 2 * n] = state.vbar
+    right[2 * n : 3 * n] = a
+    return res, RankOneUpdate(jac, left, right)
+
+
+def residual_jacobian(state: AugmentedState):
+    """Dispatch to the assembly routine matching state.level."""
+    return {
+        0: solution_residual_jacobian,
+        1: f1_residual_jacobian,
+        2: f2_residual_jacobian,
+        3: f3_residual_jacobian,
+    }[state.level](state)
+
+
+def solution_residual_jacobian(state: AugmentedState):
+    """Plain solution branch: G(u, lam) with u and the active lam free."""
+    return _assemble(state, 0)
+
+
+def f1_residual_jacobian(state: AugmentedState):
+    """Fold system: [G; G_u a; dx dy a.a - 1] and its Jacobian."""
+    return _assemble(state, 1)
+
+
+def f2_residual_jacobian(state: AugmentedState):
+    """Cusp system: fold rows plus the cusp test value."""
+    return _assemble(state, 2)
+
+
+def f3_residual_jacobian(state: AugmentedState):
+    """Swallowtail system: cusp rows plus the vbar equation and the
+    swallowtail value; the Jacobian is a RankOneUpdate."""
+    return _assemble(state, 3)
+
+
+def cusp_monitor(state: AugmentedState) -> float:
+    f2 = state.problem.nl.derivative(2, state.u, state.lam)
+    return float(f2 @ state.alpha**3)
 
 
 def solve_v(state: AugmentedState):
@@ -331,98 +380,11 @@ def butterfly_monitor(state: AugmentedState, v: np.ndarray) -> float:
     a = state.alpha
     f1, f2, f3, f4 = _stacks(state, 4)
     gu = (state.problem.lap + sp.diags(f1)).tocsr()
-    wbar = rank_one_solve((gu @ gu).tocsc(), a, -(3.0 * f2 * a * v + f3 * a**3))
+    wbar = rank_one_solve((gu @ gu).tocsc(), a,
+                          -(3.0 * f2 * a * v + f3 * a**3))
     w = gu @ wbar
-    return float(f4 @ a**5 - 15.0 * (f2 * a) @ (v * v) + 10.0 * (f2 * a**2) @ w)
-
-
-def f3_residual_jacobian(state: AugmentedState):
-    """Swallowtail system and its full analytic Jacobian.
-
-    Unknown layout [u, alpha, vbar, lam_active]; rows are the fold and
-    cusp equations followed by the vbar equation and the swallowtail
-    value written in vbar form (3 vbar . G_u^3 vbar).  The Jacobian is a
-    RankOneUpdate whose outer product holds the a vbar^T and a a^T terms
-    of the vbar equation; everything else is in the sparse core.
-    """
-    if state.level != 3:
-        raise ValueError("f3 needs a level-3 state")
-    prob, grid = state.problem, state.problem.grid
-    n = grid.size
-    a, u, vbar = state.alpha, state.u, state.vbar
-    area = grid.cell_area
-    f0, f1, f2, f3, f4 = (prob.nl.derivative(k, u, state.lam) for k in range(5))
-    dlam_f, dlam_fu, dlam_fuu, dlam_fuuu = _lambda_stacks(state, 4)
-    gu = (prob.lap + sp.diags(f1)).tocsr()
-    v = gu @ vbar          # kernel-orthogonal correction
-    q = gu @ v             # G_u^2 vbar
-
-    res = np.concatenate(
-        [
-            prob.lap @ u + f0,
-            gu @ a,
-            [area * (a @ a) - 1.0],
-            [f2 @ a**3],
-            q + a * (a @ vbar) + f2 * a**2,
-            [f3 @ a**4 + 6.0 * (f2 * a**2) @ v + 3.0 * vbar @ (gu @ q)],
-        ]
-    )
-
-    cusp_du, cusp_da, cusp_dlam = _cusp_jacobian_rows(state)
-
-    # vbar-equation blocks
-    row5_du = (
-        gu @ sp.diags(f2 * vbar)
-        + sp.diags(f2 * v + f3 * a**2)
-    )
-    row5_da = sp.diags((a @ vbar) + 2.0 * f2 * a)   # plus a vbar^T
-    row5_dv = gu @ gu                                # plus a a^T
-    row5_dlam = (
-        v[:, None] * dlam_fu
-        + gu @ (vbar[:, None] * dlam_fu)
-        + (a**2)[:, None] * dlam_fuu
-    )
-
-    # swallowtail-value blocks; the cubic vbar term differentiates into
-    # the weight 2 vbar . G_u^2 vbar + (G_u vbar)^2 against d(f_u)
-    weight = 2.0 * vbar * q + v * v
-    row6_du = (
-        f4 * a**4
-        + 6.0 * f3 * a**2 * v
-        + 6.0 * f2**2 * a**2 * vbar
-        + 3.0 * f2 * weight
-    )
-    row6_da = 4.0 * f3 * a**3 + 12.0 * f2 * a * v
-    row6_dv = 6.0 * (f2 * a**2) @ gu + 6.0 * (gu @ q)
-    row6_dlam = (
-        a**4 @ dlam_fuuu
-        + 6.0 * (a**2 * v) @ dlam_fuu
-        + 6.0 * (f2 * a**2 * vbar) @ dlam_fu
-        + 3.0 * weight @ dlam_fu
-    )
-
-    act = state.active
-    core = sp.bmat(
-        [
-            [gu, None, None, _dense(_slice_lambda(dlam_f, act))],
-            [sp.diags(f2 * a), gu, None,
-             _dense(_slice_lambda(a[:, None] * dlam_fu, act))],
-            [None, _dense(2.0 * area * a), None, sp.csr_matrix((1, len(act)))],
-            [_dense(cusp_du), _dense(cusp_da), None,
-             _dense(_slice_lambda(cusp_dlam, act))],
-            [row5_du, row5_da, row5_dv,
-             _dense(_slice_lambda(row5_dlam, act))],
-            [_dense(row6_du), _dense(row6_da), _dense(row6_dv),
-             _dense(_slice_lambda(row6_dlam, act))],
-        ],
-        format="csr",
-    )
-    left = np.zeros(state.residual_size)
-    left[2 * n + 2 : 3 * n + 2] = a
-    right = np.zeros(state.dimension)
-    right[n : 2 * n] = vbar
-    right[2 * n : 3 * n] = a
-    return res, RankOneUpdate(core, left, right)
+    return float(f4 @ a**5 - 15.0 * (f2 * a) @ (v * v)
+                 + 10.0 * (f2 * a**2) @ w)
 
 
 def evaluate_monitors(state: AugmentedState, with_butterfly: bool = False,

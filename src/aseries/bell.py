@@ -106,7 +106,8 @@ def bell_monomials(n: int) -> list[BellMonomial]:
     for k in range(1, n + 1):
         for index in enumerate_multi_indices(n, k):
             powers = tuple(index.entries) + (0,) * (k - 1)
-            monomials.append(BellMonomial(multi_index_coefficient(index), powers))
+            monomials.append(
+                BellMonomial(multi_index_coefficient(index), powers))
     monomials.sort(key=lambda m: m.powers, reverse=True)
     return monomials
 

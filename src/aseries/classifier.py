@@ -138,7 +138,8 @@ class Tolerances:
 
 @dataclass
 class SingularityReport:
-    kind: str                  # not-critical | not-A-series | A<n> | undetermined
+    # not-critical | not-A-series | A<n> | undetermined
+    kind: str
     order: int | None = None   # n of A_n when kind is A<n>
     test_values: list = field(default_factory=list)
     signature: int | None = None
@@ -174,7 +175,10 @@ def kernel_of_hessian(oracle: DerivativeOracle, tol_ratio: float = 1e-6):
 
 
 def _derivative_table(alpha, jet, top: int):
-    """Vectors d^l/ds^l (s*alpha + F(s)) at 0 for l = 1..top; None if unknown."""
+    """Vectors d^l/ds^l (s*alpha + F(s)) at 0 for l = 1..top.
+
+    None marks an unknown entry.
+    """
     table: list[np.ndarray | None] = [None] * (top + 1)
     table[1] = np.asarray(alpha, dtype=float)
     for l in range(2, top + 1):
@@ -196,7 +200,8 @@ def _solve_restricted(hessian: np.ndarray, alpha: np.ndarray, rhs: np.ndarray):
     try:
         xtilde = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("regularized normal equations are singular") from exc
+        raise SingularSystemError(
+            "regularized normal equations are singular") from exc
     x = hessian @ xtilde
     # consistency: H x - rhs must vanish off alpha, else the kernel is larger
     resid = hessian @ x - rhs
@@ -235,12 +240,14 @@ def solve_jet_step(oracle: DerivativeOracle, alpha, jet, n: int) -> np.ndarray:
             args = []
             for l, count in enumerate(entries, start=1):
                 args.extend([table[l]] * count)
-            rhs += multi_index_coefficient(index) * oracle.contract_free(k + 1, *args)
+            rhs += multi_index_coefficient(index) * oracle.contract_free(
+                k + 1, *args)
     # 0 = rhs . xi + S^(2)(F^(m), xi)  on the complement of alpha
     return _solve_restricted(oracle.hessian(), alpha, -rhs)
 
 
-def test_value(oracle: DerivativeOracle, alpha, jet, n: int, placeholders=None) -> float:
+def test_value(oracle: DerivativeOracle, alpha, jet, n: int,
+               placeholders=None) -> float:
     """Bell-contraction value r^(n)(0) of the reduced function.
 
     The jet must supply F''(0) .. F^(n-2)(0).  The two highest slots
@@ -307,15 +314,13 @@ def closed_form_tests(
     _check_solvable(b3, a_unit, tol.solvability)
     v = _solve_restricted(hess, alpha, -b3)  # S2(v, xi) = -b3 . xi
     result.v = v
-    result.swallowtail = oracle.contract(4, alpha, alpha, alpha, alpha) - 3.0 * float(
-        v @ (hess @ v)
-    )
+    result.swallowtail = oracle.contract(
+        4, alpha, alpha, alpha, alpha) - 3.0 * float(v @ (hess @ v))
     if abs(result.swallowtail) > tol.zero_test * anorm**4:
         return result
 
-    bw = oracle.contract_free(4, alpha, alpha, alpha) + 3.0 * oracle.contract_free(
-        3, alpha, v
-    )
+    bw = (oracle.contract_free(4, alpha, alpha, alpha)
+          + 3.0 * oracle.contract_free(3, alpha, v))
     _check_solvable(bw, a_unit, tol.solvability)
     w = _solve_restricted(hess, alpha, -bw)  # S2(w, xi) = -bw . xi
     result.w = w

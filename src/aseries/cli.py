@@ -1,4 +1,4 @@
-"""Command-line front end for branches, hunts, convergence runs, classification.
+"""Command-line front end: branches, hunts, convergence runs, classification.
 
 Configuration is an optional flat key=value text file plus command-line
 flags; flags win.  Keys in the file use the flag spellings (with or
@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +120,8 @@ def _parse_floats(text: str) -> tuple:
 def _parse_triple(text: str) -> tuple:
     values = _parse_floats(text)
     if len(values) != 3:
-        raise UsageError(f"expected three comma-separated values, got {text!r}")
+        raise UsageError(
+            f"expected three comma-separated values, got {text!r}")
     return values
 
 
@@ -155,7 +156,8 @@ def _parse_sizes(text: str) -> tuple:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise UsageError(f"grid range must be start:stop:step, got {text!r}")
+            raise UsageError(
+                f"grid range must be start:stop:step, got {text!r}")
         start, stop, stride = (_parse_int(p) for p in parts)
         if stride <= 0 or start < 1 or stop < start:
             raise UsageError(f"bad grid range {text!r}")
@@ -231,9 +233,16 @@ def _resolve(args, config: dict, options) -> dict:
     return resolved
 
 
-def _positive(name: str, value) -> None:
-    if not value > 0:
-        raise UsageError(f"--{name} must be positive, got {value}")
+def _check_step_controls(values) -> None:
+    """Step-control checks shared by `continue`, `hunt` and `converge`."""
+    for key in ("tol", "ds0", "ds_max", "bounds"):
+        if not values[key] > 0:
+            raise UsageError(f"--{key.replace('_', '-')} must be positive, "
+                             f"got {values[key]}")
+    if values["max_steps"] < 0:
+        raise UsageError("--max-steps must be >= 0")
+    if values["max_newton"] < 1:
+        raise UsageError("--max-newton must be >= 1")
 
 
 def _make_nonlinearity(problem: str, tail):
@@ -387,14 +396,7 @@ class RunConfig:
     alpha0: np.ndarray | None = None
 
     def validate(self) -> None:
-        _positive("tol", self.tol)
-        _positive("ds0", self.ds0)
-        _positive("ds-max", self.ds_max)
-        _positive("bounds", self.bounds)
-        if self.max_steps < 0:
-            raise UsageError("--max-steps must be >= 0")
-        if self.max_newton < 1:
-            raise UsageError("--max-newton must be >= 1")
+        _check_step_controls(vars(self))
         if self.level not in (0, 1, 2):
             raise UsageError("continuation levels: 0 (solution), 1 (fold), "
                              "2 (cusp); the next system is square")
@@ -412,8 +414,9 @@ class RunConfig:
             allowed.add("fold")
         for kind in self.stop_at:
             if kind not in allowed:
+                have = ", ".join(sorted(allowed))
                 raise UsageError(f"--stop-at {kind!r} is not detected by "
-                                 f"this run (have: {', '.join(sorted(allowed))})")
+                                 f"this run (have: {have})")
 
 
 def _build_run_config(opts: dict) -> RunConfig:
@@ -528,12 +531,7 @@ def cmd_continue(opts: dict) -> int:
 # ----------------------------------------------------------------- hunt
 
 def _hunt_config(opts: dict) -> HuntConfig:
-    for key in ("tol", "ds0", "ds-max", "bounds"):
-        _positive(key, opts[key.replace("-", "_")])
-    if opts["max_steps"] < 0:
-        raise UsageError("--max-steps must be >= 0")
-    if opts["max_newton"] < 1:
-        raise UsageError("--max-newton must be >= 1")
+    _check_step_controls(opts)
     if opts["lam2_direction"] not in (1, -1) or \
             opts["lam3_direction"] not in (1, -1):
         raise UsageError("search directions must be +1 or -1")

@@ -418,7 +418,8 @@ def detect_events(problem: ContinuationProblem, before: BranchPoint,
         m_lo = _event_scalar(kind, before)
         m_hi = _event_scalar(kind, after)
         if m_lo is None or m_hi is None:
-            raise ValueError(f"monitor {kind!r} is not recorded on this branch")
+            raise ValueError(
+                f"monitor {kind!r} is not recorded on this branch")
         if m_lo == 0.0 or np.sign(m_lo) == np.sign(m_hi):
             continue
         events.append(_refine_event(problem, kind, before, after, m_lo, m_hi,

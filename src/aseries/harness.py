@@ -21,7 +21,6 @@ error.  The pivot slice's window and directions are module constants.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -116,7 +115,7 @@ class LocatedPoint:
     def lam(self) -> np.ndarray:
         return self.state.lam
 
-    def to_dict(self, files: dict | None = None) -> dict:
+    def to_dict(self) -> dict:
         doc = {
             "kind": self.kind,
             "lam": [float(v) for v in self.state.lam],
@@ -134,8 +133,6 @@ class LocatedPoint:
                 doc["monitors"]["butterfly"] = float(self.monitors.butterfly)
         if self.note:
             doc["note"] = self.note
-        if files:
-            doc["files"] = dict(files)
         return doc
 
 
@@ -162,22 +159,18 @@ class HuntReport:
     def swallowtail(self) -> LocatedPoint | None:
         return self.located("swallowtail")
 
-    def to_dict(self, files: dict | None = None) -> dict:
-        files = files or {}
+    def to_dict(self) -> dict:
         return {
             "nonlinearity": self.nonlinearity,
             "grid": list(self.grid),
             "seed": self.config.seed,
             "config": self.config.to_dict(),
             "stage_reached": self.stage_reached,
-            "chain": [p.to_dict(files.get(p.kind)) for p in self.chain],
+            "chain": [p.to_dict() for p in self.chain],
             "events": list(self.events),
             "timings": {k: float(v) for k, v in self.timings.items()},
             "note": self.note,
         }
-
-    def to_json(self, files: dict | None = None) -> str:
-        return json.dumps(self.to_dict(files), indent=2)
 
 
 def _recheck(state: AugmentedState) -> float:
@@ -533,9 +526,6 @@ class ConvergenceTable:
         return {"rows": [row.to_dict() for row in self.rows],
                 "note": self.note}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def convergence_study(nl: Nonlinearity, sizes,
                       seed_state: AugmentedState | None = None,
@@ -635,9 +625,6 @@ class GeometryReport:
                 "cusp_side": self.cusp_side,
                 "counts": list(self.counts) if self.counts else None,
                 "slices": [s.to_dict() for s in self.slices]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _dedup_zeros(zeros) -> list:

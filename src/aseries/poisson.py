@@ -109,7 +109,8 @@ def interpolate_to(gf: GridFunction, target: Grid) -> GridFunction:
     padded = np.zeros((grid.nx + 2, grid.ny + 2))
     padded[1:-1, 1:-1] = gf.as_matrix()
     interp = RegularGridInterpolator(
-        (np.linspace(0.0, 1.0, grid.nx + 2), np.linspace(0.0, 1.0, grid.ny + 2)),
+        (np.linspace(0.0, 1.0, grid.nx + 2),
+         np.linspace(0.0, 1.0, grid.ny + 2)),
         padded,
         method="linear",
     )
@@ -130,7 +131,8 @@ def build_laplacian(grid: Grid) -> sp.csr_matrix:
 
     dxx = second_difference(grid.nx, grid.dx)
     dyy = second_difference(grid.ny, grid.dy)
-    lap = sp.kron(sp.identity(grid.ny), dxx) + sp.kron(dyy, sp.identity(grid.nx))
+    lap = (sp.kron(sp.identity(grid.ny), dxx)
+           + sp.kron(dyy, sp.identity(grid.nx)))
     return lap.tocsr()
 
 
@@ -196,8 +198,8 @@ class ExpSineNonlinearity(Nonlinearity):
         """exp(g) and its first `top` t-derivatives."""
         t, c = cls._pole_checked(t, lam)
         e = np.exp(t / c)
-        gs = [(-1.0) ** (k - 1) * math.factorial(k) * lam[1] ** (k - 1) / c ** (k + 1)
-              for k in range(1, top + 1)]
+        gs = [(-1.0) ** (k - 1) * math.factorial(k) * lam[1] ** (k - 1)
+              / c ** (k + 1) for k in range(1, top + 1)]
         return t, c, e, [e * bell_value(k, gs[:k]) for k in range(top + 1)]
 
     def derivative(self, k: int, t, lam):
@@ -254,8 +256,8 @@ class ExpSineNonlinearity(Nonlinearity):
         def exp_integral(upper: float) -> float:
             if upper == 0.0:
                 return 0.0
-            value, _ = quad(lambda s: math.exp(s / (lam2 * s + 1.0)), 0.0, upper,
-                            limit=200)
+            value, _ = quad(lambda s: math.exp(s / (lam2 * s + 1.0)), 0.0,
+                            upper, limit=200)
             return value
 
         exp_part = np.vectorize(exp_integral)(t_arr)
@@ -335,7 +337,8 @@ def discrete_functional(u: np.ndarray, lam, nl: Nonlinearity, grid: Grid,
     u = np.asarray(u, dtype=float)
     if lap is None:
         lap = build_laplacian(grid)
-    return 0.5 * float(u @ (lap @ u)) + float(np.sum(nl.antiderivative(u, lam)))
+    return (0.5 * float(u @ (lap @ u))
+            + float(np.sum(nl.antiderivative(u, lam))))
 
 
 class PoissonOracle(DerivativeOracle):
@@ -346,7 +349,8 @@ class PoissonOracle(DerivativeOracle):
     sum_j f^(k-1)(u_j, lam) v_1j ... v_kj.
     """
 
-    def __init__(self, u, lam, nl: Nonlinearity, lap, max_order: int | None = None):
+    def __init__(self, u, lam, nl: Nonlinearity, lap,
+                 max_order: int | None = None):
         self.u = np.asarray(u, dtype=float)
         self.lam = np.asarray(lam, dtype=float)
         self.nl = nl

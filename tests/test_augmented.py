@@ -1,5 +1,8 @@
 """Augmented fold/cusp/swallowtail systems: residuals, Jacobians, monitors."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -29,6 +32,7 @@ from aseries.continuation import SingularJacobianError, _linear_solve
 from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
+    Nonlinearity,
     PoissonOracle,
     PolynomialNonlinearity,
     build_laplacian,
@@ -354,6 +358,42 @@ class TestAnalyticJacobians:
         assert np.array_equal(d3[: res2.size, : 2 * n], d2[:, : 2 * n])
         assert np.array_equal(d3[: res2.size, 2 * n : 3 * n],
                               np.zeros((res2.size, n)))
+
+
+class CountingNonlinearity(Nonlinearity):
+    """Forwards to another nonlinearity and counts calls per order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def derivative(self, k, t, lam):
+        self.calls["derivative", k] += 1
+        return self.inner.derivative(k, t, lam)
+
+    def lambda_derivative(self, k, t, lam):
+        self.calls["lambda_derivative", k] += 1
+        return self.inner.lambda_derivative(k, t, lam)
+
+
+class TestAssemblyEvaluations:
+    @pytest.mark.parametrize("nl,grid", CASES,
+                             ids=["polynomial", "exp-sine"])
+    @pytest.mark.parametrize("level,active", [
+        (0, (0,)), (1, (0,)), (2, (0, 1)), (3, (0, 1, 2)),
+    ])
+    def test_each_derivative_evaluated_once(self, nl, grid, level, active):
+        counting = CountingNonlinearity(nl)
+        st = random_state(Problem(grid, counting), level, active,
+                          np.random.default_rng(3 + level))
+        res, jac = residual_jacobian(st)
+        assert max(counting.calls.values()) == 1, dict(counting.calls)
+        assert set(counting.calls) == (
+            {("derivative", k) for k in range(level + 2)}
+            | {("lambda_derivative", k) for k in range(level + 1)})
+        plain = residual_jacobian(replace(st, problem=Problem(grid, nl)))
+        assert np.array_equal(res, plain[0])
+        assert np.array_equal(jac.toarray(), plain[1].toarray())
 
 
 class TestBorderedSolve:

@@ -22,7 +22,6 @@ from helpers import (
     fit_derivatives,
     random_orthogonal,
     reduced_function,
-    relative_error,
     rotate_tensors,
     tensors_from_polynomial,
 )

@@ -156,6 +156,9 @@ class TestHunt:
         assert kinds == ["solution", "fold", "cusp", "swallowtail"]
         sw = hunt_doc["chain"][-1]
         assert sw["residual_inf"] < 1e-9
+        assert sw["files"] == {
+            name: str(hunt_dir / "states" / f"swallowtail_{name}.txt")
+            for name in ("u", "alpha", "vbar")}
         for name in ("u", "alpha", "vbar"):
             gf = load_grid_function(hunt_dir / "states" /
                                     f"swallowtail_{name}.txt")
@@ -197,6 +200,33 @@ class TestHunt:
         rc = main(["hunt", "--problem", "bratu", "--grid", "6x6",
                    "--target", "butterfly", "--out", str(tmp_path / "h.json")])
         assert rc == 2
+
+
+STEP_COMMANDS = {
+    "continue": ("--problem", "bratu", "--grid", "4x4", "--level", "0",
+                 "--active", "l1"),
+    "hunt": ("--problem", "bratu", "--grid", "4x4"),
+    "converge": ("--problem", "bratu", "--grids", "4,6", "--independent"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STEP_COMMANDS))
+@pytest.mark.parametrize("flag,value,message", [
+    ("--tol", "0", "--tol must be positive, got 0.0"),
+    ("--ds0", "-1e-3", "--ds0 must be positive, got -0.001"),
+    ("--ds-max", "0", "--ds-max must be positive, got 0.0"),
+    ("--bounds", "-5", "--bounds must be positive, got -5.0"),
+    ("--max-steps", "-1", "--max-steps must be >= 0"),
+    ("--max-newton", "0", "--max-newton must be >= 1"),
+])
+def test_step_controls_checked(tmp_path, capsys, command, flag, value,
+                               message):
+    out = tmp_path / "out.json"
+    rc = main([command, *STEP_COMMANDS[command], f"{flag}={value}",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestConverge:
