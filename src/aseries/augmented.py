@@ -48,10 +48,6 @@ from .poisson import Grid, Nonlinearity, build_laplacian
 
 #: `solution_signature` of a numerically singular matrix.
 DEGENERATE = 0
-#: Monitor magnitude treated as a blow-up (D4-type degeneracy heuristic).
-BLOWUP_ABS = 1e6
-#: Monitor growth factor over one step treated as a blow-up.
-BLOWUP_RATIO = 100.0
 
 
 class SingularAuxiliaryError(RuntimeError):
@@ -154,26 +150,6 @@ class MonitorRecord:
     cusp: float = 0.0
     swallowtail: float = 0.0
     butterfly: float | None = None
-    blowup_flag: bool = False
-
-
-def flag_blowup(record: MonitorRecord,
-                previous: MonitorRecord | None) -> MonitorRecord:
-    """Set blowup_flag on absolute blow-up or rapid one-step growth."""
-    values = [record.cusp, record.swallowtail]
-    if record.butterfly is not None:
-        values.append(record.butterfly)
-    if not all(np.isfinite(values)) or np.max(np.abs(values)) > BLOWUP_ABS:
-        record.blowup_flag = True
-        return record
-    if previous is not None:
-        pairs = [(record.cusp, previous.cusp),
-                 (record.swallowtail, previous.swallowtail)]
-        for cur, prev in pairs:
-            if abs(prev) > 1e-8 and abs(cur) > BLOWUP_RATIO * abs(prev):
-                record.blowup_flag = True
-        return record
-    return record
 
 
 def _stacks(state: AugmentedState, top: int):
@@ -387,13 +363,11 @@ def butterfly_monitor(state: AugmentedState, v: np.ndarray) -> float:
                  + 10.0 * (f2 * a**2) @ w)
 
 
-def evaluate_monitors(state: AugmentedState, with_butterfly: bool = False,
-                      fold_direction: float = 0.0) -> MonitorRecord:
-    """Cusp/swallowtail (and optionally butterfly) values at a state."""
+def evaluate_monitors(state: AugmentedState) -> MonitorRecord:
+    """Cusp and swallowtail values at a state; butterfly at level 3."""
     _, v = solve_v(state)
-    butterfly = butterfly_monitor(state, v) if with_butterfly else None
+    butterfly = butterfly_monitor(state, v) if state.level == 3 else None
     return MonitorRecord(
-        fold_direction=fold_direction,
         cusp=cusp_monitor(state),
         swallowtail=swallowtail_monitor(state, v),
         butterfly=butterfly,

@@ -165,6 +165,8 @@ def _parse_sizes(text: str) -> tuple:
     sizes = tuple(_parse_int(p) for p in text.split(",") if p.strip())
     if not sizes or min(sizes) < 1:
         raise UsageError(f"need grid sizes >= 1, got {text!r}")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise UsageError(f"grid sizes must increase, got {text!r}")
     return sizes
 
 
@@ -281,24 +283,25 @@ SOLVER_OPTIONS = (
            help="seed for the kernel-vector guess"),
 )
 HUNT_OPTIONS = (
-    Option("lam0", _parse_triple, default=(0.0, 0.0, 0.0),
+    Option("lam0", _parse_triple, default=HuntConfig.lam0,
            help="starting parameter triple"),
-    Option("ds0", _parse_float, default=0.2, help="initial step length"),
-    Option("ds-max", _parse_float, default=0.5, help="step length cap"),
-    Option("max-steps", _parse_int, default=400,
+    Option("ds0", _parse_float, default=HuntConfig.ds0,
+           help="initial step length"),
+    Option("ds-max", _parse_float, default=HuntConfig.ds_max,
+           help="step length cap"),
+    Option("max-steps", _parse_int, default=HuntConfig.max_steps,
            help="step budget per continuation"),
-    Option("bounds", _parse_float, default=50.0,
+    Option("bounds", _parse_float, default=HuntConfig.lam_bounds,
            help="abort when an active parameter leaves (-bounds, bounds)"),
-    Option("lam2-direction", _parse_int, default=1,
+    Option("lam2-direction", _parse_int, default=HuntConfig.lam2_direction,
            help="fold-line search direction (+1 or -1)"),
-    Option("lam3-direction", _parse_int, default=1,
+    Option("lam3-direction", _parse_int, default=HuntConfig.lam3_direction,
            help="cusp-line search direction (+1 or -1)"),
-    Option("stage3-window", _parse_triple, default=(3.0, 0.05, 0.12),
+    Option("stage3-window", _parse_triple, default=HuntConfig.stage3_window,
            help="cusp-line search window half-widths around the cusp"),
-    Option("pivot-offsets", _parse_floats,
-           default=(0.005, 0.01, 0.02, 0.04),
+    Option("pivot-offsets", _parse_floats, default=HuntConfig.pivot_offsets,
            help="third-parameter offsets for pivot slices"),
-    Option("direct", _parse_bool, default=False,
+    Option("direct", _parse_bool, default=HuntConfig.direct_start,
            help="direct Newton chain instead of staged continuation"),
 )
 
@@ -371,86 +374,31 @@ EXPORT_OPTIONS = (
 
 # ------------------------------------------------------------- continue
 
-@dataclass
-class RunConfig:
-    """Resolved settings of one continuation run."""
-
-    nl: object
-    grid: Grid
-    level: int
-    active: tuple
-    lam: np.ndarray
-    seed: int
-    direction: float
-    monitors: tuple
-    stop_at: tuple
-    ds0: float
-    ds_max: float
-    max_steps: int
-    bounds: float
-    tol: float
-    max_newton: int
-    out: str
-    events: str
-    u0: np.ndarray | None = None
-    alpha0: np.ndarray | None = None
-
-    def validate(self) -> None:
-        _check_step_controls(vars(self))
-        if self.level not in (0, 1, 2):
-            raise UsageError("continuation levels: 0 (solution), 1 (fold), "
-                             "2 (cusp); the next system is square")
-        if len(self.active) != self.level + 1:
-            raise UsageError(f"level {self.level} continuation needs "
-                             f"{self.level + 1} active parameter(s), "
-                             f"got {len(self.active)}")
-        for name in self.monitors:
-            if name not in MONITOR_NAMES:
-                raise UsageError(f"unknown monitor {name!r}")
-            if self.level == 0:
-                raise UsageError(f"monitor {name!r} needs level >= 1")
-        allowed = set(self.monitors) | {"blowup"}
-        if self.level == 0:
-            allowed.add("fold")
-        for kind in self.stop_at:
-            if kind not in allowed:
-                have = ", ".join(sorted(allowed))
-                raise UsageError(f"--stop-at {kind!r} is not detected by "
-                                 f"this run (have: {have})")
-
-
-def _build_run_config(opts: dict) -> RunConfig:
-    nl = _make_nonlinearity(opts["problem"], opts["tail"])
-    grid = Grid(*opts["grid"])
-    active = opts["active"]
-    lam = np.asarray(opts["lam"], dtype=float)
-    for idx, value in opts["fixed"].items():
-        if idx in active:
-            raise UsageError(f"l{idx + 1} is active; cannot also fix it")
-        lam[idx] = value
-    monitors = opts["monitors"]
-    if monitors is None:
-        monitors = {0: (), 1: ("cusp",), 2: ("swallowtail",)}[
-            opts["level"] if opts["level"] in (0, 1, 2) else 0]
-    events = opts["events"]
-    if events is None:
-        events = os.path.splitext(opts["out"])[0] + ".events.json"
-    config = RunConfig(
-        nl=nl, grid=grid, level=opts["level"], active=active, lam=lam,
-        seed=opts["seed"], direction=opts["direction"], monitors=monitors,
-        stop_at=opts["stop_at"], ds0=opts["ds0"], ds_max=opts["ds_max"],
-        max_steps=opts["max_steps"], bounds=opts["bounds"], tol=opts["tol"],
-        max_newton=opts["max_newton"], out=opts["out"], events=events)
-    config.validate()
-    if opts["u0"] is not None:
-        config.u0 = _load_matching(opts["u0"], grid, "u0")
-    if opts["alpha0"] is not None:
-        alpha = _load_matching(opts["alpha0"], grid, "alpha0")
-        norm = np.sqrt(grid.cell_area * (alpha @ alpha))
-        if norm == 0.0:
-            raise UsageError("--alpha0 is identically zero")
-        config.alpha0 = alpha / norm
-    return config
+def _check_continue(opts: dict, monitors: tuple) -> None:
+    """Checks of the `continue` options that their parsers cannot make."""
+    _check_step_controls(opts)
+    level = opts["level"]
+    if level not in (0, 1, 2):
+        raise UsageError("continuation levels: 0 (solution), 1 (fold), "
+                         "2 (cusp); the next system is square")
+    if len(opts["active"]) != level + 1:
+        raise UsageError(f"level {level} continuation needs "
+                         f"{level + 1} active parameter(s), "
+                         f"got {len(opts['active'])}")
+    if opts["direction"] == 0.0 or not np.isfinite(opts["direction"]):
+        raise UsageError(f"--direction must be a nonzero number, "
+                         f"got {opts['direction']}")
+    for name in monitors:
+        if name not in MONITOR_NAMES:
+            raise UsageError(f"unknown monitor {name!r}")
+        if level == 0:
+            raise UsageError(f"monitor {name!r} needs level >= 1")
+    allowed = set(monitors) | ({"fold"} if level == 0 else set())
+    for kind in opts["stop_at"]:
+        if kind not in allowed:
+            have = ", ".join(sorted(allowed))
+            raise UsageError(f"--stop-at {kind!r} is not detected by "
+                             f"this run (have: {have})")
 
 
 def _write_branch_csv(path: str, template: AugmentedState, points) -> None:
@@ -484,40 +432,61 @@ def _event_entries(template: AugmentedState, events) -> list:
 
 
 def cmd_continue(opts: dict) -> int:
-    config = _build_run_config(opts)
-    grid = config.grid
-    u = config.u0 if config.u0 is not None else np.zeros(grid.size)
+    nl = _make_nonlinearity(opts["problem"], opts["tail"])
+    grid = Grid(*opts["grid"])
+    level, active = opts["level"], opts["active"]
+    lam = np.asarray(opts["lam"], dtype=float)
+    for idx, value in opts["fixed"].items():
+        if idx in active:
+            raise UsageError(f"l{idx + 1} is active; cannot also fix it")
+        lam[idx] = value
+    monitors = opts["monitors"]
+    if monitors is None:
+        monitors = {1: ("cusp",), 2: ("swallowtail",)}.get(level, ())
+    _check_continue(opts, monitors)
+    u = np.zeros(grid.size)
+    if opts["u0"] is not None:
+        u = _load_matching(opts["u0"], grid, "u0")
     alpha = None
-    if config.level >= 1:
-        alpha = (config.alpha0 if config.alpha0 is not None
-                 else seed_kernel_vector(grid, config.seed))
-    template = AugmentedState(Problem(grid, config.nl), config.level, u,
-                              config.lam.copy(), alpha=alpha,
-                              active=config.active)
-    fold_parameter = config.active[0] if config.level == 0 else None
-    wrapper = augmented_continuation_problem(template,
-                                             monitors=config.monitors,
+    if opts["alpha0"] is not None:
+        alpha = _load_matching(opts["alpha0"], grid, "alpha0")
+        norm = np.sqrt(grid.cell_area * (alpha @ alpha))
+        if norm == 0.0:
+            raise UsageError("--alpha0 is identically zero")
+        alpha = alpha / norm
+    if level == 0:
+        alpha = None
+    elif alpha is None:
+        alpha = seed_kernel_vector(grid, opts["seed"])
+    template = AugmentedState(Problem(grid, nl), level, u, lam, alpha=alpha,
+                              active=active)
+    fold_parameter = active[0] if level == 0 else None
+    wrapper = augmented_continuation_problem(template, monitors=monitors,
                                              fold_parameter=fold_parameter)
     orient = np.zeros(template.dimension)
-    orient[-1] = config.direction
+    orient[-1] = opts["direction"]
     start = initial_point(wrapper, template.pack(), orient_vector=orient,
-                          newton_tol=config.tol,
-                          max_newton=config.max_newton)
-    names = (("fold",) if config.level == 0 else ()) + config.monitors
-    limit = config.bounds
+                          newton_tol=opts["tol"],
+                          max_newton=opts["max_newton"])
+    names = (("fold",) if level == 0 else ()) + monitors
+    limit = opts["bounds"]
 
-    def in_bounds(z, k=len(config.active)):
+    def in_bounds(z, k=len(active)):
         return bool(np.all(np.abs(z[-k:]) < limit))
 
-    result = run_branch(wrapper, start, ds0=config.ds0, ds_max=config.ds_max,
-                        max_steps=config.max_steps, monitor_names=names,
-                        stop_at=config.stop_at, bounds=in_bounds,
-                        newton_tol=config.tol, max_newton=config.max_newton)
-    _write_branch_csv(config.out, template, result.points)
-    doc = {"seed": config.seed, "stopped_on": result.stopped_on,
+    result = run_branch(wrapper, start, ds0=opts["ds0"],
+                        ds_max=opts["ds_max"], max_steps=opts["max_steps"],
+                        monitor_names=names, stop_at=opts["stop_at"],
+                        bounds=in_bounds, newton_tol=opts["tol"],
+                        max_newton=opts["max_newton"])
+    _write_branch_csv(opts["out"], template, result.points)
+    doc = {"seed": opts["seed"], "stopped_on": result.stopped_on,
            "points": len(result.points),
            "events": _event_entries(template, result.events)}
-    with open(config.events, "w") as fh:
+    events_path = opts["events"]
+    if events_path is None:
+        events_path = os.path.splitext(opts["out"])[0] + ".events.json"
+    with open(events_path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     print(f"{len(result.points)} points, stopped on {result.stopped_on}; "

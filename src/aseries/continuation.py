@@ -15,8 +15,10 @@ sigma_min(J).  One sparse LU of B then gives sigma_min(B) = 1 /
 sigma_max(J); the check forms no dense matrix.
 Monitors are named scalar functions of z recorded at every accepted
 point; sign changes between consecutive points are refined by
-re-stepping with a secant rule on arclength.  A fold event is a sign
-change of the tangent component belonging to the designated parameter.
+re-stepping with a secant rule on arclength, down to EVENT_TOL of the
+monitor's scale or a bracket of DS_MIN, the smallest step a branch
+takes.  A fold event is a sign change of the tangent component belonging
+to the designated parameter.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .augmented import (
     RankOneUpdate,
     butterfly_monitor,
     cusp_monitor,
-    flag_blowup,
     residual_jacobian,
     solution_signature,
     solve_v,
@@ -135,7 +136,8 @@ class ContinuationProblem:
     from {cusp, swallowtail, butterfly} to scalar functions of z;
     fold_index is the packed position of the parameter whose turning
     defines a fold event; signature maps z to the sign of det G_u (0
-    when absent).
+    when absent).  check_rank and rank_tol govern the regularity check
+    of accepted points; augmented problems keep the defaults.
     """
 
     system: Callable[[np.ndarray], tuple]
@@ -159,7 +161,7 @@ class BranchPoint:
 
 @dataclass
 class Event:
-    """A detected sign change (or blow-up) with its refined location."""
+    """A detected sign change with its refined location."""
 
     kind: str
     before: BranchPoint
@@ -274,15 +276,15 @@ def _check_rank(problem: ContinuationProblem, jac,
             f"smallest singular value {sigma_min:.3e} at an accepted point")
 
 
-def _record(problem: ContinuationProblem, z: np.ndarray, tang: np.ndarray,
-            previous: MonitorRecord | None) -> MonitorRecord:
+def _record(problem: ContinuationProblem, z: np.ndarray,
+            tang: np.ndarray) -> MonitorRecord:
     direction = 0.0
     if problem.fold_index is not None:
         direction = float(tang[problem.fold_index])
     rec = MonitorRecord(fold_direction=direction)
     for name, fn in problem.monitors.items():
         setattr(rec, name, float(fn(z)))
-    return flag_blowup(rec, previous)
+    return rec
 
 
 def _signature(problem: ContinuationProblem, z: np.ndarray) -> int:
@@ -329,7 +331,7 @@ def initial_point(problem: ContinuationProblem, z0: np.ndarray,
     t = tangent(jac, previous=orient_vector, orient_index=pin,
                 rank_tol=problem.rank_tol)
     _check_rank(problem, jac, t)
-    rec = _record(problem, z, t, None)
+    rec = _record(problem, z, t)
     return BranchPoint(z, 0.0, t, rec, _signature(problem, z), iters)
 
 
@@ -342,7 +344,7 @@ def step(problem: ContinuationProblem, point: BranchPoint, ds: float,
                                    max_newton)
     t_new = tangent(jac, previous=t, rank_tol=problem.rank_tol)
     _check_rank(problem, jac, t_new)
-    rec = _record(problem, z, t_new, point.monitors)
+    rec = _record(problem, z, t_new)
     return BranchPoint(z, point.s + ds, t_new, rec,
                        _signature(problem, z), iters)
 
@@ -353,8 +355,8 @@ def _event_scalar(kind: str, point: BranchPoint) -> float | None:
     return getattr(point.monitors, kind)
 
 
-def _refine_event(problem, kind, before, after, m_lo, m_hi, event_tol,
-                  ds_min, newton_tol, max_newton) -> Event:
+def _refine_event(problem, kind, before, after, m_lo, m_hi, newton_tol,
+                  max_newton) -> Event:
     """Shrink a sign-change bracket by secant trials in step length.
 
     All trial points are re-stepped from the same base point (the
@@ -369,7 +371,7 @@ def _refine_event(problem, kind, before, after, m_lo, m_hi, event_tol,
     side = 0
     for _ in range(REFINE_BUDGET):
         width = d_hi - d_lo
-        if abs(best_m) < event_tol * scale or width < ds_min:
+        if abs(best_m) < EVENT_TOL * scale or width < DS_MIN:
             break
         d_trial = d_lo - m_lo * width / (m_hi - m_lo)
         if not (d_lo < d_trial < d_hi) or abs(side) >= 2:
@@ -393,26 +395,17 @@ def _refine_event(problem, kind, before, after, m_lo, m_hi, event_tol,
         else:
             d_hi, m_hi = d_trial, m_trial
             side = min(side, 0) - 1
-    approximate = not abs(best_m) < event_tol * scale
+    approximate = not abs(best_m) < EVENT_TOL * scale
     return Event(kind, before, after, best, best_m, approximate)
 
 
 def detect_events(problem: ContinuationProblem, before: BranchPoint,
                   after: BranchPoint, monitor_names,
-                  event_tol: float = EVENT_TOL, ds_min: float = DS_MIN,
                   newton_tol: float = NEWTON_TOL,
                   max_newton: int = MAX_NEWTON) -> list:
     """Events between two consecutive accepted points, refined in place."""
     events = []
     for kind in monitor_names:
-        if kind == "blowup":
-            if after.monitors.blowup_flag:
-                worst = max(abs(after.monitors.cusp),
-                            abs(after.monitors.swallowtail),
-                            abs(after.monitors.butterfly or 0.0))
-                events.append(Event("blowup", before, after, after, worst,
-                                    approximate=True))
-            continue
         if kind == "fold" and problem.fold_index is None:
             raise ValueError("fold events need a designated fold_index")
         m_lo = _event_scalar(kind, before)
@@ -423,15 +416,14 @@ def detect_events(problem: ContinuationProblem, before: BranchPoint,
         if m_lo == 0.0 or np.sign(m_lo) == np.sign(m_hi):
             continue
         events.append(_refine_event(problem, kind, before, after, m_lo, m_hi,
-                                    event_tol, ds_min, newton_tol, max_newton))
+                                    newton_tol, max_newton))
     return events
 
 
 def run_branch(problem: ContinuationProblem, start: BranchPoint,
                ds0: float = 0.1, max_steps: int = 200, monitor_names=(),
                stop_at=(), bounds: Callable[[np.ndarray], bool] | None = None,
-               ds_min: float = DS_MIN, ds_max: float = DS_MAX,
-               event_tol: float = EVENT_TOL, newton_tol: float = NEWTON_TOL,
+               ds_max: float = DS_MAX, newton_tol: float = NEWTON_TOL,
                max_newton: int = MAX_NEWTON) -> BranchResult:
     """Adaptive predictor-corrector run from a converged start point.
 
@@ -442,21 +434,21 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
     """
     points = [start]
     events: list = []
-    ds = min(max(ds0, ds_min), ds_max)
+    ds = min(max(ds0, DS_MIN), ds_max)
     accepted = 0
     stopped_on = "steps"
     while accepted < max_steps:
         try:
             new_point = step(problem, points[-1], ds, newton_tol, max_newton)
         except ContinuationError:
-            if ds <= ds_min * (1.0 + 1e-12):
+            if ds <= DS_MIN * (1.0 + 1e-12):
                 stopped_on = "step-failure"
                 break
-            ds = max(0.5 * ds, ds_min)
+            ds = max(0.5 * ds, DS_MIN)
             continue
         accepted += 1
         found = detect_events(problem, points[-1], new_point, monitor_names,
-                              event_tol, ds_min, newton_tol, max_newton)
+                              newton_tol, max_newton)
         points.append(new_point)
         events.extend(found)
         if bounds is not None and not bounds(new_point.z):
@@ -472,9 +464,7 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
 
 
 def augmented_continuation_problem(template, monitors=(),
-                                   fold_parameter: int | None = None,
-                                   check_rank: bool = True,
-                                   rank_tol: float = 1e-8):
+                                   fold_parameter: int | None = None):
     """Wrap an augmented state template as a ContinuationProblem.
 
     The template must carry one more active parameter than its level
@@ -508,8 +498,7 @@ def augmented_continuation_problem(template, monitors=(),
             gu = st.problem.lap + sp.diags(f1)
             return solution_signature(gu.tocsc())
 
-    return ContinuationProblem(system, named, signature,
-                               fold_index, check_rank, rank_tol)
+    return ContinuationProblem(system, named, signature, fold_index)
 
 
 def _pde_monitor(template, name: str):

@@ -212,7 +212,7 @@ def _cause(err: ContinuationError) -> str:
 def _located(state: AugmentedState, iters: int, residual: float,
              note: str = "") -> LocatedPoint:
     """LocatedPoint of a `locate` result; residual is its re-checked norm."""
-    monitors = evaluate_monitors(state, with_butterfly=state.level == 3)
+    monitors = evaluate_monitors(state)
     return LocatedPoint(STAGES[state.level], state, residual, iters,
                         monitors, note)
 
@@ -539,12 +539,15 @@ def convergence_study(nl: Nonlinearity, sizes,
     is refined onto each next grid, each result seeding the following
     one.  With `independent` set, every grid instead runs its own hunt
     from scratch under `config`, for robustness comparison against the
-    chained protocol.  A failure truncates the table and records the
-    reason.  Distances are to the finest completed grid.
+    chained protocol.  `sizes` must increase.  A failure truncates the
+    table and records the reason.  Distances are to the finest completed
+    grid.
     """
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise ValueError("need at least one grid size")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"grid sizes must increase, got {sizes}")
     table = ConvergenceTable()
     if independent:
         if config is None:
@@ -594,17 +597,13 @@ class SliceReport:
     start: str
     count: int
     zeros: list = field(default_factory=list)
-    polyline: list = field(default_factory=list)
     stopped: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {"side": self.side, "lam3": float(self.lam3),
                 "start": self.start, "count": self.count,
                 "zeros": [[float(v) for v in z] for z in self.zeros],
-                "stopped": list(self.stopped),
-                "polyline_points": len(self.polyline),
-                "polyline": [[float(a), float(b)]
-                             for a, b in self.polyline]}
+                "stopped": list(self.stopped)}
 
 
 @dataclass
@@ -704,7 +703,6 @@ def verify_swallowtail_geometry(
             lam = np.array([z[-2], z[-1], lam3_fixed])
             return bool(np.linalg.norm(lam - lam_sw) < radius)
 
-        polyline = []
         stopped = []
         for direction in (1.0, -1.0):
             try:
@@ -715,13 +713,10 @@ def verify_swallowtail_geometry(
                 raise GeometryError(
                     f"{side_name}-side fold line lost: {err}") from err
             stopped.append(run.stopped_on)
-            polyline.extend((float(p.z[-2]), float(p.z[-1]))
-                            for p in run.points)
             zeros.extend(tuple(e.point.z[-2:])
                          for e in _clean(run.events, "cusp"))
         distinct = _dedup_zeros(zeros)
         report.slices.append(SliceReport(side_name, lam3_here, start_kind,
-                                         len(distinct), distinct, polyline,
-                                         stopped))
+                                         len(distinct), distinct, stopped))
     report.counts = tuple(s.count for s in report.slices)
     return report

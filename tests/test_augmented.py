@@ -10,7 +10,6 @@ import scipy.sparse as sp
 from aseries.augmented import (
     DEGENERATE,
     AugmentedState,
-    MonitorRecord,
     Problem,
     RankOneUpdate,
     SingularAuxiliaryError,
@@ -20,7 +19,6 @@ from aseries.augmented import (
     f1_residual_jacobian,
     f2_residual_jacobian,
     f3_residual_jacobian,
-    flag_blowup,
     rank_one_solve,
     residual_jacobian,
     solution_signature,
@@ -290,30 +288,14 @@ class TestHigherMonitors:
         st = eigen_fold_state(Grid(3, 3), PolynomialNonlinearity(tail=(0.6,)),
                               lam2=0.2, lam3=0.1)
         _, v = solve_v(st)
-        rec = evaluate_monitors(st, with_butterfly=True, fold_direction=0.5)
-        assert rec.fold_direction == 0.5
+        top = replace(st, level=3, vbar=np.zeros(st.u.size))
+        rec = evaluate_monitors(top)
+        assert rec.fold_direction == 0.0
         assert rec.cusp == cusp_monitor(st)
         assert rec.swallowtail == swallowtail_monitor(st, v)
         assert rec.butterfly == butterfly_monitor(st, v)
-        assert not rec.blowup_flag
-        plain = evaluate_monitors(st)
-        assert plain.butterfly is None
-
-
-class TestBlowupFlag:
-    def test_absolute_threshold(self):
-        rec = MonitorRecord(0.1, cusp=2e9, swallowtail=1.0)
-        assert flag_blowup(rec, None).blowup_flag
-
-    def test_ratio_threshold(self):
-        prev = MonitorRecord(0.1, cusp=1e-3, swallowtail=2.0)
-        cur = MonitorRecord(0.1, cusp=0.5, swallowtail=2.0)
-        assert flag_blowup(cur, prev).blowup_flag
-
-    def test_calm_sequence(self):
-        prev = MonitorRecord(0.1, cusp=1e-3, swallowtail=2.0)
-        cur = MonitorRecord(0.1, cusp=1.2e-3, swallowtail=2.5)
-        assert not flag_blowup(cur, prev).blowup_flag
+        assert st.level == 1
+        assert evaluate_monitors(st).butterfly is None
 
 
 CASES = [

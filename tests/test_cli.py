@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from aseries.augmented import AugmentedState, Problem, residual_jacobian
-from aseries.cli import CSV_COLUMNS, load_tensor_file, main, read_config
+from aseries.cli import (
+    CSV_COLUMNS,
+    HUNT_CMD_OPTIONS,
+    _hunt_config,
+    _resolve,
+    build_parser,
+    load_tensor_file,
+    main,
+    read_config,
+)
 from aseries.harness import HuntConfig, hunt_swallowtail
 from aseries.poisson import ExpSineNonlinearity, Grid, load_grid_function
 
@@ -130,6 +139,29 @@ class TestContinue:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["0", "-0", "nan", "inf"])
+    def test_direction_must_be_nonzero_number(self, tmp_path, capsys, value):
+        out = tmp_path / "x.csv"
+        rc = main(["continue", "--problem", "bratu", "--grid", "6x6",
+                   "--level", "0", "--active", "l1", f"--direction={value}",
+                   "--out", str(out)])
+        assert rc == 2
+        message = f"--direction must be a nonzero number, got {float(value)}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert not (tmp_path / "x.events.json").exists()
+
+    def test_stop_at_undetected_kind(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["continue", "--problem", "bratu", "--grid", "6x6",
+                   "--level", "1", "--active", "l1,l2",
+                   "--stop-at", "blowup", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --stop-at 'blowup' is not detected by this run "
+            "(have: cusp)\n")
+        assert not out.exists()
+
     def test_fold_line_from_saved_state(self, tmp_path, hunt_dir, hunt_doc):
         fold = next(p for p in hunt_doc["chain"] if p["kind"] == "fold")
         lam = ",".join(format(v, ".17g") for v in fold["lam"])
@@ -150,6 +182,12 @@ class TestContinue:
 
 
 class TestHunt:
+    def test_option_defaults_are_hunt_config_defaults(self):
+        args = build_parser().parse_args(
+            ["hunt", "--problem", "bratu", "--grid", "6"])
+        opts = _resolve(args, {}, HUNT_CMD_OPTIONS)
+        assert _hunt_config(opts) == HuntConfig()
+
     def test_report_and_states(self, hunt_dir, hunt_doc):
         assert hunt_doc["stage_reached"] == "swallowtail"
         kinds = [p["kind"] for p in hunt_doc["chain"]]
@@ -230,6 +268,16 @@ def test_step_controls_checked(tmp_path, capsys, command, flag, value,
 
 
 class TestConverge:
+    @pytest.mark.parametrize("grids", ["5,4,3", "4,4"])
+    def test_grid_list_must_increase(self, tmp_path, capsys, grids):
+        out = tmp_path / "conv.json"
+        rc = main(["converge", "--problem", "polynomial", "--tail", "1",
+                   "--direct", "--grids", grids, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --grids: grid sizes must increase, got {grids!r}\n")
+        assert not out.exists()
+
     def test_seeded_by_report(self, tmp_path, hunt_dir, hunt_doc):
         out = tmp_path / "conv.json"
         rc = main(["converge", "--problem", "bratu", "--grids", "10,15",

@@ -207,17 +207,6 @@ class TestEvents:
         assert res.stopped_on == "event:fold"
         assert res.events[0].kind == "fold"
 
-    def test_blowup_reported_unrefined(self):
-        a = BranchPoint(np.zeros(2), 0.0, np.array([1.0, 0.0]),
-                        MonitorRecord(cusp=1e-3), 1, 2)
-        b = BranchPoint(np.ones(2), 0.5, np.array([1.0, 0.0]),
-                        MonitorRecord(cusp=0.5, blowup_flag=True), 1, 2)
-        events = detect_events(circle_problem(), a, b, ("blowup",))
-        assert len(events) == 1
-        assert events[0].kind == "blowup"
-        assert events[0].approximate
-        assert events[0].point is b
-
     def test_fold_events_need_fold_index(self):
         lin = ContinuationProblem(lambda z: (np.array([z[0] - z[1]]),
                                              np.array([[1.0, -1.0]])))

@@ -1,4 +1,5 @@
-"""Source style: lines fit in 79 columns and every imported name is used."""
+"""Source style: lines fit in 79 columns, every imported name is used and
+every module-level private name is read in its module."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,35 @@ def unused_imports(source: str) -> list:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
+
+
+def unused_private_names(source: str) -> list:
+    """Module-level names with one leading underscore never read there.
+
+    Functions, classes and assignment targets count; dunders such as
+    __version__ do not.
+    """
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [leaf.id for target in targets
+                     for leaf in ast.walk(target)
+                     if isinstance(leaf, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name not in read)
 
 
 def test_sources_found():
@@ -55,3 +85,27 @@ def test_scan_catches_unused_and_spares_used():
               "class A:\n"
               "    b: int = 0\n")
     assert unused_imports(source) == [(3, "field")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    unread = unused_private_names(path.read_text(encoding="utf-8"))
+    assert not unread, f"{path.name}: private names never read " \
+                       f"(line, name): {unread}"
+
+
+def test_private_scan_catches_unread_and_spares_read():
+    source = ("__version__ = '1'\n"
+              "_LIMIT = 3\n"
+              "_stale: int = 0\n"
+              "public = 1\n"
+              "def _helper():\n"
+              "    return _LIMIT\n"
+              "def _orphan():\n"
+              "    _local = 2\n"
+              "    return _local\n"
+              "class _Unused:\n"
+              "    pass\n"
+              "print(_helper())\n")
+    assert unused_private_names(source) == [(3, "_stale"), (7, "_orphan"),
+                                            (10, "_Unused")]
