@@ -241,6 +241,8 @@ def _check_step_controls(values) -> None:
         if not values[key] > 0:
             raise UsageError(f"--{key.replace('_', '-')} must be positive, "
                              f"got {values[key]}")
+    if not np.isfinite(values["tol"]):
+        raise UsageError(f"--tol must be finite, got {values['tol']}")
     if values["max_steps"] < 0:
         raise UsageError("--max-steps must be >= 0")
     if values["max_newton"] < 1:
@@ -279,7 +281,7 @@ SOLVER_OPTIONS = (
            help="Newton tolerance (infinity norm)"),
     Option("max-newton", _parse_int, default=MAX_NEWTON,
            help="Newton iteration cap"),
-    Option("seed", _parse_int, default=0,
+    Option("seed", _parse_int, default=HuntConfig.seed,
            help="seed for the kernel-vector guess"),
 )
 HUNT_OPTIONS = (
@@ -463,9 +465,7 @@ def cmd_continue(opts: dict) -> int:
     fold_parameter = active[0] if level == 0 else None
     wrapper = augmented_continuation_problem(template, monitors=monitors,
                                              fold_parameter=fold_parameter)
-    orient = np.zeros(template.dimension)
-    orient[-1] = opts["direction"]
-    start = initial_point(wrapper, template.pack(), orient_vector=orient,
+    start = initial_point(wrapper, template.pack(), opts["direction"],
                           newton_tol=opts["tol"],
                           max_newton=opts["max_newton"])
     names = (("fold",) if level == 0 else ()) + monitors
@@ -504,6 +504,9 @@ def _hunt_config(opts: dict) -> HuntConfig:
     if opts["lam2_direction"] not in (1, -1) or \
             opts["lam3_direction"] not in (1, -1):
         raise UsageError("search directions must be +1 or -1")
+    if not all(width > 0 for width in opts["stage3_window"]):
+        raise UsageError(f"--stage3-window widths must be positive, "
+                         f"got {opts['stage3_window']}")
     return HuntConfig(
         seed=opts["seed"], lam0=tuple(opts["lam0"]), ds0=opts["ds0"],
         ds_max=opts["ds_max"], max_steps=opts["max_steps"],
@@ -810,7 +813,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
+        print(f"numerical failure: {type(err).__name__}: {err}",
+              file=sys.stderr)
         return 1
 
 

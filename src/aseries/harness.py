@@ -291,9 +291,7 @@ def trace_line(state: AugmentedState, level: int, direction: float,
         wrapper = augmented_continuation_problem(template, fold_parameter=0)
     else:
         wrapper = augmented_continuation_problem(template, monitors=(watch,))
-    orient = np.zeros(template.dimension)
-    orient[-1] = direction
-    start = initial_point(wrapper, template.pack(), orient_vector=orient,
+    start = initial_point(wrapper, template.pack(), direction,
                           newton_tol=tol, max_newton=max_newton)
     return template, run_branch(wrapper, start, ds0=ds0, ds_max=ds_max,
                                 max_steps=max_steps, monitor_names=(watch,),

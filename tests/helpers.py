@@ -222,6 +222,38 @@ def dense_rank_check(jac, rank_tol: float = 1e-8) -> None:
             f"smallest singular value {sing[-1]:.3e} at an accepted point")
 
 
+def dense_tangent(jac, previous=None, rank_tol: float = 1e-8) -> np.ndarray:
+    """Unit null vector of an n x (n+1) Jacobian by dense algebra.
+
+    Solves the bordered system [jac; row] t = e_last by dense LU, where
+    row is the previous tangent or, when None, the last unit vector.
+    When that matrix is singular it falls back to the SVD null vector,
+    and raises RankDeficientError if sigma_min < rank_tol *
+    max(sigma_max, 1).  The library's sparse tangent must agree with it
+    on full-rank matrices, and an accepted point (tangent, then rank
+    check) must reject every matrix it rejects.
+    """
+    dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, float)
+    rhs = np.zeros(dense.shape[1])
+    rhs[-1] = 1.0
+    row = rhs if previous is None else np.asarray(previous, dtype=float)
+    try:
+        sol = np.linalg.solve(np.vstack([dense, row[None, :]]), rhs)
+        if not np.all(np.isfinite(sol)) or np.linalg.norm(sol) == 0.0:
+            sol = None
+    except np.linalg.LinAlgError:
+        sol = None
+    if sol is None:
+        _, sing, vt = np.linalg.svd(dense)
+        if sing[-1] < rank_tol * max(sing[0], 1.0):
+            raise RankDeficientError("extended Jacobian is rank deficient")
+        sol = vt[-1]
+    t = sol / np.linalg.norm(sol)
+    if row @ t < 0.0:
+        t = -t
+    return t
+
+
 def dense_newton_step(jac, res: np.ndarray) -> np.ndarray:
     """Newton step of a (possibly bordered) Jacobian by dense LU."""
     return np.linalg.solve(jac.toarray(), res)

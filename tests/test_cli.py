@@ -151,6 +151,19 @@ class TestContinue:
         assert not out.exists()
         assert not (tmp_path / "x.events.json").exists()
 
+    def test_numerical_failure_names_its_class(self, tmp_path, capsys):
+        # the lam2 column vanishes at u = 0, so the start's Newton matrix
+        # is singular
+        out = tmp_path / "x.csv"
+        rc = main(["continue", "--problem", "bratu", "--grid", "8x8",
+                   "--level", "1", "--active", "l1,l2", "--lam", "8,0,0",
+                   "--monitors", "cusp", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "numerical failure: SingularJacobianError: "
+            "Factor is exactly singular\n")
+        assert not out.exists()
+
     def test_stop_at_undetected_kind(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = main(["continue", "--problem", "bratu", "--grid", "6x6",
@@ -187,6 +200,26 @@ class TestHunt:
             ["hunt", "--problem", "bratu", "--grid", "6"])
         opts = _resolve(args, {}, HUNT_CMD_OPTIONS)
         assert _hunt_config(opts) == HuntConfig()
+
+    @pytest.mark.parametrize("command", ["hunt", "converge"])
+    @pytest.mark.parametrize("widths", ["0,0,0", "3,nan,2.5", "3,-0.1,2.5"])
+    def test_stage3_window_must_be_positive(self, tmp_path, capsys, command,
+                                            widths):
+        out = tmp_path / "out.json"
+        rc = main([command, *STEP_COMMANDS[command],
+                   "--stage3-window", widths, "--out", str(out)])
+        assert rc == 2
+        shown = tuple(float(w) for w in widths.split(","))
+        assert capsys.readouterr().err == (
+            f"error: --stage3-window widths must be positive, got {shown}\n")
+        assert not out.exists()
+
+    def test_infinite_stage3_window_allowed(self):
+        args = build_parser().parse_args(
+            ["hunt", "--problem", "bratu", "--grid", "6",
+             "--stage3-window", "inf,0.25,inf"])
+        config = _hunt_config(_resolve(args, {}, HUNT_CMD_OPTIONS))
+        assert config.stage3_window == (np.inf, 0.25, np.inf)
 
     def test_report_and_states(self, hunt_dir, hunt_doc):
         assert hunt_doc["stage_reached"] == "swallowtail"
@@ -251,6 +284,7 @@ STEP_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(STEP_COMMANDS))
 @pytest.mark.parametrize("flag,value,message", [
     ("--tol", "0", "--tol must be positive, got 0.0"),
+    ("--tol", "inf", "--tol must be finite, got inf"),
     ("--ds0", "-1e-3", "--ds0 must be positive, got -0.001"),
     ("--ds-max", "0", "--ds-max must be positive, got 0.0"),
     ("--bounds", "-5", "--bounds must be positive, got -5.0"),

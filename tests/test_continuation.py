@@ -33,22 +33,22 @@ from aseries.continuation import (
 from aseries.harness import locate, seed_kernel_vector
 from aseries.poisson import ExpSineNonlinearity, Grid, PolynomialNonlinearity
 from aseries.augmented import residual_jacobian
-from helpers import dense_rank_check
+from helpers import dense_rank_check, dense_tangent
 
 
 def circle_problem():
-    """Unit circle with the first coordinate as the fold parameter."""
+    """Unit circle z = (y, x) with the last coordinate x as the fold
+    parameter."""
     return ContinuationProblem(
         system=lambda z: (np.array([z[0] ** 2 + z[1] ** 2 - 1.0]),
                           np.array([[2.0 * z[0], 2.0 * z[1]]])),
-        monitors={"cusp": lambda z: z[1] - 0.5},
-        fold_index=0,
+        monitors={"cusp": lambda z: z[0] - 0.5},
+        fold_index=1,
     )
 
 
 def circle_start():
-    return initial_point(circle_problem(), np.array([0.0, -1.0]),
-                         orient_index=0)
+    return initial_point(circle_problem(), np.array([-1.0, 0.0]))
 
 
 class TestNewton:
@@ -119,15 +119,14 @@ class TestTangent:
         with pytest.raises(RankDeficientError):
             tangent(np.array([[0.0, 0.0]]))
 
-    def test_fallback_honours_rank_tol(self):
-        # the bordering row repeats the first row, so the bordered solve
-        # fails and the SVD fallback decides with the given tolerance
+    def test_singular_border_raises(self):
+        # the bordering row repeats the first row, so the bordered matrix
+        # is singular although jac keeps full row rank
         jac = np.array([[1.0, 0.0, 0.0], [0.0, 1e-5, 0.0]])
         prev = np.array([1.0, 0.0, 0.0])
-        t = tangent(jac, previous=prev)
-        assert np.allclose(np.abs(t), [0.0, 0.0, 1.0])
-        with pytest.raises(RankDeficientError):
-            tangent(jac, previous=prev, rank_tol=1e-3)
+        with pytest.raises(RankDeficientError,
+                           match="bordered tangent matrix is singular"):
+            tangent(jac, previous=prev)
 
     def test_fold_parameter_component_vanishes_at_fold(self):
         # circle at (1, 0): the z0 component of the tangent is zero
@@ -137,22 +136,20 @@ class TestTangent:
 
 
 class TestStep:
-    def test_rank_tol_reaches_tangent(self):
-        # check_rank is off, so only the tangent's SVD fallback can see
-        # the small singular value; it must use the problem's rank_tol
+    def test_rank_tol_reaches_rank_check(self):
+        # sigma_min(J) = 1e-5 passes at rank_tol 1e-8 and is rejected at
+        # 1e-3 by the rank check of every accepted point
         jac = np.array([[1.0, 0.0, 0.0], [0.0, 1e-5, 0.0]])
-        loose = ContinuationProblem(lambda z: (jac @ z, jac),
-                                    check_rank=False)
-        strict = ContinuationProblem(lambda z: (jac @ z, jac),
-                                     check_rank=False, rank_tol=1e-3)
-        p0 = initial_point(loose, np.zeros(3), orient_index=0)
-        assert np.allclose(np.abs(p0.tangent), [0.0, 0.0, 1.0])
-        with pytest.raises(RankDeficientError):
-            initial_point(strict, np.zeros(3), orient_index=0)
-        point = BranchPoint(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]),
+        loose = ContinuationProblem(lambda z: (jac @ z, jac))
+        strict = ContinuationProblem(lambda z: (jac @ z, jac), rank_tol=1e-3)
+        p0 = initial_point(loose, np.zeros(3))
+        assert np.allclose(p0.tangent, [0.0, 0.0, 1.0])
+        with pytest.raises(RankDeficientError, match="singular value"):
+            initial_point(strict, np.zeros(3))
+        point = BranchPoint(np.zeros(3), 0.0, np.array([0.0, 0.0, 1.0]),
                             MonitorRecord(), 0, 0)
         step(loose, point, 0.0)
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(RankDeficientError, match="singular value"):
             step(strict, point, 0.0)
 
     def test_linear_problem_exact(self):
@@ -194,11 +191,11 @@ class TestEvents:
         assert folds and cusps
         for e in folds:
             assert not e.approximate
-            assert abs(e.point.z[0]) == pytest.approx(1.0, abs=1e-7)
+            assert abs(e.point.z[1]) == pytest.approx(1.0, abs=1e-7)
             assert abs(e.monitor_value) < 1e-8
         for e in cusps:
             assert not e.approximate
-            assert e.point.z[1] == pytest.approx(0.5, abs=1e-8)
+            assert e.point.z[0] == pytest.approx(0.5, abs=1e-8)
 
     def test_stop_at_event(self):
         res = run_branch(circle_problem(), circle_start(), ds0=0.3,
@@ -225,9 +222,9 @@ class TestRunBranch:
 
     def test_bounds_stop(self):
         res = run_branch(circle_problem(), circle_start(), ds0=0.3,
-                         max_steps=40, bounds=lambda z: z[1] < 0.9)
+                         max_steps=40, bounds=lambda z: z[0] < 0.9)
         assert res.stopped_on == "bounds"
-        assert res.points[-1].z[1] >= 0.9
+        assert res.points[-1].z[0] >= 0.9
 
     def test_recovers_from_oversized_step(self):
         # ds = 3 pins the corrector to a plane missing the circle;
@@ -272,7 +269,7 @@ def branch():
     tmpl = AugmentedState(prob, 0, np.zeros(grid.size), np.zeros(3),
                           active=(0,))
     cp = augmented_continuation_problem(tmpl, fold_parameter=0)
-    start = initial_point(cp, tmpl.pack(), orient_index=grid.size)
+    start = initial_point(cp, tmpl.pack())
     return cp, tmpl, start
 
 
@@ -455,6 +452,72 @@ class TestRankCheckOracle:
         continuation._check_rank(ContinuationProblem(lambda z: None), jac)
 
 
+class TestTangentOracle:
+    """The sparse bordered tangent against the dense tangent with its
+    SVD fallback."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_full_rank_agrees(self, sparse):
+        rng = np.random.default_rng(7)
+        for n in range(1, 31):
+            sigma = rng.uniform(1.0, 10.0, n)
+            jac = jacobian_with_singular_values(sigma, n, sparse)
+            assert sp.issparse(jac) == sparse
+            for previous in (None, rng.standard_normal(n + 1)):
+                expected = dense_tangent(jac, previous)
+                found = tangent(jac, previous)
+                assert np.max(np.abs(found - expected)) < 1e-12
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_singular_border_rejected_like_the_oracle(self, sparse):
+        # J has a zero row and is bordered with another of its rows, so
+        # the bordered matrix is exactly singular and J has lost rank
+        for n in range(2, 31):
+            jac, row = _deficient(n, sparse, "zero row")
+            assert _rejects(dense_tangent, jac, previous=row)
+            assert _rejects(tangent, jac, previous=row)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_accepted_point_rejects_what_the_oracle_rejects(self, sparse):
+        # dense and sparse LU may or may not meet an exact zero pivot
+        # here, so only some of these reach the oracle's SVD and only
+        # some fail the sparse tangent; the rank check that follows the
+        # tangent in step and initial_point rejects every one
+        oracle_rejected = 0
+        for n in range(2, 31):
+            for kind in ("equal rows", "zero singular value"):
+                jac, row = _deficient(n, sparse, kind)
+                oracle_rejected += _rejects(dense_tangent, jac, previous=row)
+                assert _rejects(_tangent_and_rank_check, jac, previous=row)
+        assert oracle_rejected > 0
+
+
+def _deficient(n: int, sparse: bool, kind: str):
+    """Rank-deficient n x (n+1) Jacobian and the row of it to border with.
+
+    kind "zero row" zeroes the last row, "equal rows" copies the first
+    row into the last, "zero singular value" sets sigma[n // 2] = 0; the
+    border is row n // 3 of the result.
+    """
+    sigma = np.linspace(5.0, 1.0, n)
+    if kind == "zero singular value":
+        sigma[n // 2] = 0.0
+    jac = jacobian_with_singular_values(sigma, n, sparse)
+    if kind != "zero singular value":
+        select = sp.eye(n, format="lil")
+        select[n - 1, n - 1] = 0.0
+        if kind == "equal rows":
+            select[n - 1, 0] = 1.0
+        jac = select.tocsr() @ jac
+    assert sp.issparse(jac) == sparse
+    return jac, sp.csr_matrix(jac)[n // 3].toarray().ravel()
+
+
+def _tangent_and_rank_check(jac, previous) -> None:
+    """The verdict of an accepted point: tangent, then the rank check."""
+    sparse_rank_check(jac, null=tangent(jac, previous))
+
+
 def test_signature_only_on_solution_branches(branch):
     """On a fold line G_u is singular, so the sign of det G_u is undefined.
 
@@ -472,8 +535,7 @@ def test_signature_only_on_solution_branches(branch):
                           alpha=fold.alpha, active=(0, 1))
     wrapper = augmented_continuation_problem(line)
     assert cp.signature is not None and wrapper.signature is None
-    start1 = initial_point(wrapper, line.pack(),
-                           orient_vector=np.eye(line.dimension)[-1])
+    start1 = initial_point(wrapper, line.pack())
     run = run_branch(wrapper, start1, ds0=0.1, max_steps=15)
     assert len(run.points) == 16
     for point in run.points:

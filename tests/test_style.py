@@ -1,5 +1,6 @@
-"""Source style: lines fit in 79 columns, every imported name is used and
-every module-level private name is read in its module."""
+"""Source style: lines fit in 79 columns, every imported name is used,
+every module-level private name is read in its module, and the
+continuation layer makes no dense linear-algebra call."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,9 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parent.parent
                   / "src" / "aseries").glob("*.py"))
 MAX_COLUMNS = 79
+#: Dense calls the sparse-only continuation layer must not make.
+DENSE_CALLS = {"np.linalg.solve", "np.linalg.svd", "np.vstack"}
+DENSE_METHODS = {"toarray", "todense"}
 
 
 def unused_imports(source: str) -> list:
@@ -54,6 +58,18 @@ def unused_private_names(source: str) -> list:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in defined.items()
                   if name not in read)
+
+
+def dense_calls(source: str) -> list:
+    """Calls of dense solves, SVDs, stacks or densifying conversions."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func)
+            if name in DENSE_CALLS or node.func.attr in DENSE_METHODS:
+                found.append((node.lineno, name))
+    return sorted(found)
 
 
 def test_sources_found():
@@ -109,3 +125,23 @@ def test_private_scan_catches_unread_and_spares_read():
               "print(_helper())\n")
     assert unused_private_names(source) == [(3, "_stale"), (7, "_orphan"),
                                             (10, "_Unused")]
+
+
+def test_continuation_is_sparse_only():
+    path = SOURCES[0].parent / "continuation.py"
+    dense = dense_calls(path.read_text(encoding="utf-8"))
+    assert not dense, f"continuation.py: dense calls (line, name): {dense}"
+
+
+def test_dense_scan_catches_dense_calls_and_spares_norm():
+    source = ("import numpy as np\n"
+              "x = np.linalg.solve(a, b)\n"
+              "u, s, vt = np.linalg.svd(a)\n"
+              "n = np.linalg.norm(x)\n"
+              "m = np.vstack([a, b])\n"
+              "d = jac.toarray()\n"
+              "e = jac.T.todense()\n"
+              "f = sp.vstack([a, b])\n")
+    assert dense_calls(source) == [(2, "np.linalg.solve"),
+                                   (3, "np.linalg.svd"), (5, "np.vstack"),
+                                   (6, "jac.toarray"), (7, "jac.T.todense")]
