@@ -13,6 +13,7 @@ with r^(n+1)(0) != 0 identifies a singularity of type A_n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -35,43 +36,28 @@ class InsufficientJetError(ClassifierError):
     """A test value was requested beyond the supplied jet of F."""
 
 
-class DerivativeOracle:
-    """Base interface: symmetric multilinear forms of a functional at 0.
+class DerivativeOracle(Protocol):
+    """Interface: symmetric multilinear forms of a functional at 0.
 
-    Subclasses must set `dimension` and `max_order` and implement
-    `contract(k, v_1, ..., v_k)`.  `contract_free(k, v_1, ..., v_{k-1})`
-    returns the vector of contractions with one slot left open; the
-    generic implementation loops over basis vectors, concrete oracles
-    may override it with something cheaper.
+    An oracle has a `dimension` and a highest order `max_order`.
+    `contract(k, v_1, ..., v_k)` is the k-th form on k vectors,
+    `contract_free(k, v_1, ..., v_{k-1})` the vector of contractions
+    with one slot left open, and `hessian()` the dense symmetric second
+    form.  `TensorOracle` and `poisson.PoissonOracle` implement it; the
+    protocol holds no code of its own.
     """
 
     dimension: int
     max_order: int
 
-    def contract(self, k: int, *vectors) -> float:
-        raise NotImplementedError
+    def contract(self, k: int, *vectors) -> float: ...
 
-    def contract_free(self, k: int, *vectors) -> np.ndarray:
-        if len(vectors) != k - 1:
-            raise ValueError(f"contract_free({k}) needs {k - 1} vectors")
-        m = self.dimension
-        out = np.empty(m)
-        basis = np.eye(m)
-        for i in range(m):
-            out[i] = self.contract(k, basis[i], *vectors)
-        return out
+    def contract_free(self, k: int, *vectors) -> np.ndarray: ...
 
-    def hessian(self) -> np.ndarray:
-        """Dense Hessian assembled from contract(2, ., .)."""
-        m = self.dimension
-        h = np.empty((m, m))
-        basis = np.eye(m)
-        for i in range(m):
-            h[i] = self.contract_free(2, basis[i])
-        return 0.5 * (h + h.T)
+    def hessian(self) -> np.ndarray: ...
 
 
-class TensorOracle(DerivativeOracle):
+class TensorOracle:
     """Oracle backed by dense symmetric tensors T_k of shape (m,)*k.
 
     `tensors[k-1]` holds D^(k)S(0); a leading scalar for k=0 is not

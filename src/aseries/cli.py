@@ -140,17 +140,6 @@ def _parse_active(text: str) -> tuple:
     return tuple(indices)
 
 
-def _parse_fixed(text: str) -> dict:
-    fixed = {}
-    for item in (p for p in text.split(",") if p.strip()):
-        name, sep, value = item.partition("=")
-        name = name.strip().lower()
-        if not sep or name not in LAM_NAMES:
-            raise UsageError(f"fixed values look like l3=0.5, got {item!r}")
-        fixed[LAM_NAMES[name]] = _parse_float(value)
-    return fixed
-
-
 def _parse_sizes(text: str) -> tuple:
     text = text.strip()
     if ":" in text:
@@ -238,11 +227,11 @@ def _resolve(args, config: dict, options) -> dict:
 def _check_step_controls(values) -> None:
     """Step-control checks shared by `continue`, `hunt` and `converge`."""
     for key in ("tol", "ds0", "ds_max", "bounds"):
+        flag = "--" + key.replace("_", "-")
         if not values[key] > 0:
-            raise UsageError(f"--{key.replace('_', '-')} must be positive, "
-                             f"got {values[key]}")
-    if not np.isfinite(values["tol"]):
-        raise UsageError(f"--tol must be finite, got {values['tol']}")
+            raise UsageError(f"{flag} must be positive, got {values[key]}")
+        if key != "bounds" and not np.isfinite(values[key]):
+            raise UsageError(f"{flag} must be finite, got {values[key]}")
     if values["max_steps"] < 0:
         raise UsageError("--max-steps must be >= 0")
     if values["max_newton"] < 1:
@@ -315,8 +304,6 @@ CONTINUE_OPTIONS = PROBLEM_OPTIONS + (
            help="active parameters, e.g. l1,l2 (level + 1 of them)"),
     Option("lam", _parse_triple, default=(0.0, 0.0, 0.0),
            help="full parameter triple; inactive entries stay fixed"),
-    Option("fixed", _parse_fixed, default={},
-           help="overrides for inactive parameters, e.g. l3=0.5"),
     Option("u0", _parse_str, help="grid-function file for the starting u"),
     Option("alpha0", _parse_str,
            help="grid-function file for the starting kernel vector"),
@@ -356,8 +343,6 @@ CONVERGE_OPTIONS = PROBLEM_OPTIONS + (
            help="hunt every grid from scratch instead of chaining"),
     Option("out", _parse_str, default="convergence.json",
            help="table JSON path"),
-    Option("csv", _parse_str,
-           help="spacing/distance CSV path (default: out with .csv)"),
 ) + HUNT_OPTIONS + SOLVER_OPTIONS
 
 CLASSIFY_OPTIONS = (
@@ -438,10 +423,6 @@ def cmd_continue(opts: dict) -> int:
     grid = Grid(*opts["grid"])
     level, active = opts["level"], opts["active"]
     lam = np.asarray(opts["lam"], dtype=float)
-    for idx, value in opts["fixed"].items():
-        if idx in active:
-            raise UsageError(f"l{idx + 1} is active; cannot also fix it")
-        lam[idx] = value
     monitors = opts["monitors"]
     if monitors is None:
         monitors = {1: ("cusp",), 2: ("swallowtail",)}.get(level, ())
@@ -642,19 +623,13 @@ def cmd_converge(opts: dict) -> int:
                       file=sys.stderr)
                 return 1
             seed_state = report.swallowtail.state
-    table = convergence_study(nl, sizes, seed_state, tol=opts["tol"],
-                              max_newton=opts["max_newton"],
+    table = convergence_study(nl, sizes, seed_state,
                               independent=independent, config=config)
     doc = {"problem": opts["problem"], "grids": [int(s) for s in sizes],
            "seed": opts["seed"], **table.to_dict()}
     with open(opts["out"], "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    csv_path = opts["csv"] or os.path.splitext(opts["out"])[0] + ".csv"
-    with open(csv_path, "w") as fh:
-        fh.write("dx,distance\n")
-        for spacing, distance in table.deltas:
-            fh.write(f"{_g(spacing)},{_g(distance)}\n")
     for row in table.rows:
         lam = ", ".join(f"{v:.8g}" for v in row.lam)
         print(f"  N = {row.n:<4d} lam = ({lam})  distance = "

@@ -170,8 +170,6 @@ class Event:
     """A detected sign change with its refined location."""
 
     kind: str
-    before: BranchPoint
-    after: BranchPoint
     point: BranchPoint
     monitor_value: float
     approximate: bool = False
@@ -374,7 +372,7 @@ def _refine_event(problem, kind, before, after, m_lo, m_hi, newton_tol,
             d_hi, m_hi = d_trial, m_trial
             side = min(side, 0) - 1
     approximate = not abs(best_m) < EVENT_TOL * scale
-    return Event(kind, before, after, best, best_m, approximate)
+    return Event(kind, best, best_m, approximate)
 
 
 def detect_events(problem: ContinuationProblem, before: BranchPoint,
@@ -408,8 +406,12 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
     Halves the step on corrector failure, grows it by GROW_FACTOR after
     fast convergence, and stops on the step budget, a bounds violation,
     a step failure at the minimal step, or an event whose kind appears
-    in stop_at.
+    in stop_at.  ds0 and ds_max must be positive and finite.
     """
+    for name, value in (("ds0", ds0), ("ds_max", ds_max)):
+        if not (value > 0 and np.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value}")
     points = [start]
     events: list = []
     ds = min(max(ds0, DS_MIN), ds_max)

@@ -24,7 +24,6 @@ from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
 from .bell import bell_value
-from .classifier import DerivativeOracle
 
 #: Evaluations closer than this to the 1 + lam2*t pole raise PoleError.
 POLE_GUARD = 1e-8
@@ -341,8 +340,10 @@ def discrete_functional(u: np.ndarray, lam, nl: Nonlinearity, grid: Grid,
             + float(np.sum(nl.antiderivative(u, lam))))
 
 
-class PoissonOracle(DerivativeOracle):
+class PoissonOracle:
     """Derivative oracle of the discrete functional at a given state.
+
+    Implements the `classifier.DerivativeOracle` protocol.
 
     contract(1, v) = G . v, contract(2, a, b) = a^T G_u b, and for k >= 3
     the forms are diagonal: contract(k, v_1..v_k) =

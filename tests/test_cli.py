@@ -133,12 +133,6 @@ class TestContinue:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_fixed_conflicts_with_active(self, tmp_path):
-        rc = main(["continue", "--problem", "bratu", "--grid", "6x6",
-                   "--level", "0", "--active", "l1", "--fixed", "l1=2",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-
     @pytest.mark.parametrize("value", ["0", "-0", "nan", "inf"])
     def test_direction_must_be_nonzero_number(self, tmp_path, capsys, value):
         out = tmp_path / "x.csv"
@@ -287,6 +281,8 @@ STEP_COMMANDS = {
     ("--tol", "inf", "--tol must be finite, got inf"),
     ("--ds0", "-1e-3", "--ds0 must be positive, got -0.001"),
     ("--ds-max", "0", "--ds-max must be positive, got 0.0"),
+    ("--ds0", "inf", "--ds0 must be finite, got inf"),
+    ("--ds-max", "inf", "--ds-max must be finite, got inf"),
     ("--bounds", "-5", "--bounds must be positive, got -5.0"),
     ("--max-steps", "-1", "--max-steps must be >= 0"),
     ("--max-newton", "0", "--max-newton must be >= 1"),
@@ -323,10 +319,25 @@ class TestConverge:
         assert [r["N"] for r in doc["rows"]] == [10, 15]
         assert doc["rows"][0]["lam"] == hunt_doc["chain"][-1]["lam"]
         assert doc["rows"][0]["distance"] > doc["rows"][1]["distance"] == 0.0
-        lines = (tmp_path / "conv.csv").read_text().splitlines()
+        plot = tmp_path / "conv.csv"
+        assert main(["export-plot", "--report", str(out),
+                     "--out", str(plot)]) == 0
+        lines = plot.read_text().splitlines()
         assert lines[0] == "dx,distance"
         assert float(lines[1].split(",")[0]) == pytest.approx(1.0 / 11.0)
         assert float(lines[2].split(",")[0]) == pytest.approx(1.0 / 16.0)
+
+    def test_seeds_by_hunting_the_coarsest_grid(self, tmp_path, capsys):
+        out = tmp_path / "conv.json"
+        args = ["converge", "--problem", "polynomial", "--tail", "1",
+                "--grids", "1,3", "--out", str(out)]
+        assert main([*args, "--direct"]) == 0
+        with open(out) as fh:
+            assert [r["N"] for r in json.load(fh)["rows"]] == [1, 3]
+        # the staged hunt's solution branch on one cell has no fold
+        assert main(args) == 1
+        assert "seeding hunt on 1x1 reached solution" in \
+            capsys.readouterr().err
 
     def test_seed_grid_mismatch(self, tmp_path, hunt_dir, capsys):
         rc = main(["converge", "--problem", "bratu", "--grids", "15,20",
@@ -418,6 +429,7 @@ class TestExportPlot:
         lines = out.read_text().splitlines()
         assert lines[0] == "dx,distance"
         assert float(lines[1].split(",")[0]) == pytest.approx(1.0 / 11.0)
+        assert [float(line.split(",")[1]) for line in lines[1:]] == [0.5, 0.0]
 
     def test_hunt_document(self, tmp_path, hunt_dir):
         out = tmp_path / "chain.csv"

@@ -12,7 +12,10 @@ from aseries.augmented import (
     AugmentedState,
     MonitorRecord,
     Problem,
+    butterfly_monitor,
     cusp_monitor,
+    solve_v,
+    swallowtail_monitor,
 )
 from aseries.continuation import (
     BranchPoint,
@@ -234,6 +237,23 @@ class TestRunBranch:
         assert res.stopped_on == "steps"
         assert len(res.points) == 4
 
+    def test_step_failure_at_minimal_step(self):
+        # no residual beats a zero tolerance, so every step fails and
+        # the step halves down to DS_MIN
+        res = run_branch(circle_problem(), circle_start(), ds0=0.3,
+                         max_steps=3, newton_tol=0.0)
+        assert res.stopped_on == "step-failure"
+        assert len(res.points) == 1
+
+    @pytest.mark.parametrize("ds0,ds_max", [
+        (np.inf, 0.5), (0.1, np.inf), (np.inf, np.inf), (np.nan, 0.5),
+        (0.0, 0.5), (0.1, -1.0)])
+    def test_rejects_bad_step_lengths(self, ds0, ds_max):
+        # an infinite step never halves below DS_MIN, so it would hang
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_branch(circle_problem(), circle_start(), ds0=ds0,
+                       max_steps=3, ds_max=ds_max)
+
 
 class TestAugmentedWrapper:
     def test_needs_square_plus_one(self):
@@ -260,6 +280,22 @@ class TestAugmentedWrapper:
         assert cp.monitors["cusp"](z) == cusp_monitor(tmpl.with_vector(z))
         # lam index 1 sits second in the packed parameter block
         assert cp.fold_index == tmpl.dimension - 1
+
+    @pytest.mark.parametrize("name,monitor", [
+        ("swallowtail", swallowtail_monitor),
+        ("butterfly", butterfly_monitor)])
+    def test_v_monitor_wiring(self, name, monitor):
+        prob = Problem(Grid(2, 2), PolynomialNonlinearity((1.0,)))
+        tmpl = AugmentedState(prob, 1, np.array([0.1, -0.2, 0.3, 0.05]),
+                              np.array([5.0, 0.3, 0.2]),
+                              alpha=np.array([1.0, 0.5, -0.5, 2.0]),
+                              active=(0, 1))
+        cp = augmented_continuation_problem(tmpl, monitors=(name,))
+        z = tmpl.pack()
+        state = tmpl.with_vector(z)
+        expected = monitor(state, solve_v(state)[1])
+        assert expected != 0.0
+        assert cp.monitors[name](z) == expected
 
 
 @pytest.fixture(scope="module")

@@ -260,14 +260,6 @@ class TestConvergenceStudy:
         assert dists[0] > dists[1] > dists[2] == 0.0
         assert table.note == ""
 
-    def test_deltas_pair_spacing_with_distance(self, poly_report):
-        table = convergence_study(PolynomialNonlinearity((1.0,)), (1, 3),
-                                  poly_report.swallowtail.state)
-        (h0, d0), (h1, d1) = table.deltas
-        assert h0 == pytest.approx(0.5)
-        assert h1 == pytest.approx(0.25)
-        assert d0 > d1 == 0.0
-
     def test_single_grid_table(self, poly_report):
         table = convergence_study(PolynomialNonlinearity((1.0,)), [1],
                                   poly_report.swallowtail.state)
@@ -305,18 +297,14 @@ class TestConvergenceStudy:
             assert row.lam[1] == pytest.approx(0.0, abs=1e-9)
             assert row.lam[2] == pytest.approx(0.0, abs=1e-9)
 
-    def test_independent_mode_needs_config(self):
-        with pytest.raises(ValueError, match="config"):
-            convergence_study(PolynomialNonlinearity((1.0,)), (1, 3),
-                              independent=True)
-
     def test_chained_mode_needs_seed(self):
         with pytest.raises(ValueError, match="seed"):
             convergence_study(PolynomialNonlinearity((1.0,)), (1, 3))
 
     def test_truncates_on_refinement_failure(self, poly_report):
         table = convergence_study(PolynomialNonlinearity((1.0,)), (1, 3),
-                                  poly_report.swallowtail.state, max_newton=1)
+                                  poly_report.swallowtail.state,
+                                  config=HuntConfig(max_newton=1))
         assert len(table.rows) == 1
         assert table.note.startswith("stopped at N = 3")
 

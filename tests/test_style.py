@@ -1,6 +1,7 @@
 """Source style: lines fit in 79 columns, every imported name is used,
-every module-level private name is read in its module, and the
-continuation layer makes no dense linear-algebra call."""
+every module-level private name is read in its module, each module
+imports only earlier layers of the package, and the continuation layer
+makes no dense linear-algebra call."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,9 @@ MAX_COLUMNS = 79
 #: Dense calls the sparse-only continuation layer must not make.
 DENSE_CALLS = {"np.linalg.solve", "np.linalg.svd", "np.vstack"}
 DENSE_METHODS = {"toarray", "todense"}
+#: Package modules in layer order; each imports only earlier ones.
+LAYERS = ("bell", "poisson", "classifier", "augmented", "continuation",
+          "harness", "cli")
 
 
 def unused_imports(source: str) -> list:
@@ -58,6 +62,26 @@ def unused_private_names(source: str) -> list:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in defined.items()
                   if name not in read)
+
+
+def layer_violations(module: str, source: str) -> list:
+    """Package imports of `module` from itself or from a later layer."""
+    earlier = set(LAYERS[:LAYERS.index(module)])
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            dotted = [node.module]
+        elif isinstance(node, ast.ImportFrom):  # relative to the package
+            dotted = ["aseries." + (node.module or alias.name)
+                      for alias in node.names]
+        else:
+            continue
+        layers = {d.split(".")[1] for d in dotted if d.startswith("aseries.")}
+        found.extend((node.lineno, name) for name in layers
+                     if name not in earlier)
+    return sorted(found)
 
 
 def dense_calls(source: str) -> list:
@@ -125,6 +149,32 @@ def test_private_scan_catches_unread_and_spares_read():
               "print(_helper())\n")
     assert unused_private_names(source) == [(3, "_stale"), (7, "_orphan"),
                                             (10, "_Unused")]
+
+
+def test_layers_cover_the_package():
+    assert {p.stem for p in SOURCES} == set(LAYERS) | {"__init__"}
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_follow_layers(module):
+    path = SOURCES[0].parent / f"{module}.py"
+    wrong = layer_violations(module, path.read_text(encoding="utf-8"))
+    assert not wrong, f"{module}.py imports a later layer (line, module): " \
+                      f"{wrong}"
+
+
+def test_layer_scan_catches_later_and_spares_earlier():
+    source = ("import numpy as np\n"
+              "from .bell import bell_value\n"
+              "from .classifier import DerivativeOracle\n"
+              "from . import harness\n"
+              "import aseries.cli\n"
+              "from aseries.augmented import Problem\n"
+              "def f():\n"
+              "    from .poisson import Grid\n")
+    assert layer_violations("poisson", source) == [
+        (3, "classifier"), (4, "harness"), (5, "cli"), (6, "augmented"),
+        (8, "poisson")]
 
 
 def test_continuation_is_sparse_only():
