@@ -25,14 +25,21 @@ The normalization is the discrete-L2 dx dy a.a = 1.  The auxiliary
 vbar parameterizes the kernel-orthogonal correction v = G_u vbar, so
 orthogonality to the kernel holds exactly even on coarse grids.
 
-The level-3 Jacobian is returned as a RankOneUpdate, a sparse core S
-plus one outer product c d^T.  The vbar-equation rows differentiate to
-a vbar^T + (a.vbar) I + 2 diag(f_uu . a) in alpha and G_u^2 + a a^T in
-vbar; both rank-one terms share the left vector a, so c holds a in the
-vbar rows and d holds vbar in the alpha columns and a in the vbar
-columns.  S then has O(n) nonzeros, and a Newton step factors the
-bordered matrix [[S, c], [d^T, -1]] instead of a matrix with dense
-n x n blocks.
+The level-3 Jacobian is returned as a SwallowtailJacobian: its blocks,
+never one global matrix.  In (u, alpha, vbar) it is block lower
+triangular with diagonal blocks G_u, G_u and G_u^2 + a a^T, bordered
+by three single rows (normalization, cusp, value) and the lam
+columns; the vbar rows carry the rank-one terms a vbar^T (alpha
+columns) and a a^T (vbar columns).  A Newton step factors one
+(n+1) x (n+1) matrix, G_u bordered by the scaled kernel vector
+k = a / sqrt(|a|).  It solves with B = G_u + k k^T, which is regular
+at a simple fold, and B^2 differs from G_u^2 + a a^T by rank two.  The
+step substitutes forward through the block triangle with diagonal
+blocks B, B and B^2 and folds the rest (the differences from G_u and
+G_u^2 + a a^T, the lam columns and the single rows) into a 10 x 10
+Woodbury capacitance, with one step of iterative refinement.  This is
+the bordering / mixed block elimination of Govaerts, Numerical Methods
+for Bifurcations of Dynamical Equilibria (SIAM 2000), ch. 3.
 """
 
 from __future__ import annotations
@@ -48,10 +55,18 @@ from .poisson import Grid, Nonlinearity, build_laplacian
 
 #: `solution_signature` of a numerically singular matrix.
 DEGENERATE = 0
+#: A level-3 block solve treats its Jacobian as singular when the
+#: capacitance, rows and then columns scaled to unit max-norm, has a
+#: larger condition number.  It was 75-91 on every Newton iterate of the
+#: robust 10x10 and 15x15 hunts and the 10-30 ladder, and 9.8e12 or
+#: more for random Jacobians made exactly singular by a zero or repeated
+#: row or column.
+CAPACITANCE_COND_MAX = 1e12
 
 
 class SingularAuxiliaryError(RuntimeError):
-    """Regularized normal equations are singular (kernel dimension > 1)."""
+    """A regularized system G + a a^T (kernel dimension > 1), or the
+    level-3 Jacobian it helps to solve, is singular."""
 
 
 @dataclass(frozen=True)
@@ -163,60 +178,185 @@ def _dense(block) -> sp.csr_matrix:
     return sp.csr_matrix(np.atleast_2d(block))
 
 
-@dataclass(frozen=True)
-class RankOneUpdate:
-    """The matrix core + left right^T, with the outer product never formed.
+def _regularized_lu(mat, a: np.ndarray):
+    """SuperLU of the bordered matrix [[mat, a], [a^T, -1]].
 
-    Linear solves go through `bordered()`: [[core, left], [right^T, -1]]
-    [x; y] = [b; 0] gives y = right . x and (core + left right^T) x = b,
-    and the bordered matrix is nonsingular exactly when the sum is.
+    With right-hand side [b; 0] its solution [x; a.x] has
+    (mat + a a^T) x = b, and it is singular exactly when mat + a a^T is.
     """
+    bordered = sp.bmat([[mat, a[:, None]], [a[None, :], [[-1.0]]]],
+                       format="csc")
+    try:
+        return splu(bordered)
+    except RuntimeError as exc:
+        raise SingularAuxiliaryError("regularized system is singular") from exc
 
-    core: sp.csr_matrix
-    left: np.ndarray
-    right: np.ndarray
 
-    @property
-    def shape(self) -> tuple:
-        return self.core.shape
-
-    @property
-    def nnz(self) -> int:
-        """Stored entries: the core's plus the nonzeros of both vectors."""
-        return int(self.core.nnz + np.count_nonzero(self.left)
-                   + np.count_nonzero(self.right))
-
-    def toarray(self) -> np.ndarray:
-        return self.core.toarray() + np.outer(self.left, self.right)
-
-    def bordered(self) -> sp.csc_matrix:
-        return sp.bmat([[self.core, self.left[:, None]],
-                        [self.right[None, :], [[-1.0]]]], format="csc")
+def _lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
+    """(mat + a a^T)^-1 rhs, column by column, from `_regularized_lu`."""
+    return lu.solve(np.vstack([rhs, np.zeros((1, rhs.shape[1]))]))[:-1]
 
 
 def rank_one_solve(a_sparse, alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (A + alpha alpha^T) x = b without densifying the rank-one part."""
-    n = alpha.shape[0]
-    bordered = RankOneUpdate(a_sparse, alpha, alpha).bordered()
-    try:
-        solution = splu(bordered).solve(np.append(b, 0.0))
-    except RuntimeError as exc:
-        raise SingularAuxiliaryError("regularized system is singular") from exc
-    x = solution[:n]
+    x = _regularized_lu(a_sparse, alpha).solve(np.append(b, 0.0))[:-1]
     if not np.all(np.isfinite(x)):
         raise SingularAuxiliaryError(
             "regularized system is numerically singular")
     return x
 
 
-def _swallowtail_rows(gu, f, dlam, a, vbar):
-    """Residuals and block rows of the vbar equation and the swallowtail
-    value, in the columns u, alpha, vbar and the full lam-gradient.
+def _scaled_cond(mat: np.ndarray) -> float:
+    """Condition number of mat with rows, then columns, scaled to unit
+    max-norm; inf when a row or column is zero or an entry not finite."""
+    for axis in (1, 0):
+        scale = np.max(np.abs(mat), axis=axis, keepdims=True)
+        if not np.all((scale > 0) & np.isfinite(scale)):
+            return np.inf
+        mat = mat / scale
+    return float(np.linalg.cond(mat))
 
-    The alpha and vbar blocks of the vbar equation leave out their
-    rank-one parts a vbar^T and a a^T.  The cubic vbar term
-    differentiates into the weight 2 vbar . G_u^2 vbar + (G_u vbar)^2
-    against d(f_u).
+
+@dataclass(frozen=True)
+class SwallowtailJacobian:
+    """The level-3 Jacobian, kept as its blocks and solved by blocks.
+
+    In the columns (u, alpha, vbar, lam) the block rows G, G_u a and
+    the vbar equation read
+
+        [[G_u,      0,                   0,              cols[:n]],
+         [diag(d),  G_u,                 0,              cols[n:2n]],
+         [p,        diag(e) + a vbar^T,  G_u^2 + a a^T,  cols[2n:]]]
+
+    and `rows` holds the normalization, cusp and value rows in full.
+    G_u^2 is applied as G_u twice, never formed.  The residual
+    interleaves the rows: G, G_u a, normalization, cusp, vbar equation,
+    value.
+    """
+
+    gu: sp.csr_matrix
+    d: np.ndarray
+    p: sp.csr_matrix
+    e: np.ndarray
+    a: np.ndarray
+    vbar: np.ndarray
+    cols: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return 3 * self.a.size + 3, self.rows.shape[1]
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries: the sparse blocks' plus the dense nonzeros."""
+        return int(self.gu.nnz + self.p.nnz + sum(
+            np.count_nonzero(x) for x in (self.d, self.e, self.a, self.vbar,
+                                          self.cols, self.rows)))
+
+    def _order(self) -> tuple:
+        """Residual positions of the block rows and of the single rows."""
+        n = self.a.size
+        single = np.array([2 * n, 2 * n + 1, 3 * n + 2])
+        return np.delete(np.arange(3 * n + 3), single), single
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = self.a.size
+        xu, xa, xv = x[:n], x[n : 2 * n], x[2 * n : 3 * n]
+        lam = self.cols @ x[3 * n :]
+        single = self.rows @ x
+        aux = (self.p @ xu + self.e * xa + self.a * (self.vbar @ xa)
+               + self.gu @ (self.gu @ xv) + self.a * (self.a @ xv)
+               + lam[2 * n :])
+        return np.concatenate([self.gu @ xu + lam[:n],
+                               self.d * xu + self.gu @ xa + lam[n : 2 * n],
+                               single[:2], aux, single[2:]])
+
+    def toarray(self) -> np.ndarray:
+        n = self.a.size
+        gu, zero = self.gu.toarray(), np.zeros((n, n))
+        body = np.block([
+            [gu, zero, zero],
+            [np.diag(self.d), gu, zero],
+            [self.p.toarray(), np.diag(self.e) + np.outer(self.a, self.vbar),
+             gu @ gu + np.outer(self.a, self.a)]])
+        block, single = self._order()
+        out = np.empty(self.shape)
+        out[block] = np.hstack([body, self.cols])
+        out[single] = self.rows
+        return out
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with self @ x = rhs, by block elimination.
+
+        One bordered factorization solves with B = G_u + k k^T, where
+        k = a / sqrt(|a|); B is regular at a simple fold, and B^2 =
+        G_u^2 + a a^T + g k^T + k g^T with g = G_u k.  So the block
+        triangle L with diagonal blocks B, B and B^2 solves by forward
+        substitution.  The matrix is [[L, 0], [0, I]] plus a rank-10
+        term: -k k^T in the two G_u blocks, -(g k^T + k g^T) in the
+        G_u^2 block, the three lam columns and the three single rows.
+        Woodbury folds that term into a 10 x 10 capacitance, and one
+        step of iterative refinement against the full product follows.
+        A singular factorization or capacitance, or a non-finite
+        result, raises SingularAuxiliaryError.
+        """
+        n, a = self.a.size, self.a
+        if self.shape[0] != self.shape[1]:
+            raise ValueError("the block solve needs a square Jacobian")
+        k = a / np.sqrt(np.linalg.norm(a) or 1.0)
+        g = self.gu @ k
+        lu = _regularized_lu(self.gu, k)
+
+        def forward(f):
+            x1 = _lu_solve(lu, f[:n])
+            x2 = _lu_solve(lu, f[n : 2 * n] - self.d[:, None] * x1)
+            x3 = _lu_solve(lu, _lu_solve(
+                lu, f[2 * n :] - self.p @ x1 - self.e[:, None] * x2
+                - np.outer(a, self.vbar @ x2)))
+            return np.vstack([x1, x2, x3])
+
+        def project(w):
+            # the rank-10 term's right factor applied to columns w
+            return np.vstack([k @ w[:n], k @ w[n : 2 * n],
+                              k @ w[2 * n : 3 * n], g @ w[2 * n : 3 * n],
+                              w[3 * n :], self.rows[:, : 3 * n] @ w[: 3 * n]])
+
+        # its left factor, through [[L, 0], [0, I]]^-1
+        left = np.zeros((3 * n, 7))
+        left[:n, 0] = left[n : 2 * n, 1] = left[2 * n :, 3] = -k
+        left[2 * n :, 2] = -g
+        left[:, 4:] = self.cols
+        z = np.zeros((3 * n + 3, 10))
+        z[: 3 * n, :7] = forward(left)
+        z[3 * n :, 4:7] = self.rows[:, 3 * n :] - np.eye(3)
+        z[3 * n :, 7:] = np.eye(3)
+        cap = np.eye(10) + project(z)
+        cond = _scaled_cond(cap)
+        if not cond < CAPACITANCE_COND_MAX:
+            raise SingularAuxiliaryError(
+                f"level-3 Jacobian is singular: scaled capacitance "
+                f"condition {cond:.3g}")
+        block, single = self._order()
+
+        def once(b):
+            y = np.vstack([forward(b[block, None]), b[single, None]])
+            return (y - z @ np.linalg.solve(cap, project(y)))[:, 0]
+
+        x = once(rhs)
+        x = x + once(rhs - self @ x)
+        if not np.all(np.isfinite(x)):
+            raise SingularAuxiliaryError("non-finite level-3 block solve")
+        return x
+
+
+def _swallowtail_system(gu, f, dlam, a, vbar, head, act):
+    """Residuals of the vbar equation and the swallowtail value, and the
+    level-3 SwallowtailJacobian.
+
+    head holds the normalization and cusp rows over (u, alpha, lam) from
+    the levels below.  The cubic vbar term differentiates into the
+    weight 2 vbar . G_u^2 vbar + (G_u vbar)^2 against d(f_u).
     """
     f2, f3, f4 = f[2:]
     dlam_fu, dlam_fuu, dlam_fuuu = dlam[1:]
@@ -225,22 +365,29 @@ def _swallowtail_rows(gu, f, dlam, a, vbar):
     res = [q + a * (a @ vbar) + f2 * a**2,
            [f3 @ a**4 + 6.0 * (f2 * a**2) @ v + 3.0 * vbar @ (gu @ q)]]
     weight = 2.0 * vbar * q + v * v
-    vbar_row = [
-        gu @ sp.diags(f2 * vbar) + sp.diags(f2 * v + f3 * a**2),
-        sp.diags((a @ vbar) + 2.0 * f2 * a),
-        gu @ gu,
-        v[:, None] * dlam_fu + gu @ (vbar[:, None] * dlam_fu)
-        + (a**2)[:, None] * dlam_fuu,
-    ]
-    value_row = [
-        _dense(f4 * a**4 + 6.0 * f3 * a**2 * v + 6.0 * f2**2 * a**2 * vbar
-               + 3.0 * f2 * weight),
-        _dense(4.0 * f3 * a**3 + 12.0 * f2 * a * v),
-        _dense(6.0 * (f2 * a**2) @ gu + 6.0 * (gu @ q)),
+    value = (
+        f4 * a**4 + 6.0 * f3 * a**2 * v + 6.0 * f2**2 * a**2 * vbar
+        + 3.0 * f2 * weight,
+        4.0 * f3 * a**3 + 12.0 * f2 * a * v,
+        6.0 * (f2 * a**2) @ gu + 6.0 * (gu @ q),
         a**4 @ dlam_fuuu + 6.0 * (a**2 * v) @ dlam_fuu
         + 6.0 * (f2 * a**2 * vbar) @ dlam_fu + 3.0 * weight @ dlam_fu,
-    ]
-    return res, [vbar_row, value_row]
+    )
+    zero = np.zeros_like(a)
+    rows = [np.concatenate([zero if x is None else x for x in row[:2]]
+                           + [zero] + [row[2][act]])
+            for row in head]
+    rows.append(np.concatenate(value[:3] + (value[3][act],)))
+    cols = np.vstack([
+        dlam[0], a[:, None] * dlam[1],
+        v[:, None] * dlam_fu + gu @ (vbar[:, None] * dlam_fu)
+        + (a**2)[:, None] * dlam_fuu])
+    jac = SwallowtailJacobian(
+        gu=gu, d=f2 * a,
+        p=gu @ sp.diags(f2 * vbar) + sp.diags(f2 * v + f3 * a**2),
+        e=(a @ vbar) + 2.0 * f2 * a, a=a, vbar=vbar,
+        cols=cols[:, act], rows=np.array(rows))
+    return res, jac
 
 
 def _assemble(state: AugmentedState, level: int):
@@ -248,9 +395,10 @@ def _assemble(state: AugmentedState, level: int):
 
     Each level appends its rows to the rows of the level below, and
     every t-derivative and lam-gradient is evaluated once.  A block row
-    is [u, alpha, vbar, lam] with the lam-gradient over all three
-    parameters; columns the level does not have are dropped and the
-    gradient is sliced to the active parameters at the end.
+    is [u, alpha, lam] with the lam-gradient over all three parameters;
+    columns the level does not have are dropped and the gradient is
+    sliced to the active parameters at the end.  Level 3 returns its
+    blocks as a SwallowtailJacobian instead of one sparse matrix.
     """
     if level > state.level:
         raise ValueError(f"level-{level} assembly needs a level-{level} "
@@ -259,37 +407,29 @@ def _assemble(state: AugmentedState, level: int):
     f = [prob.nl.derivative(k, u, lam) for k in range(level + 2)]
     dlam = [prob.nl.lambda_derivative(k, u, lam) for k in range(level + 1)]
     gu = (prob.lap + sp.diags(f[1])).tocsr()
+    act = list(state.active)
     res = [prob.lap @ u + f[0]]
-    rows = [[gu, None, None, dlam[0]]]
+    head = []
     if level >= 1:
         a, area = state.alpha, prob.grid.cell_area
         res += [gu @ a, [area * (a @ a) - 1.0]]
-        rows += [[sp.diags(f[2] * a), gu, None, a[:, None] * dlam[1]],
-                 [None, _dense(2.0 * area * a), None, np.zeros(3)]]
+        head.append((None, 2.0 * area * a, np.zeros(3)))
     if level >= 2:
         res.append([f[2] @ a**3])
-        rows.append([_dense(f[3] * a**3), _dense(3.0 * f[2] * a**2), None,
-                     a**3 @ dlam[2]])
+        head.append((f[3] * a**3, 3.0 * f[2] * a**2, a**3 @ dlam[2]))
     if level == 3:
-        more_res, more_rows = _swallowtail_rows(gu, f, dlam, a, state.vbar)
-        res += more_res
-        rows += more_rows
-    columns = {0: (0,), 1: (0, 1), 2: (0, 1), 3: (0, 1, 2)}[level]
-    act = list(state.active)
-    jac = sp.bmat([[row[j] for j in columns]
-                   + [_dense(np.atleast_2d(row[3])[:, act])] for row in rows],
-                  format="csr")
-    res = np.concatenate(res)
-    if level < 3:
-        return res, jac
-    # the outer product of the vbar rows: a times (vbar, a) in (alpha, vbar)
-    n = u.size
-    left = np.zeros(jac.shape[0])
-    left[2 * n + 2 : 3 * n + 2] = a
-    right = np.zeros(jac.shape[1])
-    right[n : 2 * n] = state.vbar
-    right[2 * n : 3 * n] = a
-    return res, RankOneUpdate(jac, left, right)
+        more_res, jac = _swallowtail_system(gu, f, dlam, a, state.vbar,
+                                            head, act)
+        return np.concatenate(res + more_res), jac
+    rows = [[gu, None, dlam[0]]]
+    if level >= 1:
+        rows.append([sp.diags(f[2] * a), gu, a[:, None] * dlam[1]])
+    rows += [[x if x is None else _dense(x) for x in row[:2]] + [row[2]]
+             for row in head]
+    width = 1 if level == 0 else 2
+    jac = sp.bmat([row[:width] + [_dense(np.atleast_2d(row[2])[:, act])]
+                   for row in rows], format="csr")
+    return np.concatenate(res), jac
 
 
 def residual_jacobian(state: AugmentedState):
@@ -319,7 +459,7 @@ def f2_residual_jacobian(state: AugmentedState):
 
 def f3_residual_jacobian(state: AugmentedState):
     """Swallowtail system: cusp rows plus the vbar equation and the
-    swallowtail value; the Jacobian is a RankOneUpdate."""
+    swallowtail value; the Jacobian is a SwallowtailJacobian."""
     return _assemble(state, 3)
 
 

@@ -17,6 +17,7 @@ monomial list (`bell_monomials`) used for tensor contractions elsewhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -93,15 +94,18 @@ def multi_index_coefficient(index: MultiIndex) -> int:
     return coeff
 
 
-def bell_monomials(n: int) -> list[BellMonomial]:
-    """Monomial list of B_n with integer coefficients; n=0 gives [1 * (empty)].
+@functools.cache
+def bell_monomials(n: int) -> tuple[BellMonomial, ...]:
+    """Monomials of B_n with integer coefficients; n=0 gives (1 * (empty),).
+
+    Built once per n and shared: the result is an immutable tuple.
 
     >>> sorted((m.coefficient, m.powers) for m in bell_monomials(3))
     [(1, (0, 0, 1)), (1, (3, 0, 0)), (3, (1, 1, 0))]
     """
     _check_order(n)
     if n == 0:
-        return [BellMonomial(1, ())]
+        return (BellMonomial(1, ()),)
     monomials: list[BellMonomial] = []
     for k in range(1, n + 1):
         for index in enumerate_multi_indices(n, k):
@@ -109,7 +113,7 @@ def bell_monomials(n: int) -> list[BellMonomial]:
             monomials.append(
                 BellMonomial(multi_index_coefficient(index), powers))
     monomials.sort(key=lambda m: m.powers, reverse=True)
-    return monomials
+    return tuple(monomials)
 
 
 def bell_value(n: int, xs):

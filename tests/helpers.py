@@ -13,9 +13,10 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import svdvals
+from scipy.sparse.linalg import splu
 
 from aseries.classifier import TensorOracle
-from aseries.continuation import RankDeficientError
+from aseries.continuation import RankDeficientError, SingularJacobianError
 
 
 # ---------------------------------------------------------------------------
@@ -264,3 +265,38 @@ def relative_error(found: np.ndarray, expected: np.ndarray) -> float:
     expected = np.asarray(expected, dtype=float)
     scale = max(float(np.max(np.abs(expected))), 1.0)
     return float(np.max(np.abs(found - expected))) / scale
+
+
+def bordered_newton_step(jac, res: np.ndarray) -> np.ndarray:
+    """Level-3 Newton step by one SuperLU of the whole bordered system.
+
+    The SwallowtailJacobian's blocks form a sparse core S, and its two
+    rank-one terms a vbar^T and a a^T one outer product c d^T, with c
+    = a in the vbar-equation rows and d = (vbar, a) in the (alpha, vbar)
+    columns.  [[S, c], [d^T, -1]] [x; y] = [res; 0] then gives
+    (S + c d^T) x = res.  A singular factor or a non-finite step raises
+    SingularJacobianError, which the block solve must reproduce.
+    """
+    n = jac.a.size
+    zero = sp.csr_matrix((n, n))
+    cols = np.split(jac.cols, 3)
+    block = sp.bmat([[jac.gu, zero, zero, cols[0]],
+                     [sp.diags(jac.d), jac.gu, zero, cols[1]],
+                     [jac.p, sp.diags(jac.e), jac.gu @ jac.gu, cols[2]]],
+                    format="csr")
+    core = sp.vstack([block[: 2 * n], sp.csr_matrix(jac.rows[:2]),
+                      block[2 * n :], sp.csr_matrix(jac.rows[2:])])
+    left = np.zeros(jac.shape[0])
+    left[2 * n + 2 : 3 * n + 2] = jac.a
+    right = np.zeros(jac.shape[1])
+    right[n : 2 * n] = jac.vbar
+    right[2 * n : 3 * n] = jac.a
+    bordered = sp.bmat([[core, left[:, None]], [right[None, :], [[-1.0]]]],
+                       format="csc")
+    try:
+        sol = splu(bordered).solve(np.append(res, 0.0))[:-1]
+    except RuntimeError as exc:
+        raise SingularJacobianError(str(exc)) from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularJacobianError("non-finite Newton update")
+    return sol

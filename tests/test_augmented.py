@@ -1,5 +1,6 @@
 """Augmented fold/cusp/swallowtail systems: residuals, Jacobians, monitors."""
 
+import functools
 from collections import Counter
 from dataclasses import replace
 
@@ -11,8 +12,8 @@ from aseries.augmented import (
     DEGENERATE,
     AugmentedState,
     Problem,
-    RankOneUpdate,
     SingularAuxiliaryError,
+    SwallowtailJacobian,
     butterfly_monitor,
     cusp_monitor,
     evaluate_monitors,
@@ -27,6 +28,7 @@ from aseries.augmented import (
 )
 from aseries.classifier import Tolerances, closed_form_tests
 from aseries.continuation import SingularJacobianError, _linear_solve
+from aseries.harness import HuntConfig, hunt_swallowtail, refine_on_grid
 from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
@@ -38,7 +40,12 @@ from aseries.poisson import (
     laplacian_eigenvector,
 )
 
-from helpers import dense_newton_step, fd_jacobian, relative_error
+from helpers import (
+    bordered_newton_step,
+    dense_newton_step,
+    fd_jacobian,
+    relative_error,
+)
 
 
 def unit_problem(nl=None):
@@ -378,8 +385,52 @@ class TestAssemblyEvaluations:
         assert np.array_equal(jac.toarray(), plain[1].toarray())
 
 
+@functools.cache
+def converged_swallowtails():
+    """Level-3 roots with singular G_u: the 1x1 direct chain's swallowtail
+    of the exp-sine problem and its refinement onto 4x4."""
+    report = hunt_swallowtail(ExpSineNonlinearity(), Grid(1, 1),
+                              HuntConfig(direct_start=True))
+    coarse = report.swallowtail.state
+    return [coarse, refine_on_grid(coarse, Grid(4, 4))[0]]
+
+
+def tiny_jacobian(gu, a, rng):
+    """A SwallowtailJacobian on n = len(a) unknowns per field with the
+    given G_u and random remaining blocks."""
+    n = a.size
+    return SwallowtailJacobian(
+        gu=sp.csr_matrix(gu), d=rng.standard_normal(n),
+        p=sp.csr_matrix(rng.standard_normal((n, n))),
+        e=rng.standard_normal(n), a=a,
+        vbar=rng.standard_normal(n), cols=rng.standard_normal((3 * n, 3)),
+        rows=rng.standard_normal((3, 3 * n + 3)))
+
+
+def _zero_row(jac):
+    rows = jac.rows.copy()
+    rows[1] = 0.0
+    return replace(jac, rows=rows)
+
+
+def _zero_column(jac):
+    rows, cols = jac.rows.copy(), jac.cols.copy()
+    rows[:, -1] = 0.0
+    cols[:, -1] = 0.0
+    return replace(jac, rows=rows, cols=cols)
+
+
+def _no_kernel_vector(jac):
+    # G_u + a a^T singular with the normalization row
+    zero = np.zeros_like(jac.a)
+    rows = jac.rows.copy()
+    rows[0] = 0.0
+    return replace(jac, gu=sp.csr_matrix(jac.gu.shape), a=zero, rows=rows)
+
+
 class TestBorderedSolve:
-    """The level-3 Newton step through the bordered sparse factorization."""
+    """The level-3 Newton step by block elimination, against the dense LU
+    and the monolithic bordered SuperLU step."""
 
     @pytest.mark.parametrize("nl", [PolynomialNonlinearity(tail=(0.3, -0.2)),
                                     ExpSineNonlinearity()],
@@ -391,9 +442,29 @@ class TestBorderedSolve:
         for _ in range(3):
             st = random_state(prob, 3, (0, 1, 2), rng)
             res, jac = f3_residual_jacobian(st)
-            assert isinstance(jac, RankOneUpdate)
-            assert relative_error(_linear_solve(jac, res),
-                                  dense_newton_step(jac, res)) < 1e-10
+            assert isinstance(jac, SwallowtailJacobian)
+            step = _linear_solve(jac, res)
+            assert relative_error(step, dense_newton_step(jac, res)) < 1e-10
+            assert relative_error(step, bordered_newton_step(jac, res)) < 1e-10
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["1x1", "4x4"])
+    def test_step_matches_oracles_at_converged_states(self, index):
+        state = converged_swallowtails()[index]
+        res, jac = f3_residual_jacobian(state)
+        # a simple fold: G_u is singular with the kernel vector a
+        assert np.max(np.abs(jac.gu @ jac.a)) < 1e-9 * np.max(np.abs(jac.a))
+        assert np.max(np.abs(res)) < 1e-9
+        rhs = np.random.default_rng(index).standard_normal(res.size)
+        step = _linear_solve(jac, rhs)
+        assert relative_error(step, dense_newton_step(jac, rhs)) < 1e-10
+        assert relative_error(step, bordered_newton_step(jac, rhs)) < 1e-10
+
+    def test_product_and_dense_form_agree(self):
+        st = random_state(Problem(Grid(3, 4), ExpSineNonlinearity()), 3,
+                          (0, 1, 2), np.random.default_rng(4))
+        _, jac = f3_residual_jacobian(st)
+        x = np.random.default_rng(5).standard_normal(jac.shape[1])
+        assert relative_error(jac @ x, jac.toarray() @ x) < 1e-13
 
     def test_nonzeros_grow_linearly(self):
         nnz = {}
@@ -405,20 +476,45 @@ class TestBorderedSolve:
         assert nnz[16] <= 4.5 * nnz[8]
 
     def test_singular_core_with_regular_sum_solves(self):
-        jac = RankOneUpdate(sp.csr_matrix(np.diag([0.0, 1.0])),
-                            np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        rhs = np.array([2.0, 3.0])
-        assert np.allclose(_linear_solve(jac, rhs), [2.0, 3.0])
-        assert np.allclose(dense_newton_step(jac, rhs), [2.0, 3.0])
+        core = sp.csc_matrix(np.diag([0.0, 1.0]))
+        kernel, rhs = np.array([1.0, 0.0]), np.array([2.0, 3.0])
+        assert np.allclose(rank_one_solve(core, kernel, rhs), [2.0, 3.0])
+        # G_u = 0 on one cell: singular blocks, regular Jacobian
+        jac = tiny_jacobian(np.zeros((1, 1)), np.array([2.0]),
+                            np.random.default_rng(1))
+        rhs = np.arange(1.0, 7.0)
+        expected = dense_newton_step(jac, rhs)
+        assert relative_error(_linear_solve(jac, rhs), expected) < 1e-12
+        assert relative_error(bordered_newton_step(jac, rhs),
+                              expected) < 1e-12
 
     def test_singular_sum_rejected_like_the_oracle(self):
-        jac = RankOneUpdate(sp.csr_matrix(np.diag([1.0, 0.0])),
-                            np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        rhs = np.array([1.0, 1.0])
+        core = sp.csc_matrix(np.diag([1.0, 0.0]))
+        kernel, rhs = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+        with pytest.raises(SingularAuxiliaryError):
+            rank_one_solve(core, kernel, rhs)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(core.toarray() + np.outer(kernel, kernel), rhs)
+        jac = _zero_row(tiny_jacobian(np.diag([1.0, 0.0]), kernel,
+                                      np.random.default_rng(2)))
+        rhs = np.ones(jac.shape[0])
         with pytest.raises(SingularJacobianError):
             _linear_solve(jac, rhs)
         with pytest.raises(np.linalg.LinAlgError):
             dense_newton_step(jac, rhs)
+
+    @pytest.mark.parametrize("make_singular",
+                             [_zero_row, _zero_column, _no_kernel_vector],
+                             ids=["zero-row", "zero-column", "no-kernel"])
+    @pytest.mark.parametrize("index", [0, 1], ids=["1x1", "4x4"])
+    def test_rejects_what_the_oracle_rejects(self, make_singular, index):
+        _, jac = f3_residual_jacobian(converged_swallowtails()[index])
+        jac = make_singular(jac)
+        rhs = np.ones(jac.shape[0])
+        with pytest.raises(SingularJacobianError):
+            bordered_newton_step(jac, rhs)
+        with pytest.raises(SingularJacobianError):
+            _linear_solve(jac, rhs)
 
 
 class TestSolutionSignature:

@@ -127,3 +127,14 @@ def test_argument_validation():
         enumerate_multi_indices(MAX_ORDER + 1, 1)
     with pytest.raises(ValueError):
         bell_value(3, (1.0,))  # too few arguments
+
+
+def test_monomials_built_once_and_immutable():
+    first = bell_monomials(4)
+    assert bell_monomials(4) is first
+    with pytest.raises(TypeError):
+        first[0] = first[1]
+    with pytest.raises(AttributeError):
+        first[0].coefficient = 2
+    with pytest.raises(AttributeError):
+        first.append(first[0])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from aseries import continuation, harness
+from aseries import augmented, continuation, harness
 from aseries.augmented import AugmentedState, Problem, residual_jacobian
 from aseries.continuation import RankDeficientError, SingularJacobianError
 from aseries.harness import (
@@ -79,6 +79,23 @@ class TestLocate:
         assert abs(state.alpha[0]) == pytest.approx(2.0, abs=1e-9)
         assert iters <= 8
         assert residual == _recheck(state) < 1e-9
+
+
+    def test_level3_factors_only_bordered_gu_blocks(self, monkeypatch):
+        # the level-3 Newton step factors G_u bordered by the scaled
+        # kernel vector, once; no factorization of the 3n + 3 system is left
+        chain = hunt_swallowtail(ExpSineNonlinearity(), Grid(1, 1),
+                                 HuntConfig(direct_start=True))
+        shapes = []
+        for module in (augmented, continuation):
+            def recording(mat, *args, factor=module.splu, **kwargs):
+                shapes.append(mat.shape)
+                return factor(mat, *args, **kwargs)
+            monkeypatch.setattr(module, "splu", recording)
+        state, iters = refine_on_grid(chain.swallowtail.state, Grid(8, 8))
+        assert state.level == 3 and iters > 0
+        assert len(shapes) == iters
+        assert max(max(shape) for shape in shapes) == 8 * 8 + 1
 
 
 class TestDirectChain:
