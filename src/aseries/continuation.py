@@ -3,19 +3,24 @@
 Continues any square-plus-one residual system R(z) = 0, R: R^(n+1) -> R^n,
 by an Euler predictor and an orthogonal corrector (Newton on R stacked
 with tangent . (z - z_pred) = 0).  Residual and Jacobian come from one
-callable, so each Newton iterate assembles once, and the Jacobian of
-the converged corrector is reused for the rank check and the tangent.
+callable, so each Newton iterate assembles once; the Jacobian of the
+converged corrector is reused for the tangent, and the tangent's LU
+for the rank check.
 The layer is sparse only (a dense Jacobian is converted to sparse), and
 a singular bordered tangent matrix [J; row^T] raises RankDeficientError,
 which a branch run treats like any failed step.
 Every accepted point is checked to be regular, i.e. its n x (n+1)
 Jacobian J keeps full row rank: sigma_min(J) < rank_tol *
 max(sigma_max(J), 1) rejects it.  The check borders J with its scaled
-unit null vector, B = [J; c t^T] with c = max(sigma_max(J), 1), so the
-singular values of B are those of J plus c and sigma_min(B) =
-sigma_min(J).  One sparse LU of B then gives sigma_min(B) = 1 /
-||B^-1||_2 by Lanczos on B^-T B^-1, and Lanczos on J^T J gives
-sigma_max(J); the check forms no dense matrix.
+unit null vector, B = [J; c t^T] with c = max(U, 1) and U =
+sqrt(||J||_1 ||J||_inf) >= sigma_max(J), so the singular values of B
+are those of J plus c and sigma_min(B) = sigma_min(J).  B differs from
+the tangent's bordered matrix T = [J; row^T] only in its last row, so a
+Sherman-Morrison update of T's LU gives B^-1 and B^-T, and Lanczos on
+B^-T B^-1 gives sigma_min(B) = 1 / ||B^-1||_2.  A point with sigma_min
+>= rank_tol * c is accepted at once; only otherwise does a Lanczos run
+on J^T J give sigma_max(J) for the exact verdict.  The check forms no
+dense matrix, and within a step it factors nothing beyond the tangent.
 Monitors are named scalar functions of z recorded at every accepted
 point; sign changes between consecutive points are refined by
 re-stepping with a secant rule on arclength, down to EVENT_TOL of the
@@ -31,7 +36,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import (
+    ArpackError,
+    LinearOperator,
+    SuperLU,
+    eigsh,
+    splu,
+)
 
 from .augmented import (
     MonitorRecord,
@@ -186,13 +197,26 @@ class BranchResult:
     stopped_on: str
 
 
-def tangent(jac, previous: np.ndarray | None = None) -> np.ndarray:
+@dataclass(frozen=True)
+class BorderedFactor:
+    """SuperLU factor of T = [J; row^T] and s = T^-1 e_last.
+
+    row^T s = 1, and the unit tangent is s / ||s||.
+    """
+
+    lu: SuperLU
+    row: np.ndarray
+    s: np.ndarray
+
+
+def tangent(jac, previous: np.ndarray | None = None):
     """Unit null vector of an n x (n+1) Jacobian, oriented continuously.
 
-    Solves the bordered system [jac; row] t = e_last where row is the
+    Solves the bordered system [jac; row] s = e_last where row is the
     previous tangent (orientation then follows automatically), or the
-    last unit vector when previous is None.  A singular bordered matrix
-    raises RankDeficientError.
+    last unit vector when previous is None.  Returns (t, factor), the
+    BorderedFactor that the rank check reuses.  A singular bordered
+    matrix raises RankDeficientError.
     """
     n_rows, n_cols = jac.shape
     if n_cols != n_rows + 1:
@@ -201,9 +225,10 @@ def tangent(jac, previous: np.ndarray | None = None) -> np.ndarray:
     rhs[-1] = 1.0
     row = rhs if previous is None else np.asarray(previous, dtype=float)
     try:
-        sol = splu(_bordered(jac, row)).solve(rhs)
+        lu = splu(_bordered(jac, row))
+        sol = lu.solve(rhs)
     except RuntimeError:
-        sol = np.zeros(n_cols)
+        lu, sol = None, np.zeros(n_cols)
     norm = np.linalg.norm(sol)
     if not (np.isfinite(norm) and norm > 0.0):
         raise RankDeficientError(
@@ -212,7 +237,7 @@ def tangent(jac, previous: np.ndarray | None = None) -> np.ndarray:
     t = sol / norm
     if row @ t < 0.0:
         t = -t
-    return t
+    return t, BorderedFactor(lu, row, sol)
 
 
 def _largest_eigenvalue(matvec, size: int) -> float:
@@ -232,35 +257,65 @@ def _largest_eigenvalue(matvec, size: int) -> float:
 
 
 def _check_rank(problem: ContinuationProblem, jac,
-                null: np.ndarray | None = None) -> None:
+                null: np.ndarray | None = None,
+                factor: BorderedFactor | None = None) -> None:
     """Reject an n x (n+1) Jacobian that has lost full row rank.
 
     The verdict is sigma_min(J) < rank_tol * max(sigma_max(J), 1).  null
-    is a unit null vector of jac (the tangent); it is computed when not
-    given.  Bordering with c t^T, c = max(sigma_max, 1), adds the
-    singular value c and keeps the others, so sigma_min of the bordered
-    square matrix is sigma_min(J) exactly, read off one sparse LU.
+    is a unit null vector of jac (the tangent) and factor the
+    BorderedFactor of [jac; row^T] that gave it; without a factor, one
+    of [jac; null^T] is built, and without either, tangent(jac) gives
+    both.  Bordering with c t^T, c = max(U, 1) for the norm bound U =
+    sqrt(||J||_1 ||J||_inf) >= sigma_max, adds the singular value c and
+    keeps the others, so sigma_min of B = [jac; c t^T] is sigma_min(J)
+    exactly.  B = T + e_last w^T with w = c t - row, and row^T s = 1
+    makes the Sherman-Morrison denominator 1 + w^T s = c t^T s =
+    +-c ||s||, well away from zero.  The Lanczos run for sigma_max(J)
+    happens only when sigma_min < rank_tol * c leaves the verdict open.
     """
-    if null is None:
-        null = tangent(jac)
     mat = sp.csr_matrix(jac)
-    mat_t = mat.T.tocsr()
+    if factor is None and null is None:
+        null, factor = tangent(mat)
+    elif factor is None:
+        null = np.asarray(null, dtype=float)
+        try:
+            lu = splu(_bordered(mat, null))
+        except RuntimeError as exc:
+            raise RankDeficientError(
+                f"bordered Jacobian is exactly singular ({exc}) at an "
+                "accepted point") from exc
+        last = np.zeros(mat.shape[1])
+        last[-1] = 1.0
+        factor = BorderedFactor(lu, null, lu.solve(last))
     size = mat.shape[1]
+    magnitude = abs(mat)
+    bound = np.sqrt(magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max())
+    scale = max(bound, 1.0)
+    lu, s = factor.lu, factor.s
+    w = scale * null - factor.row
+    denom = 1.0 + w @ s
+    w_t = lu.solve(w, trans="T")
+
+    def inverse_gram(x):
+        y = lu.solve(x)
+        y -= s * ((w @ y) / denom)
+        z = lu.solve(y, trans="T")
+        return z - w_t * ((s @ y) / denom)
+
+    # Lanczos finds the eigenvalue of largest magnitude; when T is nearly
+    # singular, rounding in the update can make it negative, and its
+    # magnitude is still the operator's norm
+    sigma_min = 1.0 / np.sqrt(abs(_largest_eigenvalue(inverse_gram, size)))
+    if sigma_min >= problem.rank_tol * scale:
+        return
+    mat_t = mat.T.tocsr()
     sigma_max = np.sqrt(_largest_eigenvalue(lambda x: mat_t @ (mat @ x),
                                             size))
-    scale = max(sigma_max, 1.0)
-    try:
-        lu = splu(_bordered(mat, scale * null))
-    except RuntimeError as exc:
+    threshold = problem.rank_tol * max(sigma_max, 1.0)
+    if not sigma_min >= threshold:
         raise RankDeficientError(
-            f"bordered Jacobian is exactly singular ({exc}) at an accepted "
-            "point") from exc
-    inv_norm_sq = _largest_eigenvalue(
-        lambda x: lu.solve(lu.solve(x), trans="T"), size)
-    sigma_min = 1.0 / np.sqrt(inv_norm_sq)
-    if not sigma_min >= problem.rank_tol * scale:
-        raise RankDeficientError(
-            f"smallest singular value {sigma_min:.3e} at an accepted point")
+            f"smallest singular value {sigma_min:.3e} at an accepted point "
+            f"(threshold {threshold:.3e} = rank_tol * max(sigma_max, 1))")
 
 
 def _record(problem: ContinuationProblem, z: np.ndarray,
@@ -309,8 +364,8 @@ def initial_point(problem: ContinuationProblem, z0: np.ndarray,
     row = np.zeros(len(z0))
     row[-1] = 1.0
     z, iters, jac = _pinned_newton(problem, z0, row, newton_tol, max_newton)
-    t = tangent(jac, previous=direction * row)
-    _check_rank(problem, jac, t)
+    t, factor = tangent(jac, previous=direction * row)
+    _check_rank(problem, jac, t, factor)
     rec = _record(problem, z, t)
     return BranchPoint(z, 0.0, t, rec, _signature(problem, z), iters)
 
@@ -322,8 +377,8 @@ def step(problem: ContinuationProblem, point: BranchPoint, ds: float,
     t = point.tangent
     z, iters, jac = _pinned_newton(problem, point.z + ds * t, t, newton_tol,
                                    max_newton)
-    t_new = tangent(jac, previous=t)
-    _check_rank(problem, jac, t_new)
+    t_new, factor = tangent(jac, previous=t)
+    _check_rank(problem, jac, t_new, factor)
     rec = _record(problem, z, t_new)
     return BranchPoint(z, point.s + ds, t_new, rec,
                        _signature(problem, z), iters)

@@ -110,12 +110,12 @@ class TestNewton:
 
 class TestTangent:
     def test_linear(self):
-        t = tangent(np.array([[1.0, -1.0]]))
+        t, _ = tangent(np.array([[1.0, -1.0]]))
         assert np.allclose(t, np.array([1.0, 1.0]) / np.sqrt(2))
 
     def test_orientation_follows_previous(self):
         prev = -np.array([1.0, 1.0]) / np.sqrt(2)
-        t = tangent(np.array([[1.0, -1.0]]), previous=prev)
+        t, _ = tangent(np.array([[1.0, -1.0]]), previous=prev)
         assert t @ prev > 0
 
     def test_rank_deficient(self):
@@ -133,7 +133,8 @@ class TestTangent:
 
     def test_fold_parameter_component_vanishes_at_fold(self):
         # circle at (1, 0): the z0 component of the tangent is zero
-        t = tangent(np.array([[2.0, 0.0]]), previous=np.array([0.0, 1.0]))
+        t, _ = tangent(np.array([[2.0, 0.0]]),
+                       previous=np.array([0.0, 1.0]))
         assert abs(t[0]) < 1e-14
         assert t[1] == pytest.approx(1.0)
 
@@ -154,6 +155,25 @@ class TestStep:
         step(loose, point, 0.0)
         with pytest.raises(RankDeficientError, match="singular value"):
             step(strict, point, 0.0)
+
+    @pytest.mark.parametrize("fixture", ["branch", "fold_line"])
+    def test_one_factorization_beyond_newton(self, request, monkeypatch,
+                                             fixture):
+        # Newton factors once per iteration, the tangent once more, and
+        # the rank check reuses the tangent's LU (level 0 and level 1)
+        cp, _, start = request.getfixturevalue(fixture)
+        real = continuation.splu
+        shapes = []
+
+        def counted(mat, *args, **kwargs):
+            shapes.append(mat.shape)
+            return real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(continuation, "splu", counted)
+        point = step(cp, start, 0.1)
+        assert point.newton_iters > 0
+        assert len(shapes) == point.newton_iters + 1
+        assert set(shapes) == {(len(start.z), len(start.z))}
 
     def test_linear_problem_exact(self):
         lin = ContinuationProblem(lambda z: (np.array([z[0] - z[1]]),
@@ -357,9 +377,16 @@ def _rejects(check, jac, **kwargs) -> bool:
     return False
 
 
-def sparse_rank_check(jac, rank_tol: float = 1e-8, null=None) -> None:
+def sparse_rank_check(jac, rank_tol: float = 1e-8, null=None,
+                      previous=None) -> None:
+    """The library's rank check.  With previous it runs as step and
+    initial_point run it: on the factor of [jac; previous^T] that gave
+    the tangent, so the border swap updates a row other than t."""
     probe = ContinuationProblem(lambda z: None, rank_tol=rank_tol)
-    continuation._check_rank(probe, jac, null)
+    factor = None
+    if previous is not None:
+        null, factor = tangent(jac, previous)
+    continuation._check_rank(probe, jac, null, factor)
 
 
 def _givens_blocks(rng, size: int) -> sp.csr_matrix:
@@ -399,10 +426,21 @@ def jacobian_with_singular_values(sigma, seed: int, sparse: bool):
     return (left @ core @ right).tocsr()
 
 
-def _reported_sigma(jac, rank_tol) -> float:
+def _reported_sigma(jac, rank_tol, previous=None) -> float:
     with pytest.raises(RankDeficientError) as info:
-        sparse_rank_check(jac, rank_tol=rank_tol)
+        sparse_rank_check(jac, rank_tol=rank_tol, previous=previous)
     return float(re.search(r"value (\S+) at", str(info.value)).group(1))
+
+
+def _unit(rng, size: int) -> np.ndarray:
+    vec = rng.standard_normal(size)
+    return vec / np.linalg.norm(vec)
+
+
+def _norm_bound(dense: np.ndarray) -> float:
+    """sqrt(||J||_1 ||J||_inf), the bound on sigma_max the check uses."""
+    return float(np.sqrt(np.abs(dense).sum(axis=0).max()
+                         * np.abs(dense).sum(axis=1).max()))
 
 
 class TestRankCheckOracle:
@@ -425,7 +463,68 @@ class TestRankCheckOracle:
         assert sp.issparse(jac) == sparse
         verdict = _rejects(dense_rank_check, jac, rank_tol=rank_tol)
         assert verdict == (factor < 1.0)
-        assert _rejects(sparse_rank_check, jac, rank_tol=rank_tol) == verdict
+        # a random unit previous runs the check on the factor of
+        # [J; previous^T], as after a continuation step
+        for previous in (None, _unit(rng, n + 1)):
+            assert _rejects(sparse_rank_check, jac, rank_tol=rank_tol,
+                            previous=previous) == verdict
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("top", [50.0, 0.1])
+    def test_update_path_reports_dense_sigma(self, sparse, top):
+        # the border swap from a random previous row, on ||J|| above one
+        # and on ||J|| so small that U < 1 and the border scale is c = 1
+        n = 40
+        rng = np.random.default_rng(11)
+        sigma = np.sort(rng.uniform(top / 50.0, top, n))[::-1]
+        sigma[-1] = 1e-3 * top
+        jac = jacobian_with_singular_values(sigma, 5, sparse)
+        dense = sp.csr_matrix(jac).toarray()
+        assert (_norm_bound(dense) < 1.0) == (top < 1.0)
+        expected = np.linalg.svd(dense, compute_uv=False)[-1]
+        found = _reported_sigma(jac, 1e-2, previous=_unit(rng, n + 1))
+        assert found == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("band", ["below", "between", "above"])
+    def test_norm_bound_skips_sigma_max_above_the_band(self, monkeypatch,
+                                                      sparse, band):
+        # sigma_min below rank_tol sigma_max is rejected, between that and
+        # rank_tol U accepted after the exact sigma_max run, and above
+        # rank_tol U accepted on the bound alone; a rejection also runs
+        # sigma_max, since its message gives the exact threshold
+        n, rank_tol = 40, 1e-8
+        rng = np.random.default_rng(21)
+        sigma = np.sort(rng.uniform(1.0, 50.0, n))[::-1]
+        sigma[-1] = 0.0
+        bound = _norm_bound(sp.csr_matrix(
+            jacobian_with_singular_values(sigma, 6, sparse)).toarray())
+        low, high = rank_tol * sigma[0], rank_tol * bound
+        assert high > 1.2 * low
+        sigma[-1] = {"below": 0.5 * low, "between": np.sqrt(low * high),
+                     "above": 2.0 * high}[band]
+        jac = jacobian_with_singular_values(sigma, 6, sparse)
+        dense = sp.csr_matrix(jac).toarray()
+        sing = np.linalg.svd(dense, compute_uv=False)
+        limits = rank_tol * sing[0], rank_tol * _norm_bound(dense)
+        inside = {"below": sing[-1] < limits[0],
+                  "between": limits[0] < sing[-1] < limits[1],
+                  "above": limits[1] < sing[-1]}
+        assert inside[band]
+
+        real = continuation._largest_eigenvalue
+        runs = []
+
+        def counted(matvec, size):
+            runs.append(size)
+            return real(matvec, size)
+
+        monkeypatch.setattr(continuation, "_largest_eigenvalue", counted)
+        verdict = _rejects(sparse_rank_check, jac, rank_tol=rank_tol,
+                           previous=_unit(rng, n + 1))
+        assert verdict == _rejects(dense_rank_check, jac, rank_tol=rank_tol)
+        assert verdict == (band == "below")
+        assert len(runs) == (1 if band == "above" else 2)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_smallest_singular_value_above_one(self, sparse):
@@ -440,6 +539,9 @@ class TestRankCheckOracle:
         # sparse check reports sigma_min(J) itself
         assert _rejects(dense_rank_check, jac, rank_tol=3e-2)
         assert _reported_sigma(jac, 3e-2) == pytest.approx(20.0, rel=1e-3)
+        message = "(threshold 3.000e+01 = rank_tol * max(sigma_max, 1))"
+        with pytest.raises(RankDeficientError, match=re.escape(message)):
+            sparse_rank_check(jac, rank_tol=3e-2)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_two_dimensional_kernel(self, sparse):
@@ -501,7 +603,7 @@ class TestTangentOracle:
             assert sp.issparse(jac) == sparse
             for previous in (None, rng.standard_normal(n + 1)):
                 expected = dense_tangent(jac, previous)
-                found = tangent(jac, previous)
+                found, _ = tangent(jac, previous)
                 assert np.max(np.abs(found - expected)) < 1e-12
 
     @pytest.mark.parametrize("sparse", [False, True])
@@ -524,7 +626,7 @@ class TestTangentOracle:
             for kind in ("equal rows", "zero singular value"):
                 jac, row = _deficient(n, sparse, kind)
                 oracle_rejected += _rejects(dense_tangent, jac, previous=row)
-                assert _rejects(_tangent_and_rank_check, jac, previous=row)
+                assert _rejects(sparse_rank_check, jac, previous=row)
         assert oracle_rejected > 0
 
 
@@ -549,17 +651,10 @@ def _deficient(n: int, sparse: bool, kind: str):
     return jac, sp.csr_matrix(jac)[n // 3].toarray().ravel()
 
 
-def _tangent_and_rank_check(jac, previous) -> None:
-    """The verdict of an accepted point: tangent, then the rank check."""
-    sparse_rank_check(jac, null=tangent(jac, previous))
-
-
-def test_signature_only_on_solution_branches(branch):
-    """On a fold line G_u is singular, so the sign of det G_u is undefined.
-
-    Its smallest eigenvalue sits at the Newton tolerance's rounding
-    level; the level-1 wrapper carries no signature and records 0.
-    """
+@pytest.fixture(scope="module")
+def fold_line(branch):
+    """Level-1 problem on the 10 x 10 Bratu fold line in (lam1, lam2),
+    its template and its start point."""
     cp, tmpl, start = branch
     res = run_branch(cp, start, ds0=0.2, max_steps=120,
                      monitor_names=("fold",), stop_at=("fold",))
@@ -570,8 +665,18 @@ def test_signature_only_on_solution_branches(branch):
     line = AugmentedState(tmpl.problem, 1, fold.u, fold.lam.copy(),
                           alpha=fold.alpha, active=(0, 1))
     wrapper = augmented_continuation_problem(line)
+    return wrapper, line, initial_point(wrapper, line.pack())
+
+
+def test_signature_only_on_solution_branches(branch, fold_line):
+    """On a fold line G_u is singular, so the sign of det G_u is undefined.
+
+    Its smallest eigenvalue sits at the Newton tolerance's rounding
+    level; the level-1 wrapper carries no signature and records 0.
+    """
+    cp = branch[0]
+    wrapper, line, start1 = fold_line
     assert cp.signature is not None and wrapper.signature is None
-    start1 = initial_point(wrapper, line.pack())
     run = run_branch(wrapper, start1, ds0=0.1, max_steps=15)
     assert len(run.points) == 16
     for point in run.points:
