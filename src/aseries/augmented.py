@@ -25,26 +25,34 @@ The normalization is the discrete-L2 dx dy a.a = 1.  The auxiliary
 vbar parameterizes the kernel-orthogonal correction v = G_u vbar, so
 orthogonality to the kernel holds exactly even on coarse grids.
 
-The level-3 Jacobian is returned as a SwallowtailJacobian: its blocks,
-never one global matrix.  In (u, alpha, vbar) it is block lower
-triangular with diagonal blocks G_u, G_u and G_u^2 + a a^T, bordered
-by three single rows (normalization, cusp, value) and the lam
-columns; the vbar rows carry the rank-one terms a vbar^T (alpha
-columns) and a a^T (vbar columns).  A Newton step factors one
-(n+1) x (n+1) matrix, G_u bordered by the scaled kernel vector
-k = a / sqrt(|a|).  It solves with B = G_u + k k^T, which is regular
-at a simple fold, and B^2 differs from G_u^2 + a a^T by rank two.  The
-step substitutes forward through the block triangle with diagonal
-blocks B, B and B^2 and folds the rest (the differences from G_u and
-G_u^2 + a a^T, the lam columns and the single rows) into a 10 x 10
-Woodbury capacitance, with one step of iterative refinement.  This is
-the bordering / mixed block elimination of Govaerts, Numerical Methods
-for Bifurcations of Dynamical Equilibria (SIAM 2000), ch. 3.
+Levels 1-3 return their Jacobian as a BlockJacobian: its blocks, never
+one global matrix.  In (u, alpha[, vbar]) it is block lower triangular
+with diagonal blocks G_u, G_u (and G_u^2 + a a^T at level 3), bordered
+by single rows (normalization, cusp, value and, in continuation, the
+tangent row) and the lam columns; level 3's vbar rows carry the
+rank-one terms a vbar^T (alpha columns) and a a^T (vbar columns).  Its
+BlockFactor factors one (n+1) x (n+1) matrix, G_u bordered by the
+scaled kernel vector k = a / sqrt(|a|).  That solves with B = G_u +
+k k^T, which is regular at a simple fold, and B^2 differs from G_u^2 +
+a a^T by rank two.  A solve substitutes forward through the block
+triangle with diagonal blocks B, B (and B^2), or back through its
+transpose, and folds the rest (the differences from G_u and G_u^2 +
+a a^T, the lam columns and the single rows) into a Woodbury
+capacitance, 8 x 8 on a continued cusp line and 10 x 10 at level 3,
+with one step of iterative refinement.  This is the bordering / mixed
+block elimination of Govaerts, Numerical Methods for Bifurcations of
+Dynamical Equilibria (SIAM 2000), ch. 3, and Govaerts & Pryce (IMA J.
+Numer. Anal. 1993).  Level 0 stays one sparse matrix [G_u, dG/dlam].
+
+The monitors solve with G_u^2 + a a^T through the same bordered G_u,
+and the monitors evaluated at one state share one Linearization: one
+stack of derivative diagonals, one G_u and one factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,18 +63,20 @@ from .poisson import Grid, Nonlinearity, build_laplacian
 
 #: `solution_signature` of a numerically singular matrix.
 DEGENERATE = 0
-#: A level-3 block solve treats its Jacobian as singular when the
-#: capacitance, rows and then columns scaled to unit max-norm, has a
-#: larger condition number.  It was 75-91 on every Newton iterate of the
-#: robust 10x10 and 15x15 hunts and the 10-30 ladder, and 9.8e12 or
-#: more for random Jacobians made exactly singular by a zero or repeated
-#: row or column.
+#: A strict block solve treats its Jacobian as singular when the
+#: capacitance, rows and then columns scaled by the magnitudes it was
+#: summed from, has a larger condition number.  On every level-1/2
+#: Newton iterate and tangent of the robust 10x10 and 15x15 hunts it was
+#: 8.3-245, on their level-3 iterates 66-101 and on the 10-30 ladder
+#: 67-177.  Jacobians made exactly singular gave 8.5e14 or more: at
+#: levels 1-2 by a repeated G row or a zeroed lam column, at level 3
+#: (8.5e16 or more) by a zero row or column.
 CAPACITANCE_COND_MAX = 1e12
 
 
 class SingularAuxiliaryError(RuntimeError):
     """A regularized system G + a a^T (kernel dimension > 1), or the
-    level-3 Jacobian it helps to solve, is singular."""
+    block Jacobian it helps to solve, is singular."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,23 @@ class Problem:
     def __post_init__(self):
         if self.lap is None:
             object.__setattr__(self, "lap", build_laplacian(self.grid))
+
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """Positions of the Laplacian's diagonal in its CSR data."""
+        lap = self.lap
+        rows = np.repeat(np.arange(lap.shape[0]), np.diff(lap.indptr))
+        found = np.flatnonzero(lap.indices == rows)
+        if found.size != lap.shape[0]:
+            raise ValueError("the Laplacian must store its whole diagonal")
+        return found
+
+    def gu(self, fu: np.ndarray) -> sp.csr_matrix:
+        """G_u = L + diag(f_u), on the Laplacian's sparsity pattern."""
+        data = self.lap.data.copy()
+        data[self._diagonal] += fu
+        return sp.csr_matrix((data, self.lap.indices, self.lap.indptr),
+                             shape=self.lap.shape)
 
 
 @dataclass
@@ -167,196 +194,301 @@ class MonitorRecord:
     butterfly: float | None = None
 
 
-def _stacks(state: AugmentedState, top: int):
-    """t-derivative diagonals f_u .. f^(top) at the current state."""
-    nl, u, lam = state.problem.nl, state.u, state.lam
-    return [nl.derivative(k, u, lam) for k in range(1, top + 1)]
-
-
-def _dense(block) -> sp.csr_matrix:
-    # bmat rejects rows made of bare ndarrays with mixed widths
-    return sp.csr_matrix(np.atleast_2d(block))
-
-
-def _regularized_lu(mat, a: np.ndarray):
-    """SuperLU of the bordered matrix [[mat, a], [a^T, -1]].
-
-    With right-hand side [b; 0] its solution [x; a.x] has
-    (mat + a a^T) x = b, and it is singular exactly when mat + a a^T is.
-    """
-    bordered = sp.bmat([[mat, a[:, None]], [a[None, :], [[-1.0]]]],
-                       format="csc")
-    try:
-        return splu(bordered)
-    except RuntimeError as exc:
-        raise SingularAuxiliaryError("regularized system is singular") from exc
-
-
-def _lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    """(mat + a a^T)^-1 rhs, column by column, from `_regularized_lu`."""
-    return lu.solve(np.vstack([rhs, np.zeros((1, rhs.shape[1]))]))[:-1]
-
-
-def rank_one_solve(a_sparse, alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (A + alpha alpha^T) x = b without densifying the rank-one part."""
-    x = _regularized_lu(a_sparse, alpha).solve(np.append(b, 0.0))[:-1]
-    if not np.all(np.isfinite(x)):
-        raise SingularAuxiliaryError(
-            "regularized system is numerically singular")
-    return x
-
-
-def _scaled_cond(mat: np.ndarray) -> float:
+def _scaled_cond(mat: np.ndarray, ref: np.ndarray) -> float:
     """Condition number of mat with rows, then columns, scaled to unit
-    max-norm; inf when a row or column is zero or an entry not finite."""
+    max-norm of ref, the entrywise magnitudes that mat was summed from.
+
+    Scaling by ref rather than by mat keeps a row or column that
+    cancelled to rounding noise small, so it reads as singular.  inf
+    when ref has a zero row or column or an entry is not finite.
+    """
     for axis in (1, 0):
-        scale = np.max(np.abs(mat), axis=axis, keepdims=True)
+        scale = np.max(ref, axis=axis, keepdims=True)
         if not np.all((scale > 0) & np.isfinite(scale)):
             return np.inf
-        mat = mat / scale
+        mat, ref = mat / scale, ref / scale
     return float(np.linalg.cond(mat))
 
 
+class BorderedGu:
+    """SuperLU of G_u bordered by the scaled kernel vector k = a / sqrt(|a|).
+
+    With right-hand side [b; 0] the bordered matrix [[G_u, k], [k^T, -1]]
+    has the solution [x; k.x] with B x = b, B = G_u + k k^T, and it is
+    singular exactly when B is.  B is regular at a simple fold, where a
+    spans the kernel of G_u.  For symmetric G_u, B^2 = G_u^2 + a a^T +
+    g k^T + k g^T with g = G_u k.
+    """
+
+    def __init__(self, gu, a: np.ndarray):
+        self.k = k = a / np.sqrt(np.linalg.norm(a) or 1.0)
+        self.g = gu @ k
+        # CSC arrays directly: k ends every column, then the last column
+        csc = sp.csc_matrix(gu)
+        n, ends = k.size, csc.indptr[1:]
+        bordered = sp.csc_matrix(
+            (np.concatenate([np.insert(csc.data, ends, k), k, [-1.0]]),
+             np.concatenate([np.insert(csc.indices, ends, n),
+                             np.arange(n + 1)]),
+             np.append(csc.indptr + np.arange(n + 1), csc.nnz + 2 * n + 1)),
+            shape=(n + 1, n + 1))
+        try:
+            self.lu = splu(bordered, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SingularAuxiliaryError(
+                "regularized system is singular") from exc
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """B^-1 rhs, or B^-T rhs with trans "T", column by column."""
+        pad = np.zeros((1, rhs.shape[1]))
+        return self.lu.solve(np.vstack([rhs, pad]), trans=trans)[:-1]
+
+    def square_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(G_u^2 + a a^T)^-1 rhs for symmetric G_u.
+
+        That matrix is B^2 less the rank-two g k^T + k g^T, so two
+        solves with B and a 2 x 2 Woodbury capacitance give it.
+        """
+        y = self.solve(self.solve(np.column_stack([rhs, self.g, self.k])))
+        right = np.column_stack([self.k, self.g])
+        try:
+            x = y[:, 0] + y[:, 1:] @ np.linalg.solve(
+                np.eye(2) - right.T @ y[:, 1:], right.T @ y[:, 0])
+        except np.linalg.LinAlgError as exc:
+            raise SingularAuxiliaryError(
+                "regularized system is singular") from exc
+        if not np.all(np.isfinite(x)):
+            raise SingularAuxiliaryError(
+                "regularized system is numerically singular")
+        return x
+
+
 @dataclass(frozen=True)
-class SwallowtailJacobian:
-    """The level-3 Jacobian, kept as its blocks and solved by blocks.
+class BlockJacobian:
+    """The Jacobian of a level-1, 2 or 3 system, kept as its blocks.
 
-    In the columns (u, alpha, vbar, lam) the block rows G, G_u a and
-    the vbar equation read
+    In the columns (u, alpha, [vbar,] lam) the block rows G and G_u a
+    read
 
-        [[G_u,      0,                   0,              cols[:n]],
-         [diag(d),  G_u,                 0,              cols[n:2n]],
-         [p,        diag(e) + a vbar^T,  G_u^2 + a a^T,  cols[2n:]]]
+        [[G_u,      0,    cols[:n]],
+         [diag(d),  G_u,  cols[n:2n]]]
 
-    and `rows` holds the normalization, cusp and value rows in full.
-    G_u^2 is applied as G_u twice, never formed.  The residual
-    interleaves the rows: G, G_u a, normalization, cusp, vbar equation,
-    value.
+    and level 3 adds the vbar equation
+
+         [p,  diag(e) + a vbar^T,  G_u^2 + a a^T,  cols[2n:]]
+
+    (p, e and vbar are None below level 3).  `rows` holds the single
+    rows in full: normalization, cusp (level >= 2), value (level 3)
+    and, after `bordered`, a continuation row.  G_u^2 is applied as G_u
+    twice, never formed.  The residual interleaves the rows: G, G_u a,
+    normalization, cusp, vbar equation, then the remaining single rows.
     """
 
     gu: sp.csr_matrix
     d: np.ndarray
-    p: sp.csr_matrix
-    e: np.ndarray
     a: np.ndarray
-    vbar: np.ndarray
     cols: np.ndarray
     rows: np.ndarray
+    p: sp.csr_matrix | None = None
+    e: np.ndarray | None = None
+    vbar: np.ndarray | None = None
+
+    @property
+    def blocks(self) -> int:
+        """Block rows (and block columns): 2, or 3 with vbar."""
+        return 2 if self.vbar is None else 3
 
     @property
     def shape(self) -> tuple:
-        return 3 * self.a.size + 3, self.rows.shape[1]
+        return (self.blocks * self.a.size + self.rows.shape[0],
+                self.rows.shape[1])
 
     @property
     def nnz(self) -> int:
         """Stored entries: the sparse blocks' plus the dense nonzeros."""
-        return int(self.gu.nnz + self.p.nnz + sum(
+        sparse = self.gu.nnz + (0 if self.p is None else self.p.nnz)
+        return int(sparse + sum(
             np.count_nonzero(x) for x in (self.d, self.e, self.a, self.vbar,
-                                          self.cols, self.rows)))
+                                          self.cols, self.rows)
+            if x is not None))
 
     def _order(self) -> tuple:
         """Residual positions of the block rows and of the single rows."""
-        n = self.a.size
-        single = np.array([2 * n, 2 * n + 1, 3 * n + 2])
-        return np.delete(np.arange(3 * n + 3), single), single
+        n, m = self.a.size, self.rows.shape[0]
+        head = m if self.vbar is None else 2
+        single = np.concatenate([2 * n + np.arange(head),
+                                 3 * n + 2 + np.arange(m - head)])
+        return np.delete(np.arange(self.shape[0]), single), single
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n, size = self.a.size, self.blocks * self.a.size
+        xu, xa = x[:n], x[n : 2 * n]
+        out = [self.gu @ xu, self.d * xu + self.gu @ xa]
+        if self.vbar is not None:
+            xv = x[2 * n : 3 * n]
+            out.append(self.p @ xu + self.e * xa + self.a * (self.vbar @ xa)
+                       + self.gu @ (self.gu @ xv) + self.a * (self.a @ xv))
+        block, single = self._order()
+        y = np.empty(self.shape[0])
+        y[block] = np.concatenate(out) + self.cols @ x[size:]
+        y[single] = self.rows @ x
+        return y
+
+    def _below_level_3(self, what: str) -> None:
+        # continuation, which needs these, never runs at level 3
+        if self.vbar is not None:
+            raise ValueError(f"{what} are defined below level 3")
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """The transposed product J^T y; levels 1-2."""
+        self._below_level_3("transposed products")
+        block, single = self._order()
+        yb, n, gu_t = y[block], self.a.size, self.gu.T
+        out = np.concatenate([gu_t @ yb[:n] + self.d * yb[n:],
+                              gu_t @ yb[n:], self.cols.T @ yb])
+        return out + self.rows.T @ y[single]
+
+    def norms(self) -> tuple:
+        """(||J||_1, ||J||_inf) exactly, from the blocks; levels 1-2."""
+        self._below_level_3("block norms")
         n = self.a.size
-        xu, xa, xv = x[:n], x[n : 2 * n], x[2 * n : 3 * n]
-        lam = self.cols @ x[3 * n :]
-        single = self.rows @ x
-        aux = (self.p @ xu + self.e * xa + self.a * (self.vbar @ xa)
-               + self.gu @ (self.gu @ xv) + self.a * (self.a @ xv)
-               + lam[2 * n :])
-        return np.concatenate([self.gu @ xu + lam[:n],
-                               self.d * xu + self.gu @ xa + lam[n : 2 * n],
-                               single[:2], aux, single[2:]])
+        mag = abs(self.gu)
+        gu_rows = np.asarray(mag.sum(axis=1)).ravel()
+        gu_cols = np.asarray(mag.sum(axis=0)).ravel()
+        cols, rows, d = np.abs(self.cols), np.abs(self.rows), np.abs(self.d)
+        row_sums = np.concatenate([gu_rows + cols[:n].sum(axis=1),
+                                   d + gu_rows + cols[n:].sum(axis=1),
+                                   rows.sum(axis=1)])
+        col_sums = rows.sum(axis=0) + np.concatenate(
+            [gu_cols + d, gu_cols, cols.sum(axis=0)])
+        return float(col_sums.max()), float(row_sums.max())
+
+    def bordered(self, row: np.ndarray) -> "BlockJacobian":
+        """[J; row^T]: the same blocks with one more single row."""
+        return replace(self, rows=np.vstack([self.rows, row]))
+
+    def factor(self, strict: bool = True) -> "BlockFactor":
+        return BlockFactor(self, strict)
 
     def toarray(self) -> np.ndarray:
         n = self.a.size
         gu, zero = self.gu.toarray(), np.zeros((n, n))
-        body = np.block([
-            [gu, zero, zero],
-            [np.diag(self.d), gu, zero],
-            [self.p.toarray(), np.diag(self.e) + np.outer(self.a, self.vbar),
-             gu @ gu + np.outer(self.a, self.a)]])
+        body = [[gu, zero], [np.diag(self.d), gu]]
+        if self.vbar is not None:
+            body = [row + [zero] for row in body]
+            body.append([self.p.toarray(),
+                         np.diag(self.e) + np.outer(self.a, self.vbar),
+                         gu @ gu + np.outer(self.a, self.a)])
         block, single = self._order()
         out = np.empty(self.shape)
-        out[block] = np.hstack([body, self.cols])
+        out[block] = np.hstack([np.block(body), self.cols])
         out[single] = self.rows
         return out
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with self @ x = rhs, by block elimination.
 
-        One bordered factorization solves with B = G_u + k k^T, where
-        k = a / sqrt(|a|); B is regular at a simple fold, and B^2 =
-        G_u^2 + a a^T + g k^T + k g^T with g = G_u k.  So the block
-        triangle L with diagonal blocks B, B and B^2 solves by forward
-        substitution.  The matrix is [[L, 0], [0, I]] plus a rank-10
-        term: -k k^T in the two G_u blocks, -(g k^T + k g^T) in the
-        G_u^2 block, the three lam columns and the three single rows.
-        Woodbury folds that term into a 10 x 10 capacitance, and one
-        step of iterative refinement against the full product follows.
-        A singular factorization or capacitance, or a non-finite
-        result, raises SingularAuxiliaryError.
-        """
-        n, a = self.a.size, self.a
-        if self.shape[0] != self.shape[1]:
+class BlockFactor:
+    """Factor of a square BlockJacobian J; solves J x = b and J^T x = b.
+
+    One BorderedGu factorization solves with B = G_u + k k^T, so the
+    block triangle L with diagonal blocks B, B (and B^2 at level 3)
+    solves by forward substitution, and L^T by back substitution.  In
+    the block rows, then the single rows, J is [[L, 0], [0, I]] plus a
+    low-rank term U V^T: -k k^T in the two G_u blocks, -(g k^T + k g^T)
+    in the G_u^2 block, the lam columns and the single rows.  Woodbury
+    folds that term into a capacitance of order 2 + 2m (4 + 2m at level
+    3) for m single rows, 8 on the bordered cusp line and 10 at level 3;
+    its transpose serves the transposed solve (levels 1-2).  Each solve
+    takes one step of iterative refinement against the full product.  A
+    singular factorization or capacitance raises SingularAuxiliaryError;
+    with strict, so does a scaled capacitance condition of
+    CAPACITANCE_COND_MAX or more.  Without strict a nearly singular J
+    still solves, as inverse iteration does.
+    """
+
+    def __init__(self, jac: BlockJacobian, strict: bool = True):
+        if jac.shape[0] != jac.shape[1]:
             raise ValueError("the block solve needs a square Jacobian")
-        k = a / np.sqrt(np.linalg.norm(a) or 1.0)
-        g = self.gu @ k
-        lu = _regularized_lu(self.gu, k)
-
-        def forward(f):
-            x1 = _lu_solve(lu, f[:n])
-            x2 = _lu_solve(lu, f[n : 2 * n] - self.d[:, None] * x1)
-            x3 = _lu_solve(lu, _lu_solve(
-                lu, f[2 * n :] - self.p @ x1 - self.e[:, None] * x2
-                - np.outer(a, self.vbar @ x2)))
-            return np.vstack([x1, x2, x3])
-
-        def project(w):
-            # the rank-10 term's right factor applied to columns w
-            return np.vstack([k @ w[:n], k @ w[n : 2 * n],
-                              k @ w[2 * n : 3 * n], g @ w[2 * n : 3 * n],
-                              w[3 * n :], self.rows[:, : 3 * n] @ w[: 3 * n]])
-
-        # its left factor, through [[L, 0], [0, I]]^-1
-        left = np.zeros((3 * n, 7))
-        left[:n, 0] = left[n : 2 * n, 1] = left[2 * n :, 3] = -k
-        left[2 * n :, 2] = -g
-        left[:, 4:] = self.cols
-        z = np.zeros((3 * n + 3, 10))
-        z[: 3 * n, :7] = forward(left)
-        z[3 * n :, 4:7] = self.rows[:, 3 * n :] - np.eye(3)
-        z[3 * n :, 7:] = np.eye(3)
-        cap = np.eye(10) + project(z)
-        cond = _scaled_cond(cap)
-        if not cond < CAPACITANCE_COND_MAX:
+        n, m = jac.a.size, jac.rows.shape[0]
+        size = jac.blocks * n
+        self.jac = jac
+        self.lu = BorderedGu(jac.gu, jac.a)
+        k, g = self.lu.k, self.lu.g
+        low = 2 * jac.blocks - 2  # columns of the G_u block corrections
+        left = np.zeros((size + m, low + 2 * m))
+        right = np.zeros_like(left)
+        left[:n, 0] = left[n : 2 * n, 1] = -k
+        right[:n, 0] = right[n : 2 * n, 1] = k
+        if jac.vbar is not None:
+            left[2 * n : size, 2:4] = np.column_stack([-g, -k])
+            right[2 * n : size, 2:4] = np.column_stack([k, g])
+        lam = slice(low, low + m)
+        left[:size, lam] = jac.cols
+        left[size:, lam] = jac.rows[:, size:] - np.eye(m)
+        right[size:, lam] = np.eye(m)
+        left[size:, low + m :] = np.eye(m)
+        right[:size, low + m :] = jac.rows[:, :size].T
+        self.right = right
+        self.z = np.vstack([self._forward(left[:size]), left[size:]])
+        cap = np.eye(low + 2 * m) + right.T @ self.z
+        cond = _scaled_cond(cap, np.eye(low + 2 * m)
+                            + np.abs(right).T @ np.abs(self.z))
+        try:
+            self.cap_inv = np.linalg.inv(cap)
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if not cond < (CAPACITANCE_COND_MAX if strict else np.inf):
             raise SingularAuxiliaryError(
-                f"level-3 Jacobian is singular: scaled capacitance "
+                f"block Jacobian is singular: scaled capacitance "
                 f"condition {cond:.3g}")
-        block, single = self._order()
+        self.block, self.single = jac._order()
 
-        def once(b):
-            y = np.vstack([forward(b[block, None]), b[single, None]])
-            return (y - z @ np.linalg.solve(cap, project(y)))[:, 0]
+    def _forward(self, f: np.ndarray) -> np.ndarray:
+        """L^-1 f, column by column."""
+        jac, lu, n = self.jac, self.lu, self.jac.a.size
+        x1 = lu.solve(f[:n])
+        x2 = lu.solve(f[n : 2 * n] - jac.d[:, None] * x1)
+        if jac.vbar is None:
+            return np.vstack([x1, x2])
+        x3 = lu.solve(lu.solve(
+            f[2 * n :] - jac.p @ x1 - jac.e[:, None] * x2
+            - np.outer(jac.a, jac.vbar @ x2)))
+        return np.vstack([x1, x2, x3])
 
-        x = once(rhs)
-        x = x + once(rhs - self @ x)
-        if not np.all(np.isfinite(x)):
-            raise SingularAuxiliaryError("non-finite level-3 block solve")
+    def _backward(self, f: np.ndarray) -> np.ndarray:
+        """L^-T f, column by column; levels 1-2."""
+        self.jac._below_level_3("transposed solves")
+        n, lu = self.jac.a.size, self.lu
+        x2 = lu.solve(f[n:], "T")
+        return np.vstack([lu.solve(f[:n] - self.jac.d[:, None] * x2, "T"),
+                          x2])
+
+    def _once(self, b: np.ndarray, trans: str) -> np.ndarray:
+        size = self.block.size
+        if trans == "N":
+            y = np.concatenate([self._forward(b[self.block, None])[:, 0],
+                                b[self.single]])
+            return y - self.z @ (self.cap_inv @ (self.right.T @ y))
+        # J^T = M^T P for M = P J, the rows permuted into block order
+        c = b - self.right @ (self.cap_inv.T @ (self.z.T @ b))
+        x = np.empty_like(c)
+        x[self.block] = self._backward(c[:size, None])[:, 0]
+        x[self.single] = c[size:]
         return x
 
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """x with J x = rhs, or J^T x = rhs with trans "T"."""
+        x = self._once(rhs, trans)
+        product = self.jac @ x if trans == "N" else self.jac.rmatvec(x)
+        return x + self._once(rhs - product, trans)
 
-def _swallowtail_system(gu, f, dlam, a, vbar, head, act):
-    """Residuals of the vbar equation and the swallowtail value, and the
-    level-3 SwallowtailJacobian.
 
-    head holds the normalization and cusp rows over (u, alpha, lam) from
-    the levels below.  The cubic vbar term differentiates into the
-    weight 2 vbar . G_u^2 vbar + (G_u vbar)^2 against d(f_u).
+def _swallowtail_system(gu, f, dlam, a, vbar):
+    """Residuals of the vbar equation and the swallowtail value, the
+    value row over (u, alpha, vbar, all three lam), the vbar rows' lam
+    columns and the level-3 blocks p, e and vbar.
+
+    The cubic vbar term differentiates into the weight
+    2 vbar . G_u^2 vbar + (G_u vbar)^2 against d(f_u).
     """
     f2, f3, f4 = f[2:]
     dlam_fu, dlam_fuu, dlam_fuuu = dlam[1:]
@@ -373,32 +505,22 @@ def _swallowtail_system(gu, f, dlam, a, vbar, head, act):
         a**4 @ dlam_fuuu + 6.0 * (a**2 * v) @ dlam_fuu
         + 6.0 * (f2 * a**2 * vbar) @ dlam_fu + 3.0 * weight @ dlam_fu,
     )
-    zero = np.zeros_like(a)
-    rows = [np.concatenate([zero if x is None else x for x in row[:2]]
-                           + [zero] + [row[2][act]])
-            for row in head]
-    rows.append(np.concatenate(value[:3] + (value[3][act],)))
-    cols = np.vstack([
-        dlam[0], a[:, None] * dlam[1],
-        v[:, None] * dlam_fu + gu @ (vbar[:, None] * dlam_fu)
-        + (a**2)[:, None] * dlam_fuu])
-    jac = SwallowtailJacobian(
-        gu=gu, d=f2 * a,
-        p=gu @ sp.diags(f2 * vbar) + sp.diags(f2 * v + f3 * a**2),
-        e=(a @ vbar) + 2.0 * f2 * a, a=a, vbar=vbar,
-        cols=cols[:, act], rows=np.array(rows))
-    return res, jac
+    cols = (v[:, None] * dlam_fu + gu @ (vbar[:, None] * dlam_fu)
+            + (a**2)[:, None] * dlam_fuu)
+    blocks = dict(p=gu @ sp.diags(f2 * vbar) + sp.diags(f2 * v + f3 * a**2),
+                  e=(a @ vbar) + 2.0 * f2 * a, vbar=vbar)
+    return res, value, cols, blocks
 
 
 def _assemble(state: AugmentedState, level: int):
     """Residual and analytic Jacobian of the level-`level` system.
 
     Each level appends its rows to the rows of the level below, and
-    every t-derivative and lam-gradient is evaluated once.  A block row
-    is [u, alpha, lam] with the lam-gradient over all three parameters;
-    columns the level does not have are dropped and the gradient is
-    sliced to the active parameters at the end.  Level 3 returns its
-    blocks as a SwallowtailJacobian instead of one sparse matrix.
+    every t-derivative and lam-gradient is evaluated once.  A single
+    row is (u, alpha, [vbar,] lam) with the lam-gradient over all three
+    parameters, sliced to the active ones at the end, and so are the
+    lam columns.  Level 0 returns the sparse [G_u, dG/dlam]; levels 1-3
+    return a BlockJacobian, never one global matrix.
     """
     if level > state.level:
         raise ValueError(f"level-{level} assembly needs a level-{level} "
@@ -406,29 +528,31 @@ def _assemble(state: AugmentedState, level: int):
     prob, u, lam = state.problem, state.u, state.lam
     f = [prob.nl.derivative(k, u, lam) for k in range(level + 2)]
     dlam = [prob.nl.lambda_derivative(k, u, lam) for k in range(level + 1)]
-    gu = (prob.lap + sp.diags(f[1])).tocsr()
+    gu = prob.gu(f[1])
     act = list(state.active)
     res = [prob.lap @ u + f[0]]
-    head = []
-    if level >= 1:
-        a, area = state.alpha, prob.grid.cell_area
-        res += [gu @ a, [area * (a @ a) - 1.0]]
-        head.append((None, 2.0 * area * a, np.zeros(3)))
+    if level == 0:
+        lam_cols = sp.csr_matrix(dlam[0][:, act])
+        return res[0], sp.hstack([gu, lam_cols], format="csr")
+    a, area = state.alpha, prob.grid.cell_area
+    zero = np.zeros_like(a)
+    res += [gu @ a, [area * (a @ a) - 1.0]]
+    rows = [(zero, 2.0 * area * a, np.zeros(3))]
     if level >= 2:
         res.append([f[2] @ a**3])
-        head.append((f[3] * a**3, 3.0 * f[2] * a**2, a**3 @ dlam[2]))
+        rows.append((f[3] * a**3, 3.0 * f[2] * a**2, a**3 @ dlam[2]))
+    cols = [dlam[0], a[:, None] * dlam[1]]
+    blocks = {}
     if level == 3:
-        more_res, jac = _swallowtail_system(gu, f, dlam, a, state.vbar,
-                                            head, act)
-        return np.concatenate(res + more_res), jac
-    rows = [[gu, None, dlam[0]]]
-    if level >= 1:
-        rows.append([sp.diags(f[2] * a), gu, a[:, None] * dlam[1]])
-    rows += [[x if x is None else _dense(x) for x in row[:2]] + [row[2]]
-             for row in head]
-    width = 1 if level == 0 else 2
-    jac = sp.bmat([row[:width] + [_dense(np.atleast_2d(row[2])[:, act])]
-                   for row in rows], format="csr")
+        more_res, value, vbar_cols, blocks = _swallowtail_system(
+            gu, f, dlam, a, state.vbar)
+        res += more_res
+        rows = [(x, y, zero, g) for x, y, g in rows] + [value]
+        cols.append(vbar_cols)
+    jac = BlockJacobian(
+        gu=gu, d=f[2] * a, a=a, cols=np.vstack(cols)[:, act],
+        rows=np.array([np.concatenate(row[:-1] + (row[-1][act],))
+                       for row in rows]), **blocks)
     return np.concatenate(res), jac
 
 
@@ -463,53 +587,72 @@ def f3_residual_jacobian(state: AugmentedState):
     return _assemble(state, 3)
 
 
-def cusp_monitor(state: AugmentedState) -> float:
-    f2 = state.problem.nl.derivative(2, state.u, state.lam)
+class Linearization:
+    """f_u .. f^(top) and G_u at one state, and G_u bordered by the
+    kernel vector, factored on first use.  The monitors evaluated at
+    one state share one, so each derivative is evaluated once there."""
+
+    def __init__(self, state: AugmentedState, top: int):
+        nl, u, lam = state.problem.nl, state.u, state.lam
+        self.alpha = state.alpha
+        self.f = [nl.derivative(k, u, lam) for k in range(1, top + 1)]
+        self.gu = state.problem.gu(self.f[0])
+
+    @cached_property
+    def bordered(self) -> BorderedGu:
+        return BorderedGu(self.gu, self.alpha)
+
+
+def cusp_monitor(state: AugmentedState,
+                 lin: Linearization | None = None) -> float:
+    f2 = (lin or Linearization(state, 2)).f[1]
     return float(f2 @ state.alpha**3)
 
 
-def solve_v(state: AugmentedState):
+def solve_v(state: AugmentedState, lin: Linearization | None = None):
     """Kernel-orthogonal correction: (G_u^2 + a a^T) vbar = -(f_uu . a^2).
 
     Returns (vbar, v) with v = G_u vbar; v solves G_u v = -(f_uu . a^2)
     projected off the kernel, and is orthogonal to it by construction.
     """
-    f1, f2 = _stacks(state, 2)
-    gu = (state.problem.lap + sp.diags(f1)).tocsr()
-    vbar = rank_one_solve((gu @ gu).tocsc(), state.alpha, -f2 * state.alpha**2)
-    return vbar, gu @ vbar
+    lin = lin or Linearization(state, 2)
+    vbar = lin.bordered.square_solve(-lin.f[1] * state.alpha**2)
+    return vbar, lin.gu @ vbar
 
 
-def swallowtail_monitor(state: AugmentedState, v: np.ndarray) -> float:
+def swallowtail_monitor(state: AugmentedState, v: np.ndarray,
+                        lin: Linearization | None = None) -> float:
     a = state.alpha
-    f1, f2, f3 = _stacks(state, 3)
-    gu = (state.problem.lap + sp.diags(f1)).tocsr()
-    return float(f3 @ a**4 + 6.0 * (f2 * a**2) @ v + 3.0 * v @ (gu @ v))
+    lin = lin or Linearization(state, 3)
+    f2, f3 = lin.f[1:3]
+    return float(f3 @ a**4 + 6.0 * (f2 * a**2) @ v + 3.0 * v @ (lin.gu @ v))
 
 
-def butterfly_monitor(state: AugmentedState, v: np.ndarray) -> float:
+def butterfly_monitor(state: AugmentedState, v: np.ndarray,
+                      lin: Linearization | None = None) -> float:
     """Butterfly test with the auxiliary w-solve.
 
     (G_u^2 + a a^T) wbar = -(3 f_uu . a . v + f_uuu . a^3), w = G_u wbar,
     value = f_uuuu . a^5 - 15 (f_uu . a) . v^2 + 10 (f_uu . a^2) . w.
     """
     a = state.alpha
-    f1, f2, f3, f4 = _stacks(state, 4)
-    gu = (state.problem.lap + sp.diags(f1)).tocsr()
-    wbar = rank_one_solve((gu @ gu).tocsc(), a,
-                          -(3.0 * f2 * a * v + f3 * a**3))
-    w = gu @ wbar
+    lin = lin or Linearization(state, 4)
+    f2, f3, f4 = lin.f[1:4]
+    wbar = lin.bordered.square_solve(-(3.0 * f2 * a * v + f3 * a**3))
+    w = lin.gu @ wbar
     return float(f4 @ a**5 - 15.0 * (f2 * a) @ (v * v)
                  + 10.0 * (f2 * a**2) @ w)
 
 
 def evaluate_monitors(state: AugmentedState) -> MonitorRecord:
     """Cusp and swallowtail values at a state; butterfly at level 3."""
-    _, v = solve_v(state)
-    butterfly = butterfly_monitor(state, v) if state.level == 3 else None
+    lin = Linearization(state, 4 if state.level == 3 else 3)
+    _, v = solve_v(state, lin)
+    butterfly = (butterfly_monitor(state, v, lin) if state.level == 3
+                 else None)
     return MonitorRecord(
-        cusp=cusp_monitor(state),
-        swallowtail=swallowtail_monitor(state, v),
+        cusp=cusp_monitor(state, lin),
+        swallowtail=swallowtail_monitor(state, v, lin),
         butterfly=butterfly,
     )
 

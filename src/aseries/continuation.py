@@ -4,11 +4,17 @@ Continues any square-plus-one residual system R(z) = 0, R: R^(n+1) -> R^n,
 by an Euler predictor and an orthogonal corrector (Newton on R stacked
 with tangent . (z - z_pred) = 0).  Residual and Jacobian come from one
 callable, so each Newton iterate assembles once; the Jacobian of the
-converged corrector is reused for the tangent, and the tangent's LU
+converged corrector is reused for the tangent, and the tangent's factor
 for the rank check.
-The layer is sparse only (a dense Jacobian is converted to sparse), and
-a singular bordered tangent matrix [J; row^T] raises RankDeficientError,
-which a branch run treats like any failed step.
+The layer factors the square bordered matrix [J; row^T] one of two
+ways, and `_jacobian` is the one place that chooses.  A level-1-3
+augmented Jacobian (an augmented.BlockJacobian) keeps its blocks: its
+factor is one (n+1) x (n+1) LU of G_u bordered by the kernel vector and
+a small dense capacitance, both inside augmented.  Every other Jacobian
+(level 0, and plain matrices; a dense one is converted to sparse) gets
+one SuperLU of the whole matrix.  Both factors solve with the matrix
+and its transpose.  A singular bordered tangent matrix raises
+RankDeficientError, which a branch run treats like any failed step.
 Every accepted point is checked to be regular, i.e. its n x (n+1)
 Jacobian J keeps full row rank: sigma_min(J) < rank_tol *
 max(sigma_max(J), 1) rejects it.  The check borders J with its scaled
@@ -20,7 +26,9 @@ Sherman-Morrison update of T's LU gives B^-1 and B^-T, and Lanczos on
 B^-T B^-1 gives sigma_min(B) = 1 / ||B^-1||_2.  A point with sigma_min
 >= rank_tol * c is accepted at once; only otherwise does a Lanczos run
 on J^T J give sigma_max(J) for the exact verdict.  The check forms no
-dense matrix, and within a step it factors nothing beyond the tangent.
+dense or global matrix (the norms and products of a BlockJacobian come
+from its blocks), and within a step it factors nothing beyond the
+tangent.
 Monitors are named scalar functions of z recorded at every accepted
 point; sign changes between consecutive points are refined by
 re-stepping with a secant rule on arclength, down to EVENT_TOL of the
@@ -45,8 +53,10 @@ from scipy.sparse.linalg import (
 )
 
 from .augmented import (
+    BlockFactor,
+    BlockJacobian,
+    Linearization,
     MonitorRecord,
-    SwallowtailJacobian,
     butterfly_monitor,
     cusp_monitor,
     residual_jacobian,
@@ -69,6 +79,13 @@ REFINE_BUDGET = 60
 #: The eigenvalue error is at most this, far below the eps * sigma_max
 #: rounding of a dense SVD's sigma_min near the rank_tol threshold.
 RANK_LANCZOS_TOL = 1e-10
+#: Lanczos subspace size of the rank check's runs.  On the robust 10x10
+#: and 15x15 hunts a check took 21 operator applications at ARPACK's
+#: default of 20 and 5-15 (mean 7-8) at 4, sigma_min agreeing to 1e-15.
+LANCZOS_NCV = 4
+#: `tangent` borders again with the tangent it found when the cosine
+#: between its bordering row and the tangent is smaller than this.
+BORDER_COS_MIN = 1e-3
 
 
 class ContinuationError(RuntimeError):
@@ -97,23 +114,59 @@ class ConvergenceError(ContinuationError):
         self.residual_norm = residual_norm
 
 
-def _bordered(jac, row: np.ndarray) -> sp.csc_matrix:
-    """The square matrix [jac; row^T] of an n x (n+1) jac, in CSC form."""
-    # the row from its nonzeros: csr_matrix(row[None, :]) is ~2x slower
-    cols = np.flatnonzero(row)
-    last = sp.csr_matrix((row[cols], cols, [0, cols.size]),
-                         shape=(1, row.size))
-    # one conversion of the stack: vstack(format="csc") is ~3x slower
-    return sp.vstack([sp.csr_matrix(jac), last]).tocsc()
+@dataclass(frozen=True)
+class _SparseJacobian:
+    """A level-0 (or any plain) Jacobian behind the BlockJacobian
+    interface; its factor is one SuperLU of the whole matrix."""
+
+    mat: sp.csr_matrix
+
+    @property
+    def shape(self) -> tuple:
+        return self.mat.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.mat @ x
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return self.mat.T @ y
+
+    def norms(self) -> tuple:
+        magnitude = abs(self.mat)
+        return magnitude.sum(axis=0).max(), magnitude.sum(axis=1).max()
+
+    def bordered(self, row: np.ndarray) -> "_SparseJacobian":
+        """[mat; row^T], the row built from its nonzeros (csr_matrix of
+        row[None, :] is ~2x slower) and stacked as CSR (stacking as CSC
+        is ~3x slower than one conversion in `factor`)."""
+        cols = np.flatnonzero(row)
+        last = sp.csr_matrix((row[cols], cols, [0, cols.size]),
+                             shape=(1, row.size))
+        return _SparseJacobian(sp.vstack([self.mat, last]))
+
+    def factor(self, strict: bool = True) -> SuperLU:
+        # SuperLU fails on an exactly zero pivot only, strict or not
+        return splu(self.mat.tocsc())
+
+
+def _jacobian(jac):
+    """The one place where level 0 and the block levels part.
+
+    A BlockJacobian (levels 1-3) keeps its blocks and factors G_u
+    bordered by the kernel vector; any other Jacobian is wrapped as
+    sparse and factored whole by SuperLU.  Both factors solve with
+    trans "N" and "T" and raise a RuntimeError when singular.
+    """
+    if isinstance(jac, (BlockJacobian, _SparseJacobian)):
+        return jac
+    return _SparseJacobian(sp.csr_matrix(jac))
 
 
 def _linear_solve(mat, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat x = rhs: SuperLU, or a SwallowtailJacobian's block solve."""
+    """Solve the square system mat x = rhs through `_jacobian`'s factor:
+    SuperLU at level 0, the block solve at levels 1-3."""
     try:
-        if isinstance(mat, SwallowtailJacobian):
-            sol = mat.solve(rhs)
-        else:
-            sol = splu(sp.csc_matrix(mat)).solve(rhs)
+        sol = _jacobian(mat).factor().solve(rhs)
     except RuntimeError as exc:
         raise SingularJacobianError(str(exc)) from exc
     if not np.all(np.isfinite(sol)):
@@ -199,12 +252,14 @@ class BranchResult:
 
 @dataclass(frozen=True)
 class BorderedFactor:
-    """SuperLU factor of T = [J; row^T] and s = T^-1 e_last.
+    """Factor of T = [J; row^T] and s = T^-1 e_last.
 
-    row^T s = 1, and the unit tangent is s / ||s||.
+    lu is a SuperLU at level 0 and a BlockFactor at levels 1-3; both
+    solve with T and, with trans "T", with T^T.  row^T s = 1, and the
+    unit tangent is s / ||s||.
     """
 
-    lu: SuperLU
+    lu: SuperLU | BlockFactor
     row: np.ndarray
     s: np.ndarray
 
@@ -214,43 +269,60 @@ def tangent(jac, previous: np.ndarray | None = None):
 
     Solves the bordered system [jac; row] s = e_last where row is the
     previous tangent (orientation then follows automatically), or the
-    last unit vector when previous is None.  Returns (t, factor), the
-    BorderedFactor that the rank check reuses.  A singular bordered
-    matrix raises RankDeficientError.
+    last unit vector when previous is None.  A row within BORDER_COS_MIN
+    of orthogonal to the kernel leaves that matrix ill-conditioned (a
+    line that turns in the last parameter at its start), so the solve
+    is repeated once with the tangent found as the row.  Returns (t,
+    factor), the BorderedFactor that the rank check reuses.  Like
+    inverse iteration, the solve accepts a nearly singular bordered
+    matrix and leaves regularity to the rank check; an exactly singular
+    one raises RankDeficientError.
     """
+    jac = _jacobian(jac)
     n_rows, n_cols = jac.shape
     if n_cols != n_rows + 1:
         raise ValueError("tangent needs one more column than rows")
     rhs = np.zeros(n_cols)
     rhs[-1] = 1.0
+
+    def bordered_solve(row):
+        try:
+            lu = jac.bordered(row).factor(strict=False)
+            sol = lu.solve(rhs)
+        except RuntimeError:
+            lu, sol = None, np.zeros(n_cols)
+        norm = np.linalg.norm(sol)
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise RankDeficientError(
+                "bordered tangent matrix is singular: the Jacobian lost "
+                "rank or the bordering row is orthogonal to its kernel")
+        return lu, sol, norm
+
     row = rhs if previous is None else np.asarray(previous, dtype=float)
-    try:
-        lu = splu(_bordered(jac, row))
-        sol = lu.solve(rhs)
-    except RuntimeError:
-        lu, sol = None, np.zeros(n_cols)
-    norm = np.linalg.norm(sol)
-    if not (np.isfinite(norm) and norm > 0.0):
-        raise RankDeficientError(
-            "bordered tangent matrix is singular: the Jacobian lost rank "
-            "or the bordering row is orthogonal to its kernel")
+    lu, sol, norm = bordered_solve(row)
     t = sol / norm
     if row @ t < 0.0:
         t = -t
+    # row^T s = 1, so ||s|| ||row|| is 1 / cos(row, t)
+    if norm * np.linalg.norm(row) * BORDER_COS_MIN > 1.0:
+        row = t
+        lu, sol, norm = bordered_solve(row)
+        t = sol / norm
     return t, BorderedFactor(lu, row, sol)
 
 
 def _largest_eigenvalue(matvec, size: int) -> float:
     """Largest eigenvalue of a symmetric positive semidefinite operator.
 
-    Lanczos (ARPACK) from a fixed random start vector, stopped at a
-    Ritz residual of RANK_LANCZOS_TOL relative; a failure to converge is
-    a ContinuationError.
+    Lanczos (ARPACK) from a fixed random start vector on a subspace of
+    LANCZOS_NCV vectors, stopped at a Ritz residual of RANK_LANCZOS_TOL
+    relative; a failure to converge is a ContinuationError.
     """
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     start = np.random.default_rng(0).standard_normal(size)
     try:
-        return float(eigsh(op, k=1, v0=start, tol=RANK_LANCZOS_TOL,
+        return float(eigsh(op, k=1, ncv=min(LANCZOS_NCV, size), v0=start,
+                           tol=RANK_LANCZOS_TOL,
                            return_eigenvectors=False)[0])
     except ArpackError as exc:
         raise ContinuationError(f"rank check: ARPACK failed: {exc}") from exc
@@ -273,24 +345,22 @@ def _check_rank(problem: ContinuationProblem, jac,
     +-c ||s||, well away from zero.  The Lanczos run for sigma_max(J)
     happens only when sigma_min < rank_tol * c leaves the verdict open.
     """
-    mat = sp.csr_matrix(jac)
+    jac = _jacobian(jac)
     if factor is None and null is None:
-        null, factor = tangent(mat)
+        null, factor = tangent(jac)
     elif factor is None:
         null = np.asarray(null, dtype=float)
         try:
-            lu = splu(_bordered(mat, null))
+            lu = jac.bordered(null).factor()
         except RuntimeError as exc:
             raise RankDeficientError(
                 f"bordered Jacobian is exactly singular ({exc}) at an "
                 "accepted point") from exc
-        last = np.zeros(mat.shape[1])
+        last = np.zeros(jac.shape[1])
         last[-1] = 1.0
         factor = BorderedFactor(lu, null, lu.solve(last))
-    size = mat.shape[1]
-    magnitude = abs(mat)
-    bound = np.sqrt(magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max())
-    scale = max(bound, 1.0)
+    size = jac.shape[1]
+    scale = max(np.sqrt(np.prod(jac.norms())), 1.0)
     lu, s = factor.lu, factor.s
     w = scale * null - factor.row
     denom = 1.0 + w @ s
@@ -308,8 +378,7 @@ def _check_rank(problem: ContinuationProblem, jac,
     sigma_min = 1.0 / np.sqrt(abs(_largest_eigenvalue(inverse_gram, size)))
     if sigma_min >= problem.rank_tol * scale:
         return
-    mat_t = mat.T.tocsr()
-    sigma_max = np.sqrt(_largest_eigenvalue(lambda x: mat_t @ (mat @ x),
+    sigma_max = np.sqrt(_largest_eigenvalue(lambda x: jac.rmatvec(jac @ x),
                                             size))
     threshold = problem.rank_tol * max(sigma_max, 1.0)
     if not sigma_min >= threshold:
@@ -338,14 +407,16 @@ def _pinned_newton(problem: ContinuationProblem, anchor: np.ndarray,
     """Newton on R(z) = 0 stacked with row . (z - anchor) = 0, from anchor.
 
     Returns (z, iterations, jac) with jac the Jacobian of R alone at the
-    converged z, as assembled by the accepting Newton evaluation.
+    converged z, as assembled by the accepting Newton evaluation.  Each
+    Newton step factors [jac; row^T] as `_jacobian` dispatches it.
     """
     jac = None
 
     def system(z):
         nonlocal jac
-        res, jac = problem.system(z)
-        return np.append(res, row @ (z - anchor)), _bordered(jac, row)
+        res, raw = problem.system(z)
+        jac = _jacobian(raw)
+        return np.append(res, row @ (z - anchor)), jac.bordered(row)
 
     z, iters = newton_solve(system, anchor, newton_tol, max_newton)
     return z, iters, jac
@@ -434,6 +505,15 @@ def _refine_event(problem, kind, before, after, m_lo, m_hi, newton_tol,
     return Event(kind, best, best_m, approximate)
 
 
+def _on_root(kind: str, start: BranchPoint, first: BranchPoint) -> bool:
+    """Whether a run starts on a root of the monitor, within EVENT_TOL of
+    its value at the first step.  The monitor's sign there is rounding
+    noise, and an event between the two would refine onto the start."""
+    m_start, m_first = _event_scalar(kind, start), _event_scalar(kind, first)
+    return (m_start is not None and m_first is not None
+            and abs(m_start) < EVENT_TOL * abs(m_first))
+
+
 def detect_events(problem: ContinuationProblem, before: BranchPoint,
                   after: BranchPoint, monitor_names,
                   newton_tol: float = NEWTON_TOL,
@@ -465,7 +545,9 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
     Halves the step on corrector failure, grows it by GROW_FACTOR after
     fast convergence, and stops on the step budget, a bounds violation,
     a step failure at the minimal step, or an event whose kind appears
-    in stop_at.  ds0 and ds_max must be positive and finite.
+    in stop_at.  A run that starts on a monitor's root reports no event
+    of that monitor between the start and its first step.  ds0 and
+    ds_max must be positive and finite.
     """
     for name, value in (("ds0", ds0), ("ds_max", ds_max)):
         if not (value > 0 and np.isfinite(value)):
@@ -486,7 +568,9 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
             ds = max(0.5 * ds, DS_MIN)
             continue
         accepted += 1
-        found = detect_events(problem, points[-1], new_point, monitor_names,
+        names = [kind for kind in monitor_names
+                 if accepted > 1 or not _on_root(kind, start, new_point)]
+        found = detect_events(problem, points[-1], new_point, names,
                               newton_tol, max_newton)
         points.append(new_point)
         events.extend(found)
@@ -534,8 +618,7 @@ def augmented_continuation_problem(template, monitors=(),
         def signature(z):
             st = template.with_vector(z)
             f1 = st.problem.nl.derivative(1, st.u, st.lam)
-            gu = st.problem.lap + sp.diags(f1)
-            return solution_signature(gu.tocsc())
+            return solution_signature(st.problem.gu(f1).tocsc())
 
     return ContinuationProblem(system, named, signature, fold_index)
 
@@ -547,13 +630,15 @@ def _pde_monitor(template, name: str):
     elif name == "swallowtail":
         def monitor(z):
             state = template.with_vector(z)
-            _, v = solve_v(state)
-            return swallowtail_monitor(state, v)
+            lin = Linearization(state, 3)
+            _, v = solve_v(state, lin)
+            return swallowtail_monitor(state, v, lin)
     elif name == "butterfly":
         def monitor(z):
             state = template.with_vector(z)
-            _, v = solve_v(state)
-            return butterfly_monitor(state, v)
+            lin = Linearization(state, 4)
+            _, v = solve_v(state, lin)
+            return butterfly_monitor(state, v, lin)
     else:
         raise ValueError(f"unknown monitor {name!r}")
     return monitor

@@ -458,7 +458,8 @@ def refine_on_grid(state: AugmentedState, grid: Grid,
 
     Grid functions move by bilinear interpolation with the zero boundary
     kept; parameters are carried over; the kernel vector is renormalized
-    on the new grid before the Newton iteration.
+    on the new grid before the Newton iteration, unless its normalization
+    residual is already below tol.
     """
     coarse = state.problem.grid
     target = Problem(grid, state.problem.nl)
@@ -470,10 +471,12 @@ def refine_on_grid(state: AugmentedState, grid: Grid,
     alpha = vbar = None
     if state.level >= 1:
         alpha = move(state.alpha)
-        norm = np.sqrt(grid.cell_area * (alpha @ alpha))
-        if norm == 0.0:
+        square = grid.cell_area * (alpha @ alpha)
+        if square == 0.0:
             raise RefinementError("kernel vector vanished under refinement")
-        alpha = alpha / norm
+        # a root on its own grid keeps its kernel vector bit for bit
+        if abs(square - 1.0) >= tol:
+            alpha = alpha / np.sqrt(square)
     if state.level == 3:
         vbar = move(state.vbar)
     template = AugmentedState(target, state.level, u, state.lam.copy(),

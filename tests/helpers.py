@@ -300,3 +300,50 @@ def bordered_newton_step(jac, res: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(sol)):
         raise SingularJacobianError("non-finite Newton update")
     return sol
+
+
+# ---------------------------------------------------------------------------
+# levels 1-2 as one global matrix (oracle for the block solve)
+
+
+def assembled_jacobian(jac, row=None) -> sp.csr_matrix:
+    """A level-1/2 BlockJacobian as one global sparse matrix.
+
+    Assembled with sp.bmat as the library did before its block solve:
+    block rows G and G_u a over (u, alpha, lam), then the single rows
+    (normalization, cusp, any continuation row), then row when given.
+    """
+    n = jac.a.size
+    rows = jac.rows if row is None else np.vstack([jac.rows, row])
+    blocks = sp.bmat([[jac.gu, None, sp.csr_matrix(jac.cols[:n])],
+                      [sp.diags(jac.d), jac.gu,
+                       sp.csr_matrix(jac.cols[n:])]])
+    return sp.vstack([blocks, sp.csr_matrix(rows)], format="csr")
+
+
+def superlu_solve(mat, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+    """x with mat x = rhs (mat^T x = rhs for trans "T") by one SuperLU of
+    the whole square matrix.  A singular factor or a non-finite x raises
+    SingularJacobianError."""
+    try:
+        sol = splu(sp.csc_matrix(mat)).solve(rhs, trans=trans)
+    except RuntimeError as exc:
+        raise SingularJacobianError(str(exc)) from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularJacobianError("non-finite solution")
+    return sol
+
+
+def superlu_tangent(jac, previous=None) -> np.ndarray:
+    """Unit null vector of a level-1/2 BlockJacobian from the SuperLU
+    solve of the assembled [J; row^T] s = e_last, row the previous
+    tangent or the last unit vector, oriented along row."""
+    rhs = np.zeros(jac.shape[1])
+    rhs[-1] = 1.0
+    row = rhs if previous is None else np.asarray(previous, dtype=float)
+    try:
+        sol = superlu_solve(assembled_jacobian(jac, row), rhs)
+    except SingularJacobianError as exc:
+        raise RankDeficientError(str(exc)) from exc
+    t = sol / np.linalg.norm(sol)
+    return -t if row @ t < 0.0 else t

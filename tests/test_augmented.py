@@ -11,16 +11,16 @@ import scipy.sparse as sp
 from aseries.augmented import (
     DEGENERATE,
     AugmentedState,
+    BlockJacobian,
+    BorderedGu,
     Problem,
     SingularAuxiliaryError,
-    SwallowtailJacobian,
     butterfly_monitor,
     cusp_monitor,
     evaluate_monitors,
     f1_residual_jacobian,
     f2_residual_jacobian,
     f3_residual_jacobian,
-    rank_one_solve,
     residual_jacobian,
     solution_signature,
     solve_v,
@@ -215,21 +215,25 @@ class TestAuxiliarySolve:
         assert np.max(np.abs(vbar)) == 0.0
         assert np.max(np.abs(v)) == 0.0
 
-    def test_rank_one_solve_matches_dense(self):
+    def test_square_solve_matches_dense(self):
+        # (G^2 + a a^T) x = b through G bordered by a / sqrt(|a|), for
+        # symmetric G, regular and singular
         rng = np.random.default_rng(9)
         for n in (3, 7):
             m = rng.standard_normal((n, n))
-            a_mat = m @ m.T + np.eye(n)
+            gu = m + m.T
             alpha = rng.standard_normal(n)
             b = rng.standard_normal(n)
-            x = rank_one_solve(sp.csc_matrix(a_mat), alpha, b)
-            expected = np.linalg.solve(a_mat + np.outer(alpha, alpha), b)
-            assert np.max(np.abs(x - expected)) < 1e-10
+            for g in (gu, gu - np.linalg.eigvalsh(gu)[0] * np.eye(n)):
+                x = BorderedGu(sp.csr_matrix(g), alpha).square_solve(b)
+                expected = np.linalg.solve(g @ g + np.outer(alpha, alpha), b)
+                assert relative_error(x, expected) < 1e-10
 
     def test_singular_regularized_system_raises(self):
-        zero = sp.csc_matrix((2, 2))
+        zero = sp.csr_matrix((2, 2))
         with pytest.raises(SingularAuxiliaryError):
-            rank_one_solve(zero, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+            BorderedGu(zero, np.array([1.0, 0.0])).square_solve(
+                np.array([1.0, 1.0]))
 
 
 class TestHigherMonitors:
@@ -396,10 +400,10 @@ def converged_swallowtails():
 
 
 def tiny_jacobian(gu, a, rng):
-    """A SwallowtailJacobian on n = len(a) unknowns per field with the
+    """A BlockJacobian on n = len(a) unknowns per field with the
     given G_u and random remaining blocks."""
     n = a.size
-    return SwallowtailJacobian(
+    return BlockJacobian(
         gu=sp.csr_matrix(gu), d=rng.standard_normal(n),
         p=sp.csr_matrix(rng.standard_normal((n, n))),
         e=rng.standard_normal(n), a=a,
@@ -442,7 +446,7 @@ class TestBorderedSolve:
         for _ in range(3):
             st = random_state(prob, 3, (0, 1, 2), rng)
             res, jac = f3_residual_jacobian(st)
-            assert isinstance(jac, SwallowtailJacobian)
+            assert isinstance(jac, BlockJacobian)
             step = _linear_solve(jac, res)
             assert relative_error(step, dense_newton_step(jac, res)) < 1e-10
             assert relative_error(step, bordered_newton_step(jac, res)) < 1e-10
@@ -476,9 +480,10 @@ class TestBorderedSolve:
         assert nnz[16] <= 4.5 * nnz[8]
 
     def test_singular_core_with_regular_sum_solves(self):
-        core = sp.csc_matrix(np.diag([0.0, 1.0]))
+        core = sp.csr_matrix(np.diag([0.0, 1.0]))
         kernel, rhs = np.array([1.0, 0.0]), np.array([2.0, 3.0])
-        assert np.allclose(rank_one_solve(core, kernel, rhs), [2.0, 3.0])
+        assert np.allclose(BorderedGu(core, kernel).square_solve(rhs),
+                           [2.0, 3.0])
         # G_u = 0 on one cell: singular blocks, regular Jacobian
         jac = tiny_jacobian(np.zeros((1, 1)), np.array([2.0]),
                             np.random.default_rng(1))
@@ -489,12 +494,13 @@ class TestBorderedSolve:
                               expected) < 1e-12
 
     def test_singular_sum_rejected_like_the_oracle(self):
-        core = sp.csc_matrix(np.diag([1.0, 0.0]))
+        core = sp.csr_matrix(np.diag([1.0, 0.0]))
         kernel, rhs = np.array([1.0, 0.0]), np.array([1.0, 1.0])
         with pytest.raises(SingularAuxiliaryError):
-            rank_one_solve(core, kernel, rhs)
+            BorderedGu(core, kernel).square_solve(rhs)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(core.toarray() + np.outer(kernel, kernel), rhs)
+            np.linalg.solve(core.toarray() @ core.toarray()
+                            + np.outer(kernel, kernel), rhs)
         jac = _zero_row(tiny_jacobian(np.diag([1.0, 0.0]), kernel,
                                       np.random.default_rng(2)))
         rhs = np.ones(jac.shape[0])

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from aseries import continuation
+from aseries import augmented, continuation
 from aseries.augmented import (
     AugmentedState,
     MonitorRecord,
@@ -160,20 +160,26 @@ class TestStep:
     def test_one_factorization_beyond_newton(self, request, monkeypatch,
                                              fixture):
         # Newton factors once per iteration, the tangent once more, and
-        # the rank check reuses the tangent's LU (level 0 and level 1)
-        cp, _, start = request.getfixturevalue(fixture)
-        real = continuation.splu
+        # the rank check reuses the tangent's LU.  Level 0 factors
+        # [J; t^T] whole in continuation; level 1 factors only the
+        # (n+1) x (n+1) G_u bordered by the kernel vector, in augmented
+        cp, tmpl, start = request.getfixturevalue(fixture)
+        module, size = ((continuation, len(start.z)) if tmpl.level == 0
+                        else (augmented, tmpl.problem.grid.size + 1))
         shapes = []
-
-        def counted(mat, *args, **kwargs):
-            shapes.append(mat.shape)
-            return real(mat, *args, **kwargs)
-
-        monkeypatch.setattr(continuation, "splu", counted)
+        for patched in (continuation, augmented):
+            def counted(mat, *args, owner=patched, real=patched.splu,
+                        **kwargs):
+                shapes.append((owner, mat.shape))
+                return real(mat, *args, **kwargs)
+            monkeypatch.setattr(patched, "splu", counted)
         point = step(cp, start, 0.1)
         assert point.newton_iters > 0
-        assert len(shapes) == point.newton_iters + 1
-        assert set(shapes) == {(len(start.z), len(start.z))}
+        ours = [shape for owner, shape in shapes if owner is module]
+        assert ours == [(size, size)] * (point.newton_iters + 1)
+        # the other module factors only the smaller G_u of the signature
+        assert all(owner is module or shape[0] < size
+                   for owner, shape in shapes)
 
     def test_linear_problem_exact(self):
         lin = ContinuationProblem(lambda z: (np.array([z[0] - z[1]]),
