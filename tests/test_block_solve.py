@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -170,6 +171,36 @@ def test_sigma_max_fallback_from_blocks(recorded, monkeypatch):
             else:
                 assert not rejected
             assert len(runs) == 2
+
+
+@pytest.mark.parametrize("heavy", ["gu", "d", "cols-u", "cols-alpha",
+                                   "rows"])
+def test_norms_and_transposed_products_match_dense(heavy):
+    # a random level-2 block Jacobian on the continuation shape, with
+    # one block scaled up so that it decides the norms
+    rng = np.random.default_rng(len(heavy))
+    n = 6
+    parts = dict(gu=rng.standard_normal((n, n)), d=rng.standard_normal(n),
+                 a=rng.standard_normal(n), cols=rng.standard_normal((2 * n, 3)),
+                 rows=rng.standard_normal((2, 2 * n + 3)))
+    if heavy == "cols-u":
+        parts["cols"][:n] *= 100.0
+    elif heavy == "cols-alpha":
+        parts["cols"][n:] *= 100.0
+    else:
+        parts[heavy] = 100.0 * parts[heavy]
+    jac = BlockJacobian(**dict(parts, gu=sp.csr_matrix(parts["gu"])))
+    dense = jac.toarray()
+    # exact up to the order of summation
+    assert np.allclose(jac.norms(), (np.abs(dense).sum(axis=0).max(),
+                                     np.abs(dense).sum(axis=1).max()),
+                       rtol=1e-14, atol=0.0)
+    y = rng.standard_normal(jac.shape[0])
+    assert relative_error(jac.rmatvec(y), dense.T @ y) < 1e-13
+    square = jac.bordered(rng.standard_normal(jac.shape[1]))
+    rhs = rng.standard_normal(square.shape[0])
+    assert relative_error(square.factor().solve(rhs, "T"),
+                          np.linalg.solve(square.toarray().T, rhs)) < 1e-10
 
 
 def test_small_lanczos_subspace_keeps_sigma_min(recorded):
