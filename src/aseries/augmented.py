@@ -583,7 +583,7 @@ def f2_residual_jacobian(state: AugmentedState):
 
 def f3_residual_jacobian(state: AugmentedState):
     """Swallowtail system: cusp rows plus the vbar equation and the
-    swallowtail value; the Jacobian is a SwallowtailJacobian."""
+    swallowtail value; the Jacobian is a level-3 BlockJacobian."""
     return _assemble(state, 3)
 
 

@@ -443,13 +443,9 @@ def cmd_continue(opts: dict) -> int:
         alpha = seed_kernel_vector(grid, opts["seed"])
     template = AugmentedState(Problem(grid, nl), level, u, lam, alpha=alpha,
                               active=active)
-    fold_parameter = active[0] if level == 0 else None
-    wrapper = augmented_continuation_problem(template, monitors=monitors,
-                                             fold_parameter=fold_parameter)
-    start = initial_point(wrapper, template.pack(), opts["direction"],
-                          newton_tol=opts["tol"],
-                          max_newton=opts["max_newton"])
-    names = (("fold",) if level == 0 else ()) + monitors
+    wrapper = augmented_continuation_problem(template, monitors, opts["tol"],
+                                             opts["max_newton"])
+    start = initial_point(wrapper, template.pack(), opts["direction"])
     limit = opts["bounds"]
 
     def in_bounds(z, k=len(active)):
@@ -457,9 +453,7 @@ def cmd_continue(opts: dict) -> int:
 
     result = run_branch(wrapper, start, ds0=opts["ds0"],
                         ds_max=opts["ds_max"], max_steps=opts["max_steps"],
-                        monitor_names=names, stop_at=opts["stop_at"],
-                        bounds=in_bounds, newton_tol=opts["tol"],
-                        max_newton=opts["max_newton"])
+                        stop_at=opts["stop_at"], bounds=in_bounds)
     _write_branch_csv(opts["out"], template, result.points)
     doc = {"seed": opts["seed"], "stopped_on": result.stopped_on,
            "points": len(result.points),

@@ -35,6 +35,12 @@ re-stepping with a secant rule on arclength, down to EVENT_TOL of the
 monitor's scale or a bracket of DS_MIN, the smallest step a branch
 takes.  A fold event is a sign change of the tangent component belonging
 to the designated parameter.
+A ContinuationProblem carries everything a run needs besides its step
+control: the system, the events it watches (the fold when it has a
+fold_index, then every monitor it records) and the Newton settings of
+each corrector.  An augmented line of level k is built to watch the
+level-(k+1) test: the fold on a level-0 solution branch, the requested
+monitors above.
 """
 
 from __future__ import annotations
@@ -205,14 +211,18 @@ def newton_solve(system, z0, tol_inf: float = NEWTON_TOL,
 
 @dataclass
 class ContinuationProblem:
-    """Residual, Jacobian and diagnostics of one branch family.
+    """Residual, Jacobian, diagnostics and solver settings of one branch
+    family.
 
     system maps z to the pair (residual, Jacobian); monitors maps names
     from {cusp, swallowtail, butterfly} to scalar functions of z;
     fold_index is the packed position of the parameter whose turning
     defines a fold event; signature maps z to the sign of det G_u (0
-    when absent).  rank_tol governs the regularity check of accepted
-    points; augmented problems keep the default.
+    when absent).  A run watches the events in `watched`: the fold when
+    fold_index is set, then every monitor.  newton_tol and max_newton
+    set every corrector of the run, refinement trials included;
+    rank_tol governs the regularity check of accepted points, and
+    augmented problems keep its default.
     """
 
     system: Callable[[np.ndarray], tuple]
@@ -220,7 +230,14 @@ class ContinuationProblem:
         default_factory=dict)
     signature: Callable[[np.ndarray], int] | None = None
     fold_index: int | None = None
+    newton_tol: float = NEWTON_TOL
+    max_newton: int = MAX_NEWTON
     rank_tol: float = 1e-8
+
+    @property
+    def watched(self) -> tuple:
+        fold = ("fold",) if self.fold_index is not None else ()
+        return fold + tuple(self.monitors)
 
 
 @dataclass
@@ -334,31 +351,20 @@ def _check_rank(problem: ContinuationProblem, jac,
     """Reject an n x (n+1) Jacobian that has lost full row rank.
 
     The verdict is sigma_min(J) < rank_tol * max(sigma_max(J), 1).  null
-    is a unit null vector of jac (the tangent) and factor the
-    BorderedFactor of [jac; row^T] that gave it; without a factor, one
-    of [jac; null^T] is built, and without either, tangent(jac) gives
-    both.  Bordering with c t^T, c = max(U, 1) for the norm bound U =
-    sqrt(||J||_1 ||J||_inf) >= sigma_max, adds the singular value c and
-    keeps the others, so sigma_min of B = [jac; c t^T] is sigma_min(J)
-    exactly.  B = T + e_last w^T with w = c t - row, and row^T s = 1
-    makes the Sherman-Morrison denominator 1 + w^T s = c t^T s =
-    +-c ||s||, well away from zero.  The Lanczos run for sigma_max(J)
-    happens only when sigma_min < rank_tol * c leaves the verdict open.
+    and factor come together, as `tangent` returns them: a unit null
+    vector of jac and the BorderedFactor of [jac; row^T] that gave it.
+    Without them, tangent(jac) gives both.  Bordering with c t^T, c =
+    max(U, 1) for the norm bound U = sqrt(||J||_1 ||J||_inf) >=
+    sigma_max, adds the singular value c and keeps the others, so
+    sigma_min of B = [jac; c t^T] is sigma_min(J) exactly.  B = T +
+    e_last w^T with w = c t - row, and row^T s = 1 makes the
+    Sherman-Morrison denominator 1 + w^T s = c t^T s = +-c ||s||, well
+    away from zero.  The Lanczos run for sigma_max(J) happens only when
+    sigma_min < rank_tol * c leaves the verdict open.
     """
     jac = _jacobian(jac)
-    if factor is None and null is None:
+    if factor is None:
         null, factor = tangent(jac)
-    elif factor is None:
-        null = np.asarray(null, dtype=float)
-        try:
-            lu = jac.bordered(null).factor()
-        except RuntimeError as exc:
-            raise RankDeficientError(
-                f"bordered Jacobian is exactly singular ({exc}) at an "
-                "accepted point") from exc
-        last = np.zeros(jac.shape[1])
-        last[-1] = 1.0
-        factor = BorderedFactor(lu, null, lu.solve(last))
     size = jac.shape[1]
     scale = max(np.sqrt(np.prod(jac.norms())), 1.0)
     lu, s = factor.lu, factor.s
@@ -402,13 +408,16 @@ def _signature(problem: ContinuationProblem, z: np.ndarray) -> int:
     return problem.signature(z) if problem.signature is not None else 0
 
 
-def _pinned_newton(problem: ContinuationProblem, anchor: np.ndarray,
-                   row: np.ndarray, newton_tol: float, max_newton: int):
-    """Newton on R(z) = 0 stacked with row . (z - anchor) = 0, from anchor.
+def _pinned_point(problem: ContinuationProblem, anchor: np.ndarray,
+                  row: np.ndarray, previous: np.ndarray,
+                  s: float) -> BranchPoint:
+    """Accepted point at arclength s of Newton on R(z) = 0 stacked with
+    row . (z - anchor) = 0, from anchor.
 
-    Returns (z, iterations, jac) with jac the Jacobian of R alone at the
-    converged z, as assembled by the accepting Newton evaluation.  Each
-    Newton step factors [jac; row^T] as `_jacobian` dispatches it.
+    Each Newton step factors [jac; row^T] as `_jacobian` dispatches it.
+    The tangent, oriented along previous, comes from the Jacobian of R
+    that the accepting Newton evaluation assembled, and the rank check
+    reuses the tangent's factor.
     """
     jac = None
 
@@ -418,13 +427,16 @@ def _pinned_newton(problem: ContinuationProblem, anchor: np.ndarray,
         jac = _jacobian(raw)
         return np.append(res, row @ (z - anchor)), jac.bordered(row)
 
-    z, iters = newton_solve(system, anchor, newton_tol, max_newton)
-    return z, iters, jac
+    z, iters = newton_solve(system, anchor, problem.newton_tol,
+                            problem.max_newton)
+    t, factor = tangent(jac, previous=previous)
+    _check_rank(problem, jac, t, factor)
+    return BranchPoint(z, s, t, _record(problem, z, t),
+                       _signature(problem, z), iters)
 
 
 def initial_point(problem: ContinuationProblem, z0: np.ndarray,
-                  direction: float = 1.0, newton_tol: float = NEWTON_TOL,
-                  max_newton: int = MAX_NEWTON) -> BranchPoint:
+                  direction: float = 1.0) -> BranchPoint:
     """Converge a branch start and attach its oriented tangent.
 
     The underdetermined system is squared by pinning the last packed
@@ -434,25 +446,14 @@ def initial_point(problem: ContinuationProblem, z0: np.ndarray,
     z0 = np.asarray(z0, dtype=float)
     row = np.zeros(len(z0))
     row[-1] = 1.0
-    z, iters, jac = _pinned_newton(problem, z0, row, newton_tol, max_newton)
-    t, factor = tangent(jac, previous=direction * row)
-    _check_rank(problem, jac, t, factor)
-    rec = _record(problem, z, t)
-    return BranchPoint(z, 0.0, t, rec, _signature(problem, z), iters)
+    return _pinned_point(problem, z0, row, direction * row, 0.0)
 
 
-def step(problem: ContinuationProblem, point: BranchPoint, ds: float,
-         newton_tol: float = NEWTON_TOL,
-         max_newton: int = MAX_NEWTON) -> BranchPoint:
+def step(problem: ContinuationProblem, point: BranchPoint,
+         ds: float) -> BranchPoint:
     """One predictor-corrector step of length ds from an accepted point."""
     t = point.tangent
-    z, iters, jac = _pinned_newton(problem, point.z + ds * t, t, newton_tol,
-                                   max_newton)
-    t_new, factor = tangent(jac, previous=t)
-    _check_rank(problem, jac, t_new, factor)
-    rec = _record(problem, z, t_new)
-    return BranchPoint(z, point.s + ds, t_new, rec,
-                       _signature(problem, z), iters)
+    return _pinned_point(problem, point.z + ds * t, t, t, point.s + ds)
 
 
 def _event_scalar(kind: str, point: BranchPoint) -> float | None:
@@ -461,8 +462,7 @@ def _event_scalar(kind: str, point: BranchPoint) -> float | None:
     return getattr(point.monitors, kind)
 
 
-def _refine_event(problem, kind, before, after, m_lo, m_hi, newton_tol,
-                  max_newton) -> Event:
+def _refine_event(problem, kind, before, after) -> Event:
     """Shrink a sign-change bracket by secant trials in step length.
 
     All trial points are re-stepped from the same base point (the
@@ -471,6 +471,7 @@ def _refine_event(problem, kind, before, after, m_lo, m_hi, newton_tol,
     secant proposal outside the bracket, or one following two updates
     of the same side, is replaced by a bisection step.
     """
+    m_lo, m_hi = _event_scalar(kind, before), _event_scalar(kind, after)
     scale = max(abs(m_lo), abs(m_hi))
     d_lo, d_hi = 0.0, after.s - before.s
     best, best_m = (before, m_lo) if abs(m_lo) <= abs(m_hi) else (after, m_hi)
@@ -483,11 +484,11 @@ def _refine_event(problem, kind, before, after, m_lo, m_hi, newton_tol,
         if not (d_lo < d_trial < d_hi) or abs(side) >= 2:
             d_trial = d_lo + 0.5 * width
         try:
-            trial = step(problem, before, d_trial, newton_tol, max_newton)
+            trial = step(problem, before, d_trial)
         except ContinuationError:
             d_trial = d_lo + 0.5 * width
             try:
-                trial = step(problem, before, d_trial, newton_tol, max_newton)
+                trial = step(problem, before, d_trial)
             except ContinuationError:
                 break
         m_trial = _event_scalar(kind, trial)
@@ -515,12 +516,11 @@ def _on_root(kind: str, start: BranchPoint, first: BranchPoint) -> bool:
 
 
 def detect_events(problem: ContinuationProblem, before: BranchPoint,
-                  after: BranchPoint, monitor_names,
-                  newton_tol: float = NEWTON_TOL,
-                  max_newton: int = MAX_NEWTON) -> list:
-    """Events between two consecutive accepted points, refined in place."""
+                  after: BranchPoint, kinds) -> list:
+    """Events of the given kinds between two consecutive accepted points,
+    refined in place."""
     events = []
-    for kind in monitor_names:
+    for kind in kinds:
         if kind == "fold" and problem.fold_index is None:
             raise ValueError("fold events need a designated fold_index")
         m_lo = _event_scalar(kind, before)
@@ -530,18 +530,17 @@ def detect_events(problem: ContinuationProblem, before: BranchPoint,
                 f"monitor {kind!r} is not recorded on this branch")
         if m_lo == 0.0 or np.sign(m_lo) == np.sign(m_hi):
             continue
-        events.append(_refine_event(problem, kind, before, after, m_lo, m_hi,
-                                    newton_tol, max_newton))
+        events.append(_refine_event(problem, kind, before, after))
     return events
 
 
 def run_branch(problem: ContinuationProblem, start: BranchPoint,
-               ds0: float = 0.1, max_steps: int = 200, monitor_names=(),
-               stop_at=(), bounds: Callable[[np.ndarray], bool] | None = None,
-               ds_max: float = DS_MAX, newton_tol: float = NEWTON_TOL,
-               max_newton: int = MAX_NEWTON) -> BranchResult:
+               ds0: float = 0.1, max_steps: int = 200, stop_at=(),
+               bounds: Callable[[np.ndarray], bool] | None = None,
+               ds_max: float = DS_MAX) -> BranchResult:
     """Adaptive predictor-corrector run from a converged start point.
 
+    Watches the problem's events (`ContinuationProblem.watched`).
     Halves the step on corrector failure, grows it by GROW_FACTOR after
     fast convergence, and stops on the step budget, a bounds violation,
     a step failure at the minimal step, or an event whose kind appears
@@ -560,7 +559,7 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
     stopped_on = "steps"
     while accepted < max_steps:
         try:
-            new_point = step(problem, points[-1], ds, newton_tol, max_newton)
+            new_point = step(problem, points[-1], ds)
         except ContinuationError:
             if ds <= DS_MIN * (1.0 + 1e-12):
                 stopped_on = "step-failure"
@@ -568,10 +567,9 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
             ds = max(0.5 * ds, DS_MIN)
             continue
         accepted += 1
-        names = [kind for kind in monitor_names
+        kinds = [kind for kind in problem.watched
                  if accepted > 1 or not _on_root(kind, start, new_point)]
-        found = detect_events(problem, points[-1], new_point, names,
-                              newton_tol, max_newton)
+        found = detect_events(problem, points[-1], new_point, kinds)
         points.append(new_point)
         events.extend(found)
         if bounds is not None and not bounds(new_point.z):
@@ -587,15 +585,18 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
 
 
 def augmented_continuation_problem(template, monitors=(),
-                                   fold_parameter: int | None = None):
+                                   newton_tol: float = NEWTON_TOL,
+                                   max_newton: int = MAX_NEWTON):
     """Wrap an augmented state template as a ContinuationProblem.
 
     The template must carry one more active parameter than its level
-    pins, so the packed system is square plus one.  fold_parameter is
-    the lam index whose turning marks fold events.  Only a level-0
+    pins, so the packed system is square plus one.  A level-0 solution
+    branch watches the turning of its one active parameter (the fold);
+    a fold or cusp line watches the given monitors.  Only a level-0
     branch carries the sign of det G_u: on a fold, cusp or swallowtail
     line G_u is singular by construction, so the sign is undefined there
-    and the recorded signature is 0.
+    and the recorded signature is 0.  newton_tol and max_newton set
+    every corrector of the runs on the problem.
     """
     if template.dimension != template.residual_size + 1:
         raise ValueError("continuation needs a square-plus-one system; "
@@ -604,23 +605,19 @@ def augmented_continuation_problem(template, monitors=(),
     def system(z):
         return residual_jacobian(template.with_vector(z))
 
-    fold_index = None
-    if fold_parameter is not None:
-        base = template.dimension - len(template.active)
-        fold_index = base + template.active.index(fold_parameter)
+    named = {name: _pde_monitor(template, name) for name in monitors}
 
-    named = {}
-    for name in monitors:
-        named[name] = _pde_monitor(template, name)
-
-    signature = None
+    signature = fold_index = None
     if template.level == 0:
+        fold_index = template.dimension - 1
+
         def signature(z):
             st = template.with_vector(z)
             f1 = st.problem.nl.derivative(1, st.u, st.lam)
             return solution_signature(st.problem.gu(f1).tocsc())
 
-    return ContinuationProblem(system, named, signature, fold_index)
+    return ContinuationProblem(system, named, signature, fold_index,
+                               newton_tol, max_newton)
 
 
 def _pde_monitor(template, name: str):

@@ -284,17 +284,13 @@ def trace_line(state: AugmentedState, level: int, direction: float,
     template = replace(state, level=level, lam=state.lam.copy(), vbar=None,
                        active=tuple(range(level + 1)))
     watch = STAGES[level + 1]
-    if level == 0:
-        wrapper = augmented_continuation_problem(template, fold_parameter=0)
-    else:
-        wrapper = augmented_continuation_problem(template, monitors=(watch,))
-    start = initial_point(wrapper, template.pack(), direction,
-                          newton_tol=tol, max_newton=max_newton)
+    wrapper = augmented_continuation_problem(
+        template, (watch,) if level > 0 else (), tol, max_newton)
+    start = initial_point(wrapper, template.pack(), direction)
     return template, run_branch(wrapper, start, ds0=ds0, ds_max=ds_max,
-                                max_steps=max_steps, monitor_names=(watch,),
+                                max_steps=max_steps,
                                 stop_at=(watch,) if stop else (),
-                                bounds=bounds, newton_tol=tol,
-                                max_newton=max_newton)
+                                bounds=bounds)
 
 
 def _line_event(state: AugmentedState, level: int, direction: float,

@@ -270,7 +270,7 @@ def relative_error(found: np.ndarray, expected: np.ndarray) -> float:
 def bordered_newton_step(jac, res: np.ndarray) -> np.ndarray:
     """Level-3 Newton step by one SuperLU of the whole bordered system.
 
-    The SwallowtailJacobian's blocks form a sparse core S, and its two
+    The level-3 BlockJacobian's blocks form a sparse core S, and its two
     rank-one terms a vbar^T and a a^T one outer product c d^T, with c
     = a in the vbar-equation rows and d = (vbar, a) in the (alpha, vbar)
     columns.  [[S, c], [d^T, -1]] [x; y] = [res; 0] then gives

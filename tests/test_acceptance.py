@@ -210,11 +210,10 @@ def test_criterion_6_fold_location_with_richardson_consistency():
     prob = Problem(grid, nl)
     template = AugmentedState(prob, 0, np.zeros(grid.size),
                               np.zeros(3), active=(0,))
-    wrapper = augmented_continuation_problem(template, fold_parameter=0)
+    wrapper = augmented_continuation_problem(template)
     start = initial_point(wrapper, template.pack())
     run = run_branch(wrapper, start, ds0=0.2, ds_max=0.5, max_steps=400,
-                     monitor_names=("fold",), stop_at=("fold",),
-                     bounds=lambda z: abs(z[-1]) < 50.0)
+                     stop_at=("fold",), bounds=lambda z: abs(z[-1]) < 50.0)
     events = [e for e in run.events if e.kind == "fold"]
     assert events, f"no fold event ({run.stopped_on})"
     at_fold = template.with_vector(events[0].point.z)

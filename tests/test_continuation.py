@@ -1,5 +1,7 @@
 """Predictor-corrector continuation, tangents, events, branch control."""
 
+import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -214,7 +216,7 @@ class TestStep:
 class TestEvents:
     def test_fold_and_monitor_events_refined(self):
         res = run_branch(circle_problem(), circle_start(), ds0=0.3,
-                         max_steps=40, monitor_names=("fold", "cusp"))
+                         max_steps=40)
         folds = [e for e in res.events if e.kind == "fold"]
         cusps = [e for e in res.events if e.kind == "cusp"]
         assert folds and cusps
@@ -228,8 +230,7 @@ class TestEvents:
 
     def test_stop_at_event(self):
         res = run_branch(circle_problem(), circle_start(), ds0=0.3,
-                         max_steps=40, monitor_names=("fold",),
-                         stop_at=("fold",))
+                         max_steps=40, stop_at=("fold",))
         assert res.stopped_on == "event:fold"
         assert res.events[0].kind == "fold"
 
@@ -266,8 +267,8 @@ class TestRunBranch:
     def test_step_failure_at_minimal_step(self):
         # no residual beats a zero tolerance, so every step fails and
         # the step halves down to DS_MIN
-        res = run_branch(circle_problem(), circle_start(), ds0=0.3,
-                         max_steps=3, newton_tol=0.0)
+        strict = dataclasses.replace(circle_problem(), newton_tol=0.0)
+        res = run_branch(strict, circle_start(), ds0=0.3, max_steps=3)
         assert res.stopped_on == "step-failure"
         assert len(res.points) == 1
 
@@ -300,12 +301,28 @@ class TestAugmentedWrapper:
         prob = Problem(Grid(2, 2), PolynomialNonlinearity())
         tmpl = AugmentedState(prob, 1, np.zeros(4), np.array([5.0, 0.3, 0.0]),
                               alpha=np.ones(4), active=(0, 1))
-        cp = augmented_continuation_problem(tmpl, monitors=("cusp",),
-                                            fold_parameter=1)
+        cp = augmented_continuation_problem(tmpl, monitors=("cusp",))
         z = tmpl.pack()
         assert cp.monitors["cusp"](z) == cusp_monitor(tmpl.with_vector(z))
-        # lam index 1 sits second in the packed parameter block
-        assert cp.fold_index == tmpl.dimension - 1
+        # a fold line watches its monitors, not a fold
+        assert cp.fold_index is None
+        # a solution branch watches its one active parameter, packed last
+        branch = dataclasses.replace(tmpl, level=0, alpha=None, active=(1,))
+        cp = augmented_continuation_problem(branch)
+        assert cp.fold_index == branch.dimension - 1
+
+    def test_watched_kinds_follow_the_level(self):
+        prob = Problem(Grid(2, 2), PolynomialNonlinearity())
+        line = AugmentedState(prob, 1, np.zeros(4), np.array([5.0, 0.3, 0.0]),
+                              alpha=np.ones(4), active=(0, 1))
+        branch = dataclasses.replace(line, level=0, alpha=None, active=(0,))
+        cusp_line = dataclasses.replace(line, level=2, active=(0, 1, 2))
+        assert augmented_continuation_problem(branch).watched == ("fold",)
+        assert augmented_continuation_problem(line).watched == ()
+        both = ("cusp", "swallowtail")
+        assert augmented_continuation_problem(line, both).watched == both
+        watched = augmented_continuation_problem(cusp_line, ("swallowtail",))
+        assert watched.watched == ("swallowtail",)
 
     @pytest.mark.parametrize("name,monitor", [
         ("swallowtail", swallowtail_monitor),
@@ -330,7 +347,7 @@ def branch():
     prob = Problem(grid, ExpSineNonlinearity())
     tmpl = AugmentedState(prob, 0, np.zeros(grid.size), np.zeros(3),
                           active=(0,))
-    cp = augmented_continuation_problem(tmpl, fold_parameter=0)
+    cp = augmented_continuation_problem(tmpl)
     start = initial_point(cp, tmpl.pack())
     return cp, tmpl, start
 
@@ -346,7 +363,7 @@ class TestBratuBranch:
     def test_fold_event(self, branch):
         cp, tmpl, start = branch
         res = run_branch(cp, start, ds0=0.2, max_steps=120,
-                         monitor_names=("fold",), stop_at=("fold",))
+                         stop_at=("fold",))
         assert res.stopped_on == "event:fold"
         event = res.events[0]
         assert abs(event.monitor_value) < 1e-8
@@ -356,23 +373,56 @@ class TestBratuBranch:
 
     def test_branch_turns_back_and_signature_flips(self, branch):
         cp, tmpl, start = branch
-        res = run_branch(cp, start, ds0=0.2, max_steps=60,
-                         monitor_names=("fold",))
+        res = run_branch(cp, start, ds0=0.2, max_steps=60)
         lams = [tmpl.with_vector(p.z).lam[0] for p in res.points]
         assert lams[-1] < max(lams) - 0.5
         assert {p.signature for p in res.points} == {-1, 1}
 
     def test_deterministic(self, branch):
         cp, tmpl, start = branch
-        first = run_branch(cp, start, ds0=0.2, max_steps=30,
-                           monitor_names=("fold",))
-        second = run_branch(cp, start, ds0=0.2, max_steps=30,
-                            monitor_names=("fold",))
+        first = run_branch(cp, start, ds0=0.2, max_steps=30)
+        second = run_branch(cp, start, ds0=0.2, max_steps=30)
         assert len(first.points) == len(second.points)
         for a, b in zip(first.points, second.points):
             assert np.array_equal(a.z, b.z)
             assert a.s == b.s
             assert np.array_equal(a.tangent, b.tangent)
+
+
+def test_newton_settings_reach_every_corrector(monkeypatch):
+    # a level-0 run that stops at its fold refines the event, so the
+    # refinement trials run correctors too; every Newton solve of the
+    # start, the steps and the trials gets the problem's settings
+    grid = Grid(10, 10)
+    tmpl = AugmentedState(Problem(grid, ExpSineNonlinearity()), 0,
+                          np.zeros(grid.size), np.zeros(3), active=(0,))
+    cp = augmented_continuation_problem(tmpl, newton_tol=1e-10,
+                                        max_newton=30)
+    assert (cp.newton_tol, cp.max_newton) == (1e-10, 30)
+    real, refine = continuation.newton_solve, continuation._refine_event
+    settings, refining = [], []
+
+    def recorded(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        settings.append((bound.arguments["tol_inf"],
+                         bound.arguments["max_iter"]))
+        return real(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        before = len(settings)
+        event = refine(*args, **kwargs)
+        refining.append(len(settings) - before)
+        return event
+
+    monkeypatch.setattr(continuation, "newton_solve", recorded)
+    monkeypatch.setattr(continuation, "_refine_event", counted)
+    start = initial_point(cp, tmpl.pack())
+    res = run_branch(cp, start, ds0=0.2, max_steps=120, stop_at=("fold",))
+    assert res.stopped_on == "event:fold"
+    assert refining and all(trials > 0 for trials in refining)
+    assert len(settings) >= len(res.points) + sum(refining)
+    assert set(settings) == {(1e-10, 30)}
 
 
 def _rejects(check, jac, **kwargs) -> bool:
@@ -383,16 +433,16 @@ def _rejects(check, jac, **kwargs) -> bool:
     return False
 
 
-def sparse_rank_check(jac, rank_tol: float = 1e-8, null=None,
-                      previous=None) -> None:
+def sparse_rank_check(jac, rank_tol: float = 1e-8, previous=None) -> None:
     """The library's rank check.  With previous it runs as step and
     initial_point run it: on the factor of [jac; previous^T] that gave
     the tangent, so the border swap updates a row other than t."""
     probe = ContinuationProblem(lambda z: None, rank_tol=rank_tol)
-    factor = None
-    if previous is not None:
+    if previous is None:
+        continuation._check_rank(probe, jac)
+    else:
         null, factor = tangent(jac, previous)
-    continuation._check_rank(probe, jac, null, factor)
+        continuation._check_rank(probe, jac, null, factor)
 
 
 def _givens_blocks(rng, size: int) -> sp.csr_matrix:
@@ -559,12 +609,13 @@ class TestRankCheckOracle:
         # bordering with one kernel vector leaves the other one
         kernel = np.linalg.svd(sp.csr_matrix(jac).toarray())[2][-2:]
         for null in kernel:
-            assert _rejects(sparse_rank_check, jac, null=null)
+            assert _rejects(sparse_rank_check, jac, previous=null)
 
     def test_exactly_singular_border_is_named(self):
         jac = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-        with pytest.raises(RankDeficientError, match="exactly singular"):
-            sparse_rank_check(jac, null=np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(RankDeficientError,
+                           match="bordered tangent matrix is singular"):
+            sparse_rank_check(jac, previous=np.array([0.0, 0.0, 1.0]))
 
     def test_arpack_failure_is_named(self, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -662,8 +713,7 @@ def fold_line(branch):
     """Level-1 problem on the 10 x 10 Bratu fold line in (lam1, lam2),
     its template and its start point."""
     cp, tmpl, start = branch
-    res = run_branch(cp, start, ds0=0.2, max_steps=120,
-                     monitor_names=("fold",), stop_at=("fold",))
+    res = run_branch(cp, start, ds0=0.2, max_steps=120, stop_at=("fold",))
     at_fold = tmpl.with_vector(res.events[0].point.z)
     fold, _, _ = locate(AugmentedState(
         tmpl.problem, 1, at_fold.u, at_fold.lam.copy(),

@@ -1,7 +1,8 @@
 """Source style: lines fit in 79 columns, every imported name is used,
 every module-level private name is read in its module, each module
 imports only earlier layers of the package, and the continuation layer
-makes no dense linear-algebra call."""
+makes no dense linear-algebra call and reads its Newton settings and
+watched events from the problem rather than from parameters."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,11 @@ MAX_COLUMNS = 79
 #: Dense calls the sparse-only continuation layer must not make.
 DENSE_CALLS = {"np.linalg.solve", "np.linalg.svd", "np.vstack"}
 DENSE_METHODS = {"toarray", "todense"}
+#: Parameters that no continuation function but the problem's builder
+#: declares: a ContinuationProblem carries its Newton settings, and the
+#: events a run watches follow from the problem.
+CARRIED = {"newton_tol", "max_newton", "monitor_names", "fold_parameter"}
+CARRIER_BUILDER = "augmented_continuation_problem"
 #: Package modules in layer order; each imports only earlier ones.
 LAYERS = ("bell", "poisson", "classifier", "augmented", "continuation",
           "harness", "cli")
@@ -93,6 +99,22 @@ def dense_calls(source: str) -> list:
             name = ast.unparse(node.func)
             if name in DENSE_CALLS or node.func.attr in DENSE_METHODS:
                 found.append((node.lineno, name))
+    return sorted(found)
+
+
+def carried_parameters(source: str) -> list:
+    """(line, function, parameter) of each CARRIED parameter declared by a
+    function other than CARRIER_BUILDER (nested functions included)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or node.name == CARRIER_BUILDER:
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        found.extend((node.lineno, node.name, a.arg) for a in params
+                     if a.arg in CARRIED)
     return sorted(found)
 
 
@@ -195,3 +217,31 @@ def test_dense_scan_catches_dense_calls_and_spares_norm():
     assert dense_calls(source) == [(2, "np.linalg.solve"),
                                    (3, "np.linalg.svd"), (5, "np.vstack"),
                                    (6, "jac.toarray"), (7, "jac.T.todense")]
+
+
+def test_continuation_reads_settings_from_the_problem():
+    path = SOURCES[0].parent / "continuation.py"
+    carried = carried_parameters(path.read_text(encoding="utf-8"))
+    assert not carried, f"continuation.py: parameters the problem carries " \
+                        f"(line, function, name): {carried}"
+
+
+def test_carried_scan_catches_parameters_and_spares_the_builder():
+    source = ("def augmented_continuation_problem(t, newton_tol=1e-9,\n"
+              "                                   max_newton=25):\n"
+              "    def system(z, max_newton=1):\n"
+              "        return z\n"
+              "def step(problem, point, ds, newton_tol=1e-9):\n"
+              "    return problem.newton_tol\n"
+              "def run_branch(problem, *, monitor_names=(), **kw):\n"
+              "    pass\n"
+              "async def f(fold_parameter, /, *max_newton):\n"
+              "    pass\n"
+              "def newton_solve(system, z0, tol_inf=1e-9, max_iter=25):\n"
+              "    pass\n"
+              "class P:\n"
+              "    newton_tol: float = 1e-9\n")
+    assert carried_parameters(source) == [
+        (3, "system", "max_newton"), (5, "step", "newton_tol"),
+        (7, "run_branch", "monitor_names"), (9, "f", "fold_parameter"),
+        (9, "f", "max_newton")]
