@@ -63,6 +63,8 @@ from .poisson import Grid, Nonlinearity, build_laplacian
 
 #: `solution_signature` of a numerically singular matrix.
 DEGENERATE = 0
+#: `solution_signature`'s relative floor for LU pivots and LDL^T inertia.
+SIGNATURE_TOL = 1e-10
 #: A strict block solve treats its Jacobian as singular when the
 #: capacitance, rows and then columns scaled by the magnitudes it was
 #: summed from, has a larger condition number.  On every level-1/2
@@ -675,14 +677,14 @@ def _permutation_parity(perm: np.ndarray) -> int:
     return sign
 
 
-def solution_signature(gu, tol: float = 1e-10):
+def solution_signature(gu):
     """Sign of det(G_u): LU in natural order, inertia fallback.
 
     The LU factorization keeps the natural ordering and diagonal pivots
     wherever possible, so the sign is the parity of negative pivots
     (times the parity of any structural permutations).  A pivot below
-    tol relative to the largest switches to a dense symmetric LDL^T
-    factorization; a near-singular factor reports DEGENERATE (0).
+    SIGNATURE_TOL relative to the largest switches to a dense symmetric
+    LDL^T factorization; a near-singular factor reports DEGENERATE (0).
     """
     gu = sp.csc_matrix(gu)
     try:
@@ -690,7 +692,7 @@ def solution_signature(gu, tol: float = 1e-10):
                   options={"SymmetricMode": True})
         pivots = lu.U.diagonal()
         scale = np.max(np.abs(pivots))
-        if scale > 0 and np.min(np.abs(pivots)) > tol * scale:
+        if scale > 0 and np.min(np.abs(pivots)) > SIGNATURE_TOL * scale:
             sign = -1 if int(np.sum(pivots < 0)) % 2 else 1
             return sign * _permutation_parity(lu.perm_r) * _permutation_parity(
                 lu.perm_c
@@ -700,6 +702,6 @@ def solution_signature(gu, tol: float = 1e-10):
     _, d, _ = ldl(gu.toarray())
     eigs = np.linalg.eigvalsh(d)
     scale = max(float(np.max(np.abs(eigs))), 1.0)
-    if np.min(np.abs(eigs)) < tol * scale:
+    if np.min(np.abs(eigs)) < SIGNATURE_TOL * scale:
         return DEGENERATE
     return -1 if int(np.sum(eigs < 0)) % 2 else 1

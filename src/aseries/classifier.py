@@ -232,24 +232,19 @@ def solve_jet_step(oracle: DerivativeOracle, alpha, jet, n: int) -> np.ndarray:
     return _solve_restricted(oracle.hessian(), alpha, -rhs)
 
 
-def test_value(oracle: DerivativeOracle, alpha, jet, n: int,
-               placeholders=None) -> float:
+def test_value(oracle: DerivativeOracle, alpha, jet, n: int) -> float:
     """Bell-contraction value r^(n)(0) of the reduced function.
 
-    The jet must supply F''(0) .. F^(n-2)(0).  The two highest slots
-    (orders n-1 and n) may be filled with arbitrary placeholder vectors;
-    their terms feed S^(2)(alpha, .) and S^(1), which vanish at a
-    critical point with alpha in the Hessian kernel.  With the default
-    `placeholders=None` those terms are skipped outright.
+    The jet must supply F''(0) .. F^(n-2)(0).  The terms of the two
+    highest slots (orders n-1 and n) are skipped: they feed
+    S^(2)(alpha, .) and S^(1), which vanish at a critical point with
+    alpha in the Hessian kernel.
     """
     if n < 3:
         raise ValueError("test values start at n=3")
     if len(jet) < n - 3:
         raise InsufficientJetError(f"need F'' .. F^({n - 2}) for n={n}")
     table = _derivative_table(alpha, jet[: max(0, n - 3)], n)
-    if placeholders is not None:
-        table[n - 1] = np.asarray(placeholders[0], dtype=float)
-        table[n] = np.asarray(placeholders[1], dtype=float)
     total = 0.0
     for k in range(1, n + 1):
         for index in enumerate_multi_indices(n, k):
@@ -324,11 +319,8 @@ def _check_solvable(rhs: np.ndarray, a_unit: np.ndarray, tol: float) -> None:
         raise SolvabilityError("right-hand side has a kernel component")
 
 
-def detect(
-    oracle: DerivativeOracle,
-    tolerances: Tolerances | None = None,
-    max_order: int = 6,
-) -> SingularityReport:
+def detect(oracle: DerivativeOracle,
+           max_order: int = 6) -> SingularityReport:
     """Run the full detection algorithm up to r^(max_order)(0).
 
     Returns A_(n-1) when the first nonvanishing test value is r^(n)(0);
@@ -336,7 +328,7 @@ def detect(
     if positive).  Odd-order final values flip sign with alpha -> -alpha,
     so no signature is assigned.
     """
-    tol = tolerances or Tolerances()
+    tol = Tolerances()
     if max_order > oracle.max_order:
         raise ValueError(
             f"max_order {max_order} exceeds oracle order {oracle.max_order}"

@@ -494,8 +494,6 @@ def _refine_event(problem, kind, before, after) -> Event:
         m_trial = _event_scalar(kind, trial)
         if abs(m_trial) < abs(best_m):
             best, best_m = trial, m_trial
-        if m_trial == 0.0:
-            break
         if np.sign(m_trial) == np.sign(m_lo):
             d_lo, m_lo = d_trial, m_trial
             side = max(side, 0) + 1
@@ -546,12 +544,17 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
     a step failure at the minimal step, or an event whose kind appears
     in stop_at.  A run that starts on a monitor's root reports no event
     of that monitor between the start and its first step.  ds0 and
-    ds_max must be positive and finite.
+    ds_max must be positive and finite, and stop_at may name only
+    watched events.
     """
     for name, value in (("ds0", ds0), ("ds_max", ds_max)):
         if not (value > 0 and np.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, "
                              f"got {value}")
+    for kind in stop_at:
+        if kind not in problem.watched:
+            raise ValueError(f"stop_at kind {kind!r} is not watched by "
+                             f"this problem (watched: {problem.watched})")
     points = [start]
     events: list = []
     ds = min(max(ds0, DS_MIN), ds_max)

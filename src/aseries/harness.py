@@ -623,14 +623,11 @@ def _dedup_zeros(zeros) -> list:
     return kept
 
 
-def verify_swallowtail_geometry(
-        state: AugmentedState, dlam3: float | None = None,
-        tol: float = NEWTON_TOL,
-        max_newton: int = MAX_NEWTON) -> GeometryReport:
+def verify_swallowtail_geometry(state: AugmentedState) -> GeometryReport:
     """Count cusps on fold-line slices just off a swallowtail.
 
     Traces the cusp line through the given swallowtail until the third
-    parameter moves by dlam3 (default a tenth of its magnitude); the
+    parameter moves by dlam3, a tenth of its magnitude; the
     side the line lives on is the cusp side.  That side's slice starts
     at a traced cusp; the other side's slice starts from a fold solve
     seeded by the swallowtail data.  Each slice runs the fold line both
@@ -640,8 +637,7 @@ def verify_swallowtail_geometry(
     if state.level < 2:
         raise ValueError("need a swallowtail state with a kernel vector")
     lam_sw = state.lam.copy()
-    if dlam3 is None:
-        dlam3 = 0.1 * abs(lam_sw[2])
+    dlam3 = 0.1 * abs(lam_sw[2])
     if dlam3 == 0.0:
         return GeometryReport(tuple(lam_sw), 0.0, at_singularity=True)
 
@@ -652,7 +648,7 @@ def verify_swallowtail_geometry(
             template, run = trace_line(
                 state, 2, direction,
                 lambda z: abs(z[-1] - lam_sw[2]) < dlam3, 0.02, 0.1,
-                TRACE_STEPS, tol, max_newton, stop=False)
+                TRACE_STEPS, NEWTON_TOL, MAX_NEWTON, stop=False)
         except ContinuationError as err:
             raise GeometryError(f"cusp line trace failed: {err}") from err
         end = template.with_vector(run.points[-1].z)
@@ -663,7 +659,7 @@ def verify_swallowtail_geometry(
         lam_t = end.lam.copy()
         lam_t[2] = lam_sw[2] + side * dlam3
         try:
-            anchor = climb(end, 2, tol, max_newton, lam=lam_t)[0]
+            anchor = climb(end, 2, NEWTON_TOL, MAX_NEWTON, lam=lam_t)[0]
         except ContinuationError:
             continue
         anchors.setdefault(side, anchor)
@@ -674,7 +670,8 @@ def verify_swallowtail_geometry(
     lam_t = lam_sw.copy()
     lam_t[2] = lam_sw[2] - cusp_side * dlam3
     try:
-        smooth = climb(state, 1, tol, max(max_newton, 40), lam=lam_t)[0]
+        smooth = climb(state, 1, NEWTON_TOL, max(MAX_NEWTON, 40),
+                       lam=lam_t)[0]
     except ContinuationError as err:
         raise GeometryError(
             f"smooth-side fold solve failed: {_cause(err)}") from err
@@ -695,8 +692,8 @@ def verify_swallowtail_geometry(
         for direction in (1.0, -1.0):
             try:
                 _, run = trace_line(base, 1, direction, in_ball, 0.01,
-                                    SLICE_DS_MAX, SLICE_STEPS, tol,
-                                    max_newton, stop=False)
+                                    SLICE_DS_MAX, SLICE_STEPS, NEWTON_TOL,
+                                    MAX_NEWTON, stop=False)
             except ContinuationError as err:
                 raise GeometryError(
                     f"{side_name}-side fold line lost: {err}") from err

@@ -175,13 +175,22 @@ class Nonlinearity:
         raise NotImplementedError
 
 
+def _sin_derivative(k: int, x):
+    """k-th derivative of sin at x: sin, cos, -sin, -cos, ..."""
+    value = [np.sin, np.cos][k % 2](x)
+    return -value if k % 4 >= 2 else value
+
+
 class ExpSineNonlinearity(Nonlinearity):
     """f(t, lam) = lam1 * exp(t / (lam2 t + 1)) + lam3 * sin(lam1 t).
 
     t-derivatives of the exponential part follow Faa di Bruno: with
     g = t/(lam2 t + 1), g^(k) = (-1)^(k-1) k! lam2^(k-1) / c^(k+1) and
-    c = lam2 t + 1, the k-th derivative of exp(g) is exp(g) times the
-    complete Bell polynomial in g', .., g^(k).
+    c = lam2 t + 1, the k-th derivative e_k of exp(g) is exp(g) times the
+    complete Bell polynomial in g', .., g^(k).  As dg/dlam2 = -t^2/c^2 =
+    -t^2 g', de_k/dlam2 = -(t^2 e_1)^(k) needs e_(k+1), so k < 4 there.
+    The sine part's k-th t-derivative is lam3 lam1^k sin^(k)(lam1 t),
+    with sin^(k)(x) = sin(x + k pi/2) a rule both evaluators share.
     """
 
     @staticmethod
@@ -199,53 +208,28 @@ class ExpSineNonlinearity(Nonlinearity):
         e = np.exp(t / c)
         gs = [(-1.0) ** (k - 1) * math.factorial(k) * lam[1] ** (k - 1)
               / c ** (k + 1) for k in range(1, top + 1)]
-        return t, c, e, [e * bell_value(k, gs[:k]) for k in range(top + 1)]
+        return t, [e * bell_value(k, gs[:k]) for k in range(top + 1)]
 
     def derivative(self, k: int, t, lam):
-        if not 0 <= k <= 4:
+        if not 0 <= k <= self.max_u_order:
             raise ValueError("t-derivatives available for k = 0..4")
-        t, _, _, ek = self._exp_stack(t, lam, k)
+        t, ek = self._exp_stack(t, lam, k)
         lam1, _, lam3 = lam
-        trig = [np.sin, np.cos][k % 2](lam1 * t)
-        sign = -1.0 if k % 4 in (2, 3) else 1.0
-        return lam1 * ek[k] + sign * lam3 * lam1**k * trig
+        return lam1 * ek[k] + lam3 * lam1**k * _sin_derivative(k, lam1 * t)
 
     def lambda_derivative(self, k: int, t, lam):
-        if not 0 <= k <= 3:
+        if not 0 <= k < self.max_u_order:
             raise ValueError("lam-derivatives available for k = 0..3")
-        t, c, e, ek = self._exp_stack(t, lam, k)
-        lam1 = lam[0]
-        lam3 = lam[2]
-        # dg/dlam2 and its t-derivatives (h_k = d/dlam2 g^(k))
-        g1 = 1.0 / c**2
-        g2 = -2.0 * lam[1] / c**3
-        g3 = 6.0 * lam[1] ** 2 / c**4
-        h0 = -(t**2) / c**2
-        h1 = -2.0 * t / c**3
-        h2 = -2.0 / c**3 + 6.0 * lam[1] * t / c**4
-        h3 = 12.0 * lam[1] / c**4 - 24.0 * lam[1] ** 2 * t / c**5
-        dlam2_exp = [
-            e * h0,
-            e * (h0 * g1 + h1),
-            e * (h0 * (g2 + g1**2) + h2 + 2.0 * g1 * h1),
-            e * (h0 * (g3 + 3.0 * g1 * g2 + g1**3)
-                 + h3 + 3.0 * h1 * g2 + 3.0 * g1 * h2 + 3.0 * g1**2 * h1),
-        ]
-        s, co = np.sin(lam1 * t), np.cos(lam1 * t)
-        if k == 0:
-            d1 = ek[0] + lam3 * t * co
-            d3 = s
-        elif k == 1:
-            d1 = ek[1] + lam3 * co - lam1 * lam3 * t * s
-            d3 = lam1 * co
-        elif k == 2:
-            d1 = ek[2] - 2.0 * lam1 * lam3 * s - lam1**2 * lam3 * t * co
-            d3 = -(lam1**2) * s
-        else:
-            d1 = ek[3] - 3.0 * lam1**2 * lam3 * co + lam1**3 * lam3 * t * s
-            d3 = -(lam1**3) * co
-        d2 = lam1 * dlam2_exp[k]
-        return np.stack(np.broadcast_arrays(d1, d2, d3), axis=-1)
+        t, ek = self._exp_stack(t, lam, k + 1)
+        lam1, _, lam3 = lam
+        sin_k = _sin_derivative(k, lam1 * t)
+        # d(lam1^k)/dlam1 is 0 at k = 0; the max keeps lam1 = 0 finite
+        d1 = ek[k] + lam3 * (lam1**k * t * _sin_derivative(k + 1, lam1 * t)
+                             + k * lam1 ** max(k - 1, 0) * sin_k)
+        d2 = -lam1 * (t**2 * ek[k + 1] + 2 * k * t * ek[k]
+                      + k * (k - 1) * ek[k - 1])
+        return np.stack(np.broadcast_arrays(d1, d2, lam1**k * sin_k),
+                        axis=-1)
 
     def antiderivative(self, t, lam):
         t_arr = np.asarray(t, dtype=float)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from aseries import augmented
 from aseries.augmented import (
     DEGENERATE,
     AugmentedState,
@@ -552,3 +553,28 @@ class TestSolutionSignature:
     def test_zero_diagonal_uses_inertia_fallback(self):
         mat = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert solution_signature(mat) == -1
+
+    @pytest.mark.parametrize("diag, fallbacks", [(0.0, 0), (1e-13, 1)],
+                             ids=["zero", "tiny"])
+    @pytest.mark.parametrize("case", ["swap", "two-swaps", "swap-plus-2"])
+    def test_regular_with_vanishing_natural_pivot(self, monkeypatch, case,
+                                                  diag, fallbacks):
+        # SuperLU swaps rows past a structurally zero diagonal, and the
+        # permutation parity carries the sign; a tiny diagonal stays the
+        # pivot and sends the sign to the dense LDL^T inertia
+        swap = np.array([[diag, 1.0], [1.0, 0.0]])
+        mat, expected = {
+            "swap": (swap, -1),
+            "two-swaps": (np.kron(np.eye(2), swap), 1),
+            "swap-plus-2": (np.block([[swap, np.zeros((2, 1))],
+                                      [np.zeros((1, 2)), 2.0]]), -1),
+        }[case]
+        calls, real = [], augmented.ldl
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(augmented, "ldl", counted)
+        assert solution_signature(sp.csc_matrix(mat)) == expected
+        assert len(calls) == fallbacks

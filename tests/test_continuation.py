@@ -243,7 +243,84 @@ class TestEvents:
             detect_events(lin, p0, p1, ("fold",))
 
 
+def fold_bracket():
+    """Accepted circle points at s = 1.2 and 1.6, either side of the
+    fold at x = 1."""
+    problem = circle_problem()
+    before = circle_start()
+    for _ in range(3):
+        before = step(problem, before, 0.4)
+    after = step(problem, before, 0.4)
+    assert before.monitors.fold_direction > 0 > after.monitors.fold_direction
+    return problem, before, after
+
+
+def failing_steps(monkeypatch, failures: int, zero_at=None) -> list:
+    """Patch `continuation.step` to fail its first `failures` calls, and
+    to report a zero fold monitor on call `zero_at`; returns the list of
+    requested step lengths."""
+    lengths = []
+
+    def patched(problem, point, ds):
+        lengths.append(ds)
+        if len(lengths) <= failures:
+            raise ContinuationError("forced trial failure")
+        trial = step(problem, point, ds)
+        if len(lengths) == zero_at:
+            trial.monitors = MonitorRecord(fold_direction=0.0)
+        return trial
+
+    monkeypatch.setattr(continuation, "step", patched)
+    return lengths
+
+
+class TestRefineFallback:
+    def test_failed_secant_trial_retried_at_midpoint(self, monkeypatch):
+        problem, before, after = fold_bracket()
+        lengths = failing_steps(monkeypatch, 1)
+        event = continuation._refine_event(problem, "fold", before, after)
+        assert lengths[1] == 0.5 * (after.s - before.s)
+        assert lengths[0] != lengths[1]
+        assert not event.approximate
+        assert abs(event.point.z[1]) == pytest.approx(1.0, abs=1e-7)
+
+    def test_second_failure_ends_refinement(self, monkeypatch):
+        problem, before, after = fold_bracket()
+        lengths = failing_steps(monkeypatch, 2)
+        event = continuation._refine_event(problem, "fold", before, after)
+        assert len(lengths) == 2
+        assert event.approximate
+        m_lo = before.monitors.fold_direction
+        m_hi = after.monitors.fold_direction
+        better = before if abs(m_lo) <= abs(m_hi) else after
+        assert event.point is better
+        assert event.monitor_value == better.monitors.fold_direction
+
+    def test_exact_zero_ends_refinement(self, monkeypatch):
+        problem, before, after = fold_bracket()
+        lengths = failing_steps(monkeypatch, 0, zero_at=1)
+        event = continuation._refine_event(problem, "fold", before, after)
+        assert len(lengths) == 1
+        assert event.monitor_value == 0.0 and not event.approximate
+
+
 class TestRunBranch:
+    def test_stop_at_needs_a_watched_kind(self, monkeypatch):
+        # a level-0 Bratu branch watches its fold and nothing else
+        grid = Grid(6, 6)
+        tmpl = AugmentedState(Problem(grid, ExpSineNonlinearity()), 0,
+                              np.zeros(grid.size), np.zeros(3), active=(0,))
+        cp = augmented_continuation_problem(tmpl)
+        start = initial_point(cp, tmpl.pack())
+        lengths = failing_steps(monkeypatch, 0)
+        with pytest.raises(ValueError, match=r"stop_at kind 'cusp' is not "
+                           r"watched by this problem \(watched: "
+                           r"\('fold',\)\)"):
+            run_branch(cp, start, stop_at=("cusp",))
+        assert lengths == []  # rejected before the first step
+        res = run_branch(cp, start, ds0=0.2, max_steps=120, stop_at=("fold",))
+        assert res.stopped_on == "event:fold"
+
     def test_step_budget(self):
         res = run_branch(circle_problem(), circle_start(), ds0=0.3,
                          max_steps=3)

@@ -117,6 +117,17 @@ class TestNonlinearities:
                     lm[i] -= h
                     fd = (nl.derivative(k, t, lp) - nl.derivative(k, t, lm)) / (2 * h)
                     assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        # complex step: Im f^(k)(lam + 1e-30 i e_j) / 1e-30 is the lam_j
+        # derivative to rounding, also at lam1 = 0 and for lam2 < 0
+        t = rng.uniform(-0.8, 0.8, 7)
+        for lam in (LAM, np.array([0.0, 0.3, 0.9]), np.array([1.1, -0.4, -0.7])):
+            for k in range(4):
+                grad = nl.lambda_derivative(k, t, lam)
+                for j in range(3):
+                    lam_c = lam.astype(complex)
+                    lam_c[j] += 1e-30j
+                    step = np.imag(nl.derivative(k, t, lam_c)) / 1e-30
+                    assert grad[:, j] == pytest.approx(step, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize(
         "nl",

@@ -1,8 +1,10 @@
 """Source style: lines fit in 79 columns, every imported name is used,
 every module-level private name is read in its module, each module
-imports only earlier layers of the package, and the continuation layer
+imports only earlier layers of the package, the continuation layer
 makes no dense linear-algebra call and reads its Newton settings and
-watched events from the problem rather than from parameters."""
+watched events from the problem rather than from parameters, and every
+defaulted parameter of a module-level function is passed by some call
+in the sources, tests or benchmark."""
 
 import ast
 from pathlib import Path
@@ -20,6 +22,9 @@ DENSE_METHODS = {"toarray", "todense"}
 #: events a run watches follow from the problem.
 CARRIED = {"newton_tol", "max_newton", "monitor_names", "fold_parameter"}
 CARRIER_BUILDER = "augmented_continuation_problem"
+#: Files whose calls may set a package function's defaulted parameters.
+CALLERS = sorted(path for part in ("src", "tests", "bench")
+                 for path in (SOURCES[0].parents[2] / part).rglob("*.py"))
 #: Package modules in layer order; each imports only earlier ones.
 LAYERS = ("bell", "poisson", "classifier", "augmented", "continuation",
           "harness", "cli")
@@ -115,6 +120,51 @@ def carried_parameters(source: str) -> list:
         params += [a for a in (args.vararg, args.kwarg) if a is not None]
         found.extend((node.lineno, node.name, a.arg) for a in params
                      if a.arg in CARRIED)
+    return sorted(found)
+
+
+def unset_defaults(source: str, callers) -> list:
+    """(line, function, parameter) of each defaulted parameter of a
+    module-level function in `source` that no call of that name in the
+    `callers` sources passes, by position or by keyword.
+
+    A call with *args or **kwargs passes everything; an imported name is
+    resolved through its `as` alias.  Methods and nested functions are
+    not scanned.
+    """
+    passed = {}  # function name -> [positions passed, keywords passed]
+    for caller in callers:
+        tree = ast.parse(caller)
+        aliases = {alias.asname: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            seen = passed.setdefault(aliases.get(name, name), [0, set()])
+            seen[0] = max(seen[0], len(node.args))
+            seen[1].update(k.arg for k in node.keywords)  # None: **kwargs
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                seen[1].add(None)
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, a) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a) for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                      if d is not None]
+        count, keywords = passed.get(node.name, [0, set()])
+        found.extend(
+            (a.lineno, node.name, a.arg) for i, a in defaulted
+            if not (i is not None and i < count or a.arg in keywords
+                    or None in keywords))
     return sorted(found)
 
 
@@ -245,3 +295,34 @@ def test_carried_scan_catches_parameters_and_spares_the_builder():
         (3, "system", "max_newton"), (5, "step", "newton_tol"),
         (7, "run_branch", "monitor_names"), (9, "f", "fold_parameter"),
         (9, "f", "max_newton")]
+
+
+def test_every_default_is_set_by_some_call():
+    callers = [path.read_text(encoding="utf-8") for path in CALLERS]
+    unset = [(path.name,) + item for path in SOURCES for item in
+             unset_defaults(path.read_text(encoding="utf-8"), callers)]
+    assert not unset, f"defaulted parameters no call passes (file, line, " \
+                      f"function, name): {unset}"
+
+
+def test_default_scan_catches_unset_and_spares_passed():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n"
+              "    def inner(z=0):\n"
+              "        return z\n"
+              "    return inner()\n"
+              "class K:\n"
+              "    def method(self, m=0):\n"
+              "        pass\n"
+              "def g(x=0, y=1):\n"
+              "    pass\n"
+              "def h(w=0):\n"
+              "    pass\n"
+              "def unused(q=0):\n"
+              "    pass\n")
+    callers = ["f(1, 2, e=5)\n"
+               "mod.g(*args)\n",
+               "from mod import h as alias\n"
+               "alias(w=1)\n"
+               "h()\n"]
+    assert unset_defaults(source, callers) == [
+        (1, "f", "c"), (1, "f", "d"), (12, "unused", "q")]
