@@ -15,9 +15,10 @@ equations, one level of rows on top of the last:
 (. is the componentwise product, vector powers componentwise).  The
 unknowns are u, then alpha (level >= 1), then vbar (level 3), then the
 active parameters.  One routine, `_assemble(state, level)`, builds the
-residual and the analytic Jacobian of every level: it evaluates the
-derivative diagonals f .. f^(level+1) and their lam-gradients once and
-stacks the rows level by level.  `solution_residual_jacobian` and
+residual and the analytic Jacobian of every level: one call each
+evaluates the jet f[k] = f^(k), k = 0..level+1, of derivative diagonals
+and its lam-gradients up to order level, and the rows stack level by
+level.  `solution_residual_jacobian` and
 `f1_`/`f2_`/`f3_residual_jacobian` each assemble one fixed level, so a
 level-k name applied to a higher-level state still gives level k.
 
@@ -46,7 +47,8 @@ Numer. Anal. 1993).  Level 0 stays one sparse matrix [G_u, dG/dlam].
 
 The monitors solve with G_u^2 + a a^T through the same bordered G_u,
 and the monitors evaluated at one state share one Linearization: one
-stack of derivative diagonals, one G_u and one factorization.
+jet f[k] = f^(k) of derivative diagonals, one G_u and one
+factorization.
 """
 
 from __future__ import annotations
@@ -372,21 +374,6 @@ class BlockJacobian:
     def factor(self, strict: bool = True) -> "BlockFactor":
         return BlockFactor(self, strict)
 
-    def toarray(self) -> np.ndarray:
-        n = self.a.size
-        gu, zero = self.gu.toarray(), np.zeros((n, n))
-        body = [[gu, zero], [np.diag(self.d), gu]]
-        if self.vbar is not None:
-            body = [row + [zero] for row in body]
-            body.append([self.p.toarray(),
-                         np.diag(self.e) + np.outer(self.a, self.vbar),
-                         gu @ gu + np.outer(self.a, self.a)])
-        block, single = self._order()
-        out = np.empty(self.shape)
-        out[block] = np.hstack([np.block(body), self.cols])
-        out[single] = self.rows
-        return out
-
 
 class BlockFactor:
     """Factor of a square BlockJacobian J; solves J x = b and J^T x = b.
@@ -517,8 +504,9 @@ def _swallowtail_system(gu, f, dlam, a, vbar):
 def _assemble(state: AugmentedState, level: int):
     """Residual and analytic Jacobian of the level-`level` system.
 
-    Each level appends its rows to the rows of the level below, and
-    every t-derivative and lam-gradient is evaluated once.  A single
+    Each level appends its rows to the rows of the level below.  The
+    t-derivatives come from one Linearization(state, level + 1) and the
+    lam-gradients from one lambda_derivative(level) call.  A single
     row is (u, alpha, [vbar,] lam) with the lam-gradient over all three
     parameters, sliced to the active ones at the end, and so are the
     lam columns.  Level 0 returns the sparse [G_u, dG/dlam]; levels 1-3
@@ -527,10 +515,10 @@ def _assemble(state: AugmentedState, level: int):
     if level > state.level:
         raise ValueError(f"level-{level} assembly needs a level-{level} "
                          "state")
-    prob, u, lam = state.problem, state.u, state.lam
-    f = [prob.nl.derivative(k, u, lam) for k in range(level + 2)]
-    dlam = [prob.nl.lambda_derivative(k, u, lam) for k in range(level + 1)]
-    gu = prob.gu(f[1])
+    prob, u = state.problem, state.u
+    lin = Linearization(state, level + 1)
+    f, gu = lin.f, lin.gu
+    dlam = prob.nl.lambda_derivative(level, u, state.lam)
     act = list(state.active)
     res = [prob.lap @ u + f[0]]
     if level == 0:
@@ -590,15 +578,15 @@ def f3_residual_jacobian(state: AugmentedState):
 
 
 class Linearization:
-    """f_u .. f^(top) and G_u at one state, and G_u bordered by the
-    kernel vector, factored on first use.  The monitors evaluated at
-    one state share one, so each derivative is evaluated once there."""
+    """The jet f[k] = f^(k), k = 0..top (top >= 1), and G_u at one
+    state, and G_u bordered by the kernel vector, factored on first use.
+    One derivative call builds the jet; the monitors evaluated at one
+    state share one Linearization, and so does an assembly."""
 
     def __init__(self, state: AugmentedState, top: int):
-        nl, u, lam = state.problem.nl, state.u, state.lam
         self.alpha = state.alpha
-        self.f = [nl.derivative(k, u, lam) for k in range(1, top + 1)]
-        self.gu = state.problem.gu(self.f[0])
+        self.f = state.problem.nl.derivative(top, state.u, state.lam)
+        self.gu = state.problem.gu(self.f[1])
 
     @cached_property
     def bordered(self) -> BorderedGu:
@@ -607,7 +595,7 @@ class Linearization:
 
 def cusp_monitor(state: AugmentedState,
                  lin: Linearization | None = None) -> float:
-    f2 = (lin or Linearization(state, 2)).f[1]
+    f2 = (lin or Linearization(state, 2)).f[2]
     return float(f2 @ state.alpha**3)
 
 
@@ -618,7 +606,7 @@ def solve_v(state: AugmentedState, lin: Linearization | None = None):
     projected off the kernel, and is orthogonal to it by construction.
     """
     lin = lin or Linearization(state, 2)
-    vbar = lin.bordered.square_solve(-lin.f[1] * state.alpha**2)
+    vbar = lin.bordered.square_solve(-lin.f[2] * state.alpha**2)
     return vbar, lin.gu @ vbar
 
 
@@ -626,7 +614,7 @@ def swallowtail_monitor(state: AugmentedState, v: np.ndarray,
                         lin: Linearization | None = None) -> float:
     a = state.alpha
     lin = lin or Linearization(state, 3)
-    f2, f3 = lin.f[1:3]
+    f2, f3 = lin.f[2:4]
     return float(f3 @ a**4 + 6.0 * (f2 * a**2) @ v + 3.0 * v @ (lin.gu @ v))
 
 
@@ -639,7 +627,7 @@ def butterfly_monitor(state: AugmentedState, v: np.ndarray,
     """
     a = state.alpha
     lin = lin or Linearization(state, 4)
-    f2, f3, f4 = lin.f[1:4]
+    f2, f3, f4 = lin.f[2:5]
     wbar = lin.bordered.square_solve(-(3.0 * f2 * a * v + f3 * a**3))
     w = lin.gu @ wbar
     return float(f4 @ a**5 - 15.0 * (f2 * a) @ (v * v)

@@ -380,12 +380,6 @@ def _check_continue(opts: dict, monitors: tuple) -> None:
             raise UsageError(f"unknown monitor {name!r}")
         if level == 0:
             raise UsageError(f"monitor {name!r} needs level >= 1")
-    allowed = set(monitors) | ({"fold"} if level == 0 else set())
-    for kind in opts["stop_at"]:
-        if kind not in allowed:
-            have = ", ".join(sorted(allowed))
-            raise UsageError(f"--stop-at {kind!r} is not detected by "
-                             f"this run (have: {have})")
 
 
 def _write_branch_csv(path: str, template: AugmentedState, points) -> None:
@@ -445,6 +439,11 @@ def cmd_continue(opts: dict) -> int:
                               active=active)
     wrapper = augmented_continuation_problem(template, monitors, opts["tol"],
                                              opts["max_newton"])
+    for kind in opts["stop_at"]:
+        if kind not in wrapper.watched:
+            have = ", ".join(sorted(wrapper.watched))
+            raise UsageError(f"--stop-at {kind!r} is not detected by "
+                             f"this run (have: {have})")
     start = initial_point(wrapper, template.pack(), opts["direction"])
     limit = opts["bounds"]
 

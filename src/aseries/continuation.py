@@ -615,9 +615,8 @@ def augmented_continuation_problem(template, monitors=(),
         fold_index = template.dimension - 1
 
         def signature(z):
-            st = template.with_vector(z)
-            f1 = st.problem.nl.derivative(1, st.u, st.lam)
-            return solution_signature(st.problem.gu(f1).tocsc())
+            lin = Linearization(template.with_vector(z), 1)
+            return solution_signature(lin.gu.tocsc())
 
     return ContinuationProblem(system, named, signature, fold_index,
                                newton_tol, max_newton)

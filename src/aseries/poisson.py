@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad
-from scipy.interpolate import RegularGridInterpolator
 
 from .bell import bell_value
 
@@ -104,6 +102,8 @@ def load_grid_function(path) -> GridFunction:
 
 def interpolate_to(gf: GridFunction, target: Grid) -> GridFunction:
     """Bilinear transfer onto another grid, zero-padded at the boundary."""
+    from scipy.interpolate import RegularGridInterpolator
+
     grid = gf.grid
     padded = np.zeros((grid.nx + 2, grid.ny + 2))
     padded[1:-1, 1:-1] = gf.as_matrix()
@@ -156,19 +156,22 @@ def laplacian_eigenvector(grid: Grid, p: int = 1, q: int = 1) -> np.ndarray:
 class Nonlinearity:
     """Scalar nonlinearity f(t, lam) with lam in R^3.
 
-    `derivative(k, t, lam)` returns the k-th t-derivative for k = 0..4;
-    `lambda_derivative(k, t, lam)` the lam-gradient of the k-th
-    t-derivative for k = 0..3, shape t.shape + (3,); `antiderivative`
-    integrates f in t from 0 (so it vanishes at t = 0).  All evaluators
-    broadcast over array-valued t.
+    Both derivative evaluators return the whole jet up to `top`, stacked
+    along a new leading axis.  `derivative(top, t, lam)` has shape
+    (top + 1,) + t.shape, entry k the k-th t-derivative, for top <= 4;
+    `lambda_derivative(top, t, lam)` has shape (top + 1,) + t.shape +
+    (3,), entry k the lam-gradient of the k-th t-derivative, for top <=
+    3.  Entry k does not depend on top.  `antiderivative` integrates f
+    in t from 0 (so it vanishes at t = 0).  All evaluators broadcast
+    over array-valued t.
     """
 
     max_u_order = 4
 
-    def derivative(self, k: int, t, lam) -> np.ndarray:
+    def derivative(self, top: int, t, lam) -> np.ndarray:
         raise NotImplementedError
 
-    def lambda_derivative(self, k: int, t, lam) -> np.ndarray:
+    def lambda_derivative(self, top: int, t, lam) -> np.ndarray:
         raise NotImplementedError
 
     def antiderivative(self, t, lam) -> np.ndarray:
@@ -210,28 +213,36 @@ class ExpSineNonlinearity(Nonlinearity):
               / c ** (k + 1) for k in range(1, top + 1)]
         return t, [e * bell_value(k, gs[:k]) for k in range(top + 1)]
 
-    def derivative(self, k: int, t, lam):
-        if not 0 <= k <= self.max_u_order:
-            raise ValueError("t-derivatives available for k = 0..4")
-        t, ek = self._exp_stack(t, lam, k)
+    def derivative(self, top: int, t, lam):
+        if not 0 <= top <= self.max_u_order:
+            raise ValueError("t-derivatives available for top = 0..4")
+        t, ek = self._exp_stack(t, lam, top)
         lam1, _, lam3 = lam
-        return lam1 * ek[k] + lam3 * lam1**k * _sin_derivative(k, lam1 * t)
+        return np.stack([lam1 * ek[k]
+                         + lam3 * lam1**k * _sin_derivative(k, lam1 * t)
+                         for k in range(top + 1)])
 
-    def lambda_derivative(self, k: int, t, lam):
-        if not 0 <= k < self.max_u_order:
-            raise ValueError("lam-derivatives available for k = 0..3")
-        t, ek = self._exp_stack(t, lam, k + 1)
+    def lambda_derivative(self, top: int, t, lam):
+        if not 0 <= top < self.max_u_order:
+            raise ValueError("lam-derivatives available for top = 0..3")
+        t, ek = self._exp_stack(t, lam, top + 1)
         lam1, _, lam3 = lam
-        sin_k = _sin_derivative(k, lam1 * t)
-        # d(lam1^k)/dlam1 is 0 at k = 0; the max keeps lam1 = 0 finite
-        d1 = ek[k] + lam3 * (lam1**k * t * _sin_derivative(k + 1, lam1 * t)
-                             + k * lam1 ** max(k - 1, 0) * sin_k)
-        d2 = -lam1 * (t**2 * ek[k + 1] + 2 * k * t * ek[k]
-                      + k * (k - 1) * ek[k - 1])
-        return np.stack(np.broadcast_arrays(d1, d2, lam1**k * sin_k),
-                        axis=-1)
+        jet = []
+        for k in range(top + 1):
+            sin_k = _sin_derivative(k, lam1 * t)
+            # d(lam1^k)/dlam1 is 0 at k = 0; the max keeps lam1 = 0 finite
+            d1 = ek[k] + lam3 * (lam1**k * t * _sin_derivative(k + 1, lam1 * t)
+                                 + k * lam1 ** max(k - 1, 0) * sin_k)
+            # k (k - 1) vanishes for k < 2; e_1 stands in for e_-1 at k = 0
+            d2 = -lam1 * (t**2 * ek[k + 1] + 2 * k * t * ek[k]
+                          + k * (k - 1) * ek[abs(k - 1)])
+            jet.append(np.stack(np.broadcast_arrays(d1, d2, lam1**k * sin_k),
+                                axis=-1))
+        return np.stack(jet)
 
     def antiderivative(self, t, lam):
+        from scipy.integrate import quad
+
         t_arr = np.asarray(t, dtype=float)
         self._pole_checked(t_arr, lam)
         lam1, lam2, lam3 = lam
@@ -268,28 +279,31 @@ class PolynomialNonlinearity(Nonlinearity):
     def _coefficients(self, lam):
         return (0.0, lam[0], lam[1], lam[2]) + self.tail
 
-    def derivative(self, k: int, t, lam):
-        if not 0 <= k <= 4:
-            raise ValueError("t-derivatives available for k = 0..4")
+    def derivative(self, top: int, t, lam):
+        if not 0 <= top <= self.max_u_order:
+            raise ValueError("t-derivatives available for top = 0..4")
         t = np.asarray(t, dtype=float)
         coeffs = self._coefficients(lam)
-        # Horner in t for f^(k) = sum_{l >= k} c_l t^(l-k) / (l-k)!
-        total = np.zeros_like(t)
-        for l in range(len(coeffs) - 1, k - 1, -1):
-            total = coeffs[l] + total * t / (l - k + 1)
-        return total
+        jet = []
+        for k in range(top + 1):
+            # Horner in t for f^(k) = sum_{l >= k} c_l t^(l-k) / (l-k)!
+            total = np.zeros_like(t)
+            for l in range(len(coeffs) - 1, k - 1, -1):
+                total = coeffs[l] + total * t / (l - k + 1)
+            jet.append(total)
+        return np.stack(jet)
 
-    def lambda_derivative(self, k: int, t, lam):
-        if not 0 <= k <= 3:
-            raise ValueError("lam-derivatives available for k = 0..3")
+    def lambda_derivative(self, top: int, t, lam):
+        if not 0 <= top < self.max_u_order:
+            raise ValueError("lam-derivatives available for top = 0..3")
         t = np.asarray(t, dtype=float)
-        rows = []
-        for slot in (1, 2, 3):  # coefficient lam_slot multiplies t^slot/slot!
-            if slot < k:
-                rows.append(np.zeros_like(t))
-            else:
-                rows.append(t ** (slot - k) / math.factorial(slot - k))
-        return np.stack(np.broadcast_arrays(*rows), axis=-1)
+        jet = []
+        for k in range(top + 1):
+            # coefficient lam_slot multiplies t^slot/slot!
+            rows = [t ** (slot - k) / math.factorial(slot - k) if slot >= k
+                    else np.zeros_like(t) for slot in (1, 2, 3)]
+            jet.append(np.stack(np.broadcast_arrays(*rows), axis=-1))
+        return np.stack(jet)
 
     def antiderivative(self, t, lam):
         t = np.asarray(t, dtype=float)
@@ -305,13 +319,13 @@ def residual(u: np.ndarray, lam, nl: Nonlinearity, lap) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (lap.shape[0],):
         raise ValueError(f"expected {lap.shape[0]} unknowns, got {u.shape}")
-    return lap @ u + nl.derivative(0, u, lam)
+    return lap @ u + nl.derivative(0, u, lam)[0]
 
 
 def jacobian(u: np.ndarray, lam, nl: Nonlinearity, lap) -> sp.csr_matrix:
     """G_u = L + diag(f_u(u, lam)); symmetric."""
     u = np.asarray(u, dtype=float)
-    return (lap + sp.diags(nl.derivative(1, u, lam))).tocsr()
+    return (lap + sp.diags(nl.derivative(1, u, lam)[1])).tocsr()
 
 
 def discrete_functional(u: np.ndarray, lam, nl: Nonlinearity, grid: Grid,
@@ -334,22 +348,14 @@ class PoissonOracle:
     sum_j f^(k-1)(u_j, lam) v_1j ... v_kj.
     """
 
-    def __init__(self, u, lam, nl: Nonlinearity, lap,
-                 max_order: int | None = None):
-        self.u = np.asarray(u, dtype=float)
-        self.lam = np.asarray(lam, dtype=float)
-        self.nl = nl
-        self.lap = lap
-        self.dimension = self.u.shape[0]
-        self.max_order = max_order or (nl.max_u_order + 1)
-        self._residual = residual(self.u, self.lam, nl, lap)
-        self._jacobian = jacobian(self.u, self.lam, nl, lap)
-        self._diagonals: dict[int, np.ndarray] = {}
-
-    def _diagonal(self, k: int) -> np.ndarray:
-        if k not in self._diagonals:
-            self._diagonals[k] = self.nl.derivative(k, self.u, self.lam)
-        return self._diagonals[k]
+    def __init__(self, u, lam, nl: Nonlinearity, lap):
+        u = np.asarray(u, dtype=float)
+        self.dimension = u.shape[0]
+        self.max_order = nl.max_u_order + 1
+        self._jet = nl.derivative(nl.max_u_order, u,
+                                  np.asarray(lam, dtype=float))
+        self._residual = lap @ u + self._jet[0]
+        self._jacobian = (lap + sp.diags(self._jet[1])).tocsr()
 
     def contract(self, k: int, *vectors) -> float:
         return float(np.dot(self.contract_free(k, *vectors[:-1]), vectors[-1]))
@@ -363,7 +369,7 @@ class PoissonOracle:
             return self._residual.copy()
         if k == 2:
             return self._jacobian @ np.asarray(vectors[0], dtype=float)
-        out = self._diagonal(k - 1).copy()
+        out = self._jet[k - 1]
         for v in vectors:
             out = out * np.asarray(v, dtype=float)
         return out

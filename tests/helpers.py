@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import splu
 
+from aseries.augmented import BlockJacobian
 from aseries.classifier import TensorOracle
 from aseries.continuation import RankDeficientError, SingularJacobianError
 
@@ -192,7 +193,31 @@ def fd_derivative(func, order: int, h: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference jacobians
+# dense and finite-difference jacobians
+
+
+def dense_jacobian(jac) -> np.ndarray:
+    """Any Jacobian the library returns, as one dense array.
+
+    A BlockJacobian is formed from its blocks in the residual's row
+    order: the full analytic Jacobian, G_u^2 multiplied out.  Sparse
+    matrices and arrays are converted as they are.
+    """
+    if not isinstance(jac, BlockJacobian):
+        return jac.toarray() if sp.issparse(jac) else np.asarray(jac, float)
+    n = jac.a.size
+    gu, zero = jac.gu.toarray(), np.zeros((n, n))
+    body = [[gu, zero], [np.diag(jac.d), gu]]
+    if jac.vbar is not None:
+        body = [row + [zero] for row in body]
+        body.append([jac.p.toarray(),
+                     np.diag(jac.e) + np.outer(jac.a, jac.vbar),
+                     gu @ gu + np.outer(jac.a, jac.a)])
+    block, single = jac._order()
+    out = np.empty(jac.shape)
+    out[block] = np.hstack([np.block(body), jac.cols])
+    out[single] = jac.rows
+    return out
 
 
 def fd_jacobian(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -216,8 +241,7 @@ def dense_rank_check(jac, rank_tol: float = 1e-8) -> None:
     Raises RankDeficientError when sigma_min < rank_tol * max(sigma_max, 1),
     the verdict the library's sparse rank check must reproduce.
     """
-    dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, float)
-    sing = svdvals(dense)
+    sing = svdvals(dense_jacobian(jac))
     if sing[-1] < rank_tol * max(sing[0], 1.0):
         raise RankDeficientError(
             f"smallest singular value {sing[-1]:.3e} at an accepted point")
@@ -234,7 +258,7 @@ def dense_tangent(jac, previous=None, rank_tol: float = 1e-8) -> np.ndarray:
     on full-rank matrices, and an accepted point (tangent, then rank
     check) must reject every matrix it rejects.
     """
-    dense = jac.toarray() if sp.issparse(jac) else np.asarray(jac, float)
+    dense = dense_jacobian(jac)
     rhs = np.zeros(dense.shape[1])
     rhs[-1] = 1.0
     row = rhs if previous is None else np.asarray(previous, dtype=float)
@@ -257,7 +281,7 @@ def dense_tangent(jac, previous=None, rank_tol: float = 1e-8) -> np.ndarray:
 
 def dense_newton_step(jac, res: np.ndarray) -> np.ndarray:
     """Newton step of a (possibly bordered) Jacobian by dense LU."""
-    return np.linalg.solve(jac.toarray(), res)
+    return np.linalg.solve(dense_jacobian(jac), res)
 
 
 def relative_error(found: np.ndarray, expected: np.ndarray) -> float:

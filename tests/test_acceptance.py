@@ -53,6 +53,7 @@ from aseries.poisson import (
     laplacian_eigenvector,
 )
 from helpers import (
+    dense_jacobian,
     fd_jacobian,
     fit_derivatives,
     random_orthogonal,
@@ -191,7 +192,7 @@ def test_criterion_5_jacobian_fidelity():
             state = AugmentedState(
                 prob, level, u, lam.copy(), alpha=alpha,
                 vbar=vbar if level == 3 else None, active=active)
-            analytic = residual_jacobian(state)[1].toarray()
+            analytic = dense_jacobian(residual_jacobian(state)[1])
             numeric = fd_jacobian(
                 lambda z: residual_jacobian(state.with_vector(z))[0],
                 state.pack())

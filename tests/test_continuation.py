@@ -814,7 +814,7 @@ def test_signature_only_on_solution_branches(branch, fold_line):
     assert len(run.points) == 16
     for point in run.points:
         state = line.with_vector(point.z)
-        f1 = state.problem.nl.derivative(1, state.u, state.lam)
+        f1 = state.problem.nl.derivative(1, state.u, state.lam)[1]
         eigs = np.abs(np.linalg.eigvalsh(
             (state.problem.lap + sp.diags(f1)).toarray()))
         assert eigs.min() < 1e-11 * eigs.max()

@@ -72,16 +72,19 @@ class TestNonlinearities:
     def test_exp_sine_taylor_at_zero(self):
         nl = ExpSineNonlinearity()
         lam = np.array([1.3, 0.4, 0.7])
-        assert nl.derivative(0, 0.0, lam) == pytest.approx(1.3)
-        assert nl.derivative(1, 0.0, lam) == pytest.approx(1.3 * (1 + 0.7))
-        assert nl.derivative(2, 0.0, lam) == pytest.approx(1.3 * (1 - 2 * 0.4))
-        assert nl.derivative(3, 0.0, np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
+        jet = nl.derivative(2, 0.0, lam)
+        assert jet[0] == pytest.approx(1.3)
+        assert jet[1] == pytest.approx(1.3 * (1 + 0.7))
+        assert jet[2] == pytest.approx(1.3 * (1 - 2 * 0.4))
+        unit = np.array([1.0, 0.0, 0.0])
+        assert nl.derivative(3, 0.0, unit)[3] == pytest.approx(1.0)
 
     def test_polynomial_taylor_coefficients(self):
         nl = PolynomialNonlinearity(tail=(0.5, -2.0))
         lam = np.array([2.0, 3.0, 4.0])
+        jet = nl.derivative(4, 0.0, lam)
         for k, expected in enumerate([0.0, 2.0, 3.0, 4.0, 0.5]):
-            assert nl.derivative(k, 0.0, lam) == pytest.approx(expected)
+            assert jet[k] == pytest.approx(expected)
 
     @pytest.mark.parametrize(
         "nl",
@@ -94,11 +97,10 @@ class TestNonlinearities:
         h = 1e-5
         for k in range(4):
             for t in rng.uniform(-0.8, 0.8, 5):
-                fd = (nl.derivative(k, t + h, LAM) - nl.derivative(k, t - h, LAM)) / (
-                    2 * h
-                )
-                assert nl.derivative(k + 1, t, LAM) == pytest.approx(fd, rel=1e-6,
-                                                                     abs=1e-6)
+                fd = (nl.derivative(k, t + h, LAM)[k]
+                      - nl.derivative(k, t - h, LAM)[k]) / (2 * h)
+                assert nl.derivative(k + 1, t, LAM)[k + 1] == pytest.approx(
+                    fd, rel=1e-6, abs=1e-6)
 
     @pytest.mark.parametrize(
         "nl",
@@ -110,23 +112,24 @@ class TestNonlinearities:
         h = 1e-5
         for k in range(4):
             for t in rng.uniform(-0.8, 0.8, 3):
-                grad = nl.lambda_derivative(k, t, LAM)
+                grad = nl.lambda_derivative(k, t, LAM)[k]
                 for i in range(3):
                     lp, lm = LAM.copy(), LAM.copy()
                     lp[i] += h
                     lm[i] -= h
-                    fd = (nl.derivative(k, t, lp) - nl.derivative(k, t, lm)) / (2 * h)
+                    fd = (nl.derivative(k, t, lp)[k]
+                          - nl.derivative(k, t, lm)[k]) / (2 * h)
                     assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
         # complex step: Im f^(k)(lam + 1e-30 i e_j) / 1e-30 is the lam_j
         # derivative to rounding, also at lam1 = 0 and for lam2 < 0
         t = rng.uniform(-0.8, 0.8, 7)
         for lam in (LAM, np.array([0.0, 0.3, 0.9]), np.array([1.1, -0.4, -0.7])):
             for k in range(4):
-                grad = nl.lambda_derivative(k, t, lam)
+                grad = nl.lambda_derivative(k, t, lam)[k]
                 for j in range(3):
                     lam_c = lam.astype(complex)
                     lam_c[j] += 1e-30j
-                    step = np.imag(nl.derivative(k, t, lam_c)) / 1e-30
+                    step = np.imag(nl.derivative(k, t, lam_c)[k]) / 1e-30
                     assert grad[:, j] == pytest.approx(step, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -142,7 +145,8 @@ class TestNonlinearities:
             fd = (nl.antiderivative(t + h, LAM) - nl.antiderivative(t - h, LAM)) / (
                 2 * h
             )
-            assert fd == pytest.approx(nl.derivative(0, t, LAM), rel=1e-6, abs=1e-8)
+            assert fd == pytest.approx(nl.derivative(0, t, LAM)[0], rel=1e-6,
+                                       abs=1e-8)
 
     def test_antiderivative_small_lam1(self):
         nl = ExpSineNonlinearity()
@@ -166,11 +170,40 @@ class TestNonlinearities:
         nl = ExpSineNonlinearity()
         ts = np.linspace(-0.5, 0.5, 7)
         stacked = nl.derivative(2, ts, LAM)
-        assert stacked.shape == ts.shape
-        for t, v in zip(ts, stacked):
-            assert v == pytest.approx(float(nl.derivative(2, t, LAM)))
+        assert stacked.shape == (3,) + ts.shape
+        for t, v in zip(ts, stacked[2]):
+            assert v == pytest.approx(float(nl.derivative(2, t, LAM)[2]))
         grad = nl.lambda_derivative(3, ts, LAM)
-        assert grad.shape == ts.shape + (3,)
+        assert grad.shape == (4,) + ts.shape + (3,)
+
+    @pytest.mark.parametrize(
+        "nl",
+        [ExpSineNonlinearity(), PolynomialNonlinearity(tail=(0.8, -0.3))],
+        ids=["exp-sine", "polynomial"],
+    )
+    @pytest.mark.parametrize(
+        "lam",
+        [LAM, np.array([0.0, 0.3, 0.9]), np.array([1.1, -0.4, -0.7])],
+        ids=["generic", "lam1-zero", "lam2-negative"],
+    )
+    def test_jet_prefix_is_the_lower_jet(self, nl, lam):
+        # entry k of a jet does not depend on its top order, bit for bit
+        t = np.random.default_rng(20).uniform(-0.8, 0.8, 7)
+        jet, grads = nl.derivative(4, t, lam), nl.lambda_derivative(3, t, lam)
+        assert jet.shape == (5,) + t.shape
+        assert grads.shape == (4,) + t.shape + (3,)
+        for top in range(5):
+            assert (jet[: top + 1].tobytes()
+                    == nl.derivative(top, t, lam).tobytes())
+        for top in range(4):
+            assert (grads[: top + 1].tobytes()
+                    == nl.lambda_derivative(top, t, lam).tobytes())
+        for top in (-1, 5):
+            with pytest.raises(ValueError):
+                nl.derivative(top, t, lam)
+        for top in (-1, 4):
+            with pytest.raises(ValueError):
+                nl.lambda_derivative(top, t, lam)
 
 
 class TestResidualJacobian:
@@ -280,7 +313,7 @@ class TestOracle:
     def test_diagonal_contractions(self):
         vs = self.rng.standard_normal((5, self.grid.size))
         for k in (3, 4, 5):
-            diag = self.nl.derivative(k - 1, self.u, LAM)
+            diag = self.nl.derivative(k - 1, self.u, LAM)[k - 1]
             expected = float(np.sum(diag * np.prod(vs[:k], axis=0)))
             assert self.orc.contract(k, *vs[:k]) == pytest.approx(expected)
 

@@ -4,9 +4,13 @@ imports only earlier layers of the package, the continuation layer
 makes no dense linear-algebra call and reads its Newton settings and
 watched events from the problem rather than from parameters, and every
 defaulted parameter of a module-level function is passed by some call
-in the sources, tests or benchmark."""
+in the sources, tests or benchmark, and importing the command line
+loads no SciPy subpackage that only a rarely called function needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,10 @@ CARRIER_BUILDER = "augmented_continuation_problem"
 #: Files whose calls may set a package function's defaulted parameters.
 CALLERS = sorted(path for part in ("src", "tests", "bench")
                  for path in (SOURCES[0].parents[2] / part).rglob("*.py"))
+#: SciPy subpackages that only a rarely called function imports, inside
+#: that function: loaded with the package they would pull scipy.optimize
+#: into every run.
+LAZY_SUBPACKAGES = ("scipy.integrate", "scipy.interpolate")
 #: Package modules in layer order; each imports only earlier ones.
 LAYERS = ("bell", "poisson", "classifier", "augmented", "continuation",
           "harness", "cli")
@@ -326,3 +334,12 @@ def test_default_scan_catches_unset_and_spares_passed():
                "h()\n"]
     assert unset_defaults(source, callers) == [
         (1, "f", "c"), (1, "f", "d"), (12, "unused", "q")]
+
+
+def test_cli_import_leaves_lazy_subpackages_unloaded():
+    code = ("import sys, aseries.cli\n"
+            f"print([m for m in {LAZY_SUBPACKAGES!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n", f"importing aseries.cli loaded {out.strip()}"
