@@ -26,29 +26,18 @@ The normalization is the discrete-L2 dx dy a.a = 1.  The auxiliary
 vbar parameterizes the kernel-orthogonal correction v = G_u vbar, so
 orthogonality to the kernel holds exactly even on coarse grids.
 
-Levels 1-3 return their Jacobian as a BlockJacobian: its blocks, never
-one global matrix.  In (u, alpha[, vbar]) it is block lower triangular
-with diagonal blocks G_u, G_u (and G_u^2 + a a^T at level 3), bordered
-by single rows (normalization, cusp, value and, in continuation, the
-tangent row) and the lam columns; level 3's vbar rows carry the
-rank-one terms a vbar^T (alpha columns) and a a^T (vbar columns).  Its
-BlockFactor factors one (n+1) x (n+1) matrix, G_u bordered by the
-scaled kernel vector k = a / sqrt(|a|).  That solves with B = G_u +
-k k^T, which is regular at a simple fold, and B^2 differs from G_u^2 +
-a a^T by rank two.  A solve substitutes forward through the block
-triangle with diagonal blocks B, B (and B^2), or back through its
-transpose, and folds the rest (the differences from G_u and G_u^2 +
-a a^T, the lam columns and the single rows) into a Woodbury
-capacitance, 8 x 8 on a continued cusp line and 10 x 10 at level 3,
-with one step of iterative refinement.  This is the bordering / mixed
-block elimination of Govaerts, Numerical Methods for Bifurcations of
-Dynamical Equilibria (SIAM 2000), ch. 3, and Govaerts & Pryce (IMA J.
-Numer. Anal. 1993).  Level 0 stays one sparse matrix [G_u, dG/dlam].
-
-The monitors solve with G_u^2 + a a^T through the same bordered G_u,
-and the monitors evaluated at one state share one Linearization: one
-jet f[k] = f^(k) of derivative diagonals, one G_u and one
-factorization.
+Levels 1-3 return their Jacobian as a BlockJacobian, never one global
+matrix.  Its BlockFactor factors one (n+1) x (n+1) matrix, G_u bordered
+by the scaled kernel vector, and folds the rest into a small Woodbury
+capacitance: the bordering / mixed block elimination of Govaerts,
+Numerical Methods for Bifurcations of Dynamical Equilibria (SIAM 2000),
+ch. 3, and Govaerts & Pryce (IMA J. Numer. Anal. 1993).  Level 0 stays
+one sparse matrix [G_u, dG/dlam].  The monitors solve through the same
+bordered G_u, shared in one Linearization per state.  Every grid matrix
+that this module or continuation factors is G_u, with or without one
+border row and column, and SuperLU factors it in one nested-dissection
+order of the grid's points, the border last (`Problem.order`,
+`Problem.bordered_order`).
 """
 
 from __future__ import annotations
@@ -59,14 +48,17 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import ldl
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
-from .poisson import Grid, Nonlinearity, build_laplacian
+from .poisson import Grid, Nonlinearity, build_laplacian, nested_dissection
 
 #: `solution_signature` of a numerically singular matrix.
 DEGENERATE = 0
 #: `solution_signature`'s relative floor for LU pivots and LDL^T inertia.
 SIGNATURE_TOL = 1e-10
+#: diag_pivot_thresh of the level-0 and BorderedGu factors: at a fold
+#: t_lam and G_u are singular, so a small diagonal pivot is swapped.
+PIVOT_THRESH = 0.1
 #: A strict block solve treats its Jacobian as singular when the
 #: capacitance, rows and then columns scaled by the magnitudes it was
 #: summed from, has a larger condition number.  On every level-1/2
@@ -83,17 +75,71 @@ class SingularAuxiliaryError(RuntimeError):
     block Jacobian it helps to solve, is singular."""
 
 
+def bordered_csr(gu, cols: np.ndarray, rows=()) -> sp.csr_matrix:
+    """[[gu, cols], [rows]] in CSR, cols and rows stored whole, zeros
+    too: each row of gu gains its cols entries last, the rows follow."""
+    gu, m = sp.csr_matrix(gu), cols.shape[1]
+    (n, width), ends = gu.shape, np.repeat(gu.indptr[1:], m)
+    rows, full = np.reshape(rows, (-1, width + m)), np.arange(width + m)
+    data = np.append(np.insert(gu.data, ends, cols.ravel()), rows)
+    indices = np.append(np.insert(gu.indices, ends, np.tile(full[width:], n)),
+                        np.tile(full, len(rows)))
+    indptr = np.append(gu.indptr + m * np.arange(n + 1), gu.nnz + n * m
+                       + (width + m) * np.arange(1, len(rows) + 1))
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(n + len(rows), width + m))
+
+
+@dataclass(frozen=True)
+class Ordering:
+    """A symmetric permutation of one square CSR pattern: `permute`
+    gathers the CSR data of A into the CSC of P A P^T, (P A P^T)[i, j]
+    = A[perm[i], perm[j]], for SuperLU to factor in that order."""
+
+    csr: tuple  # (indptr, indices) of A
+    perm: np.ndarray
+    position: sp.csc_matrix  # of each entry of P A P^T in A's CSR data
+
+    @classmethod
+    def of(cls, pattern: sp.csr_matrix, perm=None) -> "Ordering":
+        perm = np.arange(pattern.shape[0]) if perm is None else perm
+        position = sp.csr_matrix(  # counted from 1, so none is dropped
+            (np.arange(1, pattern.nnz + 1), pattern.indices,
+             pattern.indptr), shape=pattern.shape)[perm][:, perm].tocsc()
+        position.data -= 1
+        return cls((pattern.indptr, pattern.indices), perm, position)
+
+    def permute(self, mat: sp.csr_matrix) -> sp.csc_matrix:
+        if not all(map(np.array_equal, self.csr, (mat.indptr, mat.indices))):
+            raise ValueError("matrix does not have the ordering's pattern")
+        at = self.position
+        return sp.csc_matrix((mat.data[at.data], at.indices, at.indptr),
+                             shape=at.shape)
+
+
+@dataclass(frozen=True)
+class PermutedLU:
+    """SuperLU of P A P^T; solves with A, or A^T for trans "T", 1-D or 2-D."""
+
+    lu: SuperLU
+    perm: np.ndarray
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        x = np.empty(np.shape(rhs))
+        x[self.perm] = self.lu.solve(np.asarray(rhs)[self.perm], trans=trans)
+        return x
+
+
 @dataclass(frozen=True)
 class Problem:
     """Grid, nonlinearity and the assembled Laplacian, shared by states."""
 
     grid: Grid
     nl: Nonlinearity
-    lap: sp.csr_matrix = None
 
-    def __post_init__(self):
-        if self.lap is None:
-            object.__setattr__(self, "lap", build_laplacian(self.grid))
+    @cached_property
+    def lap(self) -> sp.csr_matrix:
+        return build_laplacian(self.grid)
 
     @cached_property
     def _diagonal(self) -> np.ndarray:
@@ -104,6 +150,18 @@ class Problem:
         if found.size != lap.shape[0]:
             raise ValueError("the Laplacian must store its whole diagonal")
         return found
+
+    @cached_property
+    def order(self) -> Ordering:
+        """Nested-dissection Ordering of G_u, built on first use."""
+        return Ordering.of(self.lap, nested_dissection(self.grid))
+
+    @cached_property
+    def bordered_order(self) -> Ordering:
+        """`order`, then one border row and column (`bordered_csr`)."""
+        n = self.grid.size
+        pattern = bordered_csr(self.lap, np.ones((n, 1)), np.ones(n + 1))
+        return Ordering.of(pattern, np.append(self.order.perm, n))
 
     def gu(self, fu: np.ndarray) -> sp.csr_matrix:
         """G_u = L + diag(f_u), on the Laplacian's sparsity pattern."""
@@ -221,23 +279,19 @@ class BorderedGu:
     has the solution [x; k.x] with B x = b, B = G_u + k k^T, and it is
     singular exactly when B is.  B is regular at a simple fold, where a
     spans the kernel of G_u.  For symmetric G_u, B^2 = G_u^2 + a a^T +
-    g k^T + k g^T with g = G_u k.
-    """
+    g k^T + k g^T with g = G_u k.  order is a Problem's bordered_order,
+    None for a plain gu."""
 
-    def __init__(self, gu, a: np.ndarray):
+    def __init__(self, gu, a: np.ndarray, order: Ordering | None = None):
         self.k = k = a / np.sqrt(np.linalg.norm(a) or 1.0)
         self.g = gu @ k
-        # CSC arrays directly: k ends every column, then the last column
-        csc = sp.csc_matrix(gu)
-        n, ends = k.size, csc.indptr[1:]
-        bordered = sp.csc_matrix(
-            (np.concatenate([np.insert(csc.data, ends, k), k, [-1.0]]),
-             np.concatenate([np.insert(csc.indices, ends, n),
-                             np.arange(n + 1)]),
-             np.append(csc.indptr + np.arange(n + 1), csc.nnz + 2 * n + 1)),
-            shape=(n + 1, n + 1))
+        bordered = bordered_csr(gu, k[:, None], np.append(k, -1.0))
+        order = order or Ordering.of(bordered)
         try:
-            self.lu = splu(bordered, permc_spec="MMD_AT_PLUS_A")
+            self.lu = PermutedLU(splu(
+                order.permute(bordered), permc_spec="NATURAL",
+                diag_pivot_thresh=PIVOT_THRESH,
+                options={"SymmetricMode": True}), order.perm)
         except RuntimeError as exc:
             raise SingularAuxiliaryError(
                 "regularized system is singular") from exc
@@ -296,6 +350,7 @@ class BlockJacobian:
     p: sp.csr_matrix | None = None
     e: np.ndarray | None = None
     vbar: np.ndarray | None = None
+    order: Ordering | None = None
 
     @property
     def blocks(self) -> int:
@@ -400,7 +455,7 @@ class BlockFactor:
         n, m = jac.a.size, jac.rows.shape[0]
         size = jac.blocks * n
         self.jac = jac
-        self.lu = BorderedGu(jac.gu, jac.a)
+        self.lu = BorderedGu(jac.gu, jac.a, jac.order)
         k, g = self.lu.k, self.lu.g
         low = 2 * jac.blocks - 2  # columns of the G_u block corrections
         left = np.zeros((size + m, low + 2 * m))
@@ -522,8 +577,7 @@ def _assemble(state: AugmentedState, level: int):
     act = list(state.active)
     res = [prob.lap @ u + f[0]]
     if level == 0:
-        lam_cols = sp.csr_matrix(dlam[0][:, act])
-        return res[0], sp.hstack([gu, lam_cols], format="csr")
+        return res[0], bordered_csr(gu, dlam[0][:, act])
     a, area = state.alpha, prob.grid.cell_area
     zero = np.zeros_like(a)
     res += [gu @ a, [area * (a @ a) - 1.0]]
@@ -542,7 +596,7 @@ def _assemble(state: AugmentedState, level: int):
     jac = BlockJacobian(
         gu=gu, d=f[2] * a, a=a, cols=np.vstack(cols)[:, act],
         rows=np.array([np.concatenate(row[:-1] + (row[-1][act],))
-                       for row in rows]), **blocks)
+                       for row in rows]), order=prob.bordered_order, **blocks)
     return np.concatenate(res), jac
 
 
@@ -584,13 +638,13 @@ class Linearization:
     state share one Linearization, and so does an assembly."""
 
     def __init__(self, state: AugmentedState, top: int):
-        self.alpha = state.alpha
+        self.alpha, self.problem = state.alpha, state.problem
         self.f = state.problem.nl.derivative(top, state.u, state.lam)
         self.gu = state.problem.gu(self.f[1])
 
     @cached_property
     def bordered(self) -> BorderedGu:
-        return BorderedGu(self.gu, self.alpha)
+        return BorderedGu(self.gu, self.alpha, self.problem.bordered_order)
 
 
 def cusp_monitor(state: AugmentedState,
@@ -648,43 +702,39 @@ def evaluate_monitors(state: AugmentedState) -> MonitorRecord:
 
 
 def _permutation_parity(perm: np.ndarray) -> int:
+    """Sign of a permutation, from the cycles of the entries it moves:
+    each cycle of length l is l - 1 transpositions."""
     perm = np.asarray(perm)
-    visited = np.zeros(perm.shape[0], dtype=bool)
-    sign = 1
-    for start in range(perm.shape[0]):
-        if visited[start]:
-            continue
-        length = 0
-        j = start
-        while not visited[j]:
-            visited[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    moved = np.flatnonzero(perm != np.arange(perm.size))
+    seen, cycles = np.zeros(perm.size, dtype=bool), 0
+    for j in moved:
+        cycles += not seen[j]
+        while not seen[j]:
+            seen[j], j = True, perm[j]
+    return -1 if (moved.size - cycles) % 2 else 1
 
 
-def solution_signature(gu):
-    """Sign of det(G_u): LU in natural order, inertia fallback.
+def solution_signature(gu, order: Ordering | None = None):
+    """Sign of det(G_u): LU with diagonal pivots, inertia fallback.
 
-    The LU factorization keeps the natural ordering and diagonal pivots
-    wherever possible, so the sign is the parity of negative pivots
-    (times the parity of any structural permutations).  A pivot below
+    G_u is factored in order (a Problem's `order`, None for a plain gu)
+    with diagonal pivots wherever they are nonzero; det(P G_u P^T) =
+    det(G_u) is the product of the pivots and the parities of SuperLU's
+    permutations.  A pivot below
     SIGNATURE_TOL relative to the largest switches to a dense symmetric
     LDL^T factorization; a near-singular factor reports DEGENERATE (0).
     """
-    gu = sp.csc_matrix(gu)
+    gu = sp.csr_matrix(gu)
+    order = order or Ordering.of(gu)
     try:
-        lu = splu(gu, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = splu(order.permute(gu), permc_spec="NATURAL",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         pivots = lu.U.diagonal()
         scale = np.max(np.abs(pivots))
         if scale > 0 and np.min(np.abs(pivots)) > SIGNATURE_TOL * scale:
             sign = -1 if int(np.sum(pivots < 0)) % 2 else 1
-            return sign * _permutation_parity(lu.perm_r) * _permutation_parity(
-                lu.perm_c
-            )
+            return (sign * _permutation_parity(lu.perm_r)
+                    * _permutation_parity(lu.perm_c))
     except RuntimeError:
         pass  # exactly singular factor: decide below
     _, d, _ = ldl(gu.toarray())

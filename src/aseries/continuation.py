@@ -7,62 +7,43 @@ callable, so each Newton iterate assembles once; the Jacobian of the
 converged corrector is reused for the tangent, and the tangent's factor
 for the rank check.
 The layer factors the square bordered matrix [J; row^T] one of two
-ways, and `_jacobian` is the one place that chooses.  A level-1-3
-augmented Jacobian (an augmented.BlockJacobian) keeps its blocks: its
-factor is one (n+1) x (n+1) LU of G_u bordered by the kernel vector and
-a small dense capacitance, both inside augmented.  Every other Jacobian
-(level 0, and plain matrices; a dense one is converted to sparse) gets
-one SuperLU of the whole matrix.  Both factors solve with the matrix
+ways, chosen in `_jacobian`.  A level-1-3 augmented.BlockJacobian keeps
+its blocks and factors G_u bordered by the kernel vector, inside
+augmented.  Every other Jacobian (level 0, and plain matrices, dense
+ones converted) gets one SuperLU of the whole matrix, in the grid's
+nested-dissection order at level 0.  Both factors solve with the matrix
 and its transpose.  A singular bordered tangent matrix raises
 RankDeficientError, which a branch run treats like any failed step.
-Every accepted point is checked to be regular, i.e. its n x (n+1)
-Jacobian J keeps full row rank: sigma_min(J) < rank_tol *
-max(sigma_max(J), 1) rejects it.  The check borders J with its scaled
-unit null vector, B = [J; c t^T] with c = max(U, 1) and U =
-sqrt(||J||_1 ||J||_inf) >= sigma_max(J), so the singular values of B
-are those of J plus c and sigma_min(B) = sigma_min(J).  B differs from
-the tangent's bordered matrix T = [J; row^T] only in its last row, so a
-Sherman-Morrison update of T's LU gives B^-1 and B^-T, and Lanczos on
-B^-T B^-1 gives sigma_min(B) = 1 / ||B^-1||_2.  A point with sigma_min
->= rank_tol * c is accepted at once; only otherwise does a Lanczos run
-on J^T J give sigma_max(J) for the exact verdict.  The check forms no
-dense or global matrix (the norms and products of a BlockJacobian come
-from its blocks), and within a step it factors nothing beyond the
-tangent.
+Every accepted point is checked to keep full row rank (`_check_rank`)
+by a Sherman-Morrison update of the tangent's LU, which factors nothing
+more and forms no dense or global matrix.
 Monitors are named scalar functions of z recorded at every accepted
 point; sign changes between consecutive points are refined by
 re-stepping with a secant rule on arclength, down to EVENT_TOL of the
 monitor's scale or a bracket of DS_MIN, the smallest step a branch
 takes.  A fold event is a sign change of the tangent component belonging
-to the designated parameter.
-A ContinuationProblem carries everything a run needs besides its step
-control: the system, the events it watches (the fold when it has a
-fold_index, then every monitor it records) and the Newton settings of
-each corrector.  An augmented line of level k is built to watch the
-level-(k+1) test: the fold on a level-0 solution branch, the requested
-monitors above.
+to the designated parameter.  A ContinuationProblem carries the system,
+the events a run watches and the Newton settings of its correctors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import (
-    ArpackError,
-    LinearOperator,
-    SuperLU,
-    eigsh,
-    splu,
-)
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .augmented import (
+    PIVOT_THRESH,
     BlockFactor,
     BlockJacobian,
     Linearization,
     MonitorRecord,
+    Ordering,
+    PermutedLU,
+    bordered_csr,
     butterfly_monitor,
     cusp_monitor,
     residual_jacobian,
@@ -123,9 +104,12 @@ class ConvergenceError(ContinuationError):
 @dataclass(frozen=True)
 class _SparseJacobian:
     """A level-0 (or any plain) Jacobian behind the BlockJacobian
-    interface; its factor is one SuperLU of the whole matrix."""
+    interface; its factor is one SuperLU of the whole [mat; row^T], in
+    order: at level 0 mat is [G_u, dG/dlam] in `bordered_csr`'s layout
+    and order its Problem's bordered_order; else mat's own order."""
 
     mat: sp.csr_matrix
+    order: Ordering | None = None
 
     @property
     def shape(self) -> tuple:
@@ -142,27 +126,23 @@ class _SparseJacobian:
         return magnitude.sum(axis=0).max(), magnitude.sum(axis=1).max()
 
     def bordered(self, row: np.ndarray) -> "_SparseJacobian":
-        """[mat; row^T], the row built from its nonzeros (csr_matrix of
-        row[None, :] is ~2x slower) and stacked as CSR (stacking as CSC
-        is ~3x slower than one conversion in `factor`)."""
-        cols = np.flatnonzero(row)
-        last = sp.csr_matrix((row[cols], cols, [0, cols.size]),
-                             shape=(1, row.size))
-        return _SparseJacobian(sp.vstack([self.mat, last]))
+        """[mat; row^T], the row stored whole (sp.vstack is ~4x slower)."""
+        empty = np.empty((self.shape[0], 0))
+        return replace(self, mat=bordered_csr(self.mat, empty, row))
 
-    def factor(self, strict: bool = True) -> SuperLU:
+    def factor(self, strict: bool = True) -> PermutedLU:
         # SuperLU fails on an exactly zero pivot only, strict or not
-        return splu(self.mat.tocsc())
+        order = self.order or Ordering.of(self.mat)
+        return PermutedLU(splu(
+            order.permute(self.mat), permc_spec="NATURAL",
+            diag_pivot_thresh=PIVOT_THRESH, options={"SymmetricMode": True}),
+            order.perm)
 
 
 def _jacobian(jac):
-    """The one place where level 0 and the block levels part.
-
-    A BlockJacobian (levels 1-3) keeps its blocks and factors G_u
-    bordered by the kernel vector; any other Jacobian is wrapped as
-    sparse and factored whole by SuperLU.  Both factors solve with
-    trans "N" and "T" and raise a RuntimeError when singular.
-    """
+    """The one place where level 0 and the block levels part: any
+    Jacobian but a BlockJacobian is wrapped as a _SparseJacobian.  Both
+    factors raise a RuntimeError when singular."""
     if isinstance(jac, (BlockJacobian, _SparseJacobian)):
         return jac
     return _SparseJacobian(sp.csr_matrix(jac))
@@ -265,18 +245,19 @@ class BranchResult:
     points: list
     events: list
     stopped_on: str
+    rejected: list
 
 
 @dataclass(frozen=True)
 class BorderedFactor:
     """Factor of T = [J; row^T] and s = T^-1 e_last.
 
-    lu is a SuperLU at level 0 and a BlockFactor at levels 1-3; both
+    lu is a PermutedLU at level 0 and a BlockFactor at levels 1-3; both
     solve with T and, with trans "T", with T^T.  row^T s = 1, and the
     unit tangent is s / ||s||.
     """
 
-    lu: SuperLU | BlockFactor
+    lu: PermutedLU | BlockFactor
     row: np.ndarray
     s: np.ndarray
 
@@ -542,10 +523,11 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
     Halves the step on corrector failure, grows it by GROW_FACTOR after
     fast convergence, and stops on the step budget, a bounds violation,
     a step failure at the minimal step, or an event whose kind appears
-    in stop_at.  A run that starts on a monitor's root reports no event
-    of that monitor between the start and its first step.  ds0 and
-    ds_max must be positive and finite, and stop_at may name only
-    watched events.
+    in stop_at.  Each failed step is kept in the result's `rejected` as
+    (arclength s of its base point, ds, error class name, message).
+    A run that starts on a monitor's root reports no event of that
+    monitor between the start and its first step.  ds0 and ds_max must
+    be positive and finite, and stop_at may name only watched events.
     """
     for name, value in (("ds0", ds0), ("ds_max", ds_max)):
         if not (value > 0 and np.isfinite(value)):
@@ -557,13 +539,15 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
                              f"this problem (watched: {problem.watched})")
     points = [start]
     events: list = []
+    rejected: list = []
     ds = min(max(ds0, DS_MIN), ds_max)
     accepted = 0
     stopped_on = "steps"
     while accepted < max_steps:
         try:
             new_point = step(problem, points[-1], ds)
-        except ContinuationError:
+        except ContinuationError as exc:
+            rejected.append((points[-1].s, ds, type(exc).__name__, str(exc)))
             if ds <= DS_MIN * (1.0 + 1e-12):
                 stopped_on = "step-failure"
                 break
@@ -584,7 +568,7 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
             break
         if new_point.newton_iters <= GROW_ITERS:
             ds = min(ds * GROW_FACTOR, ds_max)
-    return BranchResult(points, events, stopped_on)
+    return BranchResult(points, events, stopped_on, rejected)
 
 
 def augmented_continuation_problem(template, monitors=(),
@@ -606,7 +590,10 @@ def augmented_continuation_problem(template, monitors=(),
                          "free exactly one extra parameter")
 
     def system(z):
-        return residual_jacobian(template.with_vector(z))
+        res, jac = residual_jacobian(template.with_vector(z))
+        if template.level == 0:
+            jac = _SparseJacobian(jac, template.problem.bordered_order)
+        return res, jac
 
     named = {name: _pde_monitor(template, name) for name in monitors}
 
@@ -616,7 +603,7 @@ def augmented_continuation_problem(template, monitors=(),
 
         def signature(z):
             lin = Linearization(template.with_vector(z), 1)
-            return solution_signature(lin.gu.tocsc())
+            return solution_signature(lin.gu, template.problem.order)
 
     return ContinuationProblem(system, named, signature, fold_index,
                                newton_tol, max_newton)

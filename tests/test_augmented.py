@@ -451,7 +451,9 @@ def _no_kernel_vector(jac):
     zero = np.zeros_like(jac.a)
     rows = jac.rows.copy()
     rows[0] = 0.0
-    return replace(jac, gu=sp.csr_matrix(jac.gu.shape), a=zero, rows=rows)
+    # the new G_u is off the grid's pattern, so it has no grid order
+    return replace(jac, gu=sp.csr_matrix(jac.gu.shape), a=zero, rows=rows,
+                   order=None)
 
 
 class TestBorderedSolve:

@@ -348,6 +348,26 @@ class TestRunBranch:
         res = run_branch(strict, circle_start(), ds0=0.3, max_steps=3)
         assert res.stopped_on == "step-failure"
         assert len(res.points) == 1
+        # every halving is kept, down to the failure at DS_MIN
+        s, ds, errors, messages = zip(*res.rejected)
+        assert ds[:3] == (0.3, 0.15, 0.075) and ds[-1] == continuation.DS_MIN
+        assert set(s) == {0.0} and set(errors) == {"ConvergenceError"}
+        assert all("no convergence" in message for message in messages)
+
+    def test_rejected_steps_are_kept(self, monkeypatch):
+        lengths = failing_steps(monkeypatch, 2)
+        res = run_branch(circle_problem(), circle_start(), ds0=0.3,
+                         max_steps=2)
+        assert res.stopped_on == "steps" and len(res.points) == 3
+        assert lengths[:3] == [0.3, 0.15, 0.075]
+        assert res.rejected == [
+            (0.0, 0.3, "ContinuationError", "forced trial failure"),
+            (0.0, 0.15, "ContinuationError", "forced trial failure")]
+
+    def test_accepted_run_rejects_nothing(self):
+        res = run_branch(circle_problem(), circle_start(), ds0=0.3,
+                         max_steps=3)
+        assert res.rejected == []
 
     @pytest.mark.parametrize("ds0,ds_max", [
         (np.inf, 0.5), (0.1, np.inf), (np.inf, np.inf), (np.nan, 0.5),

@@ -4,8 +4,9 @@ imports only earlier layers of the package, the continuation layer
 makes no dense linear-algebra call and reads its Newton settings and
 watched events from the problem rather than from parameters, and every
 defaulted parameter of a module-level function is passed by some call
-in the sources, tests or benchmark, and importing the command line
-loads no SciPy subpackage that only a rarely called function needs."""
+in the sources, tests or benchmark, importing the command line
+loads no SciPy subpackage that only a rarely called function needs,
+and every SuperLU factorization keeps the order it is given."""
 
 import ast
 import os
@@ -33,6 +34,10 @@ CALLERS = sorted(path for part in ("src", "tests", "bench")
 #: that function: loaded with the package they would pull scipy.optimize
 #: into every run.
 LAZY_SUBPACKAGES = ("scipy.integrate", "scipy.interpolate")
+#: The only column ordering a `splu` call in the sources may ask for:
+#: each matrix comes already permuted by an augmented.Ordering, so
+#: SuperLU must not reorder it.
+SPLU_ORDERING = "NATURAL"
 #: Package modules in layer order; each imports only earlier ones.
 LAYERS = ("bell", "poisson", "classifier", "augmented", "continuation",
           "harness", "cli")
@@ -112,6 +117,27 @@ def dense_calls(source: str) -> list:
             name = ast.unparse(node.func)
             if name in DENSE_CALLS or node.func.attr in DENSE_METHODS:
                 found.append((node.lineno, name))
+    return sorted(found)
+
+
+def splu_orderings(source: str) -> list:
+    """(line, permc_spec) of each `splu` call whose permc_spec, by
+    keyword or second position, is not the literal SPLU_ORDERING; None
+    when the call leaves SuperLU's default, else the source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func).split(
+                ".")[-1] == "splu"):
+            continue
+        specs = node.args[1:2] + [k.value for k in node.keywords
+                                  if k.arg == "permc_spec"]
+        spec = specs[0] if specs else None
+        if spec is None:
+            found.append((node.lineno, None))
+        elif not (isinstance(spec, ast.Constant)
+                  and spec.value == SPLU_ORDERING):
+            found.append((node.lineno, getattr(spec, "value",
+                                               ast.unparse(spec))))
     return sorted(found)
 
 
@@ -275,6 +301,26 @@ def test_dense_scan_catches_dense_calls_and_spares_norm():
     assert dense_calls(source) == [(2, "np.linalg.solve"),
                                    (3, "np.linalg.svd"), (5, "np.vstack"),
                                    (6, "jac.toarray"), (7, "jac.T.todense")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_superlu_keeps_the_given_order(path):
+    other = splu_orderings(path.read_text(encoding="utf-8"))
+    assert not other, f"{path.name}: splu calls with a permc_spec other " \
+                      f"than {SPLU_ORDERING!r} (line, permc_spec): {other}"
+
+
+def test_splu_scan_catches_other_orderings_and_spares_natural():
+    source = ("from scipy.sparse.linalg import splu\n"
+              "a = splu(m, permc_spec='NATURAL', diag_pivot_thresh=0.1)\n"
+              "b = splu(m)\n"
+              "c = splu(m, permc_spec='COLAMD')\n"
+              "d = scipy.sparse.linalg.splu(m, 'MMD_AT_PLUS_A')\n"
+              "e = splu(m, permc_spec=spec)\n"
+              "f = spsolve(m, rhs, permc_spec='COLAMD')\n"
+              "g = splu(m, 'NATURAL', options={'SymmetricMode': True})\n")
+    assert splu_orderings(source) == [(3, None), (4, "COLAMD"),
+                                      (5, "MMD_AT_PLUS_A"), (6, "spec")]
 
 
 def test_continuation_reads_settings_from_the_problem():
