@@ -34,10 +34,11 @@ Numerical Methods for Bifurcations of Dynamical Equilibria (SIAM 2000),
 ch. 3, and Govaerts & Pryce (IMA J. Numer. Anal. 1993).  Level 0 stays
 one sparse matrix [G_u, dG/dlam].  The monitors solve through the same
 bordered G_u, shared in one Linearization per state.  Every grid matrix
-that this module or continuation factors is G_u, with or without one
-border row and column, and SuperLU factors it in one nested-dissection
-order of the grid's points, the border last (`Problem.order`,
-`Problem.bordered_order`).
+that this module or continuation factors carries one border row and
+column: G_u bordered by the kernel vector here, [G_u, dG/dlam; t^T] at
+level 0 in continuation, which also reads the sign of det G_u from that
+factor.  SuperLU factors each in one nested-dissection order of the
+grid's points, the border last (`Problem.bordered_order`).
 """
 
 from __future__ import annotations
@@ -47,15 +48,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import ldl
 from scipy.sparse.linalg import SuperLU, splu
 
 from .poisson import Grid, Nonlinearity, build_laplacian, nested_dissection
 
-#: `solution_signature` of a numerically singular matrix.
-DEGENERATE = 0
-#: `solution_signature`'s relative floor for LU pivots and LDL^T inertia.
-SIGNATURE_TOL = 1e-10
 #: diag_pivot_thresh of the level-0 and BorderedGu factors: at a fold
 #: t_lam and G_u are singular, so a small diagonal pivot is swapped.
 PIVOT_THRESH = 0.1
@@ -117,6 +113,19 @@ class Ordering:
                              shape=at.shape)
 
 
+def _permutation_parity(perm: np.ndarray) -> int:
+    """Sign of a permutation, from the cycles of the entries it moves:
+    each cycle of length l is l - 1 transpositions."""
+    perm = np.asarray(perm)
+    moved = np.flatnonzero(perm != np.arange(perm.size))
+    seen, cycles = np.zeros(perm.size, dtype=bool), 0
+    for j in moved:
+        cycles += not seen[j]
+        while not seen[j]:
+            seen[j], j = True, perm[j]
+    return -1 if (moved.size - cycles) % 2 else 1
+
+
 @dataclass(frozen=True)
 class PermutedLU:
     """SuperLU of P A P^T; solves with A, or A^T for trans "T", 1-D or 2-D."""
@@ -128,6 +137,13 @@ class PermutedLU:
         x = np.empty(np.shape(rhs))
         x[self.perm] = self.lu.solve(np.asarray(rhs)[self.perm], trans=trans)
         return x
+
+    def det_sign(self) -> int:
+        """Sign of det A.  P A P^T has A's determinant; SuperLU's row and
+        column permutations factor it into L U, L with a unit diagonal."""
+        negative = np.count_nonzero(self.lu.U.diagonal() < 0)
+        return ((-1) ** negative * _permutation_parity(self.lu.perm_r)
+                * _permutation_parity(self.lu.perm_c))
 
 
 @dataclass(frozen=True)
@@ -152,16 +168,12 @@ class Problem:
         return found
 
     @cached_property
-    def order(self) -> Ordering:
-        """Nested-dissection Ordering of G_u, built on first use."""
-        return Ordering.of(self.lap, nested_dissection(self.grid))
-
-    @cached_property
     def bordered_order(self) -> Ordering:
-        """`order`, then one border row and column (`bordered_csr`)."""
+        """Ordering of G_u bordered by one row and column (`bordered_csr`),
+        built on first use: the grid's nested dissection, the border last."""
         n = self.grid.size
         pattern = bordered_csr(self.lap, np.ones((n, 1)), np.ones(n + 1))
-        return Ordering.of(pattern, np.append(self.order.perm, n))
+        return Ordering.of(pattern, np.append(nested_dissection(self.grid), n))
 
     def gu(self, fu: np.ndarray) -> sp.csr_matrix:
         """G_u = L + diag(f_u), on the Laplacian's sparsity pattern."""
@@ -699,47 +711,3 @@ def evaluate_monitors(state: AugmentedState) -> MonitorRecord:
         swallowtail=swallowtail_monitor(state, v, lin),
         butterfly=butterfly,
     )
-
-
-def _permutation_parity(perm: np.ndarray) -> int:
-    """Sign of a permutation, from the cycles of the entries it moves:
-    each cycle of length l is l - 1 transpositions."""
-    perm = np.asarray(perm)
-    moved = np.flatnonzero(perm != np.arange(perm.size))
-    seen, cycles = np.zeros(perm.size, dtype=bool), 0
-    for j in moved:
-        cycles += not seen[j]
-        while not seen[j]:
-            seen[j], j = True, perm[j]
-    return -1 if (moved.size - cycles) % 2 else 1
-
-
-def solution_signature(gu, order: Ordering | None = None):
-    """Sign of det(G_u): LU with diagonal pivots, inertia fallback.
-
-    G_u is factored in order (a Problem's `order`, None for a plain gu)
-    with diagonal pivots wherever they are nonzero; det(P G_u P^T) =
-    det(G_u) is the product of the pivots and the parities of SuperLU's
-    permutations.  A pivot below
-    SIGNATURE_TOL relative to the largest switches to a dense symmetric
-    LDL^T factorization; a near-singular factor reports DEGENERATE (0).
-    """
-    gu = sp.csr_matrix(gu)
-    order = order or Ordering.of(gu)
-    try:
-        lu = splu(order.permute(gu), permc_spec="NATURAL",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        pivots = lu.U.diagonal()
-        scale = np.max(np.abs(pivots))
-        if scale > 0 and np.min(np.abs(pivots)) > SIGNATURE_TOL * scale:
-            sign = -1 if int(np.sum(pivots < 0)) % 2 else 1
-            return (sign * _permutation_parity(lu.perm_r)
-                    * _permutation_parity(lu.perm_c))
-    except RuntimeError:
-        pass  # exactly singular factor: decide below
-    _, d, _ = ldl(gu.toarray())
-    eigs = np.linalg.eigvalsh(d)
-    scale = max(float(np.max(np.abs(eigs))), 1.0)
-    if np.min(np.abs(eigs)) < SIGNATURE_TOL * scale:
-        return DEGENERATE
-    return -1 if int(np.sum(eigs < 0)) % 2 else 1

@@ -16,7 +16,8 @@ and its transpose.  A singular bordered tangent matrix raises
 RankDeficientError, which a branch run treats like any failed step.
 Every accepted point is checked to keep full row rank (`_check_rank`)
 by a Sherman-Morrison update of the tangent's LU, which factors nothing
-more and forms no dense or global matrix.
+more and forms no dense or global matrix.  The same LU gives the sign of
+det G_u on a level-0 branch (`solution_signature`).
 Monitors are named scalar functions of z recorded at every accepted
 point; sign changes between consecutive points are refined by
 re-stepping with a secant rule on arclength, down to EVENT_TOL of the
@@ -47,7 +48,6 @@ from .augmented import (
     butterfly_monitor,
     cusp_monitor,
     residual_jacobian,
-    solution_signature,
     solve_v,
     swallowtail_monitor,
 )
@@ -197,18 +197,19 @@ class ContinuationProblem:
     system maps z to the pair (residual, Jacobian); monitors maps names
     from {cusp, swallowtail, butterfly} to scalar functions of z;
     fold_index is the packed position of the parameter whose turning
-    defines a fold event; signature maps z to the sign of det G_u (0
-    when absent).  A run watches the events in `watched`: the fold when
-    fold_index is set, then every monitor.  newton_tol and max_newton
-    set every corrector of the run, refinement trials included;
-    rank_tol governs the regularity check of accepted points, and
-    augmented problems keep its default.
+    defines a fold event.  Each accepted point's signature is the sign
+    of det J with column fold_index removed, det G_u at level 0
+    (`solution_signature`), and 0 when fold_index is None.  A run
+    watches the events in `watched`: the fold when fold_index is set,
+    then every monitor.  newton_tol and max_newton set every corrector
+    of the run, refinement trials included; rank_tol governs the
+    regularity check of accepted points, and augmented problems keep
+    its default.
     """
 
     system: Callable[[np.ndarray], tuple]
     monitors: Mapping[str, Callable[[np.ndarray], float]] = field(
         default_factory=dict)
-    signature: Callable[[np.ndarray], int] | None = None
     fold_index: int | None = None
     newton_tol: float = NEWTON_TOL
     max_newton: int = MAX_NEWTON
@@ -309,6 +310,20 @@ def tangent(jac, previous: np.ndarray | None = None):
     return t, BorderedFactor(lu, row, sol)
 
 
+def solution_signature(factor: BorderedFactor, k: int) -> int:
+    """Sign of det J with column k removed, for the n x (n+1) Jacobian
+    J of a tangent's factor: T = [J; row^T] and T s = e_last give, by
+    Cramer's rule, det J_(-k) = (-1)^(n+k) s_k det T (Allgower & Georg,
+    Introduction to Numerical Continuation Methods, SIAM 2003, ch. 2).
+    At level 0, k = n picks the parameter and J_(-n) is G_u.  0 only
+    when s_k is exactly 0; otherwise the sign flips exactly where s_k,
+    the tangent's component k, does, as det T keeps its sign along a
+    regular branch.  factor.lu must be a PermutedLU (level 0 or a plain
+    Jacobian)."""
+    n = len(factor.s) - 1
+    return int((-1) ** (n + k) * np.sign(factor.s[k]) * factor.lu.det_sign())
+
+
 def _largest_eigenvalue(matvec, size: int) -> float:
     """Largest eigenvalue of a symmetric positive semidefinite operator.
 
@@ -385,10 +400,6 @@ def _record(problem: ContinuationProblem, z: np.ndarray,
     return rec
 
 
-def _signature(problem: ContinuationProblem, z: np.ndarray) -> int:
-    return problem.signature(z) if problem.signature is not None else 0
-
-
 def _pinned_point(problem: ContinuationProblem, anchor: np.ndarray,
                   row: np.ndarray, previous: np.ndarray,
                   s: float) -> BranchPoint:
@@ -398,7 +409,7 @@ def _pinned_point(problem: ContinuationProblem, anchor: np.ndarray,
     Each Newton step factors [jac; row^T] as `_jacobian` dispatches it.
     The tangent, oriented along previous, comes from the Jacobian of R
     that the accepting Newton evaluation assembled, and the rank check
-    reuses the tangent's factor.
+    and the signature reuse the tangent's factor.
     """
     jac = None
 
@@ -412,8 +423,9 @@ def _pinned_point(problem: ContinuationProblem, anchor: np.ndarray,
                             problem.max_newton)
     t, factor = tangent(jac, previous=previous)
     _check_rank(problem, jac, t, factor)
-    return BranchPoint(z, s, t, _record(problem, z, t),
-                       _signature(problem, z), iters)
+    signature = (0 if problem.fold_index is None
+                 else solution_signature(factor, problem.fold_index))
+    return BranchPoint(z, s, t, _record(problem, z, t), signature, iters)
 
 
 def initial_point(problem: ContinuationProblem, z0: np.ndarray,
@@ -580,10 +592,11 @@ def augmented_continuation_problem(template, monitors=(),
     pins, so the packed system is square plus one.  A level-0 solution
     branch watches the turning of its one active parameter (the fold);
     a fold or cusp line watches the given monitors.  Only a level-0
-    branch carries the sign of det G_u: on a fold, cusp or swallowtail
-    line G_u is singular by construction, so the sign is undefined there
-    and the recorded signature is 0.  newton_tol and max_newton set
-    every corrector of the runs on the problem.
+    branch, through its fold_index, records the sign of det G_u: on a
+    fold, cusp or swallowtail line G_u is singular by construction, so
+    the sign is undefined there and the recorded signature is 0.
+    newton_tol and max_newton set every corrector of the runs on the
+    problem.
     """
     if template.dimension != template.residual_size + 1:
         raise ValueError("continuation needs a square-plus-one system; "
@@ -597,16 +610,9 @@ def augmented_continuation_problem(template, monitors=(),
 
     named = {name: _pde_monitor(template, name) for name in monitors}
 
-    signature = fold_index = None
-    if template.level == 0:
-        fold_index = template.dimension - 1
-
-        def signature(z):
-            lin = Linearization(template.with_vector(z), 1)
-            return solution_signature(lin.gu, template.problem.order)
-
-    return ContinuationProblem(system, named, signature, fold_index,
-                               newton_tol, max_newton)
+    fold_index = template.dimension - 1 if template.level == 0 else None
+    return ContinuationProblem(system, named, fold_index, newton_tol,
+                               max_newton)
 
 
 def _pde_monitor(template, name: str):

@@ -144,10 +144,13 @@ def nested_dissection(grid: Grid) -> np.ndarray:
     def dissect(box):  # box[y, x] is the flattened index x + nx y
         if box.size <= 8:
             return [box.ravel()]
-        axis = int(box.shape[1] >= box.shape[0])
-        mid = box.shape[axis] // 2
-        low, line, high = np.split(box, [mid, mid + 1], axis=axis)
-        return dissect(low) + dissect(high) + [line.ravel()]
+        if box.shape[1] >= box.shape[0]:
+            mid = box.shape[1] // 2
+            low, line, high = box[:, :mid], box[:, mid], box[:, mid + 1:]
+        else:
+            mid = box.shape[0] // 2
+            low, line, high = box[:mid], box[mid], box[mid + 1:]
+        return dissect(low) + dissect(high) + [line]
 
     return np.concatenate(dissect(
         np.arange(grid.size).reshape(grid.ny, grid.nx)))

@@ -15,9 +15,15 @@ import scipy.sparse as sp
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import splu
 
-from aseries.augmented import BlockJacobian
+from aseries.augmented import BlockJacobian, bordered_csr
 from aseries.classifier import TensorOracle
-from aseries.continuation import RankDeficientError, SingularJacobianError
+from aseries.continuation import (
+    RankDeficientError,
+    SingularJacobianError,
+    _SparseJacobian,
+    solution_signature,
+    tangent,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +377,28 @@ def superlu_tangent(jac, previous=None) -> np.ndarray:
         raise RankDeficientError(str(exc)) from exc
     t = sol / np.linalg.norm(sol)
     return -t if row @ t < 0.0 else t
+
+
+# ---------------------------------------------------------------------------
+# the sign of det G_u from a tangent's factor, and its dense oracle
+
+
+def tangent_factor(gu, seed: int = 0, order=None):
+    """The BorderedFactor that `tangent` makes for J = [G_u, g], g and the
+    bordering row seeded standard normal draws; order is a Problem's
+    bordered_order for a grid's G_u, None for a plain matrix."""
+    gu = sp.csr_matrix(gu)
+    n = gu.shape[0]
+    rng = np.random.default_rng(seed)
+    jac = _SparseJacobian(bordered_csr(gu, rng.standard_normal((n, 1))), order)
+    return tangent(jac, rng.standard_normal(n + 1))[1]
+
+
+def tangent_signature(gu, seed: int = 0, order=None) -> int:
+    """`solution_signature` of J = [G_u, g] at k = n: the sign of det G_u."""
+    return solution_signature(tangent_factor(gu, seed, order), gu.shape[0])
+
+
+def dense_det_sign(mat) -> int:
+    """Sign of det(mat) by a dense LU (np.linalg.slogdet); 0 if singular."""
+    return int(np.linalg.slogdet(dense_jacobian(mat))[0])

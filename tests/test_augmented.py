@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from aseries import augmented
 from aseries.augmented import (
-    DEGENERATE,
     AugmentedState,
     BlockJacobian,
     BorderedGu,
@@ -23,7 +21,6 @@ from aseries.augmented import (
     f2_residual_jacobian,
     f3_residual_jacobian,
     residual_jacobian,
-    solution_signature,
     solve_v,
     swallowtail_monitor,
 )
@@ -43,10 +40,13 @@ from aseries.poisson import (
 
 from helpers import (
     bordered_newton_step,
+    dense_det_sign,
     dense_jacobian,
     dense_newton_step,
     fd_jacobian,
     relative_error,
+    tangent_factor,
+    tangent_signature,
 )
 
 
@@ -548,39 +548,48 @@ class TestBorderedSolve:
 
 
 class TestSolutionSignature:
+    """The sign of det G_u from the factor `tangent` makes of [J; row^T],
+    J = [G_u, g] (`continuation.solution_signature`), against a dense
+    slogdet of G_u."""
+
     def test_scalar(self):
-        assert solution_signature(sp.csc_matrix(np.array([[-15.0]]))) == -1
-        assert solution_signature(sp.csc_matrix(np.array([[15.0]]))) == 1
+        for value, expected in ((-15.0, -1), (15.0, 1)):
+            gu = sp.csr_matrix(np.array([[value]]))
+            assert tangent_signature(gu) == dense_det_sign(gu) == expected
 
     def test_laplacian_parity(self):
         # All eigenvalues negative: sign = (-1)^(N M).
         for n in (1, 2, 3):
             lap = build_laplacian(Grid(n, n))
-            assert solution_signature(lap) == (-1) ** (n * n)
+            for seed in range(3):
+                assert tangent_signature(lap, seed) == (-1) ** (n * n)
 
     def test_exact_fold_degenerate(self):
-        grid = Grid(2, 2)
-        gu = build_laplacian(grid) - laplacian_eigenvalue(grid) * sp.identity(4)
-        assert solution_signature(gu.tocsc()) == DEGENERATE
+        # G_u with a zero first row and column: J's first row is g_0
+        # e_lam, so the solve gives s_lam = 0 exactly, and the sign is 0
+        gu = sp.lil_matrix(build_laplacian(Grid(2, 2)))
+        gu[0, :] = gu[:, 0] = 0.0
+        assert dense_det_sign(gu) == 0
+        for seed in range(5):
+            assert tangent_factor(gu, seed).s[-1] == 0.0
+            assert tangent_signature(gu, seed) == 0
 
     def test_matches_eigenvalue_parity(self):
         rng = np.random.default_rng(17)
-        for _ in range(20):
+        for seed in range(20):
             n = rng.integers(2, 10)
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             eigs = rng.uniform(0.5, 3.0, n) * rng.choice([-1.0, 1.0], n)
             mat = (q * eigs) @ q.T
             expected = (-1) ** int(np.sum(eigs < 0))
-            assert solution_signature(sp.csc_matrix(mat)) == expected
+            assert dense_det_sign(mat) == expected
+            assert tangent_signature(mat, seed) == expected
 
-    @pytest.mark.parametrize("diag, fallbacks", [(0.0, 0), (1e-13, 1)],
-                             ids=["zero", "tiny"])
+    @pytest.mark.parametrize("diag", [0.0, 1e-13], ids=["zero", "tiny"])
     @pytest.mark.parametrize("case", ["swap", "two-swaps", "swap-plus-2"])
-    def test_regular_with_vanishing_natural_pivot(self, monkeypatch, case,
-                                                  diag, fallbacks):
-        # SuperLU swaps rows past a structurally zero diagonal, and the
-        # permutation parity carries the sign; a tiny diagonal stays the
-        # pivot and sends the sign to the dense LDL^T inertia
+    def test_regular_with_vanishing_natural_pivot(self, case, diag):
+        # a zero or tiny diagonal is no pivot of the bordered LU, and the
+        # permutation parities carry the sign
         swap = np.array([[diag, 1.0], [1.0, 0.0]])
         mat, expected = {
             "swap": (swap, -1),
@@ -588,12 +597,7 @@ class TestSolutionSignature:
             "swap-plus-2": (np.block([[swap, np.zeros((2, 1))],
                                       [np.zeros((1, 2)), 2.0]]), -1),
         }[case]
-        calls, real = [], augmented.ldl
+        assert dense_det_sign(mat) == expected
+        for seed in range(3):
+            assert tangent_signature(mat, seed) == expected
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(augmented, "ldl", counted)
-        assert solution_signature(sp.csc_matrix(mat)) == expected
-        assert len(calls) == fallbacks

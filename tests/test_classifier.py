@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from aseries.augmented import DEGENERATE, solution_signature
 from aseries.classifier import (
     SolvabilityError,
     TensorOracle,
@@ -19,10 +18,12 @@ from aseries.classifier import (
 )
 from aseries.classifier import test_value as order_test
 from helpers import (
+    dense_det_sign,
     fit_derivatives,
     random_orthogonal,
     reduced_function,
     rotate_tensors,
+    tangent_signature,
     tensors_from_polynomial,
 )
 
@@ -304,16 +305,20 @@ class TestDetect:
 
 
 class TestSignature:
-    """The sign of det(G_u), from the one routine that computes it."""
+    """The sign of det(G_u), from the one routine that computes it: the
+    factor `tangent` makes of [G_u, g; row^T], against a dense slogdet."""
 
     def test_pinned(self):
         def sign(diag):
-            return solution_signature(sp.diags(diag).tocsc())
+            gu = sp.diags(diag)
+            found = tangent_signature(gu)
+            assert found == dense_det_sign(gu)
+            return found
 
         assert sign([2.0, 3.0]) == 1
         assert sign([-2.0, 3.0]) == -1
         assert sign([-2.0, -3.0]) == 1
-        assert sign([0.0, 3.0]) == DEGENERATE
+        assert sign([0.0, 3.0]) == 0  # t_lam is exactly 0
 
     def test_matches_determinant_sign(self):
         rng = np.random.default_rng(51)
@@ -325,9 +330,10 @@ class TestSignature:
             if abs(det) < 1e-8:
                 continue
             expected = 1 if det > 0 else -1
-            assert solution_signature(sp.csc_matrix(h)) == expected
+            assert dense_det_sign(h) == expected
+            assert tangent_signature(h, m) == expected
 
     def test_zero_pivot_fallback(self):
         # leading pivot vanishes but the matrix is nonsingular
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert solution_signature(sp.csc_matrix(h)) == -1
+        assert tangent_signature(h) == dense_det_sign(h) == -1

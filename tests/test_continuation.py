@@ -38,7 +38,7 @@ from aseries.continuation import (
 from aseries.harness import locate, seed_kernel_vector
 from aseries.poisson import ExpSineNonlinearity, Grid, PolynomialNonlinearity
 from aseries.augmented import residual_jacobian
-from helpers import dense_rank_check, dense_tangent
+from helpers import dense_det_sign, dense_rank_check, dense_tangent
 
 
 def circle_problem():
@@ -177,11 +177,9 @@ class TestStep:
             monkeypatch.setattr(patched, "splu", counted)
         point = step(cp, start, 0.1)
         assert point.newton_iters > 0
-        ours = [shape for owner, shape in shapes if owner is module]
-        assert ours == [(size, size)] * (point.newton_iters + 1)
-        # the other module factors only the smaller G_u of the signature
-        assert all(owner is module or shape[0] < size
-                   for owner, shape in shapes)
+        # the other module factors nothing: the signature reads the
+        # tangent's factor
+        assert shapes == [(module, (size, size))] * (point.newton_iters + 1)
 
     def test_linear_problem_exact(self):
         lin = ContinuationProblem(lambda z: (np.array([z[0] - z[1]]),
@@ -474,6 +472,19 @@ class TestBratuBranch:
         lams = [tmpl.with_vector(p.z).lam[0] for p in res.points]
         assert lams[-1] < max(lams) - 0.5
         assert {p.signature for p in res.points} == {-1, 1}
+        # at every accepted point and at the refined fold, the sign read
+        # from the tangent's factor is a dense slogdet's of G_u, and it
+        # flips exactly where t_lam does
+        assert [e.kind for e in res.events] == ["fold"]
+        for point in res.points + [res.events[0].point]:
+            state = tmpl.with_vector(point.z)
+            f1 = state.problem.nl.derivative(1, state.u, state.lam)[1]
+            gu = state.problem.lap + sp.diags(f1)
+            assert point.signature == dense_det_sign(gu) != 0
+        for before, after in zip(res.points, res.points[1:]):
+            turned = (np.sign(before.monitors.fold_direction)
+                      != np.sign(after.monitors.fold_direction))
+            assert (before.signature != after.signature) == turned
 
     def test_deterministic(self, branch):
         cp, tmpl, start = branch
@@ -825,11 +836,13 @@ def test_signature_only_on_solution_branches(branch, fold_line):
     """On a fold line G_u is singular, so the sign of det G_u is undefined.
 
     Its smallest eigenvalue sits at the Newton tolerance's rounding
-    level; the level-1 wrapper carries no signature and records 0.
+    level; the level-1 wrapper watches no fold, has no fold_index, and
+    records 0.
     """
     cp = branch[0]
     wrapper, line, start1 = fold_line
-    assert cp.signature is not None and wrapper.signature is None
+    assert cp.fold_index is not None and wrapper.fold_index is None
+    assert "fold" not in wrapper.watched
     run = run_branch(wrapper, start1, ds0=0.1, max_steps=15)
     assert len(run.points) == 16
     for point in run.points:
@@ -839,3 +852,18 @@ def test_signature_only_on_solution_branches(branch, fold_line):
             (state.problem.lap + sp.diags(f1)).toarray()))
         assert eigs.min() < 1e-11 * eigs.max()
         assert point.signature == 0
+
+
+@pytest.mark.parametrize("fold_index", [0, 1])
+def test_signature_drops_the_fold_column(fold_index):
+    """Around the unit circle, z = (y, x) and J = [2y, 2x]: the signature
+    is the sign of J with column fold_index removed, (-1)^(n+k) s_k
+    det T for n = 1 row, so k = 0 takes the column's parity."""
+    problem = dataclasses.replace(circle_problem(), fold_index=fold_index)
+    start = initial_point(problem, np.array([-1.0, 0.0]))
+    res = run_branch(problem, start, ds0=0.3, max_steps=30)
+    for point in res.points + [event.point for event in res.events]:
+        jac = problem.system(point.z)[1]
+        kept = np.delete(jac, fold_index, axis=1)
+        assert point.signature == dense_det_sign(kept)
+    assert {p.signature for p in res.points[1:]} == {-1, 1}

@@ -1,11 +1,11 @@
 """The nested-dissection factor of every grid matrix, against oracles.
 
-Every grid factorization (the level-0 [J; t^T], BorderedGu and the
-signature's G_u) runs in one nested-dissection order of the grid's
-points with the border last.  Here the order is checked to be a
-permutation, the permuted solves against SuperLU in its default order
-(`helpers.superlu_solve`), the signature against a dense slogdet, all
-on G_u shifted across Laplacian eigenvalue crossings and at a refined
+Every grid factorization (the level-0 [J; t^T] and BorderedGu) runs in
+one nested-dissection order of the grid's points with the border last.
+Here the order is checked to be a permutation, the permuted solves
+against SuperLU in its default order (`helpers.superlu_solve`), the
+signature read from the level-0 factor against a dense slogdet, all on
+G_u shifted across Laplacian eigenvalue crossings and at a refined
 fold, and the permutation parity against an inversion count.
 """
 
@@ -24,7 +24,6 @@ from aseries.augmented import (
     _permutation_parity,
     bordered_csr,
     residual_jacobian,
-    solution_signature,
 )
 from aseries.continuation import (
     _SparseJacobian,
@@ -33,7 +32,12 @@ from aseries.continuation import (
     run_branch,
 )
 from aseries.poisson import ExpSineNonlinearity, Grid, nested_dissection
-from helpers import relative_error, superlu_solve
+from helpers import (
+    dense_det_sign,
+    relative_error,
+    superlu_solve,
+    tangent_signature,
+)
 
 #: Relative agreement of the ordered solves with the default-order oracle.
 SOLVE_TOL = 1e-12
@@ -71,7 +75,6 @@ def test_order_is_a_permutation(shape):
     order = nested_dissection(grid)
     assert np.array_equal(np.sort(order), np.arange(grid.size))
     problem = Problem(grid, ExpSineNonlinearity())
-    assert np.array_equal(problem.order.perm, order)
     assert np.array_equal(problem.bordered_order.perm,
                           np.append(order, grid.size))
 
@@ -83,11 +86,20 @@ def test_separators_come_last():
     assert list(nested_dissection(Grid(1, 8))) == list(range(8))
 
 
+def test_pinned_order_of_a_small_grid():
+    # 7 x 5: the column x = 3 comes last; the left 3 x 5 box is cut at
+    # the row y = 2, and so is the right one
+    assert nested_dissection(Grid(7, 5)).tolist() == [
+        0, 1, 2, 7, 8, 9, 21, 22, 23, 28, 29, 30, 14, 15, 16,
+        4, 5, 6, 11, 12, 13, 25, 26, 27, 32, 33, 34, 18, 19, 20,
+        3, 10, 17, 24, 31]
+
+
 def test_problem_builds_no_order_until_used(problem):
     fresh = Problem(Grid(5, 5), ExpSineNonlinearity())
-    assert not {"lap", "order", "bordered_order"} & set(vars(fresh))
+    assert not {"lap", "bordered_order"} & set(vars(fresh))
     fresh.bordered_order
-    assert {"lap", "order", "bordered_order"} <= set(vars(fresh))
+    assert {"lap", "bordered_order"} <= set(vars(fresh))
 
 
 def test_bordered_layout_and_permutation(problem):
@@ -107,9 +119,9 @@ def test_bordered_layout_and_permutation(problem):
 
 
 def test_permute_rejects_another_pattern(problem):
-    other = sp.csr_matrix(np.ones((GRID.size, GRID.size)))
+    other = sp.csr_matrix(np.ones((GRID.size + 1, GRID.size + 1)))
     with pytest.raises(ValueError, match="pattern"):
-        problem.order.permute(other)
+        problem.bordered_order.permute(other)
 
 
 def test_identity_order_of_a_plain_matrix():
@@ -150,10 +162,10 @@ def test_bordered_gu_solves_across_crossings(problem, trans):
 
 def test_signature_sign_across_crossings(problem):
     signs = []
-    for gu, side in shifted_gus(problem):
-        expected = np.linalg.slogdet(gu.toarray())[0]
-        assert solution_signature(gu, problem.order) == expected
-        assert solution_signature(gu) == expected  # the plain order too
+    for seed, (gu, side) in enumerate(shifted_gus(problem)):
+        expected = dense_det_sign(gu)
+        assert tangent_signature(gu, seed, problem.bordered_order) == expected
+        assert tangent_signature(gu, seed) == expected  # the plain order too
         signs.append(expected)
     # each crossing flips the sign once
     assert signs == [1, -1, -1, 1, 1, -1]

@@ -1,7 +1,8 @@
 """Source style: lines fit in 79 columns, every imported name is used,
 every module-level private name is read in its module, each module
 imports only earlier layers of the package, the continuation layer
-makes no dense linear-algebra call and reads its Newton settings and
+makes no dense linear-algebra call, the augmented layer densifies no
+sparse matrix, the continuation layer reads its Newton settings and
 watched events from the problem rather than from parameters, and every
 defaulted parameter of a module-level function is passed by some call
 in the sources, tests or benchmark, importing the command line
@@ -287,6 +288,15 @@ def test_continuation_is_sparse_only():
     path = SOURCES[0].parent / "continuation.py"
     dense = dense_calls(path.read_text(encoding="utf-8"))
     assert not dense, f"continuation.py: dense calls (line, name): {dense}"
+
+
+def test_augmented_densifies_no_sparse_matrix():
+    # its small dense solves (the block capacitance) stay allowed
+    path = SOURCES[0].parent / "augmented.py"
+    dense = [(line, call) for line, call in
+             dense_calls(path.read_text(encoding="utf-8"))
+             if call.rsplit(".", 1)[-1] in DENSE_METHODS]
+    assert not dense, f"augmented.py: densifying calls (line, name): {dense}"
 
 
 def test_dense_scan_catches_dense_calls_and_spares_norm():
