@@ -20,11 +20,12 @@ more and forms no dense or global matrix.  The same LU gives the sign of
 det G_u on a level-0 branch (`solution_signature`).
 Monitors are named scalar functions of z recorded at every accepted
 point; sign changes between consecutive points are refined by
-re-stepping with a secant rule on arclength, down to EVENT_TOL of the
-monitor's scale or a bracket of DS_MIN, the smallest step a branch
-takes.  A fold event is a sign change of the tangent component belonging
-to the designated parameter.  A ContinuationProblem carries the system,
-the events a run watches and the Newton settings of its correctors.
+re-stepping with Anderson-Bjorck regula falsi on arclength, down to
+EVENT_TOL of the monitor's scale or a bracket that floating point can
+no longer split (BRACKET_RESOLUTION).  A fold event is a sign change
+of the tangent component belonging to the designated parameter.  A
+ContinuationProblem carries the system, the events a run watches and
+the Newton settings of its correctors.
 """
 
 from __future__ import annotations
@@ -62,6 +63,19 @@ NEWTON_TOL = 1e-9
 MAX_NEWTON = 25
 EVENT_TOL = 1e-8
 REFINE_BUDGET = 60
+#: Event refinement stops when its bracket is narrower than this times
+#: the original one: floating point can no longer split it.  The stop is
+#: no arclength such as DS_MIN, because a superlinear refinement closes
+#: in on the root from both sides.  On the robust 10x10 hunt the cusp
+#: bracket is 1e-6 wide while |m| is still twice EVENT_TOL of its scale.
+BRACKET_RESOLUTION = 1e-12
+#: Event refinement bisects a bracket that this many trials have not
+#: halved.  Anderson-Bjorck stalls on a monitor that is flat on one side
+#: of its root: the kept end's value is scaled almost to 0, the next
+#: trial lands next to that end and replaces it, and the bracket hardly
+#: shrinks.  On the monitor expm1(100 (x - 0.2)) over 0 <= x <= 0.35 it
+#: used all REFINE_BUDGET trials and ended approximate.
+STALL_TRIALS = 3
 #: Relative Ritz residual at which the rank check's Lanczos runs stop.
 #: The eigenvalue error is at most this, far below the eps * sigma_max
 #: rounding of a dense SVD's sigma_min near the rank_tol threshold.
@@ -456,25 +470,36 @@ def _event_scalar(kind: str, point: BranchPoint) -> float | None:
 
 
 def _refine_event(problem, kind, before, after) -> Event:
-    """Shrink a sign-change bracket by secant trials in step length.
+    """Shrink a sign-change bracket by regula falsi trials in step length.
 
     All trial points are re-stepped from the same base point (the
     bracket's `before` end) with varying predictor length, so the
-    bracketing coordinate stays exactly consistent across trials.  A
-    secant proposal outside the bracket, or one following two updates
-    of the same side, is replaced by a bisection step.
+    bracketing coordinate stays exactly consistent across trials.  Each
+    trial is the secant root of the bracket's ends.  When the same end
+    is kept twice in a row, its monitor value is scaled by
+    1 - m_new / m_prev (m_new the latest trial's, m_prev the replaced
+    end's; 1/2 when that is not positive), the Anderson-Bjorck rule,
+    which keeps the convergence superlinear.  A proposal outside the
+    bracket, one after STALL_TRIALS trials that have not halved the
+    bracket, or a failed trial is replaced by the midpoint.  Refinement
+    stops when |m| < EVENT_TOL of the monitor's scale, or the bracket
+    can no longer be split (BRACKET_RESOLUTION).
     """
     m_lo, m_hi = _event_scalar(kind, before), _event_scalar(kind, after)
     scale = max(abs(m_lo), abs(m_hi))
     d_lo, d_hi = 0.0, after.s - before.s
+    min_width = BRACKET_RESOLUTION * d_hi
     best, best_m = (before, m_lo) if abs(m_lo) <= abs(m_hi) else (after, m_hi)
-    side = 0
+    replaced, widths = None, []
     for _ in range(REFINE_BUDGET):
         width = d_hi - d_lo
-        if abs(best_m) < EVENT_TOL * scale or width < DS_MIN:
+        if abs(best_m) < EVENT_TOL * scale or width < min_width:
             break
+        widths.append(width)
+        stalled = (len(widths) > STALL_TRIALS
+                   and width > 0.5 * widths[-1 - STALL_TRIALS])
         d_trial = d_lo - m_lo * width / (m_hi - m_lo)
-        if not (d_lo < d_trial < d_hi) or abs(side) >= 2:
+        if stalled or not d_lo < d_trial < d_hi:
             d_trial = d_lo + 0.5 * width
         try:
             trial = step(problem, before, d_trial)
@@ -488,13 +513,22 @@ def _refine_event(problem, kind, before, after) -> Event:
         if abs(m_trial) < abs(best_m):
             best, best_m = trial, m_trial
         if np.sign(m_trial) == np.sign(m_lo):
-            d_lo, m_lo = d_trial, m_trial
-            side = max(side, 0) + 1
+            if replaced == "lo":
+                m_hi *= _anderson_bjorck(m_trial, m_lo)
+            d_lo, m_lo, replaced = d_trial, m_trial, "lo"
         else:
-            d_hi, m_hi = d_trial, m_trial
-            side = min(side, 0) - 1
+            if replaced == "hi":
+                m_lo *= _anderson_bjorck(m_trial, m_hi)
+            d_hi, m_hi, replaced = d_trial, m_trial, "hi"
     approximate = not abs(best_m) < EVENT_TOL * scale
     return Event(kind, best, best_m, approximate)
+
+
+def _anderson_bjorck(m_new: float, m_prev: float) -> float:
+    """Factor on the kept end's monitor value after a trial m_new
+    replaced an end of the same sign, of value m_prev."""
+    factor = 1.0 - m_new / m_prev
+    return factor if factor > 0.0 else 0.5
 
 
 def _on_root(kind: str, start: BranchPoint, first: BranchPoint) -> bool:

@@ -1,9 +1,10 @@
 """Levels 1-2 on the bordered G_u factorization, against the global matrix.
 
 Every level-1/2 Newton matrix, tangent and rank check of the robust
-10x10 and 15x15 hunts is recorded by wrappers and replayed through the
-block path and through the oracles of `helpers`: the sp.bmat assembly
-of the whole matrix, its SuperLU solve and a dense SVD.
+10x10 and 15x15 hunts, and of the geometry check of their swallowtails,
+is recorded by wrappers and replayed through the block path and through
+the oracles of `helpers`: the sp.bmat assembly of the whole matrix, its
+SuperLU solve and a dense SVD.
 """
 
 from dataclasses import replace
@@ -17,13 +18,18 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from aseries import continuation
 from aseries.augmented import BlockJacobian, residual_jacobian
 from aseries.continuation import (
+    BORDER_COS_MIN,
     ContinuationProblem,
     RankDeficientError,
     SingularJacobianError,
     _linear_solve,
     tangent,
 )
-from aseries.harness import HuntConfig, hunt_swallowtail
+from aseries.harness import (
+    HuntConfig,
+    hunt_swallowtail,
+    verify_swallowtail_geometry,
+)
 from aseries.poisson import ExpSineNonlinearity, Grid
 from helpers import (
     assembled_jacobian,
@@ -52,7 +58,8 @@ def _is_block(jac) -> bool:
 
 @pytest.fixture(scope="module", params=[10, 15], ids=["10x10", "15x15"])
 def recorded(request):
-    """The hunt's level-1/2 Newton matrices, tangent calls and rank checks.
+    """The level-1/2 Newton matrices, tangent calls and rank checks of
+    the hunt and of the geometry check of its swallowtail.
 
     A rank check is (jac, null, factor, eigenvalues, Lanczos runs), the
     runs as (matvec, size) of every `_largest_eigenvalue` call in it.
@@ -90,7 +97,9 @@ def recorded(request):
         report = hunt_swallowtail(ExpSineNonlinearity(),
                                   Grid(request.param, request.param),
                                   ROBUST_CONFIG)
-    assert report.stage_reached == "swallowtail"
+        assert report.stage_reached == "swallowtail"
+        assert verify_swallowtail_geometry(
+            report.swallowtail.state).counts == (2, 0)
     return report, newton, tangents, checks
 
 
@@ -122,6 +131,12 @@ def test_tangents_match_superlu(recorded):
     _, _, tangents, _ = recorded
     for jac, previous, found in tangents:
         expected = superlu_tangent(jac, previous)
+        row = previous if previous is not None else np.eye(len(found))[-1]
+        if abs(row @ expected) < BORDER_COS_MIN * np.linalg.norm(row):
+            # a row orthogonal to the kernel orients neither tangent: the
+            # geometry check's cusp lines start at the swallowtail, where
+            # lam3 turns, with row e_last and cos(row, t) at rounding level
+            expected = np.copysign(1.0, found @ expected) * expected
         assert np.max(np.abs(found - expected)) < TANGENT_TOL
 
 

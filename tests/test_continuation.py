@@ -302,6 +302,93 @@ class TestRefineFallback:
         assert event.monitor_value == 0.0 and not event.approximate
 
 
+def refined_on_line(monitor, monkeypatch):
+    """(event, requested step lengths, monitor as a function of the step
+    length) of refining the bracket s = 0 to 0.5 on the line y = x,
+    whose steps are exact, with `monitor(x)` as the cusp monitor."""
+    problem = ContinuationProblem(
+        system=lambda z: (np.array([z[0] - z[1]]), np.array([[1.0, -1.0]])),
+        monitors={"cusp": lambda z: monitor(z[1])})
+    before = initial_point(problem, np.zeros(2))
+    after = step(problem, before, 0.5)
+    lengths = failing_steps(monkeypatch, 0)
+    event = continuation._refine_event(problem, "cusp", before, after)
+    x0, dx = before.z[1], before.tangent[1]
+    return event, lengths, lambda d: monitor(x0 + d * dx)
+
+
+def stagnating_regula_falsi(m, width: float) -> tuple:
+    """(trials, converged) on m(d) over [0, width] of regula falsi with
+    a bisection after two updates of the same end, stopped at EVENT_TOL
+    or a bracket of DS_MIN."""
+    d_lo, d_hi, m_lo, m_hi = 0.0, width, m(0.0), m(width)
+    scale = max(abs(m_lo), abs(m_hi))
+    best = min(abs(m_lo), abs(m_hi))
+    side = trials = 0
+    while (best >= continuation.EVENT_TOL * scale
+           and d_hi - d_lo >= continuation.DS_MIN):
+        d = d_lo - m_lo * (d_hi - d_lo) / (m_hi - m_lo)
+        if not d_lo < d < d_hi or abs(side) >= 2:
+            d = 0.5 * (d_lo + d_hi)
+        m_d = m(d)
+        trials, best = trials + 1, min(best, abs(m_d))
+        if np.sign(m_d) == np.sign(m_lo):
+            d_lo, m_lo, side = d, m_d, max(side, 0) + 1
+        else:
+            d_hi, m_hi, side = d, m_d, min(side, 0) - 1
+    return trials, best < continuation.EVENT_TOL * scale
+
+
+class TestRefineRule:
+    def test_curved_monitor_needs_fewer_trials(self, monkeypatch):
+        # convex: plain regula falsi keeps the right end for ever, and
+        # the bisecting rule needs every third trial to move it
+        event, lengths, m = refined_on_line(
+            lambda x: np.expm1(10.0 * (x - 0.1)), monkeypatch)
+        assert not event.approximate
+        assert event.point.z[1] == pytest.approx(0.1, abs=1e-9)
+        assert stagnating_regula_falsi(m, 0.5) == (14, True)
+        assert len(lengths) == 7
+
+    def test_bracket_below_ds_min_is_no_stop(self, monkeypatch):
+        # slope 20 at the root: |m| < EVENT_TOL * scale needs the root to
+        # about 1e-9 in x, far inside DS_MIN
+        event, lengths, m = refined_on_line(
+            lambda x: np.expm1(20.0 * (x - 0.32)), monkeypatch)
+        d_lo, d_hi = 0.0, 0.5
+        for d in lengths[:-1]:
+            if np.sign(m(d)) == np.sign(m(d_lo)):
+                d_lo = d
+            else:
+                d_hi = d
+        assert d_hi - d_lo < continuation.DS_MIN
+        assert not event.approximate
+        assert event.point.z[1] == pytest.approx(0.32, abs=1e-9)
+
+    def test_flat_side_does_not_stall(self, monkeypatch):
+        # m is flat at -1 near the left end (expm1(-20) = -1 + 2e-9), so
+        # the Anderson-Bjorck factor on the right end came out near 1e-14;
+        # without the STALL_TRIALS bisection the trials then crept along
+        # the right end until REFINE_BUDGET ran out
+        event, lengths, m = refined_on_line(
+            lambda x: np.expm1(100.0 * (x - 0.2)), monkeypatch)
+        assert not event.approximate
+        assert stagnating_regula_falsi(m, 0.5) == (14, True)
+        assert len(lengths) == 12
+
+    def test_sign_jump_ends_at_the_better_end(self, monkeypatch):
+        event, lengths, _ = refined_on_line(
+            lambda x: 1.0 if x > 0.2 else -2.0, monkeypatch)
+        # no trial improves on |m| = 1 at the bracket's end s = 0.5; the
+        # bracket closes on the jump until it cannot be split, before
+        # the budget runs out
+        assert len(lengths) < continuation.REFINE_BUDGET
+        assert event.approximate
+        assert event.monitor_value == 1.0
+        assert event.point.s == pytest.approx(0.5, abs=1e-15)
+        assert abs(lengths[-1] - 0.2 * np.sqrt(2.0)) < 1e-11
+
+
 class TestRunBranch:
     def test_stop_at_needs_a_watched_kind(self, monkeypatch):
         # a level-0 Bratu branch watches its fold and nothing else
