@@ -22,9 +22,10 @@ Monitors are named scalar functions of z recorded at every accepted
 point; sign changes between consecutive points are refined by
 re-stepping with Anderson-Bjorck regula falsi on arclength, down to
 EVENT_TOL of the monitor's scale or a bracket that floating point can
-no longer split (BRACKET_RESOLUTION).  A fold event is a sign change
-of the tangent component belonging to the designated parameter.  A
-ContinuationProblem carries the system, the events a run watches and
+no longer split (BRACKET_RESOLUTION); a bracket with no root, whose
+trials never beat its ends, ends at DS_MIN.  A fold event is a sign
+change of the tangent component belonging to the designated parameter.
+A ContinuationProblem carries the system, the events a run watches and
 the Newton settings of its correctors.
 """
 
@@ -64,10 +65,11 @@ MAX_NEWTON = 25
 EVENT_TOL = 1e-8
 REFINE_BUDGET = 60
 #: Event refinement stops when its bracket is narrower than this times
-#: the original one: floating point can no longer split it.  The stop is
-#: no arclength such as DS_MIN, because a superlinear refinement closes
-#: in on the root from both sides.  On the robust 10x10 hunt the cusp
-#: bracket is 1e-6 wide while |m| is still twice EVENT_TOL of its scale.
+#: the original one: floating point can no longer split it.  A bracket
+#: whose trials approach a root is not stopped at an arclength such as
+#: DS_MIN, because a superlinear refinement closes in on the root from
+#: both sides.  On the robust 10x10 hunt the cusp bracket is 1e-6 wide
+#: while |m| is still twice EVENT_TOL of its scale.
 BRACKET_RESOLUTION = 1e-12
 #: Event refinement bisects a bracket that this many trials have not
 #: halved.  Anderson-Bjorck stalls on a monitor that is flat on one side
@@ -483,7 +485,9 @@ def _refine_event(problem, kind, before, after) -> Event:
     bracket, one after STALL_TRIALS trials that have not halved the
     bracket, or a failed trial is replaced by the midpoint.  Refinement
     stops when |m| < EVENT_TOL of the monitor's scale, or the bracket
-    can no longer be split (BRACKET_RESOLUTION).
+    can no longer be split (BRACKET_RESOLUTION).  A bracket narrower
+    than DS_MIN in which no trial has beaten an end's |m| holds a jump
+    or a pole of the monitor rather than a root, and ends there too.
     """
     m_lo, m_hi = _event_scalar(kind, before), _event_scalar(kind, after)
     scale = max(abs(m_lo), abs(m_hi))
@@ -495,6 +499,8 @@ def _refine_event(problem, kind, before, after) -> Event:
         width = d_hi - d_lo
         if abs(best_m) < EVENT_TOL * scale or width < min_width:
             break
+        if width < DS_MIN and (best is before or best is after):
+            break  # no trial beat an end: a jump or a pole, no root
         widths.append(width)
         stalled = (len(widths) > STALL_TRIALS
                    and width > 0.5 * widths[-1 - STALL_TRIALS])

@@ -1,10 +1,10 @@
 """Levels 1-2 on the bordered G_u factorization, against the global matrix.
 
 Every level-1/2 Newton matrix, tangent and rank check of the robust
-10x10 and 15x15 hunts, and of the geometry check of their swallowtails,
-is recorded by wrappers and replayed through the block path and through
-the oracles of `helpers`: the sp.bmat assembly of the whole matrix, its
-SuperLU solve and a dense SVD.
+10x10 and 15x15 hunts, and of a short fold line either way from their
+folds, is recorded by wrappers and replayed through the block path and
+through the oracles of `helpers`: the sp.bmat assembly of the whole
+matrix, its SuperLU solve and a dense SVD.
 """
 
 from dataclasses import replace
@@ -18,7 +18,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from aseries import continuation
 from aseries.augmented import BlockJacobian, residual_jacobian
 from aseries.continuation import (
-    BORDER_COS_MIN,
     ContinuationProblem,
     RankDeficientError,
     SingularJacobianError,
@@ -26,9 +25,11 @@ from aseries.continuation import (
     tangent,
 )
 from aseries.harness import (
+    MAX_NEWTON,
+    NEWTON_TOL,
     HuntConfig,
     hunt_swallowtail,
-    verify_swallowtail_geometry,
+    trace_line,
 )
 from aseries.poisson import ExpSineNonlinearity, Grid
 from helpers import (
@@ -50,6 +51,10 @@ TANGENT_TOL = 1e-11
 #: sigma_min from the block path's Lanczos against the dense SVD,
 #: relative; measured 6.3e-13 (RANK_LANCZOS_TOL is 1e-10).
 SIGMA_TOL = 1e-10
+#: Steps of each extra fold line.  With fewer event trials the hunts
+#: alone record 96 Newton matrices and 35 tangents at 10x10, and 106
+#: and 38 at 15x15; the two lines add about 20 and 10.
+FOLD_STEPS = 4
 
 
 def _is_block(jac) -> bool:
@@ -59,7 +64,9 @@ def _is_block(jac) -> bool:
 @pytest.fixture(scope="module", params=[10, 15], ids=["10x10", "15x15"])
 def recorded(request):
     """The level-1/2 Newton matrices, tangent calls and rank checks of
-    the hunt and of the geometry check of its swallowtail.
+    the hunt and of FOLD_STEPS steps of its fold line either way from
+    the fold, which keep the data above the floors of
+    `test_every_level_is_recorded`.
 
     A rank check is (jac, null, factor, eigenvalues, Lanczos runs), the
     runs as (matvec, size) of every `_largest_eigenvalue` call in it.
@@ -98,8 +105,10 @@ def recorded(request):
                                   Grid(request.param, request.param),
                                   ROBUST_CONFIG)
         assert report.stage_reached == "swallowtail"
-        assert verify_swallowtail_geometry(
-            report.swallowtail.state).counts == (2, 0)
+        for direction in (1.0, -1.0):
+            trace_line(report.located("fold").state, 1, direction,
+                       lambda z: True, 0.05, 0.1, FOLD_STEPS, NEWTON_TOL,
+                       MAX_NEWTON, stop=False)
     return report, newton, tangents, checks
 
 
@@ -131,12 +140,6 @@ def test_tangents_match_superlu(recorded):
     _, _, tangents, _ = recorded
     for jac, previous, found in tangents:
         expected = superlu_tangent(jac, previous)
-        row = previous if previous is not None else np.eye(len(found))[-1]
-        if abs(row @ expected) < BORDER_COS_MIN * np.linalg.norm(row):
-            # a row orthogonal to the kernel orients neither tangent: the
-            # geometry check's cusp lines start at the swallowtail, where
-            # lam3 turns, with row e_last and cos(row, t) at rounding level
-            expected = np.copysign(1.0, found @ expected) * expected
         assert np.max(np.abs(found - expected)) < TANGENT_TOL
 
 

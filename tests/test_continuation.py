@@ -380,13 +380,24 @@ class TestRefineRule:
         event, lengths, _ = refined_on_line(
             lambda x: 1.0 if x > 0.2 else -2.0, monkeypatch)
         # no trial improves on |m| = 1 at the bracket's end s = 0.5; the
-        # bracket closes on the jump until it cannot be split, before
-        # the budget runs out
-        assert len(lengths) < continuation.REFINE_BUDGET
+        # bracket closes on the jump until it is narrower than DS_MIN
+        # (17 trials; 45, down to BRACKET_RESOLUTION, without that stop)
+        assert len(lengths) == 17
         assert event.approximate
         assert event.monitor_value == 1.0
         assert event.point.s == pytest.approx(0.5, abs=1e-15)
-        assert abs(lengths[-1] - 0.2 * np.sqrt(2.0)) < 1e-11
+        assert abs(lengths[-1] - 0.2 * np.sqrt(2.0)) < continuation.DS_MIN
+
+    def test_pole_ends_at_the_better_end(self, monkeypatch):
+        # 1/(x - 0.2) changes sign through infinity: |m| grows toward the
+        # crossing, so every trial is worse than the ends (27 trials; all
+        # of REFINE_BUDGET without the DS_MIN stop for such brackets)
+        event, lengths, _ = refined_on_line(lambda x: 1.0 / (x - 0.2),
+                                            monkeypatch)
+        assert len(lengths) == 27
+        assert event.approximate
+        assert event.monitor_value == -5.0 and event.point.s == 0.0
+        assert abs(lengths[-1] - 0.2 * np.sqrt(2.0)) < continuation.DS_MIN
 
 
 class TestRunBranch:
