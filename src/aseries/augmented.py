@@ -31,18 +31,26 @@ matrix.  Its BlockFactor factors one (n+1) x (n+1) matrix, G_u bordered
 by the scaled kernel vector, and folds the rest into a small Woodbury
 capacitance: the bordering / mixed block elimination of Govaerts,
 Numerical Methods for Bifurcations of Dynamical Equilibria (SIAM 2000),
-ch. 3, and Govaerts & Pryce (IMA J. Numer. Anal. 1993).  Level 0 stays
-one sparse matrix [G_u, dG/dlam].  The monitors solve through the same
-bordered G_u, shared in one Linearization per state.  Every grid matrix
-that this module or continuation factors carries one border row and
-column: G_u bordered by the kernel vector here, [G_u, dG/dlam; t^T] at
-level 0 in continuation, which also reads the sign of det G_u from that
-factor.  SuperLU factors each in one nested-dissection order of the
-grid's points, the border last (`Problem.bordered_order`).
+ch. 3, and Govaerts & Pryce (IMA J. Numer. Anal. 1993).  Level 0
+returns a SolutionJacobian, G_u and its lam column kept apart.
+
+Every grid matrix that this module or continuation factors is one G_u
+bordered by one column and one row: [[G_u, k], [k^T, -1]] here
+(`BorderedGu`), [G_u, dG/dlam; t^T] at level 0 in continuation, which
+also reads the sign of det G_u from that factor.  `Problem.gu` keeps
+G_u on the Laplacian's CSR pattern, so `Problem.bordered_order`
+gathers each factor's input straight from [G_u data | column | row]
+into the nested-dissection order of the grid's points, the border
+last; no bordered matrix is built per factor.  An assembly's
+Linearization (its jet, G_u and BorderedGu) rides on its BlockJacobian:
+every factor of that Jacobian shares the one BorderedGu, and on a line
+the monitors at an accepted point solve with the BorderedGu that the
+tangent factored there and read the assembly's jet.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -71,46 +79,45 @@ class SingularAuxiliaryError(RuntimeError):
     block Jacobian it helps to solve, is singular."""
 
 
-def bordered_csr(gu, cols: np.ndarray, rows=()) -> sp.csr_matrix:
-    """[[gu, cols], [rows]] in CSR, cols and rows stored whole, zeros
-    too: each row of gu gains its cols entries last, the rows follow."""
-    gu, m = sp.csr_matrix(gu), cols.shape[1]
-    (n, width), ends = gu.shape, np.repeat(gu.indptr[1:], m)
-    rows, full = np.reshape(rows, (-1, width + m)), np.arange(width + m)
-    data = np.append(np.insert(gu.data, ends, cols.ravel()), rows)
-    indices = np.append(np.insert(gu.indices, ends, np.tile(full[width:], n)),
-                        np.tile(full, len(rows)))
-    indptr = np.append(gu.indptr + m * np.arange(n + 1), gu.nnz + n * m
-                       + (width + m) * np.arange(1, len(rows) + 1))
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(n + len(rows), width + m))
-
-
 @dataclass(frozen=True)
-class Ordering:
-    """A symmetric permutation of one square CSR pattern: `permute`
-    gathers the CSR data of A into the CSC of P A P^T, (P A P^T)[i, j]
-    = A[perm[i], perm[j]], for SuperLU to factor in that order."""
+class BorderedOrder:
+    """The factor order of A = [[G_u, col], [row^T]] for every G_u on one
+    square CSR pattern, col of length n and row of length n + 1.
 
-    csr: tuple  # (indptr, indices) of A
+    `gather` takes the CSC of P A P^T, (P A P^T)[i, j] = A[perm[i],
+    perm[j]], straight from the vector [G_u data | col | row], the G_u
+    data in the pattern's order: one concatenation and one fancy-index
+    gather, no bordered matrix built or permuted.  col and row are
+    stored whole, zeros too, so the pattern never moves.
+    """
+
+    pattern: tuple  # (indptr, indices) of G_u
     perm: np.ndarray
-    position: sp.csc_matrix  # of each entry of P A P^T in A's CSR data
+    source: sp.csc_matrix  # P A P^T's pattern; data index the vector
 
     @classmethod
-    def of(cls, pattern: sp.csr_matrix, perm=None) -> "Ordering":
-        perm = np.arange(pattern.shape[0]) if perm is None else perm
-        position = sp.csr_matrix(  # counted from 1, so none is dropped
-            (np.arange(1, pattern.nnz + 1), pattern.indices,
-             pattern.indptr), shape=pattern.shape)[perm][:, perm].tocsc()
-        position.data -= 1
-        return cls((pattern.indptr, pattern.indices), perm, position)
+    def of(cls, gu: sp.csr_matrix, perm=None) -> "BorderedOrder":
+        """The order perm of gu's bordered pattern, the identity if None."""
+        n = gu.shape[0]
+        perm = np.arange(n + 1) if perm is None else perm
+        rank = np.empty_like(perm)
+        rank[perm] = np.arange(n + 1)
+        rows = np.concatenate([np.repeat(np.arange(n), np.diff(gu.indptr)),
+                               np.arange(n), np.full(n + 1, n)])
+        cols = np.concatenate([gu.indices, np.full(n, n), np.arange(n + 1)])
+        source = sp.csc_matrix(  # counted from 1, so none is dropped
+            (np.arange(1, rows.size + 1), (rank[rows], rank[cols])),
+            shape=(n + 1, n + 1))
+        source.data -= 1
+        return cls((gu.indptr, gu.indices), perm, source)
 
-    def permute(self, mat: sp.csr_matrix) -> sp.csc_matrix:
-        if not all(map(np.array_equal, self.csr, (mat.indptr, mat.indices))):
-            raise ValueError("matrix does not have the ordering's pattern")
-        at = self.position
-        return sp.csc_matrix((mat.data[at.data], at.indices, at.indptr),
-                             shape=at.shape)
+    def gather(self, gu: sp.csr_matrix, col: np.ndarray,
+               row: np.ndarray) -> sp.csc_matrix:
+        if not all(map(np.array_equal, self.pattern, (gu.indptr, gu.indices))):
+            raise ValueError("G_u does not have the ordering's pattern")
+        at = self.source
+        data = np.concatenate([gu.data, col, row])[at.data]
+        return sp.csc_matrix((data, at.indices, at.indptr), shape=at.shape)
 
 
 def _permutation_parity(perm: np.ndarray) -> int:
@@ -168,12 +175,22 @@ class Problem:
         return found
 
     @cached_property
-    def bordered_order(self) -> Ordering:
-        """Ordering of G_u bordered by one row and column (`bordered_csr`),
-        built on first use: the grid's nested dissection, the border last."""
+    def bordered_order(self) -> BorderedOrder:
+        """Order of G_u bordered by one row and column, built on first
+        use: the grid's nested dissection, the border last."""
         n = self.grid.size
-        pattern = bordered_csr(self.lap, np.ones((n, 1)), np.ones(n + 1))
-        return Ordering.of(pattern, np.append(nested_dissection(self.grid), n))
+        return BorderedOrder.of(
+            self.lap, np.append(nested_dissection(self.grid), n))
+
+    @cached_property
+    def _off_diagonal_sums(self) -> tuple:
+        """Row and column sums of |L| off its diagonal."""
+        data = np.abs(self.lap.data)
+        data[self._diagonal] = 0.0
+        mag = sp.csr_matrix((data, self.lap.indices, self.lap.indptr),
+                            shape=self.lap.shape)
+        return (np.asarray(mag.sum(axis=1)).ravel(),
+                np.asarray(mag.sum(axis=0)).ravel())
 
     def gu(self, fu: np.ndarray) -> sp.csr_matrix:
         """G_u = L + diag(f_u), on the Laplacian's sparsity pattern."""
@@ -292,17 +309,20 @@ class BorderedGu:
     singular exactly when B is.  B is regular at a simple fold, where a
     spans the kernel of G_u.  For symmetric G_u, B^2 = G_u^2 + a a^T +
     g k^T + k g^T with g = G_u k.  order is a Problem's bordered_order,
-    None for a plain gu."""
+    which gathers the bordered matrix from gu and k; None for a plain gu
+    factors in gu's own order."""
 
-    def __init__(self, gu, a: np.ndarray, order: Ordering | None = None):
+    def __init__(self, gu, a: np.ndarray,
+                 order: BorderedOrder | None = None):
+        if order is None:
+            gu = sp.csr_matrix(gu)
+            order = BorderedOrder.of(gu)
         self.k = k = a / np.sqrt(np.linalg.norm(a) or 1.0)
         self.g = gu @ k
-        bordered = bordered_csr(gu, k[:, None], np.append(k, -1.0))
-        order = order or Ordering.of(bordered)
         try:
             self.lu = PermutedLU(splu(
-                order.permute(bordered), permc_spec="NATURAL",
-                diag_pivot_thresh=PIVOT_THRESH,
+                order.gather(gu, k, np.append(k, -1.0)),
+                permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESH,
                 options={"SymmetricMode": True}), order.perm)
         except RuntimeError as exc:
             raise SingularAuxiliaryError(
@@ -333,6 +353,77 @@ class BorderedGu:
         return x
 
 
+def _gu_sums(gu, problem: Problem | None) -> tuple:
+    """Row and column sums of |G_u|.  For a Problem's G_u they are its
+    Laplacian's sums off the diagonal, cached, plus |diag G_u|, and no
+    sparse matrix is built; with problem None they come from |gu|."""
+    if problem is None:
+        mag = abs(sp.csr_matrix(gu))
+        return (np.asarray(mag.sum(axis=1)).ravel(),
+                np.asarray(mag.sum(axis=0)).ravel())
+    diag = np.abs(gu.data[problem._diagonal])
+    rows, cols = problem._off_diagonal_sums
+    return rows + diag, cols + diag
+
+
+@dataclass(frozen=True)
+class SolutionJacobian:
+    """The level-0 Jacobian [G_u, dG/dlam], kept as G_u on its Problem's
+    pattern and the lam columns, never one sparse matrix.
+
+    `bordered` appends single rows below.  With one lam column and one
+    row it is square, G_u bordered once, and `permuted` gathers it in
+    the Problem's bordered_order for SuperLU to factor.
+    """
+
+    gu: sp.csr_matrix
+    cols: np.ndarray
+    problem: Problem
+    rows: tuple = ()
+
+    @property
+    def shape(self) -> tuple:
+        n = self.gu.shape[0]
+        return n + len(self.rows), n + self.cols.shape[1]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = self.gu.shape[0]
+        return np.concatenate([self.gu @ x[:n] + self.cols @ x[n:],
+                               [row @ x for row in self.rows]])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """The transposed product J^T y."""
+        n = self.gu.shape[0]
+        out = np.concatenate([self.gu.T @ y[:n], self.cols.T @ y[:n]])
+        for row, weight in zip(self.rows, y[n:]):
+            out += weight * row
+        return out
+
+    def norms(self) -> tuple:
+        """(||J||_1, ||J||_inf) exactly, from the pieces."""
+        gu_rows, gu_cols = _gu_sums(self.gu, self.problem)
+        cols = np.abs(self.cols)
+        rows = np.abs(np.reshape(self.rows, (-1, self.shape[1])))
+        row_sums = np.concatenate([gu_rows + cols.sum(axis=1),
+                                   rows.sum(axis=1)])
+        col_sums = rows.sum(axis=0) + np.concatenate([gu_cols,
+                                                      cols.sum(axis=0)])
+        return float(col_sums.max()), float(row_sums.max())
+
+    def bordered(self, row: np.ndarray) -> "SolutionJacobian":
+        """[J; row^T]: the same pieces with one more single row."""
+        return replace(self, rows=self.rows + (row,))
+
+    def permuted(self) -> tuple:
+        """(P A P^T in CSC, perm) of the square A = [G_u, c; r^T]."""
+        if self.shape != (self.gu.shape[0] + 1,) * 2:
+            raise ValueError("the level-0 factor needs one lam column "
+                             "and one row")
+        order = self.problem.bordered_order
+        return (order.gather(self.gu, self.cols[:, 0], self.rows[0]),
+                order.perm)
+
+
 @dataclass(frozen=True)
 class BlockJacobian:
     """The Jacobian of a level-1, 2 or 3 system, kept as its blocks.
@@ -352,6 +443,9 @@ class BlockJacobian:
     and, after `bordered`, a continuation row.  G_u^2 is applied as G_u
     twice, never formed.  The residual interleaves the rows: G, G_u a,
     normalization, cusp, vbar equation, then the remaining single rows.
+    lin, on a grid, is the Linearization that gu, d and a came from: its
+    Problem's order and sums, its jet for the monitors and its
+    BorderedGu, which every factor of the Jacobian shares.
     """
 
     gu: sp.csr_matrix
@@ -362,7 +456,7 @@ class BlockJacobian:
     p: sp.csr_matrix | None = None
     e: np.ndarray | None = None
     vbar: np.ndarray | None = None
-    order: Ordering | None = None
+    lin: Linearization | None = None
 
     @property
     def blocks(self) -> int:
@@ -383,6 +477,7 @@ class BlockJacobian:
                                           self.cols, self.rows)
             if x is not None))
 
+    @cached_property
     def _order(self) -> tuple:
         """Residual positions of the block rows and of the single rows."""
         n, m = self.a.size, self.rows.shape[0]
@@ -399,7 +494,7 @@ class BlockJacobian:
             xv = x[2 * n : 3 * n]
             out.append(self.p @ xu + self.e * xa + self.a * (self.vbar @ xa)
                        + self.gu @ (self.gu @ xv) + self.a * (self.a @ xv))
-        block, single = self._order()
+        block, single = self._order
         y = np.empty(self.shape[0])
         y[block] = np.concatenate(out) + self.cols @ x[size:]
         y[single] = self.rows @ x
@@ -413,7 +508,7 @@ class BlockJacobian:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """The transposed product J^T y; levels 1-2."""
         self._below_level_3("transposed products")
-        block, single = self._order()
+        block, single = self._order
         yb, n, gu_t = y[block], self.a.size, self.gu.T
         out = np.concatenate([gu_t @ yb[:n] + self.d * yb[n:],
                               gu_t @ yb[n:], self.cols.T @ yb])
@@ -423,9 +518,8 @@ class BlockJacobian:
         """(||J||_1, ||J||_inf) exactly, from the blocks; levels 1-2."""
         self._below_level_3("block norms")
         n = self.a.size
-        mag = abs(self.gu)
-        gu_rows = np.asarray(mag.sum(axis=1)).ravel()
-        gu_cols = np.asarray(mag.sum(axis=0)).ravel()
+        gu_rows, gu_cols = _gu_sums(
+            self.gu, None if self.lin is None else self.lin.problem)
         cols, rows, d = np.abs(self.cols), np.abs(self.rows), np.abs(self.d)
         row_sums = np.concatenate([gu_rows + cols[:n].sum(axis=1),
                                    d + gu_rows + cols[n:].sum(axis=1),
@@ -445,7 +539,8 @@ class BlockJacobian:
 class BlockFactor:
     """Factor of a square BlockJacobian J; solves J x = b and J^T x = b.
 
-    One BorderedGu factorization solves with B = G_u + k k^T, so the
+    One BorderedGu factorization solves with B = G_u + k k^T (its lin's,
+    when J has one, factored once for every J bordered from it), so the
     block triangle L with diagonal blocks B, B (and B^2 at level 3)
     solves by forward substitution, and L^T by back substitution.  In
     the block rows, then the single rows, J is [[L, 0], [0, I]] plus a
@@ -467,7 +562,8 @@ class BlockFactor:
         n, m = jac.a.size, jac.rows.shape[0]
         size = jac.blocks * n
         self.jac = jac
-        self.lu = BorderedGu(jac.gu, jac.a, jac.order)
+        self.lu = (BorderedGu(jac.gu, jac.a) if jac.lin is None
+                   else jac.lin.bordered)
         k, g = self.lu.k, self.lu.g
         low = 2 * jac.blocks - 2  # columns of the G_u block corrections
         left = np.zeros((size + m, low + 2 * m))
@@ -496,7 +592,7 @@ class BlockFactor:
             raise SingularAuxiliaryError(
                 f"block Jacobian is singular: scaled capacitance "
                 f"condition {cond:.3g}")
-        self.block, self.single = jac._order()
+        self.block, self.single = jac._order
 
     def _forward(self, f: np.ndarray) -> np.ndarray:
         """L^-1 f, column by column."""
@@ -576,8 +672,8 @@ def _assemble(state: AugmentedState, level: int):
     lam-gradients from one lambda_derivative(level) call.  A single
     row is (u, alpha, [vbar,] lam) with the lam-gradient over all three
     parameters, sliced to the active ones at the end, and so are the
-    lam columns.  Level 0 returns the sparse [G_u, dG/dlam]; levels 1-3
-    return a BlockJacobian, never one global matrix.
+    lam columns.  Level 0 returns a SolutionJacobian and levels 1-3 a
+    BlockJacobian, never one global matrix.
     """
     if level > state.level:
         raise ValueError(f"level-{level} assembly needs a level-{level} "
@@ -589,7 +685,7 @@ def _assemble(state: AugmentedState, level: int):
     act = list(state.active)
     res = [prob.lap @ u + f[0]]
     if level == 0:
-        return res[0], bordered_csr(gu, dlam[0][:, act])
+        return res[0], SolutionJacobian(gu, dlam[0][:, act], prob)
     a, area = state.alpha, prob.grid.cell_area
     zero = np.zeros_like(a)
     res += [gu @ a, [area * (a @ a) - 1.0]]
@@ -608,7 +704,7 @@ def _assemble(state: AugmentedState, level: int):
     jac = BlockJacobian(
         gu=gu, d=f[2] * a, a=a, cols=np.vstack(cols)[:, act],
         rows=np.array([np.concatenate(row[:-1] + (row[-1][act],))
-                       for row in rows]), order=prob.bordered_order, **blocks)
+                       for row in rows]), lin=lin, **blocks)
     return np.concatenate(res), jac
 
 
@@ -647,9 +743,11 @@ class Linearization:
     """The jet f[k] = f^(k), k = 0..top (top >= 1), and G_u at one
     state, and G_u bordered by the kernel vector, factored on first use.
     One derivative call builds the jet; the monitors evaluated at one
-    state share one Linearization, and so does an assembly."""
+    state share one Linearization, and so does an assembly with its
+    Jacobian's factors and, on a line, the monitors at its point."""
 
     def __init__(self, state: AugmentedState, top: int):
+        self.state = state
         self.alpha, self.problem = state.alpha, state.problem
         self.f = state.problem.nl.derivative(top, state.u, state.lam)
         self.gu = state.problem.gu(self.f[1])
@@ -657,6 +755,16 @@ class Linearization:
     @cached_property
     def bordered(self) -> BorderedGu:
         return BorderedGu(self.gu, self.alpha, self.problem.bordered_order)
+
+    def raised(self, top: int) -> "Linearization":
+        """This linearization with its jet to top at least: itself, or a
+        copy with the longer jet that shares G_u and the bordered factor
+        (entry k of a jet does not depend on its top)."""
+        if top < len(self.f):
+            return self
+        out = copy.copy(self)
+        out.f = self.problem.nl.derivative(top, self.state.u, self.state.lam)
+        return out
 
 
 def cusp_monitor(state: AugmentedState,

@@ -541,6 +541,10 @@ def cmd_hunt(opts: dict) -> int:
         fh.write("\n")
     print(f"stage reached: {report.stage_reached}")
     _print_chain(report)
+    # wall-clock seconds vary from run to run: kept out of --out
+    print("stage seconds: " + ", ".join(
+        f"{stage} {seconds:.3f}" for stage, seconds in report.timings.items()),
+        file=sys.stderr)
     if STAGES.index(report.stage_reached) < STAGES.index(target):
         message = report.note or "target stage not reached"
         print(f"numerical failure: {message}", file=sys.stderr)

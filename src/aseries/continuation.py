@@ -6,21 +6,25 @@ with tangent . (z - z_pred) = 0).  Residual and Jacobian come from one
 callable, so each Newton iterate assembles once; the Jacobian of the
 converged corrector is reused for the tangent, and the tangent's factor
 for the rank check.
-The layer factors the square bordered matrix [J; row^T] one of two
-ways, chosen in `_jacobian`.  A level-1-3 augmented.BlockJacobian keeps
-its blocks and factors G_u bordered by the kernel vector, inside
-augmented.  Every other Jacobian (level 0, and plain matrices, dense
-ones converted) gets one SuperLU of the whole matrix, in the grid's
-nested-dissection order at level 0.  Both factors solve with the matrix
-and its transpose.  A singular bordered tangent matrix raises
-RankDeficientError, which a branch run treats like any failed step.
+The layer factors the square bordered matrix [J; row^T] in `_factor`.
+A level-1-3 augmented.BlockJacobian keeps its blocks and factors G_u
+bordered by the kernel vector, inside augmented.  The level-0
+augmented.SolutionJacobian keeps G_u and its lam column apart, and
+[G_u, dG/dlam; row^T] is gathered from them straight into the grid's
+nested-dissection order for one SuperLU here.  A plain Jacobian (dense
+ones converted) gets one SuperLU of the whole matrix in its own order.
+Every factor solves with the matrix and its transpose.  A singular
+bordered tangent matrix raises RankDeficientError, which a branch run
+treats like any failed step.
 Every accepted point is checked to keep full row rank (`_check_rank`)
 by a Sherman-Morrison update of the tangent's LU, which factors nothing
 more and forms no dense or global matrix.  The same LU gives the sign of
 det G_u on a level-0 branch (`solution_signature`).
-Monitors are named scalar functions of z recorded at every accepted
-point; sign changes between consecutive points are refined by
-re-stepping with Anderson-Bjorck regula falsi on arclength, down to
+Monitors are named scalar functions of z and of the tangent's factor,
+recorded at every accepted point: an augmented line's monitors solve
+with the BorderedGu that the tangent factored there.  Sign changes
+between consecutive points are refined by re-stepping with
+Anderson-Bjorck regula falsi on arclength, down to
 EVENT_TOL of the monitor's scale or a bracket that floating point can
 no longer split (BRACKET_RESOLUTION); a bracket with no root, whose
 trials never beat its ends, ends at DS_MIN.  A fold event is a sign
@@ -42,11 +46,9 @@ from .augmented import (
     PIVOT_THRESH,
     BlockFactor,
     BlockJacobian,
-    Linearization,
     MonitorRecord,
-    Ordering,
     PermutedLU,
-    bordered_csr,
+    SolutionJacobian,
     butterfly_monitor,
     cusp_monitor,
     residual_jacobian,
@@ -117,15 +119,29 @@ class ConvergenceError(ContinuationError):
         self.residual_norm = residual_norm
 
 
+def bordered_csr(mat, cols: np.ndarray, rows=()) -> sp.csr_matrix:
+    """[[mat, cols], [rows]] in CSR, cols and rows stored whole, zeros
+    too: each row of mat gains its cols entries last, the rows follow."""
+    mat, m = sp.csr_matrix(mat), cols.shape[1]
+    (n, width), ends = mat.shape, np.repeat(mat.indptr[1:], m)
+    rows, full = np.reshape(rows, (-1, width + m)), np.arange(width + m)
+    data = np.append(np.insert(mat.data, ends, cols.ravel()), rows)
+    indices = np.append(np.insert(mat.indices, ends,
+                                  np.tile(full[width:], n)),
+                        np.tile(full, len(rows)))
+    indptr = np.append(mat.indptr + m * np.arange(n + 1), mat.nnz + n * m
+                       + (width + m) * np.arange(1, len(rows) + 1))
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(n + len(rows), width + m))
+
+
 @dataclass(frozen=True)
 class _SparseJacobian:
-    """A level-0 (or any plain) Jacobian behind the BlockJacobian
-    interface; its factor is one SuperLU of the whole [mat; row^T], in
-    order: at level 0 mat is [G_u, dG/dlam] in `bordered_csr`'s layout
-    and order its Problem's bordered_order; else mat's own order."""
+    """A plain Jacobian, of no grid, behind the BlockJacobian interface;
+    its factor is one SuperLU of the whole [mat; row^T] in mat's own
+    order."""
 
     mat: sp.csr_matrix
-    order: Ordering | None = None
 
     @property
     def shape(self) -> tuple:
@@ -142,33 +158,41 @@ class _SparseJacobian:
         return magnitude.sum(axis=0).max(), magnitude.sum(axis=1).max()
 
     def bordered(self, row: np.ndarray) -> "_SparseJacobian":
-        """[mat; row^T], the row stored whole (sp.vstack is ~4x slower)."""
+        """[mat; row^T], the row stored whole."""
         empty = np.empty((self.shape[0], 0))
         return replace(self, mat=bordered_csr(self.mat, empty, row))
 
-    def factor(self, strict: bool = True) -> PermutedLU:
-        # SuperLU fails on an exactly zero pivot only, strict or not
-        order = self.order or Ordering.of(self.mat)
-        return PermutedLU(splu(
-            order.permute(self.mat), permc_spec="NATURAL",
-            diag_pivot_thresh=PIVOT_THRESH, options={"SymmetricMode": True}),
-            order.perm)
+    def permuted(self) -> tuple:
+        return self.mat.tocsc(), np.arange(self.shape[0])
 
 
 def _jacobian(jac):
-    """The one place where level 0 and the block levels part: any
-    Jacobian but a BlockJacobian is wrapped as a _SparseJacobian.  Both
-    factors raise a RuntimeError when singular."""
-    if isinstance(jac, (BlockJacobian, _SparseJacobian)):
+    """Any Jacobian but the augmented ones, as a _SparseJacobian."""
+    if isinstance(jac, (BlockJacobian, SolutionJacobian, _SparseJacobian)):
         return jac
     return _SparseJacobian(sp.csr_matrix(jac))
 
 
+def _factor(jac, strict: bool):
+    """Factor of a square Jacobian from `_jacobian`, the one place where
+    level 0 and the block levels part: the block solve at levels 1-3,
+    else one SuperLU of P A P^T as the Jacobian gathers it (`permuted`).
+    Without strict the block solve accepts a nearly singular matrix;
+    SuperLU fails on an exactly zero pivot only, strict or not.  Both
+    raise a RuntimeError when singular."""
+    if isinstance(jac, BlockJacobian):
+        return jac.factor(strict)
+    mat, perm = jac.permuted()
+    return PermutedLU(splu(mat, permc_spec="NATURAL",
+                           diag_pivot_thresh=PIVOT_THRESH,
+                           options={"SymmetricMode": True}), perm)
+
+
 def _linear_solve(mat, rhs: np.ndarray) -> np.ndarray:
-    """Solve the square system mat x = rhs through `_jacobian`'s factor:
-    SuperLU at level 0, the block solve at levels 1-3."""
+    """Solve the square system mat x = rhs through `_factor`: SuperLU at
+    level 0, the block solve at levels 1-3."""
     try:
-        sol = _jacobian(mat).factor().solve(rhs)
+        sol = _factor(_jacobian(mat), strict=True).solve(rhs)
     except RuntimeError as exc:
         raise SingularJacobianError(str(exc)) from exc
     if not np.all(np.isfinite(sol)):
@@ -211,7 +235,9 @@ class ContinuationProblem:
     family.
 
     system maps z to the pair (residual, Jacobian); monitors maps names
-    from {cusp, swallowtail, butterfly} to scalar functions of z;
+    from {cusp, swallowtail, butterfly} to scalar functions of z and of
+    the tangent's BorderedFactor at z, which `tangent` made at that
+    accepted point;
     fold_index is the packed position of the parameter whose turning
     defines a fold event.  Each accepted point's signature is the sign
     of det J with column fold_index removed, det G_u at level 0
@@ -302,7 +328,7 @@ def tangent(jac, previous: np.ndarray | None = None):
 
     def bordered_solve(row):
         try:
-            lu = jac.bordered(row).factor(strict=False)
+            lu = _factor(jac.bordered(row), strict=False)
             sol = lu.solve(rhs)
         except RuntimeError:
             lu, sol = None, np.zeros(n_cols)
@@ -405,14 +431,14 @@ def _check_rank(problem: ContinuationProblem, jac,
             f"(threshold {threshold:.3e} = rank_tol * max(sigma_max, 1))")
 
 
-def _record(problem: ContinuationProblem, z: np.ndarray,
-            tang: np.ndarray) -> MonitorRecord:
+def _record(problem: ContinuationProblem, z: np.ndarray, tang: np.ndarray,
+            factor: BorderedFactor) -> MonitorRecord:
     direction = 0.0
     if problem.fold_index is not None:
         direction = float(tang[problem.fold_index])
     rec = MonitorRecord(fold_direction=direction)
     for name, fn in problem.monitors.items():
-        setattr(rec, name, float(fn(z)))
+        setattr(rec, name, float(fn(z, factor)))
     return rec
 
 
@@ -422,10 +448,10 @@ def _pinned_point(problem: ContinuationProblem, anchor: np.ndarray,
     """Accepted point at arclength s of Newton on R(z) = 0 stacked with
     row . (z - anchor) = 0, from anchor.
 
-    Each Newton step factors [jac; row^T] as `_jacobian` dispatches it.
+    Each Newton step factors [jac; row^T] as `_factor` dispatches it.
     The tangent, oriented along previous, comes from the Jacobian of R
-    that the accepting Newton evaluation assembled, and the rank check
-    and the signature reuse the tangent's factor.
+    that the accepting Newton evaluation assembled, and the rank check,
+    the signature and the monitors reuse the tangent's factor.
     """
     jac = None
 
@@ -441,7 +467,8 @@ def _pinned_point(problem: ContinuationProblem, anchor: np.ndarray,
     _check_rank(problem, jac, t, factor)
     signature = (0 if problem.fold_index is None
                  else solution_signature(factor, problem.fold_index))
-    return BranchPoint(z, s, t, _record(problem, z, t), signature, iters)
+    return BranchPoint(z, s, t, _record(problem, z, t, factor), signature,
+                       iters)
 
 
 def initial_point(problem: ContinuationProblem, z0: np.ndarray,
@@ -643,10 +670,7 @@ def augmented_continuation_problem(template, monitors=(),
                          "free exactly one extra parameter")
 
     def system(z):
-        res, jac = residual_jacobian(template.with_vector(z))
-        if template.level == 0:
-            jac = _SparseJacobian(jac, template.problem.bordered_order)
-        return res, jac
+        return residual_jacobian(template.with_vector(z))
 
     named = {name: _pde_monitor(template, name) for name in monitors}
 
@@ -656,21 +680,21 @@ def augmented_continuation_problem(template, monitors=(),
 
 
 def _pde_monitor(template, name: str):
-    if name == "cusp":
-        def monitor(z):
-            return cusp_monitor(template.with_vector(z))
-    elif name == "swallowtail":
-        def monitor(z):
-            state = template.with_vector(z)
-            lin = Linearization(state, 3)
-            _, v = solve_v(state, lin)
-            return swallowtail_monitor(state, v, lin)
-    elif name == "butterfly":
-        def monitor(z):
-            state = template.with_vector(z)
-            lin = Linearization(state, 4)
-            _, v = solve_v(state, lin)
-            return butterfly_monitor(state, v, lin)
-    else:
+    """The named monitor of a line through template, at z and the
+    tangent's factor there.  The factor's Jacobian carries the accepted
+    assembly's Linearization: the monitor reads that jet, raised to its
+    own top where it is lower, and solves with the BorderedGu that the
+    tangent factored, so it factors nothing of its own."""
+    if name not in ("cusp", "swallowtail", "butterfly"):
         raise ValueError(f"unknown monitor {name!r}")
+
+    def monitor(z, factor):
+        state, lin = template.with_vector(z), factor.lu.jac.lin
+        if name == "cusp":
+            return cusp_monitor(state, lin)
+        _, v = solve_v(state, lin)
+        if name == "swallowtail":
+            return swallowtail_monitor(state, v, lin.raised(3))
+        return butterfly_monitor(state, v, lin.raised(4))
+
     return monitor

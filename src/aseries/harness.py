@@ -14,9 +14,11 @@ already reached on the cusp line, continues the fold line of that slice
 to find a neighbouring cusp line, and resumes the monitor search there.
 
 `report.timings[stage]` is the time to locate that stage's point plus
-trace its line.  No `ContinuationError` escapes a hunt: a failed solve
-or a line that cannot start gives a partial report whose note names the
-error.  The pivot slice's window and directions are module constants.
+trace its line; it stays out of `HuntReport.to_dict`, so that one
+configuration always gives the same document.  No `ContinuationError`
+escapes a hunt: a failed solve or a line that cannot start gives a
+partial report whose note names the error.  The pivot slice's window
+and directions are module constants.
 """
 
 from __future__ import annotations
@@ -165,7 +167,6 @@ class HuntReport:
             "stage_reached": self.stage_reached,
             "chain": [p.to_dict() for p in self.chain],
             "events": list(self.events),
-            "timings": {k: float(v) for k, v in self.timings.items()},
             "note": self.note,
         }
 

@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import splu
 
-from aseries.augmented import BlockJacobian, bordered_csr
+from aseries.augmented import BlockJacobian, SolutionJacobian
 from aseries.classifier import TensorOracle
 from aseries.continuation import (
     RankDeficientError,
     SingularJacobianError,
     _SparseJacobian,
+    bordered_csr,
     solution_signature,
     tangent,
 )
@@ -206,9 +208,16 @@ def dense_jacobian(jac) -> np.ndarray:
     """Any Jacobian the library returns, as one dense array.
 
     A BlockJacobian is formed from its blocks in the residual's row
-    order: the full analytic Jacobian, G_u^2 multiplied out.  Sparse
-    matrices and arrays are converted as they are.
+    order: the full analytic Jacobian, G_u^2 multiplied out.  A
+    SolutionJacobian is [G_u, cols] over its rows, a _SparseJacobian its
+    matrix; sparse matrices and arrays are converted as they are.
     """
+    if isinstance(jac, SolutionJacobian):
+        width = jac.shape[1]
+        return np.vstack([np.hstack([jac.gu.toarray(), jac.cols]),
+                          np.reshape(jac.rows, (-1, width))])
+    if isinstance(jac, _SparseJacobian):
+        return jac.mat.toarray()
     if not isinstance(jac, BlockJacobian):
         return jac.toarray() if sp.issparse(jac) else np.asarray(jac, float)
     n = jac.a.size
@@ -219,7 +228,7 @@ def dense_jacobian(jac) -> np.ndarray:
         body.append([jac.p.toarray(),
                      np.diag(jac.e) + np.outer(jac.a, jac.vbar),
                      gu @ gu + np.outer(jac.a, jac.a)])
-    block, single = jac._order()
+    block, single = jac._order
     out = np.empty(jac.shape)
     out[block] = np.hstack([np.block(body), jac.cols])
     out[single] = jac.rows
@@ -383,20 +392,67 @@ def superlu_tangent(jac, previous=None) -> np.ndarray:
 # the sign of det G_u from a tangent's factor, and its dense oracle
 
 
-def tangent_factor(gu, seed: int = 0, order=None):
+def tangent_factor(gu, seed: int = 0, problem=None):
     """The BorderedFactor that `tangent` makes for J = [G_u, g], g and the
-    bordering row seeded standard normal draws; order is a Problem's
-    bordered_order for a grid's G_u, None for a plain matrix."""
+    bordering row seeded standard normal draws.  With a Problem, G_u is
+    on its grid and J a SolutionJacobian, gathered in the grid's order;
+    without, J is the plain matrix in its own order."""
     gu = sp.csr_matrix(gu)
     n = gu.shape[0]
     rng = np.random.default_rng(seed)
-    jac = _SparseJacobian(bordered_csr(gu, rng.standard_normal((n, 1))), order)
+    g = rng.standard_normal((n, 1))
+    jac = (_SparseJacobian(bordered_csr(gu, g)) if problem is None
+           else SolutionJacobian(gu, g, problem))
     return tangent(jac, rng.standard_normal(n + 1))[1]
 
 
-def tangent_signature(gu, seed: int = 0, order=None) -> int:
+def tangent_signature(gu, seed: int = 0, problem=None) -> int:
     """`solution_signature` of J = [G_u, g] at k = n: the sign of det G_u."""
-    return solution_signature(tangent_factor(gu, seed, order), gu.shape[0])
+    return solution_signature(tangent_factor(gu, seed, problem), gu.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# the bordered matrix built and permuted whole (oracle for the gather)
+
+
+@dataclass(frozen=True)
+class Ordering:
+    """A symmetric permutation of one square CSR pattern: `permute`
+    gathers the CSR data of A into the CSC of P A P^T, (P A P^T)[i, j]
+    = A[perm[i], perm[j]], the way every grid factor's input was built
+    before `augmented.BorderedOrder` gathered it from its pieces."""
+
+    csr: tuple  # (indptr, indices) of A
+    perm: np.ndarray
+    position: sp.csc_matrix  # of each entry of P A P^T in A's CSR data
+
+    @classmethod
+    def of(cls, pattern: sp.csr_matrix, perm=None) -> "Ordering":
+        perm = np.arange(pattern.shape[0]) if perm is None else perm
+        position = sp.csr_matrix(  # counted from 1, so none is dropped
+            (np.arange(1, pattern.nnz + 1), pattern.indices,
+             pattern.indptr), shape=pattern.shape)[perm][:, perm].tocsc()
+        position.data -= 1
+        return cls((pattern.indptr, pattern.indices), perm, position)
+
+    def permute(self, mat: sp.csr_matrix) -> sp.csc_matrix:
+        if not all(map(np.array_equal, self.csr, (mat.indptr, mat.indices))):
+            raise ValueError("matrix does not have the ordering's pattern")
+        at = self.position
+        return sp.csc_matrix((mat.data[at.data], at.indices, at.indptr),
+                             shape=at.shape)
+
+
+def permuted_bordered(gu, col, row, perm=None) -> sp.csc_matrix:
+    """P [[gu, col], [row^T]] P^T by `bordered_csr` and `Ordering.permute`:
+    the bordered CSR built whole, then permuted in the order of its
+    pattern with ones in col and row; perm None is the identity."""
+    gu, n = sp.csr_matrix(gu), gu.shape[0]
+    pattern = bordered_csr(sp.csr_matrix((np.ones(gu.nnz), gu.indices,
+                                          gu.indptr), shape=gu.shape),
+                           np.ones((n, 1)), np.ones(n + 1))
+    return Ordering.of(pattern, perm).permute(
+        bordered_csr(gu, np.reshape(col, (n, 1)), row))
 
 
 def dense_det_sign(mat) -> int:

@@ -451,9 +451,9 @@ def _no_kernel_vector(jac):
     zero = np.zeros_like(jac.a)
     rows = jac.rows.copy()
     rows[0] = 0.0
-    # the new G_u is off the grid's pattern, so it has no grid order
+    # the new G_u and a are not its Linearization's, so it has none
     return replace(jac, gu=sp.csr_matrix(jac.gu.shape), a=zero, rows=rows,
-                   order=None)
+                   lin=None)
 
 
 class TestBorderedSolve:
@@ -601,3 +601,31 @@ class TestSolutionSignature:
         for seed in range(3):
             assert tangent_signature(mat, seed) == expected
 
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["small-fu", "flip-diag"])
+@pytest.mark.parametrize("level,active", [(0, (0,)), (1, (0, 1)),
+                                          (2, (0, 1, 2))])
+def test_grid_norms_match_dense(monkeypatch, level, active, flip):
+    # ||J||_1 and ||J||_inf of grid Jacobians, unbordered and bordered,
+    # from the Laplacian's off-diagonal sums and |diag G_u|, with no
+    # |G_u| built; with flip, f_u turns the diagonal's sign at some points
+    problem = Problem(Grid(5, 3), PolynomialNonlinearity((0.7, -0.4)))
+    rng = np.random.default_rng(level + 10 * flip)
+    state = random_state(problem, level, active, rng)
+    if flip:
+        state.lam[0] = 1.2 * np.max(np.abs(problem.lap.diagonal()))
+    _, jac = residual_jacobian(state)
+    row = rng.standard_normal(jac.shape[1])
+
+    def refuse(self):
+        raise AssertionError("|G_u| built as a sparse matrix")
+
+    for found in (jac, jac.bordered(row)):
+        dense = np.abs(dense_jacobian(found))
+        with monkeypatch.context() as patch:
+            patch.setattr(type(found.gu), "__abs__", refuse)
+            norms = found.norms()
+        assert norms == pytest.approx((dense.sum(axis=0).max(),
+                                       dense.sum(axis=1).max()),
+                                      rel=1e-14, abs=0.0)

@@ -249,8 +249,8 @@ def _repeated_g_row(jac):
     gu[1] = gu[0]
     cols = jac.cols.copy()
     cols[1] = cols[0]
-    # the new G_u is off the grid's pattern, so it has no grid order
-    return replace(jac, gu=gu.tocsr(), cols=cols, order=None)
+    # the new G_u is not its Linearization's, so it has none
+    return replace(jac, gu=gu.tocsr(), cols=cols, lin=None)
 
 
 def _zeroed_lam_column(jac):

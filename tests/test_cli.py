@@ -218,6 +218,22 @@ class TestHunt:
         config = _hunt_config(_resolve(args, {}, HUNT_CMD_OPTIONS))
         assert config.stage3_window == (np.inf, 0.25, np.inf)
 
+    def test_out_is_byte_reproducible(self, tmp_path, capsys):
+        # the stage times go to standard error, never into the document
+        args = ("--problem", "bratu", "--grid", "6x6", "--lam0",
+                "0,0.15,2.0", "--lam3-direction", "-1",
+                "--stage3-window", "3.0,0.25,2.5")
+        docs = []
+        for run in range(2):
+            out = tmp_path / f"hunt{run}.json"
+            assert main(["hunt", *args, "--out", str(out)]) == 0
+            assert capsys.readouterr().err.startswith(
+                "stage seconds: solution ")
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["stage_reached"] == "swallowtail"
+        assert "timings" not in json.loads(docs[0])
+
     def test_report_and_states(self, hunt_dir, hunt_doc):
         assert hunt_doc["stage_reached"] == "swallowtail"
         kinds = [p["kind"] for p in hunt_doc["chain"]]

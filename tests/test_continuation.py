@@ -47,7 +47,7 @@ def circle_problem():
     return ContinuationProblem(
         system=lambda z: (np.array([z[0] ** 2 + z[1] ** 2 - 1.0]),
                           np.array([[2.0 * z[0], 2.0 * z[1]]])),
-        monitors={"cusp": lambda z: z[0] - 0.5},
+        monitors={"cusp": lambda z, factor: z[0] - 0.5},
         fold_index=1,
     )
 
@@ -308,7 +308,7 @@ def refined_on_line(monitor, monkeypatch):
     whose steps are exact, with `monitor(x)` as the cusp monitor."""
     problem = ContinuationProblem(
         system=lambda z: (np.array([z[0] - z[1]]), np.array([[1.0, -1.0]])),
-        monitors={"cusp": lambda z: monitor(z[1])})
+        monitors={"cusp": lambda z, factor: monitor(z[1])})
     before = initial_point(problem, np.zeros(2))
     after = step(problem, before, 0.5)
     lengths = failing_steps(monkeypatch, 0)
@@ -496,7 +496,10 @@ class TestAugmentedWrapper:
                               alpha=np.ones(4), active=(0, 1))
         cp = augmented_continuation_problem(tmpl, monitors=("cusp",))
         z = tmpl.pack()
-        assert cp.monitors["cusp"](z) == cusp_monitor(tmpl.with_vector(z))
+        # a monitor reads the tangent's factor at z
+        factor = tangent(cp.system(z)[1])[1]
+        assert cp.monitors["cusp"](z, factor) == \
+            cusp_monitor(tmpl.with_vector(z))
         # a fold line watches its monitors, not a fold
         assert cp.fold_index is None
         # a solution branch watches its one active parameter, packed last
@@ -531,7 +534,9 @@ class TestAugmentedWrapper:
         state = tmpl.with_vector(z)
         expected = monitor(state, solve_v(state)[1])
         assert expected != 0.0
-        assert cp.monitors[name](z) == expected
+        # the same bits from the BorderedGu that the tangent factored
+        factor = tangent(cp.system(z)[1])[1]
+        assert cp.monitors[name](z, factor) == expected
 
 
 @pytest.fixture(scope="module")
@@ -838,18 +843,20 @@ class TestRankCheckOracle:
                                np.zeros(grid.size), np.array([1.0, 0.0, 0.0]),
                                active=(0,))
         _, jac = residual_jacobian(state)
-        assert sp.issparse(jac)
+        # G_u and its lam column, kept apart; G_u sparse
+        assert isinstance(jac, augmented.SolutionJacobian)
+        assert sp.issparse(jac.gu)
 
         def refuse(self, *args, **kwargs):
             raise AssertionError("dense copy of a sparse Jacobian")
 
-        classes = {cls for base in (type(jac), sp.csr_matrix, sp.csc_matrix,
-                                    sp.coo_matrix)
+        classes = {cls for base in (type(jac.gu), sp.csr_matrix,
+                                    sp.csc_matrix, sp.coo_matrix)
                    for cls in base.__mro__ if "toarray" in vars(cls)}
         for cls in classes:
             monkeypatch.setattr(cls, "toarray", refuse)
         with pytest.raises(AssertionError, match="dense copy"):
-            jac.toarray()
+            jac.gu.toarray()
         continuation._check_rank(ContinuationProblem(lambda z: None), jac)
 
 

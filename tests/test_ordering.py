@@ -1,12 +1,15 @@
 """The nested-dissection factor of every grid matrix, against oracles.
 
 Every grid factorization (the level-0 [J; t^T] and BorderedGu) runs in
-one nested-dissection order of the grid's points with the border last.
-Here the order is checked to be a permutation, the permuted solves
-against SuperLU in its default order (`helpers.superlu_solve`), the
-signature read from the level-0 factor against a dense slogdet, all on
-G_u shifted across Laplacian eigenvalue crossings and at a refined
-fold, and the permutation parity against an inversion count.
+one nested-dissection order of the grid's points with the border last,
+its input gathered from G_u and the border (`BorderedOrder.gather`).
+Here the order is checked to be a permutation, the gathered matrix bit
+for bit against the bordered CSR built whole and permuted
+(`helpers.permuted_bordered`), the permuted solves against SuperLU in
+its default order (`helpers.superlu_solve`), the signature read from
+the level-0 factor against a dense slogdet, all on G_u shifted across
+Laplacian eigenvalue crossings and at a refined fold, and the
+permutation parity against an inversion count.
 """
 
 import itertools
@@ -18,22 +21,26 @@ import scipy.sparse as sp
 from aseries.augmented import (
     AugmentedState,
     BorderedGu,
+    BorderedOrder,
     Linearization,
-    Ordering,
     Problem,
+    SolutionJacobian,
     _permutation_parity,
-    bordered_csr,
     residual_jacobian,
 )
 from aseries.continuation import (
-    _SparseJacobian,
+    _factor,
     augmented_continuation_problem,
+    bordered_csr,
     initial_point,
     run_branch,
 )
 from aseries.poisson import ExpSineNonlinearity, Grid, nested_dissection
 from helpers import (
+    Ordering,
     dense_det_sign,
+    dense_jacobian,
+    permuted_bordered,
     relative_error,
     superlu_solve,
     tangent_signature,
@@ -111,24 +118,76 @@ def test_bordered_layout_and_permutation(problem):
     dense = np.block([[gu.toarray(), cols], [rows]])
     assert np.array_equal(mat.toarray(), dense)
     perm = problem.bordered_order.perm
-    assert np.array_equal(problem.bordered_order.permute(mat).toarray(),
-                          dense[np.ix_(perm, perm)])
+    expected = dense[np.ix_(perm, perm)]
+    assert np.array_equal(permuted_bordered(gu, cols, rows, perm).toarray(),
+                          expected)
+    assert np.array_equal(problem.bordered_order.gather(
+        gu, cols[:, 0], rows[0]).toarray(), expected)
     # a zero in cols or rows stays stored, so the pattern does not move
     cols[3] = rows[0, 5] = 0.0
     assert bordered_csr(gu, cols, rows).nnz == mat.nnz
+    assert problem.bordered_order.gather(gu, cols[:, 0], rows[0]).nnz == \
+        mat.nnz
+
+
+def assert_same_csc(found, expected):
+    """Equal CSC matrices bit for bit: pattern, stored zeros and data."""
+    for part in ("indptr", "indices", "data"):
+        mine, theirs = getattr(found, part), getattr(expected, part)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert found.shape == expected.shape
+
+
+@pytest.mark.parametrize("kind", ["level-0", "bordered-gu"])
+@pytest.mark.parametrize("shape", [(9, 6), (4, 11), (1, 7)], ids=str)
+def test_gather_matches_the_oracle_bit_for_bit(kind, shape):
+    # rectangular grids (nx != ny), both border kinds: [G_u, g; t^T] and
+    # [G_u, k; k^T, -1], and zeros stored in the border
+    grid = Grid(*shape)
+    problem = Problem(grid, ExpSineNonlinearity())
+    n, rng = grid.size, np.random.default_rng(sum(shape))
+    order = problem.bordered_order
+    for zeros in (False, True):
+        gu = problem.gu(rng.standard_normal(n))
+        if kind == "level-0":
+            col, row = rng.standard_normal(n), rng.standard_normal(n + 1)
+        else:
+            col = rng.standard_normal(n)
+            row = np.append(col, -1.0)
+        if zeros:
+            col[0] = row[n // 2] = row[-1] = 0.0
+        assert_same_csc(order.gather(gu, col, row),
+                        permuted_bordered(gu, col, row, order.perm))
 
 
 def test_permute_rejects_another_pattern(problem):
-    other = sp.csr_matrix(np.ones((GRID.size + 1, GRID.size + 1)))
+    n = GRID.size
+    other = sp.csr_matrix(np.ones((n + 1, n + 1)))
     with pytest.raises(ValueError, match="pattern"):
-        problem.bordered_order.permute(other)
+        Ordering.of(bordered_csr(problem.lap, np.ones((n, 1)),
+                                 np.ones(n + 1))).permute(other)
+    # a G_u off the Laplacian's pattern is refused by the gather too
+    full = sp.csr_matrix(np.ones((n, n)))
+    with pytest.raises(ValueError, match="pattern"):
+        problem.bordered_order.gather(full, np.ones(n), np.ones(n + 1))
+    lap = problem.lap.copy()
+    lap.indices = lap.indices[::-1].copy()
+    with pytest.raises(ValueError, match="pattern"):
+        problem.bordered_order.gather(lap, np.ones(n), np.ones(n + 1))
 
 
 def test_identity_order_of_a_plain_matrix():
     mat = sp.csr_matrix(np.array([[0.0, 2.0], [3.0, 4.0]]))
-    order = Ordering.of(mat)
-    assert np.array_equal(order.perm, [0, 1])
-    assert np.array_equal(order.permute(mat).toarray(), mat.toarray())
+    order = BorderedOrder.of(mat)
+    assert np.array_equal(order.perm, [0, 1, 2])
+    col, row = np.array([5.0, 0.0]), np.array([6.0, 7.0, 8.0])
+    assert np.array_equal(order.gather(mat, col, row).toarray(),
+                          [[0.0, 2.0, 5.0], [3.0, 4.0, 0.0], row])
+    assert_same_csc(order.gather(mat, col, row),
+                    permuted_bordered(mat, col, row))
+    oracle = Ordering.of(mat)
+    assert np.array_equal(oracle.perm, [0, 1])
+    assert np.array_equal(oracle.permute(mat).toarray(), mat.toarray())
 
 
 @pytest.mark.parametrize("trans", ["N", "T"])
@@ -136,11 +195,10 @@ def test_level0_solves_across_crossings(problem, trans):
     rng = np.random.default_rng(5)
     n = GRID.size
     for gu, _ in shifted_gus(problem):
-        jac = bordered_csr(gu, rng.standard_normal((n, 1)))
+        jac = SolutionJacobian(gu, rng.standard_normal((n, 1)), problem)
         row = rng.standard_normal(n + 1)
-        lu = _SparseJacobian(jac, problem.bordered_order).bordered(
-            row).factor()
-        whole = sp.vstack([jac, sp.csr_matrix(row)])
+        lu = _factor(jac.bordered(row), strict=True)
+        whole = sp.csr_matrix(dense_jacobian(jac.bordered(row)))
         for rhs in (rng.standard_normal(n + 1),
                     rng.standard_normal((n + 1, 3))):
             assert relative_error(lu.solve(rhs, trans),
@@ -164,7 +222,7 @@ def test_signature_sign_across_crossings(problem):
     signs = []
     for seed, (gu, side) in enumerate(shifted_gus(problem)):
         expected = dense_det_sign(gu)
-        assert tangent_signature(gu, seed, problem.bordered_order) == expected
+        assert tangent_signature(gu, seed, problem) == expected
         assert tangent_signature(gu, seed) == expected  # the plain order too
         signs.append(expected)
     # each crossing flips the sign once
@@ -190,9 +248,9 @@ def test_level0_solve_at_the_fold(fold):
     assert abs(point.tangent[-1]) < 1e-6  # t_lam vanishes at the fold
     state = template.with_vector(point.z)
     jac = residual_jacobian(state)[1]
-    lu = _SparseJacobian(jac, state.problem.bordered_order).bordered(
-        point.tangent).factor()
-    whole = sp.vstack([jac, sp.csr_matrix(point.tangent)])
+    assert isinstance(jac, SolutionJacobian)
+    lu = _factor(jac.bordered(point.tangent), strict=True)
+    whole = sp.csr_matrix(dense_jacobian(jac.bordered(point.tangent)))
     rng = np.random.default_rng(8)
     for trans in ("N", "T"):
         rhs = rng.standard_normal((jac.shape[1], 2))
