@@ -223,6 +223,9 @@ def newton_solve(system, z0, tol_inf: float = NEWTON_TOL,
         if iters == max_iter:
             break
         z = z - _linear_solve(jac, r)
+        # a grid Jacobian keeps the factor its solve made: let it go
+        # before the next assembly rather than hold both at once
+        del jac
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (|R| = {norm:.3e})",
         z=z, iterations=max_iter, residual_norm=norm,
@@ -457,6 +460,7 @@ def _pinned_point(problem: ContinuationProblem, anchor: np.ndarray,
 
     def system(z):
         nonlocal jac
+        jac = None  # the last iterate's, and its factor, go first
         res, raw = problem.system(z)
         jac = _jacobian(raw)
         return np.append(res, row @ (z - anchor)), jac.bordered(row)

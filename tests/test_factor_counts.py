@@ -6,8 +6,13 @@ matrix (`continuation.bordered_csr`, left to plain Jacobians).  An
 accepted point on a cusp line factors G_u bordered by its kernel vector
 once per Newton iterate and once for its tangent: the monitors solve
 with the tangent's BorderedGu.  Each recorded monitor value is checked
-bit for bit against a fresh Linearization and `solve_v` at its z.
+bit for bit against a fresh Linearization and `solve_v` at its z.  A
+Jacobian keeps the BorderedGu its factors share, so Newton lets one
+iterate's Jacobian go before it assembles the next: no factor is alive
+at any assembly.
 """
+
+import weakref
 
 import pytest
 
@@ -33,10 +38,23 @@ def counted():
     """The hunt's report and, recorded by wrappers: the calls of each
     counted name, the type of every Jacobian factored in continuation,
     (dimension, Newton iterations, splu calls by module) of each accepted
-    point, and (template, name, z, value) of each monitor evaluation."""
+    point, (template, name, z, value) of each monitor evaluation and the
+    number of BorderedGu factors alive at each assembly."""
     calls = {"augmented.splu": 0, "continuation.splu": 0,
              "bordered_csr": 0}
-    factored, points, monitored = [], [], []
+    factored, points, monitored, alive = [], [], [], []
+    factors = weakref.WeakSet()
+
+    class TrackedBorderedGu(augmented.BorderedGu):
+        def __init__(self, *args):
+            super().__init__(*args)
+            factors.add(self)
+
+    assemble = augmented._assemble
+
+    def tracked_assemble(state, level):
+        alive.append(len(factors))
+        return assemble(state, level)
 
     def counter(name, fn):
         def wrapper(*args, **kwargs):
@@ -77,14 +95,16 @@ def counted():
         mp.setattr(continuation, "_factor", recording_factor)
         mp.setattr(continuation, "_pinned_point", recording_pinned)
         mp.setattr(continuation, "_pde_monitor", recording_monitor)
+        mp.setattr(augmented, "BorderedGu", TrackedBorderedGu)
+        mp.setattr(augmented, "_assemble", tracked_assemble)
         report = hunt_swallowtail(ExpSineNonlinearity(), GRID,
                                   ROBUST_CONFIG)
     assert report.stage_reached == "swallowtail"
-    return report, calls, factored, points, monitored
+    return report, calls, factored, points, monitored, alive
 
 
 def test_no_bordered_csr_on_the_grid(counted):
-    _, calls, factored, _, _ = counted
+    _, calls, factored, _, _, _ = counted
     assert calls["bordered_csr"] == 0
     # every Newton iterate and tangent factored G_u and its border
     assert set(factored) == {BlockJacobian, SolutionJacobian}
@@ -92,7 +112,7 @@ def test_no_bordered_csr_on_the_grid(counted):
 
 
 def test_cusp_line_point_factors_only_newton_and_tangent(counted):
-    _, _, _, points, _ = counted
+    _, _, _, points, _, _ = counted
     n = GRID.size
     cusp_line = [p for p in points if p[0] == 2 * n + 3]
     assert len(cusp_line) > 10
@@ -102,7 +122,7 @@ def test_cusp_line_point_factors_only_newton_and_tangent(counted):
 
 
 def test_monitor_values_match_a_fresh_evaluation(counted):
-    _, _, _, _, monitored = counted
+    _, _, _, _, monitored, _ = counted
     names = {name for _, name, _, _ in monitored}
     assert names == {"cusp", "swallowtail"}
     for template, name, z, value in monitored:
@@ -114,3 +134,10 @@ def test_monitor_values_match_a_fresh_evaluation(counted):
             _, v = solve_v(state, lin)
             fresh = swallowtail_monitor(state, v, lin)
         assert value == fresh
+
+
+def test_no_factor_alive_at_an_assembly(counted):
+    # hundreds of assemblies, each after the last factor was let go
+    alive = counted[5]
+    assert len(alive) > 200
+    assert max(alive) == 0
