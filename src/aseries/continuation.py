@@ -1,11 +1,18 @@
 """Pseudoarclength continuation with monitor-driven event detection.
 
 Continues any square-plus-one residual system R(z) = 0, R: R^(n+1) -> R^n,
-by an Euler predictor and an orthogonal corrector (Newton on R stacked
-with tangent . (z - z_pred) = 0).  Residual and Jacobian come from one
-callable, so each Newton iterate assembles once; the Jacobian of the
-converged corrector is reused for the tangent, and the tangent's factor
-for the rank check.
+by pseudoarclength steps from an accepted point z_k with unit tangent t:
+Newton on R stacked with t . (z - z_k - ds t) = 0, the hyperplane
+orthogonal to t through the Euler point z_k + ds t.  The corrector
+starts on that hyperplane, from the cubic Hermite interpolant in
+arclength through two accepted points of the line (Allgower & Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003, ch. 6): it
+extrapolates the last two points of a run and interpolates an event
+bracket's ends.  A line's first step starts from the Euler point.  A
+corrector gives up after NEWTON_STALL iterations without a new lowest
+residual norm.  Residual and Jacobian come from one callable, so each
+Newton iterate assembles once; the Jacobian of the converged corrector
+is reused for the tangent, and the tangent's factor for the rank check.
 The layer factors the square bordered matrix [J; row^T] in `_factor`.
 A level-1-3 augmented.BlockJacobian keeps its blocks and factors G_u
 bordered by the kernel vector, inside augmented.  The level-0
@@ -64,6 +71,15 @@ GROW_ITERS = 3
 
 NEWTON_TOL = 1e-9
 MAX_NEWTON = 25
+#: A continuation corrector gives up after this many iterations without
+#: a new lowest residual norm.  The failed correctors of the
+#: default-config 10x10 and 15x15 hunts wander between |R| = 0.4 and
+#: 1e3 and each reaches this by iteration 10; no converging corrector of
+#: those hunts or of the robust ones went more than one iteration
+#: without a new lowest.  A direct solve from a far start is not held
+#: to it: the 1x1 direct chain's swallowtail system converges after
+#: four iterations without a new lowest.
+NEWTON_STALL = 3
 EVENT_TOL = 1e-8
 REFINE_BUDGET = 60
 #: Event refinement stops when its bracket is narrower than this times
@@ -110,7 +126,8 @@ class NonFiniteResidualError(ContinuationError):
 
 
 class ConvergenceError(ContinuationError):
-    """Newton ran out of iterations; carries the best iterate seen."""
+    """Newton ran out of iterations or stalled; carries the iterate of
+    lowest residual norm seen, and that norm."""
 
     def __init__(self, message, z=None, iterations=0, residual_norm=np.inf):
         super().__init__(message)
@@ -201,16 +218,19 @@ def _linear_solve(mat, rhs: np.ndarray) -> np.ndarray:
 
 
 def newton_solve(system, z0, tol_inf: float = NEWTON_TOL,
-                 max_iter: int = MAX_NEWTON):
+                 max_iter: int = MAX_NEWTON, stall: int | None = None):
     """Newton iteration on a square system; returns (z, iterations).
 
     system(z) returns the residual and its Jacobian together.
     Convergence is measured by the infinity norm of the residual; the
     count excludes the final accepting evaluation, so a start that is
-    already converged reports zero iterations.
+    already converged reports zero iterations.  With stall set, an
+    evaluation that ends stall iterations in a row without a new lowest
+    norm ends the run as stalled.  The ConvergenceError of a stall or of
+    max_iter iterations carries the iterate of lowest norm.
     """
     z = np.array(z0, dtype=float)
-    norm = np.inf
+    best, best_norm, best_iter = z, np.inf, 0
     for iters in range(max_iter + 1):
         r, jac = system(z)
         r = np.asarray(r, dtype=float)
@@ -220,6 +240,14 @@ def newton_solve(system, z0, tol_inf: float = NEWTON_TOL,
                 f"non-finite residual at iteration {iters} (|R| = {norm})")
         if norm < tol_inf:
             return z, iters
+        if norm < best_norm:
+            best, best_norm, best_iter = z, norm, iters
+        elif stall is not None and iters - best_iter >= stall:
+            raise ConvergenceError(
+                f"no convergence: stalled at iteration {iters}, no new "
+                f"lowest |R| in {stall} iterations "
+                f"(best |R| = {best_norm:.3e})",
+                z=best, iterations=iters, residual_norm=best_norm)
         if iters == max_iter:
             break
         z = z - _linear_solve(jac, r)
@@ -227,8 +255,9 @@ def newton_solve(system, z0, tol_inf: float = NEWTON_TOL,
         # before the next assembly rather than hold both at once
         del jac
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (|R| = {norm:.3e})",
-        z=z, iterations=max_iter, residual_norm=norm,
+        f"no convergence in {max_iter} iterations "
+        f"(best |R| = {best_norm:.3e})",
+        z=best, iterations=max_iter, residual_norm=best_norm,
     )
 
 
@@ -445,13 +474,14 @@ def _record(problem: ContinuationProblem, z: np.ndarray, tang: np.ndarray,
     return rec
 
 
-def _pinned_point(problem: ContinuationProblem, anchor: np.ndarray,
-                  row: np.ndarray, previous: np.ndarray,
+def _pinned_point(problem: ContinuationProblem, start: np.ndarray,
+                  anchor: np.ndarray, row: np.ndarray, previous: np.ndarray,
                   s: float) -> BranchPoint:
     """Accepted point at arclength s of Newton on R(z) = 0 stacked with
-    row . (z - anchor) = 0, from anchor.
+    row . (z - anchor) = 0, from start.
 
-    Each Newton step factors [jac; row^T] as `_factor` dispatches it.
+    Each Newton step factors [jac; row^T] as `_factor` dispatches it,
+    and Newton gives up after NEWTON_STALL iterations without progress.
     The tangent, oriented along previous, comes from the Jacobian of R
     that the accepting Newton evaluation assembled, and the rank check,
     the signature and the monitors reuse the tangent's factor.
@@ -465,8 +495,8 @@ def _pinned_point(problem: ContinuationProblem, anchor: np.ndarray,
         jac = _jacobian(raw)
         return np.append(res, row @ (z - anchor)), jac.bordered(row)
 
-    z, iters = newton_solve(system, anchor, problem.newton_tol,
-                            problem.max_newton)
+    z, iters = newton_solve(system, start, problem.newton_tol,
+                            problem.max_newton, NEWTON_STALL)
     t, factor = tangent(jac, previous=previous)
     _check_rank(problem, jac, t, factor)
     signature = (0 if problem.fold_index is None
@@ -486,14 +516,48 @@ def initial_point(problem: ContinuationProblem, z0: np.ndarray,
     z0 = np.asarray(z0, dtype=float)
     row = np.zeros(len(z0))
     row[-1] = 1.0
-    return _pinned_point(problem, z0, row, direction * row, 0.0)
+    return _pinned_point(problem, z0, z0, row, direction * row, 0.0)
 
 
-def step(problem: ContinuationProblem, point: BranchPoint,
-         ds: float) -> BranchPoint:
-    """One predictor-corrector step of length ds from an accepted point."""
+def reversed_point(point: BranchPoint) -> BranchPoint:
+    """point as the start of its line's other way: its tangent, and the
+    fold direction recorded from it, negated.  Everything else recorded
+    there is the same either way: the monitors read z and G_u, and the
+    signature's two signs, of s_k and det [J; row^T], flip together."""
+    return replace(point, tangent=-point.tangent,
+                   monitors=replace(point.monitors,
+                                    fold_direction=-point.monitors
+                                    .fold_direction))
+
+
+def _hermite(a: BranchPoint, b: BranchPoint, ds: float) -> np.ndarray:
+    """Cubic Hermite interpolant in arclength through a and b, their z
+    and unit tangents, at a.s + ds; outside [a.s, b.s] it extrapolates."""
+    h = b.s - a.s
+    x = ds / h
+    return ((1.0 + 2.0 * x) * (1.0 - x) ** 2 * a.z
+            + x * (1.0 - x) ** 2 * h * a.tangent
+            + x * x * (3.0 - 2.0 * x) * b.z
+            + x * x * (x - 1.0) * h * b.tangent)
+
+
+def step(problem: ContinuationProblem, point: BranchPoint, ds: float,
+         other: BranchPoint | None = None) -> BranchPoint:
+    """One pseudoarclength step of length ds from an accepted point.
+
+    The accepted point solves R(z) = 0 on the hyperplane t . (z - z_k -
+    ds t) = 0, t and z_k the point's tangent and z.  Newton starts on
+    that hyperplane, from the projection of the cubic Hermite
+    interpolant (`_hermite`) through point and other, another accepted
+    point of the same line: the one before it on a run, the far end of
+    the bracket in an event refinement.  Without other it starts from
+    the Euler point z_k + ds t.
+    """
     t = point.tangent
-    return _pinned_point(problem, point.z + ds * t, t, t, point.s + ds)
+    anchor = point.z + ds * t
+    start = anchor if other is None else _hermite(point, other, ds)
+    start = start - (t @ (start - anchor)) * t
+    return _pinned_point(problem, start, anchor, t, t, point.s + ds)
 
 
 def _event_scalar(kind: str, point: BranchPoint) -> float | None:
@@ -506,19 +570,21 @@ def _refine_event(problem, kind, before, after) -> Event:
     """Shrink a sign-change bracket by regula falsi trials in step length.
 
     All trial points are re-stepped from the same base point (the
-    bracket's `before` end) with varying predictor length, so the
-    bracketing coordinate stays exactly consistent across trials.  Each
-    trial is the secant root of the bracket's ends.  When the same end
-    is kept twice in a row, its monitor value is scaled by
-    1 - m_new / m_prev (m_new the latest trial's, m_prev the replaced
-    end's; 1/2 when that is not positive), the Anderson-Bjorck rule,
-    which keeps the convergence superlinear.  A proposal outside the
-    bracket, one after STALL_TRIALS trials that have not halved the
-    bracket, or a failed trial is replaced by the midpoint.  Refinement
-    stops when |m| < EVENT_TOL of the monitor's scale, or the bracket
-    can no longer be split (BRACKET_RESOLUTION).  A bracket narrower
-    than DS_MIN in which no trial has beaten an end's |m| holds a jump
-    or a pole of the monitor rather than a root, and ends there too.
+    bracket's `before` end) with varying step length, so the bracketing
+    coordinate stays exactly consistent across trials; each corrector
+    starts from the Hermite interpolant between the bracket's original
+    ends (`step`).  Each trial is the secant root of the bracket's
+    ends.  When the same end is kept twice in a row, its monitor value
+    is scaled by 1 - m_new / m_prev (m_new the latest trial's, m_prev
+    the replaced end's; 1/2 when that is not positive), the
+    Anderson-Bjorck rule, which keeps the convergence superlinear.  A
+    proposal outside the bracket, one after STALL_TRIALS trials that
+    have not halved the bracket, or a failed trial is replaced by the
+    midpoint.  Refinement stops when |m| < EVENT_TOL of the monitor's
+    scale, or the bracket can no longer be split (BRACKET_RESOLUTION).
+    A bracket narrower than DS_MIN in which no trial has beaten an end's
+    |m| holds a jump or a pole of the monitor rather than a root, and
+    ends there too.
     """
     m_lo, m_hi = _event_scalar(kind, before), _event_scalar(kind, after)
     scale = max(abs(m_lo), abs(m_hi))
@@ -539,11 +605,11 @@ def _refine_event(problem, kind, before, after) -> Event:
         if stalled or not d_lo < d_trial < d_hi:
             d_trial = d_lo + 0.5 * width
         try:
-            trial = step(problem, before, d_trial)
+            trial = step(problem, before, d_trial, after)
         except ContinuationError:
             d_trial = d_lo + 0.5 * width
             try:
-                trial = step(problem, before, d_trial)
+                trial = step(problem, before, d_trial, after)
             except ContinuationError:
                 break
         m_trial = _event_scalar(kind, trial)
@@ -600,9 +666,11 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
                ds0: float = 0.1, max_steps: int = 200, stop_at=(),
                bounds: Callable[[np.ndarray], bool] | None = None,
                ds_max: float = DS_MAX) -> BranchResult:
-    """Adaptive predictor-corrector run from a converged start point.
+    """Adaptive pseudoarclength run from a converged start point.
 
-    Watches the problem's events (`ContinuationProblem.watched`).
+    Each step's corrector starts from the Hermite extrapolation of the
+    last two accepted points (`step`), the first step's from the Euler
+    point.  Watches the problem's events (`ContinuationProblem.watched`).
     Halves the step on corrector failure, grows it by GROW_FACTOR after
     fast convergence, and stops on the step budget, a bounds violation,
     a step failure at the minimal step, or an event whose kind appears
@@ -628,7 +696,8 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
     stopped_on = "steps"
     while accepted < max_steps:
         try:
-            new_point = step(problem, points[-1], ds)
+            new_point = step(problem, points[-1], ds,
+                             points[-2] if len(points) > 1 else None)
         except ContinuationError as exc:
             rejected.append((points[-1].s, ds, type(exc).__name__, str(exc)))
             if ds <= DS_MIN * (1.0 + 1e-12):

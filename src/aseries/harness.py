@@ -38,11 +38,13 @@ from .augmented import (
 from .continuation import (
     MAX_NEWTON,
     NEWTON_TOL,
+    BranchPoint,
     ContinuationError,
     ConvergenceError,
     augmented_continuation_problem,
     initial_point,
     newton_solve,
+    reversed_point,
     run_branch,
 )
 from .poisson import Grid, GridFunction, Nonlinearity, interpolate_to
@@ -275,19 +277,27 @@ def climb(state: AugmentedState, level: int, tol: float, max_newton: int,
 
 def trace_line(state: AugmentedState, level: int, direction: float,
                bounds, ds0: float, ds_max: float, max_steps: int,
-               tol: float, max_newton: int, stop: bool = True):
+               tol: float, max_newton: int, stop: bool = True,
+               reverse_of: BranchPoint | None = None):
     """Continue the level-`level` line through `state`, lam[:level + 1] free.
 
     The run watches the next stage (lam1 turning on the solution branch,
     else its monitor) and with `stop` ends at its first event.  Returns
     the template and the run, whose first point is the oriented start.
+    reverse_of is the first point of a run of the same line the other
+    way, from the same `state`: the run then starts from it reversed
+    (`reversed_point`), converges no start of its own, and direction
+    goes unused.
     """
     template = replace(state, level=level, lam=state.lam.copy(), vbar=None,
                        active=tuple(range(level + 1)))
     watch = STAGES[level + 1]
     wrapper = augmented_continuation_problem(
         template, (watch,) if level > 0 else (), tol, max_newton)
-    start = initial_point(wrapper, template.pack(), direction)
+    if reverse_of is None:
+        start = initial_point(wrapper, template.pack(), direction)
+    else:
+        start = reversed_point(reverse_of)
     return template, run_branch(wrapper, start, ds0=ds0, ds_max=ds_max,
                                 max_steps=max_steps,
                                 stop_at=(watch,) if stop else (),
@@ -295,12 +305,13 @@ def trace_line(state: AugmentedState, level: int, direction: float,
 
 
 def _line_event(state: AugmentedState, level: int, direction: float,
-                config: HuntConfig, report: HuntReport, notes: list):
+                config: HuntConfig, report: HuntReport, notes: list,
+                reverse_of: BranchPoint | None = None):
     """The hunt's level-`level` line: (event state or None, template, run).
 
     A cusp line keeps to stage3_window, the others to the lam_bounds
     box.  A line that cannot start, or a solution or fold line without
-    event, leaves a note.
+    event, leaves a note.  reverse_of goes to `trace_line`.
     """
     if level < 2:
         width = (config.lam_bounds,) * (level + 1)
@@ -312,7 +323,8 @@ def _line_event(state: AugmentedState, level: int, direction: float,
     try:
         template, run = trace_line(state, level, direction, bounds, ds0,
                                    ds_max, config.max_steps,
-                                   config.newton_tol, config.max_newton)
+                                   config.newton_tol, config.max_newton,
+                                   reverse_of=reverse_of)
     except ContinuationError as err:
         notes.append(f"{LINES[level]} dir {direction:+.0f}: {_cause(err)}")
         return None, None, None
@@ -340,13 +352,15 @@ def _slice_for_cusp(pivot: AugmentedState, config: HuntConfig):
     (None, None) when the slice finds no cusp distinct from the pivot.
     """
     window = _window_bounds(pivot.lam[:2].copy(), PIVOT_WINDOW)
+    first = None
     for direction in SLICE_DIRECTIONS:
         try:
             template, run = trace_line(pivot, 1, direction, window, 0.02, 0.1,
                                        config.max_steps, config.newton_tol,
-                                       config.max_newton)
+                                       config.max_newton, reverse_of=first)
         except ContinuationError:
             continue
+        first = run.points[0]
         for event in _clean(run.events, "cusp"):
             try:
                 located = climb(template.with_vector(event.point.z), 2,
@@ -360,15 +374,19 @@ def _slice_for_cusp(pivot: AugmentedState, config: HuntConfig):
 
 def _swallowtail_event(cusp: AugmentedState, config: HuntConfig,
                        report: HuntReport, notes: list):
-    """State at the first refined swallowtail event (or None); pivots."""
+    """State at the first refined swallowtail event (or None); pivots.
+
+    Each cusp line that is traced both ways converges its start once."""
     sign = float(config.lam3_direction)
+    first = None
     for direction in (sign, -sign):
         found, template, run = _line_event(cusp, 2, direction, config,
-                                           report, notes)
+                                           report, notes, first)
         if found is not None:
             return found
         if run is None:
             continue
+        first = run.points[0]
         notes.append(f"cusp line dir {direction:+.0f}: monitor kept sign "
                      f"({run.stopped_on})")
         for offset in config.pivot_offsets:
@@ -384,9 +402,11 @@ def _swallowtail_event(cusp: AugmentedState, config: HuntConfig,
                          f"found a second cusp line")
             report.events.append(_event_doc("pivot", slice_event, (0, 1)))
             report.chain.append(_located(*located, note="pivot slice"))
+            retried = None
             for retry in (-sign, sign):
-                found = _line_event(located[0], 2, retry, config, report,
-                                    notes)[0]
+                found, _, retried = _line_event(
+                    located[0], 2, retry, config, report, notes,
+                    retried.points[0] if retried is not None else None)
                 if found is not None:
                     return found
     return None
@@ -643,15 +663,17 @@ def verify_swallowtail_geometry(state: AugmentedState) -> GeometryReport:
         return GeometryReport(tuple(lam_sw), 0.0, at_singularity=True)
 
     # trace the cusp line away from the swallowtail on both sides
-    anchors = {}
+    anchors, first = {}, None
     for direction in (1.0, -1.0):
         try:
             template, run = trace_line(
                 state, 2, direction,
                 lambda z: abs(z[-1] - lam_sw[2]) < dlam3, 0.02, 0.1,
-                TRACE_STEPS, NEWTON_TOL, MAX_NEWTON, stop=False)
+                TRACE_STEPS, NEWTON_TOL, MAX_NEWTON, stop=False,
+                reverse_of=first)
         except ContinuationError as err:
             raise GeometryError(f"cusp line trace failed: {err}") from err
+        first = run.points[0]
         end = template.with_vector(run.points[-1].z)
         offset = end.lam[2] - lam_sw[2]
         if abs(offset) < dlam3:
@@ -689,15 +711,16 @@ def verify_swallowtail_geometry(state: AugmentedState) -> GeometryReport:
             lam = np.array([z[-2], z[-1], lam3_fixed])
             return bool(np.linalg.norm(lam - lam_sw) < radius)
 
-        stopped = []
+        stopped, first = [], None
         for direction in (1.0, -1.0):
             try:
                 _, run = trace_line(base, 1, direction, in_ball, 0.01,
                                     SLICE_DS_MAX, SLICE_STEPS, NEWTON_TOL,
-                                    MAX_NEWTON, stop=False)
+                                    MAX_NEWTON, stop=False, reverse_of=first)
             except ContinuationError as err:
                 raise GeometryError(
                     f"{side_name}-side fold line lost: {err}") from err
+            first = run.points[0]
             stopped.append(run.stopped_on)
             zeros.extend(tuple(e.point.z[-2:])
                          for e in _clean(run.events, "cusp"))

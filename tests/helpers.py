@@ -21,6 +21,7 @@ from aseries.classifier import TensorOracle
 from aseries.continuation import (
     RankDeficientError,
     SingularJacobianError,
+    _pinned_point,
     _SparseJacobian,
     bordered_csr,
     solution_signature,
@@ -458,3 +459,12 @@ def permuted_bordered(gu, col, row, perm=None) -> sp.csc_matrix:
 def dense_det_sign(mat) -> int:
     """Sign of det(mat) by a dense LU (np.linalg.slogdet); 0 if singular."""
     return int(np.linalg.slogdet(dense_jacobian(mat))[0])
+
+
+def euler_step(problem, point, ds, other=None):
+    """`continuation.step` with its corrector started from the Euler
+    point z + ds t, other unused: the same hyperplane, anchor and row,
+    so the same accepted point up to the Newton tolerance."""
+    t = point.tangent
+    anchor = point.z + ds * t
+    return _pinned_point(problem, anchor, anchor, t, t, point.s + ds)

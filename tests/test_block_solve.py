@@ -51,10 +51,10 @@ TANGENT_TOL = 1e-11
 #: sigma_min from the block path's Lanczos against the dense SVD,
 #: relative; measured 6.3e-13 (RANK_LANCZOS_TOL is 1e-10).
 SIGMA_TOL = 1e-10
-#: Steps of each extra fold line.  With fewer event trials the hunts
-#: alone record 96 Newton matrices and 35 tangents at 10x10, and 106
-#: and 38 at 15x15; the two lines add about 20 and 10.
-FOLD_STEPS = 4
+#: Steps of each extra fold line.  With one Newton iteration on most
+#: steps the hunts alone record 72 Newton matrices and 35 tangents at
+#: 10x10, and 81 and 38 at 15x15; the two lines add about 44 and 25.
+FOLD_STEPS = 10
 
 
 def _is_block(jac) -> bool:

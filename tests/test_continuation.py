@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from aseries import augmented, continuation
+from aseries import augmented, continuation, harness
 from aseries.augmented import (
     AugmentedState,
     MonitorRecord,
@@ -19,7 +19,10 @@ from aseries.augmented import (
     solve_v,
     swallowtail_monitor,
 )
+from aseries.cli import main
 from aseries.continuation import (
+    MAX_NEWTON,
+    NEWTON_STALL,
     BranchPoint,
     ContinuationError,
     ContinuationProblem,
@@ -31,14 +34,28 @@ from aseries.continuation import (
     detect_events,
     initial_point,
     newton_solve,
+    reversed_point,
     run_branch,
     step,
     tangent,
 )
-from aseries.harness import locate, seed_kernel_vector
+from aseries.harness import (
+    HuntConfig,
+    hunt_swallowtail,
+    locate,
+    seed_kernel_vector,
+)
 from aseries.poisson import ExpSineNonlinearity, Grid, PolynomialNonlinearity
 from aseries.augmented import residual_jacobian
-from helpers import dense_det_sign, dense_rank_check, dense_tangent
+from helpers import (
+    dense_det_sign,
+    dense_rank_check,
+    dense_tangent,
+    euler_step,
+)
+
+ROBUST_CONFIG = HuntConfig(lam0=(0.0, 0.15, 2.0), lam2_direction=1,
+                           lam3_direction=-1, stage3_window=(3.0, 0.25, 2.5))
 
 
 def circle_problem():
@@ -108,6 +125,184 @@ class TestNewton:
             assert out.lam[0] == pytest.approx(16.0, abs=1e-8)
             assert out.alpha[0] == pytest.approx(2.0 * sign, abs=1e-8)
             assert iters <= 6
+
+
+class TestNewtonStall:
+    @staticmethod
+    def arctan(z):
+        """Newton on arctan from |z| > 1.39 overshoots farther at every
+        iterate: |R| climbs towards pi/2, and the start stays the best."""
+        return np.arctan(z), np.diag(1.0 / (1.0 + z**2))
+
+    def test_growing_iterates_stop_before_max_newton(self):
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            newton_solve(self.arctan, np.array([2.0]), stall=NEWTON_STALL)
+        err = info.value
+        assert err.iterations == NEWTON_STALL < MAX_NEWTON
+        assert err.z == pytest.approx([2.0])
+        assert err.residual_norm == np.arctan(2.0)
+
+    def test_diverging_corrector_stalls(self):
+        # R = arctan(x - y^2) is solved at the origin with tangent e_y;
+        # the step to y = 2 starts Newton on arctan(x - 4) at x = 0
+        problem = ContinuationProblem(
+            system=lambda z: (np.arctan([z[0] - z[1] ** 2]),
+                              np.array([[1.0, -2.0 * z[1]]])
+                              / (1.0 + (z[0] - z[1] ** 2) ** 2)))
+        start = initial_point(problem, np.zeros(2))
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            step(problem, start, 2.0)
+        assert info.value.iterations < MAX_NEWTON
+
+
+def corrector_outcomes(stall, run) -> list:
+    """(start, converged z or None, iterations) of every continuation
+    corrector of run() with NEWTON_STALL = stall."""
+    outcomes, real = [], continuation.newton_solve
+
+    def recording(system, z0, *args):
+        try:
+            z, iters = real(system, z0, *args)
+        except ContinuationError as exc:
+            outcomes.append((z0, None, getattr(exc, "iterations", None)))
+            raise
+        outcomes.append((z0, z, iters))
+        return z, iters
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "newton_solve", recording)
+        mp.setattr(continuation, "NEWTON_STALL", stall)
+        run()
+    return outcomes
+
+
+@pytest.mark.parametrize("name", ["robust-10x10", "default-10x10",
+                                  "continue-15x15"])
+def test_stall_rule_keeps_every_converging_corrector(name, tmp_path):
+    """Every corrector that converges without the stall rule converges
+    with it, through the same iterates; the rule only shortens the
+    failed ones (4 on the default-config hunt)."""
+    def run():
+        if name == "continue-15x15":
+            assert main(["continue", "--problem", "bratu", "--grid", "15x15",
+                         "--level", "0", "--active", "l1", "--stop-at",
+                         "fold", "--out", str(tmp_path / "branch.csv")]) == 0
+        else:
+            config = ROBUST_CONFIG if name.startswith("robust") else \
+                HuntConfig()
+            report = hunt_swallowtail(ExpSineNonlinearity(), Grid(10, 10),
+                                      config)
+            assert report.stage_reached == "swallowtail"
+
+    free, held = corrector_outcomes(None, run), corrector_outcomes(
+        NEWTON_STALL, run)
+    assert len(free) == len(held)
+    for (start, z, iters), (start_h, z_h, iters_h) in zip(free, held):
+        assert np.array_equal(start, start_h)
+        assert (z is None) == (z_h is None)
+        if z is not None:
+            assert np.array_equal(z, z_h) and iters == iters_h
+        else:
+            assert iters_h < MAX_NEWTON
+    failed = sum(z is None for _, z, _ in held)
+    assert failed == (4 if name.startswith("default") else 0)
+
+
+def with_starts(euler: bool, run):
+    """(run(), Newton iterations of its correctors), each corrector
+    started as `step` starts it, or with euler from the Euler point
+    (`helpers.euler_step`)."""
+    iterations, real = [], continuation.newton_solve
+
+    def counting(system, z0, *args):
+        z, iters = real(system, z0, *args)
+        iterations.append(iters)
+        return z, iters
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "newton_solve", counting)
+        if euler:
+            mp.setattr(continuation, "step", euler_step)
+        result = run()
+    return result, sum(iterations)
+
+
+def assert_same_run(run, oracle, n_lam: int) -> None:
+    """Same accepted points to 1e-10 relative, same events with lam to
+    1e-12, same rejected steps and the same stop."""
+    assert len(run.points) == len(oracle.points)
+    for a, b in zip(run.points, oracle.points):
+        assert np.linalg.norm(a.z - b.z) <= 1e-10 * np.linalg.norm(b.z)
+    assert ([(e.kind, e.approximate) for e in run.events]
+            == [(e.kind, e.approximate) for e in oracle.events])
+    for a, b in zip(run.events, oracle.events):
+        assert np.abs(a.point.z[-n_lam:] - b.point.z[-n_lam:]).max() <= 1e-12
+    assert run.rejected == oracle.rejected
+    assert run.stopped_on == oracle.stopped_on
+
+
+class TestHermiteStart:
+    """The Hermite start against the Euler-start oracle: the same steps,
+    points and events, in fewer Newton iterations."""
+
+    def test_interpolant_is_exact_on_cubics(self):
+        # a cubic path is its own Hermite interpolant, also where the
+        # interpolant extrapolates: behind a, between a and b, past b
+        coeffs = np.random.default_rng(0).standard_normal((4, 3))
+
+        def point(s):
+            z = s ** np.arange(4) @ coeffs
+            dz = np.arange(1, 4) * s ** np.arange(3) @ coeffs[1:]
+            return BranchPoint(z, s, dz, MonitorRecord(), 0, 0)
+
+        a, b = point(0.4), point(1.1)
+        for ds in (-0.7, 0.3, 1.9):
+            assert continuation._hermite(a, b, ds) == pytest.approx(
+                point(a.s + ds).z, rel=1e-12, abs=1e-12)
+            assert continuation._hermite(b, a, ds) == pytest.approx(
+                point(b.s + ds).z, rel=1e-12, abs=1e-12)
+
+    def test_bratu_branch_to_its_fold(self):
+        grid = Grid(15, 15)
+        tmpl = AugmentedState(Problem(grid, ExpSineNonlinearity()), 0,
+                              np.zeros(grid.size), np.zeros(3), active=(0,))
+        cp = augmented_continuation_problem(tmpl)
+        start = initial_point(cp, tmpl.pack())
+
+        def run():
+            return run_branch(cp, start, ds0=0.1, max_steps=200,
+                              stop_at=("fold",))
+
+        (found, iters), (oracle, oracle_iters) = (with_starts(False, run),
+                                                  with_starts(True, run))
+        assert found.stopped_on == "event:fold"
+        assert_same_run(found, oracle, 1)
+        assert iters <= 0.6 * oracle_iters
+
+    def test_robust_hunt_lines(self):
+        def run():
+            lines, real = [], harness.trace_line
+
+            def recording(state, level, *args, **kwargs):
+                template, found = real(state, level, *args, **kwargs)
+                lines.append((level, found))
+                return template, found
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "trace_line", recording)
+                report = hunt_swallowtail(ExpSineNonlinearity(),
+                                          Grid(10, 10), ROBUST_CONFIG)
+            return report, lines
+
+        ((report, lines), iters), ((oracle, oracle_lines), oracle_iters) = (
+            with_starts(False, run), with_starts(True, run))
+        assert [level for level, _ in lines] == [0, 1, 2]
+        assert [level for level, _ in oracle_lines] == [0, 1, 2]
+        for (level, found), (_, expected) in zip(lines, oracle_lines):
+            assert_same_run(found, expected, level + 1)
+        assert report.swallowtail.lam == pytest.approx(
+            oracle.swallowtail.lam, abs=1e-12)
+        assert iters < oracle_iters
 
 
 class TestTangent:
@@ -259,11 +454,11 @@ def failing_steps(monkeypatch, failures: int, zero_at=None) -> list:
     requested step lengths."""
     lengths = []
 
-    def patched(problem, point, ds):
+    def patched(problem, point, ds, other=None):
         lengths.append(ds)
         if len(lengths) <= failures:
             raise ContinuationError("forced trial failure")
-        trial = step(problem, point, ds)
+        trial = step(problem, point, ds, other)
         if len(lengths) == zero_at:
             trial.monitors = MonitorRecord(fold_direction=0.0)
         return trial
@@ -935,6 +1130,21 @@ def fold_line(branch):
                           alpha=fold.alpha, active=(0, 1))
     wrapper = augmented_continuation_problem(line)
     return wrapper, line, initial_point(wrapper, line.pack())
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_reversed_start_is_the_start_the_other_way(branch, fold_line,
+                                                   level):
+    """A line's start, converged once and reversed, is bit for bit the
+    start that initial_point converges for the other direction."""
+    problem, state, start = branch if level == 0 else fold_line
+    other = initial_point(problem, state.pack(), -1.0)
+    flipped = reversed_point(start)
+    assert np.array_equal(flipped.z, other.z)
+    assert np.array_equal(flipped.tangent, other.tangent)
+    assert flipped.monitors == other.monitors
+    assert flipped.signature == other.signature
+    assert flipped.newton_iters == other.newton_iters
 
 
 def test_signature_only_on_solution_branches(branch, fold_line):

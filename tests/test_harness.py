@@ -374,6 +374,29 @@ class TestGeometry:
         assert cusp_slice.lam3 - lam3_sw == pytest.approx(
             lam3_sw - smooth.lam3, abs=1e-12)
 
+    def test_each_line_converges_its_start_once(self, robust_sw,
+                                                monkeypatch):
+        """The cusp-line trace and the two fold slices each run both
+        ways from one converged start; converging a start for every
+        direction gives the same report."""
+        starts, real = [], harness.initial_point
+
+        def counting(*args):
+            starts.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(harness, "initial_point", counting)
+        report = verify_swallowtail_geometry(robust_sw)
+        assert starts == [1.0] * 3
+        trace = harness.trace_line
+        monkeypatch.setattr(harness, "trace_line",
+                            lambda *args, reverse_of=None, **kwargs:
+                            trace(*args, **kwargs))
+        starts.clear()
+        fresh = verify_swallowtail_geometry(robust_sw)
+        assert starts == [1.0, -1.0] * 3
+        assert fresh.to_dict() == report.to_dict()
+
     def test_zero_offset_flags_singularity(self, poly_report):
         report = verify_swallowtail_geometry(poly_report.swallowtail.state)
         assert report.at_singularity
