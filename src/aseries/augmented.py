@@ -164,6 +164,19 @@ class Problem:
     def lap(self) -> sp.csr_matrix:
         return build_laplacian(self.grid)
 
+    @property
+    def weight(self) -> float:
+        """Quadrature weight of each unknown: the grid's cell area."""
+        return self.grid.cell_area
+
+    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
+        """The discrete L2 pairing weight * (x . y)."""
+        return self.weight * (x @ y)
+
+    def normalize(self, a: np.ndarray) -> np.ndarray:
+        """a scaled to unit discrete L2 norm."""
+        return a / np.sqrt(self.inner(a, a))
+
     @cached_property
     def _diagonal(self) -> np.ndarray:
         """Positions of the Laplacian's diagonal in its CSR data."""
@@ -686,10 +699,10 @@ def _assemble(state: AugmentedState, level: int):
     res = [prob.lap @ u + f[0]]
     if level == 0:
         return res[0], SolutionJacobian(gu, dlam[0][:, act], prob)
-    a, area = state.alpha, prob.grid.cell_area
+    a = state.alpha
     zero = np.zeros_like(a)
-    res += [gu @ a, [area * (a @ a) - 1.0]]
-    rows = [(zero, 2.0 * area * a, np.zeros(3))]
+    res += [gu @ a, [prob.inner(a, a) - 1.0]]
+    rows = [(zero, 2.0 * prob.weight * a, np.zeros(3))]
     if level >= 2:
         res.append([f[2] @ a**3])
         rows.append((f[3] * a**3, 3.0 * f[2] * a**2, a**3 @ dlam[2]))

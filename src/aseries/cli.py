@@ -421,21 +421,21 @@ def cmd_continue(opts: dict) -> int:
     if monitors is None:
         monitors = {1: ("cusp",), 2: ("swallowtail",)}.get(level, ())
     _check_continue(opts, monitors)
+    problem = Problem(grid, nl)
     u = np.zeros(grid.size)
     if opts["u0"] is not None:
         u = _load_matching(opts["u0"], grid, "u0")
     alpha = None
     if opts["alpha0"] is not None:
         alpha = _load_matching(opts["alpha0"], grid, "alpha0")
-        norm = np.sqrt(grid.cell_area * (alpha @ alpha))
-        if norm == 0.0:
+        if problem.inner(alpha, alpha) == 0.0:
             raise UsageError("--alpha0 is identically zero")
-        alpha = alpha / norm
+        alpha = problem.normalize(alpha)
     if level == 0:
         alpha = None
     elif alpha is None:
-        alpha = seed_kernel_vector(grid, opts["seed"])
-    template = AugmentedState(Problem(grid, nl), level, u, lam, alpha=alpha,
+        alpha = seed_kernel_vector(problem, opts["seed"])
+    template = AugmentedState(problem, level, u, lam, alpha=alpha,
                               active=active)
     wrapper = augmented_continuation_problem(template, monitors, opts["tol"],
                                              opts["max_newton"])

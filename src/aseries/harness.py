@@ -237,11 +237,10 @@ def _window_bounds(center: np.ndarray, widths) -> callable:
     return bounds
 
 
-def seed_kernel_vector(grid: Grid, seed: int) -> np.ndarray:
+def seed_kernel_vector(problem: Problem, seed: int) -> np.ndarray:
     """Random kernel-vector guess, normalized to the discrete L2 norm."""
     rng = np.random.default_rng(seed)
-    alpha = rng.standard_normal(grid.size)
-    return alpha / np.sqrt(grid.cell_area * (alpha @ alpha))
+    return problem.normalize(rng.standard_normal(problem.grid.size))
 
 
 def _clean(events, kind: str):
@@ -423,7 +422,7 @@ def _stage(state: AugmentedState, level: int, config: HuntConfig,
     if level > 0:
         overrides = {}
         if level == 1:
-            overrides["alpha"] = seed_kernel_vector(state.problem.grid,
+            overrides["alpha"] = seed_kernel_vector(state.problem,
                                                     config.seed)
         elif config.direct_start:
             overrides["lam"] = _nudged(state.lam)
@@ -488,7 +487,7 @@ def refine_on_grid(state: AugmentedState, grid: Grid,
     alpha = vbar = None
     if state.level >= 1:
         alpha = move(state.alpha)
-        square = grid.cell_area * (alpha @ alpha)
+        square = target.inner(alpha, alpha)
         if square == 0.0:
             raise RefinementError("kernel vector vanished under refinement")
         # a root on its own grid keeps its kernel vector bit for bit

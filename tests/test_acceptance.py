@@ -220,7 +220,7 @@ def test_criterion_6_fold_location_with_richardson_consistency():
     at_fold = template.with_vector(events[0].point.z)
     fold, _, _ = locate(AugmentedState(prob, 1, at_fold.u,
                                        at_fold.lam.copy(),
-                                       alpha=seed_kernel_vector(grid, 0),
+                                       alpha=seed_kernel_vector(prob, 0),
                                        active=(0,)))
     values = [fold.lam[0]]
     state = fold

@@ -157,6 +157,23 @@ class TestFoldSystem:
         expected = prob.lap @ st.u + prob.nl.derivative(0, st.u, st.lam)[0]
         assert np.array_equal(res[:6], expected)
 
+    def test_pairing_is_the_cell_area_weighted_dot(self):
+        rng = np.random.default_rng(3)
+        grid = Grid(4, 3)
+        prob = Problem(grid, ExpSineNonlinearity())
+        x, y = rng.standard_normal((2, grid.size))
+        assert prob.weight == grid.cell_area
+        assert prob.inner(x, y) == grid.cell_area * (x @ y)
+        unit = prob.normalize(x)
+        assert np.array_equal(unit, x / np.sqrt(grid.cell_area * (x @ x)))
+        assert prob.inner(unit, unit) == pytest.approx(1.0, abs=1e-15)
+        st = random_state(prob, 1, (0,), rng)
+        res, jac = f1_residual_jacobian(st)
+        assert res[2 * grid.size] == prob.inner(st.alpha, st.alpha) - 1.0
+        n = grid.size
+        assert np.array_equal(jac.rows[0, n : 2 * n],
+                              2.0 * grid.cell_area * st.alpha)
+
 
 class TestCuspValue:
     def test_polynomial_scales_with_lam2(self):

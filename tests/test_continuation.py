@@ -1125,7 +1125,7 @@ def fold_line(branch):
     at_fold = tmpl.with_vector(res.events[0].point.z)
     fold, _, _ = locate(AugmentedState(
         tmpl.problem, 1, at_fold.u, at_fold.lam.copy(),
-        alpha=seed_kernel_vector(tmpl.problem.grid, 0), active=(0,)))
+        alpha=seed_kernel_vector(tmpl.problem, 0), active=(0,)))
     line = AugmentedState(tmpl.problem, 1, fold.u, fold.lam.copy(),
                           alpha=fold.alpha, active=(0, 1))
     wrapper = augmented_continuation_problem(line)
