@@ -22,9 +22,9 @@ level.  `solution_residual_jacobian` and
 `f1_`/`f2_`/`f3_residual_jacobian` each assemble one fixed level, so a
 level-k name applied to a higher-level state still gives level k.
 
-The normalization is the discrete-L2 dx dy a.a = 1.  The auxiliary
-vbar parameterizes the kernel-orthogonal correction v = G_u vbar, so
-orthogonality to the kernel holds exactly even on coarse grids.
+The normalization is the discrete-L2 dx dy a.a = 1.  Only level 3
+carries vbar, with v = G_u vbar.  The monitors solve for v itself:
+G_u v + mu a = -f_uu . a^2 with a.v = 0, one bordered solve.
 
 Levels 1-3 return their Jacobian as a BlockJacobian, never one global
 matrix.  Its BlockFactor factors one (n+1) x (n+1) matrix, G_u bordered
@@ -75,8 +75,8 @@ CAPACITANCE_COND_MAX = 1e12
 
 
 class SingularAuxiliaryError(RuntimeError):
-    """A regularized system G + a a^T (kernel dimension > 1), or the
-    block Jacobian it helps to solve, is singular."""
+    """G_u + k k^T (kernel dimension > 1), a kernel-orthogonal solve on
+    it, or the block Jacobian it helps to solve, is singular."""
 
 
 @dataclass(frozen=True)
@@ -320,10 +320,9 @@ class BorderedGu:
     With right-hand side [b; 0] the bordered matrix [[G_u, k], [k^T, -1]]
     has the solution [x; k.x] with B x = b, B = G_u + k k^T, and it is
     singular exactly when B is.  B is regular at a simple fold, where a
-    spans the kernel of G_u.  For symmetric G_u, B^2 = G_u^2 + a a^T +
-    g k^T + k g^T with g = G_u k.  order is a Problem's bordered_order,
-    which gathers the bordered matrix from gu and k; None for a plain gu
-    factors in gu's own order."""
+    spans the kernel of G_u.  g = G_u k serves the level-3 block solve.
+    order is a Problem's bordered_order, which gathers the bordered
+    matrix from gu and k; None for a plain gu factors in gu's own order."""
 
     def __init__(self, gu, a: np.ndarray,
                  order: BorderedOrder | None = None):
@@ -346,24 +345,21 @@ class BorderedGu:
         pad = np.zeros((1, rhs.shape[1]))
         return self.lu.solve(np.vstack([rhs, pad]), trans=trans)[:-1]
 
-    def square_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(G_u^2 + a a^T)^-1 rhs for symmetric G_u.
+    def orthogonal_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """v with G_u v + mu k = rhs and k.v = 0, for any G_u.
 
-        That matrix is B^2 less the rank-two g k^T + k g^T, so two
-        solves with B and a 2 x 2 Woodbury capacitance give it.
+        x = B^-1 [rhs, k] in one solve; mu = k.x_rhs / k.x_k makes
+        v = x_rhs - mu x_k orthogonal to k, and then B v = rhs - mu k
+        reads G_u v + mu k = rhs.  A non-finite v raises
+        SingularAuxiliaryError.
         """
-        y = self.solve(self.solve(np.column_stack([rhs, self.g, self.k])))
-        right = np.column_stack([self.k, self.g])
-        try:
-            x = y[:, 0] + y[:, 1:] @ np.linalg.solve(
-                np.eye(2) - right.T @ y[:, 1:], right.T @ y[:, 0])
-        except np.linalg.LinAlgError as exc:
+        x = self.solve(np.column_stack([rhs, self.k]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = x[:, 0] - (self.k @ x[:, 0]) / (self.k @ x[:, 1]) * x[:, 1]
+        if not np.all(np.isfinite(v)):
             raise SingularAuxiliaryError(
-                "regularized system is singular") from exc
-        if not np.all(np.isfinite(x)):
-            raise SingularAuxiliaryError(
-                "regularized system is numerically singular")
-        return x
+                "bordered system is numerically singular")
+        return v
 
 
 def _gu_sums(gu, problem: Problem | None) -> tuple:
@@ -787,14 +783,10 @@ def cusp_monitor(state: AugmentedState,
 
 
 def solve_v(state: AugmentedState, lin: Linearization | None = None):
-    """Kernel-orthogonal correction: (G_u^2 + a a^T) vbar = -(f_uu . a^2).
-
-    Returns (vbar, v) with v = G_u vbar; v solves G_u v = -(f_uu . a^2)
-    projected off the kernel, and is orthogonal to it by construction.
-    """
+    """Kernel-orthogonal correction v: G_u v + mu a = -(f_uu . a^2) with
+    a.v = 0, one bordered solve on lin's BorderedGu."""
     lin = lin or Linearization(state, 2)
-    vbar = lin.bordered.square_solve(-lin.f[2] * state.alpha**2)
-    return vbar, lin.gu @ vbar
+    return lin.bordered.orthogonal_solve(-lin.f[2] * state.alpha**2)
 
 
 def swallowtail_monitor(state: AugmentedState, v: np.ndarray,
@@ -809,14 +801,14 @@ def butterfly_monitor(state: AugmentedState, v: np.ndarray,
                       lin: Linearization | None = None) -> float:
     """Butterfly test with the auxiliary w-solve.
 
-    (G_u^2 + a a^T) wbar = -(3 f_uu . a . v + f_uuu . a^3), w = G_u wbar,
-    value = f_uuuu . a^5 - 15 (f_uu . a) . v^2 + 10 (f_uu . a^2) . w.
+    G_u w + mu a = -(3 f_uu . a . v + f_uuu . a^3) with a.w = 0, solved
+    like v, and value = f_uuuu . a^5 - 15 (f_uu . a) . v^2
+    + 10 (f_uu . a^2) . w.
     """
     a = state.alpha
     lin = lin or Linearization(state, 4)
     f2, f3, f4 = lin.f[2:5]
-    wbar = lin.bordered.square_solve(-(3.0 * f2 * a * v + f3 * a**3))
-    w = lin.gu @ wbar
+    w = lin.bordered.orthogonal_solve(-(3.0 * f2 * a * v + f3 * a**3))
     return float(f4 @ a**5 - 15.0 * (f2 * a) @ (v * v)
                  + 10.0 * (f2 * a**2) @ w)
 
@@ -824,7 +816,7 @@ def butterfly_monitor(state: AugmentedState, v: np.ndarray,
 def evaluate_monitors(state: AugmentedState) -> MonitorRecord:
     """Cusp and swallowtail values at a state; butterfly at level 3."""
     lin = Linearization(state, 4 if state.level == 3 else 3)
-    _, v = solve_v(state, lin)
+    v = solve_v(state, lin)
     butterfly = (butterfly_monitor(state, v, lin) if state.level == 3
                  else None)
     return MonitorRecord(

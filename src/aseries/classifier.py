@@ -176,19 +176,18 @@ def _derivative_table(alpha, jet, top: int):
 def _solve_restricted(hessian: np.ndarray, alpha: np.ndarray, rhs: np.ndarray):
     """Solve S^(2)(x, xi) = rhs . xi for all xi orthogonal to alpha, x ⟂ alpha.
 
-    Parameterizes x = H xtilde with (H^2 + alpha alpha^T) xtilde = rhs, the
-    rank-one-regularized normal equations; the alpha component of rhs is
-    discarded automatically by the final multiplication with H.
+    One dense solve of the bordered system [[H, alpha], [alpha^T, 0]]
+    [x; mu] = [rhs; 0]: H x + mu alpha = rhs with alpha . x = 0, mu
+    taking up the alpha component of rhs.
     """
     m = hessian.shape[0]
     a = np.asarray(alpha, dtype=float)
-    mat = hessian @ hessian + np.outer(a, a)
+    mat = np.block([[hessian, a[:, None]], [a, 0.0]])
     try:
-        xtilde = np.linalg.solve(mat, rhs)
+        x = np.linalg.solve(mat, np.append(rhs, 0.0))[:m]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            "regularized normal equations are singular") from exc
-    x = hessian @ xtilde
+            "bordered Hessian system is singular") from exc
     # consistency: H x - rhs must vanish off alpha, else the kernel is larger
     resid = hessian @ x - rhs
     a_unit = a / np.linalg.norm(a)

@@ -765,7 +765,7 @@ def _pde_monitor(template, name: str):
         state, lin = template.with_vector(z), factor.lu.jac.lin
         if name == "cusp":
             return cusp_monitor(state, lin)
-        _, v = solve_v(state, lin)
+        v = solve_v(state, lin)
         if name == "swallowtail":
             return swallowtail_monitor(state, v, lin.raised(3))
         return butterfly_monitor(state, v, lin.raised(4))

@@ -300,6 +300,24 @@ def dense_newton_step(jac, res: np.ndarray) -> np.ndarray:
     return np.linalg.solve(dense_jacobian(jac), res)
 
 
+def bordered_auxiliary(g, a: np.ndarray, rhs: np.ndarray) -> tuple:
+    """(v, mu) with G v + mu a = rhs and a.v = 0, by dense LU of the
+    bordered matrix [[G, a], [a^T, 0]]; singular raises LinAlgError."""
+    g, n = np.asarray(g, dtype=float), a.size
+    mat = np.block([[g, a[:, None]], [a, 0.0]])
+    x = np.linalg.solve(mat, np.append(rhs, 0.0))
+    return x[:n], x[n]
+
+
+def squared_auxiliary(g, a: np.ndarray, rhs: np.ndarray) -> tuple:
+    """(vbar, v) of the squared formulation: (G^2 + a a^T) vbar = rhs and
+    v = G vbar, by dense LU.  The level-3 system keeps vbar; for
+    symmetric G with G a = 0, v solves the bordered equation too."""
+    g = np.asarray(g, dtype=float)
+    vbar = np.linalg.solve(g @ g + np.outer(a, a), rhs)
+    return vbar, g @ vbar
+
+
 def relative_error(found: np.ndarray, expected: np.ndarray) -> float:
     found = np.asarray(found, dtype=float)
     expected = np.asarray(expected, dtype=float)

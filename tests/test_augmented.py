@@ -39,12 +39,14 @@ from aseries.poisson import (
 )
 
 from helpers import (
+    bordered_auxiliary,
     bordered_newton_step,
     dense_det_sign,
     dense_jacobian,
     dense_newton_step,
     fd_jacobian,
     relative_error,
+    squared_auxiliary,
     tangent_factor,
     tangent_signature,
 )
@@ -204,23 +206,26 @@ class TestCuspValue:
 
 class TestAuxiliarySolve:
     def test_unit_grid_pinned(self):
-        # Exact fold, G_u = [0], a = [2]: 4 vbar = -4 c so vbar = -c, v = 0.
+        # Exact fold, G_u = [0], a = [2]: a.v = 0 forces v = 0, and
+        # 2 mu = -4 c gives mu = -2 c.
         st = AugmentedState(unit_problem(), 1, np.zeros(1),
                             np.array([16.0, 0.9, 0.0]),
                             alpha=np.array([2.0]), active=(0,))
-        vbar, v = solve_v(st)
-        assert vbar[0] == pytest.approx(-0.9)
+        v = solve_v(st)
+        _, mu = bordered_auxiliary(np.zeros((1, 1)), st.alpha,
+                                   np.array([-3.6]))
+        assert mu == pytest.approx(-1.8)
         assert v[0] == 0.0
 
     def test_defining_equation_and_orthogonality(self):
         st = eigen_fold_state(Grid(4, 3), PolynomialNonlinearity(), lam2=0.8)
-        vbar, v = solve_v(st)
+        v = solve_v(st)
         a = st.alpha
         _, f1, f2 = st.problem.nl.derivative(2, st.u, st.lam)
         gu = st.problem.lap + sp.diags(f1)
-        lhs = gu @ (gu @ vbar) + a * (a @ vbar)
-        assert np.max(np.abs(lhs + f2 * a**2)) < 1e-8
-        # v lies in range(G_u), orthogonal to the kernel
+        _, mu = bordered_auxiliary(gu.toarray(), a, -f2 * a**2)
+        assert np.max(np.abs(gu @ v + mu * a + f2 * a**2)) < 1e-8
+        # v is orthogonal to the kernel
         assert abs(a @ v) < 1e-8
         # G_u v + f2 a^2 is parallel to the kernel
         resid = gu @ v + f2 * a**2
@@ -229,13 +234,12 @@ class TestAuxiliarySolve:
 
     def test_vanishes_when_f2_zero(self):
         st = eigen_fold_state(Grid(3, 3), PolynomialNonlinearity(), lam2=0.0)
-        vbar, v = solve_v(st)
-        assert np.max(np.abs(vbar)) == 0.0
+        v = solve_v(st)
         assert np.max(np.abs(v)) == 0.0
 
-    def test_square_solve_matches_dense(self):
-        # (G^2 + a a^T) x = b through G bordered by a / sqrt(|a|), for
-        # symmetric G, regular and singular
+    def test_orthogonal_solve_matches_bordered_oracle(self):
+        # G v + mu a = b, a.v = 0 through G bordered by a / sqrt(|a|),
+        # for symmetric G, regular and singular
         rng = np.random.default_rng(9)
         for n in (3, 7):
             m = rng.standard_normal((n, n))
@@ -243,15 +247,45 @@ class TestAuxiliarySolve:
             alpha = rng.standard_normal(n)
             b = rng.standard_normal(n)
             for g in (gu, gu - np.linalg.eigvalsh(gu)[0] * np.eye(n)):
-                x = BorderedGu(sp.csr_matrix(g), alpha).square_solve(b)
-                expected = np.linalg.solve(g @ g + np.outer(alpha, alpha), b)
+                x = BorderedGu(sp.csr_matrix(g), alpha).orthogonal_solve(b)
+                expected, _ = bordered_auxiliary(g, alpha, b)
                 assert relative_error(x, expected) < 1e-10
 
     def test_singular_regularized_system_raises(self):
         zero = sp.csr_matrix((2, 2))
         with pytest.raises(SingularAuxiliaryError):
-            BorderedGu(zero, np.array([1.0, 0.0])).square_solve(
+            BorderedGu(zero, np.array([1.0, 0.0])).orthogonal_solve(
                 np.array([1.0, 1.0]))
+
+    def test_zero_kernel_vector_raises(self):
+        # B = G is regular, but k = 0 leaves mu undefined
+        lu = BorderedGu(sp.identity(2, format="csr"), np.zeros(2))
+        with pytest.raises(SingularAuxiliaryError):
+            lu.orthogonal_solve(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("stage", [1, 2], ids=["fold", "cusp"])
+    def test_agrees_with_the_squared_formulation(self, stage):
+        # at a located point G_u a = 0 to Newton tolerance, so the
+        # bordered v is G_u vbar with (G_u^2 + a a^T) vbar = -f_uu a^2
+        st = robust_chain()[stage]
+        f = st.problem.nl.derivative(2, st.u, st.lam)
+        gu = st.problem.gu(f[1]).toarray()
+        _, expected = squared_auxiliary(gu, st.alpha, -f[2] * st.alpha**2)
+        v = solve_v(st)
+        assert np.max(np.abs(v)) > 1e-3
+        assert np.max(np.abs(v - expected)) < 1e-10 * np.max(np.abs(expected))
+
+
+@functools.cache
+def robust_chain():
+    """States of the robust 10x10 exp-sine hunt's chain: solution, fold,
+    cusp and swallowtail."""
+    report = hunt_swallowtail(ExpSineNonlinearity(), Grid(10, 10),
+                              HuntConfig(lam0=(0.0, 0.15, 2.0),
+                                         lam2_direction=1, lam3_direction=-1,
+                                         stage3_window=(3.0, 0.25, 2.5)))
+    assert report.stage_reached == "swallowtail"
+    return [point.state for point in report.chain]
 
 
 class TestHigherMonitors:
@@ -261,13 +295,13 @@ class TestHigherMonitors:
             st = AugmentedState(unit_problem(), 1, np.zeros(1),
                                 np.array([16.0, 0.0, lam3]),
                                 alpha=np.array([2.0]), active=(0,))
-            _, v = solve_v(st)
+            v = solve_v(st)
             assert swallowtail_monitor(st, v) == pytest.approx(16.0 * lam3)
 
     def test_butterfly_from_quartic_tail(self):
         grid = Grid(3, 3)
         st = eigen_fold_state(grid, PolynomialNonlinearity(tail=(0.6,)))
-        _, v = solve_v(st)
+        v = solve_v(st)
         assert np.max(np.abs(v)) == 0.0
         expected = 0.6 * np.sum(st.alpha**5)
         assert butterfly_monitor(st, v) == pytest.approx(expected, rel=1e-12)
@@ -278,8 +312,8 @@ class TestHigherMonitors:
         st = random_state(prob, 1, (0,), rng)
         flipped = AugmentedState(prob, 1, st.u, st.lam, alpha=-st.alpha,
                                  active=(0,))
-        _, v = solve_v(st)
-        _, v_f = solve_v(flipped)
+        v = solve_v(st)
+        v_f = solve_v(flipped)
         assert np.max(np.abs(v - v_f)) < 1e-12  # v is even in alpha
         assert cusp_monitor(flipped) == pytest.approx(-cusp_monitor(st))
         assert swallowtail_monitor(flipped, v_f) == pytest.approx(
@@ -288,13 +322,13 @@ class TestHigherMonitors:
     def test_monitors_vanish_exactly_with_parameters(self):
         grid = Grid(4, 4)
         base = eigen_fold_state(grid, PolynomialNonlinearity())
-        _, v = solve_v(base)
+        v = solve_v(base)
         assert cusp_monitor(base) == 0.0
         assert swallowtail_monitor(base, v) == 0.0
         tilted = eigen_fold_state(grid, PolynomialNonlinearity(), lam2=0.3)
         assert cusp_monitor(tilted) != 0.0
         skewed = eigen_fold_state(grid, PolynomialNonlinearity(), lam3=0.2)
-        _, v_s = solve_v(skewed)
+        v_s = solve_v(skewed)
         assert swallowtail_monitor(skewed, v_s) != 0.0
 
     def test_matches_closed_form_tests(self):
@@ -305,7 +339,7 @@ class TestHigherMonitors:
         orc = PoissonOracle(st.u, st.lam, nl, st.problem.lap)
         loose = Tolerances(zero_test=np.inf, solvability=np.inf)
         cf = closed_form_tests(orc, st.alpha, loose)
-        _, v = solve_v(st)
+        v = solve_v(st)
         assert np.max(np.abs(v - cf.v)) < 1e-12
         assert cusp_monitor(st) == pytest.approx(cf.cusp, abs=1e-12)
         assert swallowtail_monitor(st, v) == pytest.approx(cf.swallowtail,
@@ -316,7 +350,7 @@ class TestHigherMonitors:
     def test_evaluate_monitors_record(self):
         st = eigen_fold_state(Grid(3, 3), PolynomialNonlinearity(tail=(0.6,)),
                               lam2=0.2, lam3=0.1)
-        _, v = solve_v(st)
+        v = solve_v(st)
         top = replace(st, level=3, vbar=np.zeros(st.u.size))
         rec = evaluate_monitors(top)
         assert rec.fold_direction == 0.0
@@ -523,8 +557,10 @@ class TestBorderedSolve:
     def test_singular_core_with_regular_sum_solves(self):
         core = sp.csr_matrix(np.diag([0.0, 1.0]))
         kernel, rhs = np.array([1.0, 0.0]), np.array([2.0, 3.0])
-        assert np.allclose(BorderedGu(core, kernel).square_solve(rhs),
-                           [2.0, 3.0])
+        assert np.allclose(BorderedGu(core, kernel).orthogonal_solve(rhs),
+                           [0.0, 3.0])
+        assert np.allclose(bordered_auxiliary(core.toarray(), kernel, rhs)[0],
+                           [0.0, 3.0])
         # G_u = 0 on one cell: singular blocks, regular Jacobian
         jac = tiny_jacobian(np.zeros((1, 1)), np.array([2.0]),
                             np.random.default_rng(1))
@@ -538,10 +574,9 @@ class TestBorderedSolve:
         core = sp.csr_matrix(np.diag([1.0, 0.0]))
         kernel, rhs = np.array([1.0, 0.0]), np.array([1.0, 1.0])
         with pytest.raises(SingularAuxiliaryError):
-            BorderedGu(core, kernel).square_solve(rhs)
+            BorderedGu(core, kernel).orthogonal_solve(rhs)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(core.toarray() @ core.toarray()
-                            + np.outer(kernel, kernel), rhs)
+            bordered_auxiliary(core.toarray(), kernel, rhs)
         jac = _zero_row(tiny_jacobian(np.diag([1.0, 0.0]), kernel,
                                       np.random.default_rng(2)))
         rhs = np.ones(jac.shape[0])

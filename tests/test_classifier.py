@@ -8,21 +8,25 @@ import pytest
 import scipy.sparse as sp
 
 from aseries.classifier import (
+    SingularSystemError,
     SolvabilityError,
     TensorOracle,
     Tolerances,
     closed_form_tests,
+    _solve_restricted,
     detect,
     kernel_of_hessian,
     solve_jet_step,
 )
 from aseries.classifier import test_value as order_test
 from helpers import (
+    bordered_auxiliary,
     dense_det_sign,
     fit_derivatives,
     random_orthogonal,
     reduced_function,
     rotate_tensors,
+    squared_auxiliary,
     tangent_signature,
     tensors_from_polynomial,
 )
@@ -71,6 +75,40 @@ class TestKernel:
             oracle_from({(0, 0, 2): 1.5, (4, 0, 0): 1.0}, m=3)
         )
         assert (dim, alpha) == (2, None)
+
+
+def hessian_with_kernel(rng, m, kernel_dim=1):
+    """Random symmetric m x m matrix whose kernel is spanned by the
+    first kernel_dim columns of a random rotation, and that rotation."""
+    rot = random_orthogonal(rng, m)
+    d = np.concatenate([np.zeros(kernel_dim),
+                        rng.uniform(0.5, 2.0, m - kernel_dim)
+                        * rng.choice([-1.0, 1.0], m - kernel_dim)])
+    return rot @ np.diag(d) @ rot.T, rot
+
+
+class TestRestrictedSolve:
+    def test_matches_the_bordered_oracle(self):
+        rng = np.random.default_rng(21)
+        for m in (2, 5, 9):
+            hess, rot = hessian_with_kernel(rng, m)
+            alpha = rng.uniform(0.5, 3.0) * rot[:, 0]
+            rhs = rng.standard_normal(m)
+            x = _solve_restricted(hess, alpha, rhs)
+            expected, _ = bordered_auxiliary(hess, alpha, rhs)
+            assert np.max(np.abs(x - expected)) < 1e-10 * max(
+                np.max(np.abs(expected)), 1.0)
+            # and the squared formulation it replaced, G alpha = 0 here
+            _, squared = squared_auxiliary(hess, alpha, rhs)
+            assert np.max(np.abs(x - squared)) < 1e-10 * max(
+                np.max(np.abs(squared)), 1.0)
+
+    def test_larger_kernel_raises(self):
+        rng = np.random.default_rng(22)
+        hess, rot = hessian_with_kernel(rng, 4, kernel_dim=2)
+        rhs = rot[:, 1] + 0.3 * rot[:, 2]  # reaches the second kernel vector
+        with pytest.raises(SingularSystemError):
+            _solve_restricted(hess, rot[:, 0], rhs)
 
 
 class TestJetStep:

@@ -727,7 +727,7 @@ class TestAugmentedWrapper:
         cp = augmented_continuation_problem(tmpl, monitors=(name,))
         z = tmpl.pack()
         state = tmpl.with_vector(z)
-        expected = monitor(state, solve_v(state)[1])
+        expected = monitor(state, solve_v(state))
         assert expected != 0.0
         # the same bits from the BorderedGu that the tangent factored
         factor = tangent(cp.system(z)[1])[1]

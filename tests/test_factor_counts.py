@@ -131,7 +131,7 @@ def test_monitor_values_match_a_fresh_evaluation(counted):
             fresh = cusp_monitor(state)
         else:
             lin = Linearization(state, 3)
-            _, v = solve_v(state, lin)
+            v = solve_v(state, lin)
             fresh = swallowtail_monitor(state, v, lin)
         assert value == fresh
 
