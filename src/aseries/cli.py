@@ -291,7 +291,8 @@ HUNT_OPTIONS = (
     Option("stage3-window", _parse_triple, default=HuntConfig.stage3_window,
            help="cusp-line search window half-widths around the cusp"),
     Option("pivot-offsets", _parse_floats, default=HuntConfig.pivot_offsets,
-           help="third-parameter offsets for pivot slices"),
+           help="third-parameter offsets for pivot slices, positive "
+                "and strictly increasing"),
     Option("direct", _parse_bool, default=HuntConfig.direct_start,
            help="direct Newton chain instead of staged continuation"),
 )
@@ -481,13 +482,18 @@ def _hunt_config(opts: dict) -> HuntConfig:
     if not all(width > 0 for width in opts["stage3_window"]):
         raise UsageError(f"--stage3-window widths must be positive, "
                          f"got {opts['stage3_window']}")
+    offsets = tuple(opts["pivot_offsets"])
+    # each offset above the one before it, the first above zero
+    if not all(low < high for low, high in zip((0.0,) + offsets, offsets)):
+        raise UsageError(f"--pivot-offsets must be positive and strictly "
+                         f"increasing, got {offsets}")
     return HuntConfig(
         seed=opts["seed"], lam0=tuple(opts["lam0"]), ds0=opts["ds0"],
         ds_max=opts["ds_max"], max_steps=opts["max_steps"],
         lam2_direction=opts["lam2_direction"],
         lam3_direction=opts["lam3_direction"], lam_bounds=opts["bounds"],
         stage3_window=tuple(opts["stage3_window"]),
-        pivot_offsets=tuple(opts["pivot_offsets"]),
+        pivot_offsets=offsets,
         newton_tol=opts["tol"], max_newton=opts["max_newton"],
         direct_start=opts["direct"])
 

@@ -211,6 +211,30 @@ class TestHunt:
             f"error: --stage3-window widths must be positive, got {shown}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["hunt", "converge"])
+    @pytest.mark.parametrize("offsets", ["0,0.01", "-0.005,0.01",
+                                         "0.02,0.01", "0.01,0.01", "nan"])
+    def test_pivot_offsets_must_rise_from_zero(self, tmp_path, capsys,
+                                               command, offsets):
+        out = tmp_path / "out.json"
+        rc = main([command, *STEP_COMMANDS[command],
+                   f"--pivot-offsets={offsets}", "--out", str(out)])
+        assert rc == 2
+        shown = tuple(float(o) for o in offsets.split(","))
+        assert capsys.readouterr().err == (
+            f"error: --pivot-offsets must be positive and strictly "
+            f"increasing, got {shown}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("offsets,expected", [
+        ("0.005,0.01,0.02", (0.005, 0.01, 0.02)), ("", ())])
+    def test_rising_or_empty_pivot_offsets_allowed(self, offsets, expected):
+        args = build_parser().parse_args(
+            ["hunt", "--problem", "bratu", "--grid", "6",
+             "--pivot-offsets", offsets])
+        config = _hunt_config(_resolve(args, {}, HUNT_CMD_OPTIONS))
+        assert config.pivot_offsets == expected
+
     def test_infinite_stage3_window_allowed(self):
         args = build_parser().parse_args(
             ["hunt", "--problem", "bratu", "--grid", "6",
