@@ -163,12 +163,14 @@ class TestFoldSystem:
         rng = np.random.default_rng(3)
         grid = Grid(4, 3)
         prob = Problem(grid, ExpSineNonlinearity())
-        x, y = rng.standard_normal((2, grid.size))
         assert prob.weight == grid.cell_area
-        assert prob.inner(x, y) == grid.cell_area * (x @ y)
-        unit = prob.normalize(x)
-        assert np.array_equal(unit, x / np.sqrt(grid.cell_area * (x @ x)))
-        assert prob.inner(unit, unit) == pytest.approx(1.0, abs=1e-15)
+        # bit for bit the product it replaced, which the answers keep
+        for x, y in rng.standard_normal((8, 2, grid.size)):
+            assert prob.inner(x, y) == grid.cell_area * (x @ y)
+            unit = prob.normalize(x)
+            assert np.array_equal(unit,
+                                  x / np.sqrt(grid.cell_area * (x @ x)))
+            assert prob.inner(unit, unit) == pytest.approx(1.0, abs=1e-15)
         st = random_state(prob, 1, (0,), rng)
         res, jac = f1_residual_jacobian(st)
         assert res[2 * grid.size] == prob.inner(st.alpha, st.alpha) - 1.0
