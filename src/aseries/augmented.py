@@ -72,6 +72,12 @@ PIVOT_THRESH = 0.1
 #: levels 1-2 by a repeated G row or a zeroed lam column, at level 3
 #: (8.5e16 or more) by a zero row or column.
 CAPACITANCE_COND_MAX = 1e12
+#: `BorderedGu.orthogonal_solve` treats [[G_u, k], [k^T, 0]] as singular
+#: when k.B^-1 k is at most this many rounding units of the magnitudes
+#: it is summed from: then it is 0 up to rounding, and mu = k.x / k.B^-1
+#: k blows up instead of failing.  On a fold line k.B^-1 k is about 1
+#: and so are its magnitudes.
+AUX_CANCEL = 16.0
 
 
 class SingularAuxiliaryError(RuntimeError):
@@ -350,12 +356,19 @@ class BorderedGu:
 
         x = B^-1 [rhs, k] in one solve; mu = k.x_rhs / k.x_k makes
         v = x_rhs - mu x_k orthogonal to k, and then B v = rhs - mu k
-        reads G_u v + mu k = rhs.  A non-finite v raises
-        SingularAuxiliaryError.
+        reads G_u v + mu k = rhs.  A k.x_k that cancels to rounding
+        (AUX_CANCEL), and a non-finite v, raise SingularAuxiliaryError.
         """
         x = self.solve(np.column_stack([rhs, self.k]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = x[:, 0] - (self.k @ x[:, 0]) / (self.k @ x[:, 1]) * x[:, 1]
+        k_x = self.k @ x[:, 1]
+        eps = np.finfo(float).eps
+        if not abs(k_x) > AUX_CANCEL * eps * (np.abs(self.k)
+                                              @ np.abs(x[:, 1])):
+            raise SingularAuxiliaryError(
+                f"bordered system is numerically singular: k.B^-1 k = "
+                f"{k_x:.3e} cancels to rounding")
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = x[:, 0] - (self.k @ x[:, 0]) / k_x * x[:, 1]
         if not np.all(np.isfinite(v)):
             raise SingularAuxiliaryError(
                 "bordered system is numerically singular")

@@ -277,9 +277,10 @@ HUNT_OPTIONS = (
     Option("lam0", _parse_triple, default=HuntConfig.lam0,
            help="starting parameter triple"),
     Option("ds0", _parse_float, default=HuntConfig.ds0,
-           help="initial step length"),
+           help="initial step length, in the discrete L2 arclength "
+                "(Euclidean on a 10x10 grid)"),
     Option("ds-max", _parse_float, default=HuntConfig.ds_max,
-           help="step length cap"),
+           help="step length cap, in the same arclength as --ds0"),
     Option("max-steps", _parse_int, default=HuntConfig.max_steps,
            help="step budget per continuation"),
     Option("bounds", _parse_float, default=HuntConfig.lam_bounds,
@@ -314,8 +315,11 @@ CONTINUE_OPTIONS = PROBLEM_OPTIONS + (
            help="monitors to record/detect (default by level)"),
     Option("stop-at", _parse_names, default=(),
            help="event kinds that stop the run"),
-    Option("ds0", _parse_float, default=0.1, help="initial step length"),
-    Option("ds-max", _parse_float, default=0.5, help="step length cap"),
+    Option("ds0", _parse_float, default=0.1,
+           help="initial step length, in the discrete L2 arclength "
+                "(Euclidean on a 10x10 grid)"),
+    Option("ds-max", _parse_float, default=0.5,
+           help="step length cap, in the same arclength as --ds0"),
     Option("max-steps", _parse_int, default=200, help="step budget"),
     Option("bounds", _parse_float, default=50.0,
            help="abort when an active parameter leaves (-bounds, bounds)"),

@@ -1,11 +1,17 @@
 """Pseudoarclength continuation with monitor-driven event detection.
 
 Continues any square-plus-one residual system R(z) = 0, R: R^(n+1) -> R^n,
-by pseudoarclength steps from an accepted point z_k with unit tangent t:
-Newton on R stacked with t . (z - z_k - ds t) = 0, the hyperplane
-orthogonal to t through the Euler point z_k + ds t.  The corrector
-starts on that hyperplane, from the cubic Hermite interpolant in
-arclength through two accepted points of the line (Allgower & Georg,
+by pseudoarclength steps from an accepted point z_k with tangent t, unit
+in a positive diagonal metric M (t . M t = 1): Newton on R stacked with
+(M t) . (z - z_k - ds t) = 0, the hyperplane M-orthogonal to t through
+the Euler point z_k + ds t.  Arclength, and so every step length, is
+measured in M.  An augmented line's M is the discrete L2 metric of its
+grid functions (`augmented_continuation_problem`), so a line takes as
+many steps on a fine grid as on a coarse one (Allgower, Boehmer, Potra
+& Rheinboldt, SIAM J. Numer. Anal. 23, 1986); a plain problem's M is the
+identity.  The corrector starts on that hyperplane, from the cubic
+Hermite interpolant in M-arclength through two accepted points of the
+line, their M-unit tangents its slopes (Allgower & Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003, ch. 6): it
 extrapolates the last two points of a run and interpolates an event
 bracket's ends.  A line's first step starts from the Euler point.  A
@@ -62,6 +68,7 @@ from .augmented import (
     solve_v,
     swallowtail_monitor,
 )
+from .poisson import Grid
 
 #: Adaptive step bounds and growth policy.
 DS_MIN = 1e-5
@@ -107,6 +114,15 @@ LANCZOS_NCV = 4
 #: `tangent` borders again with the tangent it found when the cosine
 #: between its bordering row and the tangent is smaller than this.
 BORDER_COS_MIN = 1e-3
+#: An augmented line weighs each grid unknown by its cell area over this
+#: area, each parameter by 1, so the units of arclength, ds0, ds_max and
+#: DS_MIN are those of the 10x10 grid's vectors.  Every weight on that
+#: grid is exactly 1.0, so its runs, the test suite's main grid among
+#: them, take the Euclidean steps they took before the metric.  The
+#: 15x15 area made the 10x10 hunts take more steps (robust 67 -> 77,
+#: default config 190 -> 255); an area of 1 found another swallowtail at
+#: 15x15.
+REFERENCE_AREA = Grid(10, 10).cell_area
 
 
 class ContinuationError(RuntimeError):
@@ -278,7 +294,9 @@ class ContinuationProblem:
     then every monitor.  newton_tol and max_newton set every corrector
     of the run, refinement trials included; rank_tol governs the
     regularity check of accepted points, and augmented problems keep
-    its default.
+    its default.  metric is the diagonal of the positive metric M in
+    which arclength is measured and tangents are unit, one weight per
+    packed unknown; None is the identity.
     """
 
     system: Callable[[np.ndarray], tuple]
@@ -288,6 +306,7 @@ class ContinuationProblem:
     newton_tol: float = NEWTON_TOL
     max_newton: int = MAX_NEWTON
     rank_tol: float = 1e-8
+    metric: np.ndarray | None = None
 
     @property
     def watched(self) -> tuple:
@@ -329,7 +348,7 @@ class BorderedFactor:
 
     lu is a PermutedLU at level 0 and a BlockFactor at levels 1-3; both
     solve with T and, with trans "T", with T^T.  row^T s = 1, and the
-    unit tangent is s / ||s||.
+    tangent is s normalized in the problem's metric.
     """
 
     lu: PermutedLU | BlockFactor
@@ -337,17 +356,25 @@ class BorderedFactor:
     s: np.ndarray
 
 
-def tangent(jac, previous: np.ndarray | None = None):
-    """Unit null vector of an n x (n+1) Jacobian, oriented continuously.
+def _weigh(metric: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """M x for the diagonal metric M held as a vector, x for None."""
+    return x if metric is None else metric * x
 
-    Solves the bordered system [jac; row] s = e_last where row is the
-    previous tangent (orientation then follows automatically), or the
-    last unit vector when previous is None.  A row within BORDER_COS_MIN
-    of orthogonal to the kernel leaves that matrix ill-conditioned (a
-    line that turns in the last parameter at its start), so the solve
-    is repeated once with the tangent found as the row.  Returns (t,
-    factor), the BorderedFactor that the rank check reuses.  Like
-    inverse iteration, the solve accepts a nearly singular bordered
+
+def tangent(jac, previous: np.ndarray | None = None,
+            metric: np.ndarray | None = None):
+    """Null vector of an n x (n+1) Jacobian, unit in the diagonal metric
+    M (None the identity), oriented continuously.
+
+    Solves the bordered system [jac; row] s = e_last where row is M
+    times the previous tangent (orientation then follows
+    automatically), or the last unit vector when previous is None, and
+    returns t = s / sqrt(s . M s), oriented by row . t > 0.  A row
+    within BORDER_COS_MIN of orthogonal to the kernel leaves that
+    matrix ill-conditioned (a line that turns in the last parameter at
+    its start), so the solve is repeated once with M t as the row.
+    Returns (t, factor), the BorderedFactor that the rank check reuses.
+    Like inverse iteration, the solve accepts a nearly singular bordered
     matrix and leaves regularity to the rank check; an exactly singular
     one raises RankDeficientError.
     """
@@ -364,23 +391,22 @@ def tangent(jac, previous: np.ndarray | None = None):
             sol = lu.solve(rhs)
         except RuntimeError:
             lu, sol = None, np.zeros(n_cols)
-        norm = np.linalg.norm(sol)
+        norm = np.sqrt(sol @ _weigh(metric, sol))
         if not (np.isfinite(norm) and norm > 0.0):
             raise RankDeficientError(
                 "bordered tangent matrix is singular: the Jacobian lost "
                 "rank or the bordering row is orthogonal to its kernel")
-        return lu, sol, norm
+        return lu, sol, sol / norm
 
-    row = rhs if previous is None else np.asarray(previous, dtype=float)
-    lu, sol, norm = bordered_solve(row)
-    t = sol / norm
+    row = (rhs if previous is None
+           else _weigh(metric, np.asarray(previous, dtype=float)))
+    lu, sol, t = bordered_solve(row)
     if row @ t < 0.0:
         t = -t
-    # row^T s = 1, so ||s|| ||row|| is 1 / cos(row, t)
-    if norm * np.linalg.norm(row) * BORDER_COS_MIN > 1.0:
-        row = t
-        lu, sol, norm = bordered_solve(row)
-        t = sol / norm
+    # row^T s = 1, so ||s|| ||row|| is 1 / cos(row, s)
+    if np.linalg.norm(sol) * np.linalg.norm(row) * BORDER_COS_MIN > 1.0:
+        row = _weigh(metric, t)
+        lu, sol, t = bordered_solve(row)
     return t, BorderedFactor(lu, row, sol)
 
 
@@ -482,9 +508,11 @@ def _pinned_point(problem: ContinuationProblem, start: np.ndarray,
 
     Each Newton step factors [jac; row^T] as `_factor` dispatches it,
     and Newton gives up after NEWTON_STALL iterations without progress.
-    The tangent, oriented along previous, comes from the Jacobian of R
-    that the accepting Newton evaluation assembled, and the rank check,
-    the signature and the monitors reuse the tangent's factor.
+    The tangent, unit in the problem's metric and oriented along
+    previous, comes from the Jacobian of R that the accepting Newton
+    evaluation assembled, and the rank check, the signature and the
+    monitors reuse the tangent's factor.  The rank check takes the
+    Euclidean unit null vector.
     """
     jac = None
 
@@ -497,8 +525,8 @@ def _pinned_point(problem: ContinuationProblem, start: np.ndarray,
 
     z, iters = newton_solve(system, start, problem.newton_tol,
                             problem.max_newton, NEWTON_STALL)
-    t, factor = tangent(jac, previous=previous)
-    _check_rank(problem, jac, t, factor)
+    t, factor = tangent(jac, previous=previous, metric=problem.metric)
+    _check_rank(problem, jac, t / np.linalg.norm(t), factor)
     signature = (0 if problem.fold_index is None
                  else solution_signature(factor, problem.fold_index))
     return BranchPoint(z, s, t, _record(problem, z, t, factor), signature,
@@ -543,21 +571,23 @@ def _hermite(a: BranchPoint, b: BranchPoint, ds: float) -> np.ndarray:
 
 def step(problem: ContinuationProblem, point: BranchPoint, ds: float,
          other: BranchPoint | None = None) -> BranchPoint:
-    """One pseudoarclength step of length ds from an accepted point.
+    """One pseudoarclength step of arclength ds, in the problem's metric
+    M, from an accepted point.
 
-    The accepted point solves R(z) = 0 on the hyperplane t . (z - z_k -
-    ds t) = 0, t and z_k the point's tangent and z.  Newton starts on
-    that hyperplane, from the projection of the cubic Hermite
-    interpolant (`_hermite`) through point and other, another accepted
-    point of the same line: the one before it on a run, the far end of
-    the bracket in an event refinement.  Without other it starts from
-    the Euler point z_k + ds t.
+    The accepted point solves R(z) = 0 on the hyperplane (M t) . (z -
+    z_k - ds t) = 0, t and z_k the point's M-unit tangent and z.  Newton
+    starts on that hyperplane, from the projection along t of the cubic
+    Hermite interpolant (`_hermite`) through point and other, another
+    accepted point of the same line: the one before it on a run, the far
+    end of the bracket in an event refinement.  Without other it starts
+    from the Euler point z_k + ds t.
     """
     t = point.tangent
+    row = _weigh(problem.metric, t)
     anchor = point.z + ds * t
     start = anchor if other is None else _hermite(point, other, ds)
-    start = start - (t @ (start - anchor)) * t
-    return _pinned_point(problem, start, anchor, t, t, point.s + ds)
+    start = start - (row @ (start - anchor)) * t
+    return _pinned_point(problem, start, anchor, row, t, point.s + ds)
 
 
 def _event_scalar(kind: str, point: BranchPoint) -> float | None:
@@ -668,9 +698,11 @@ def run_branch(problem: ContinuationProblem, start: BranchPoint,
                ds_max: float = DS_MAX) -> BranchResult:
     """Adaptive pseudoarclength run from a converged start point.
 
-    Each step's corrector starts from the Hermite extrapolation of the
-    last two accepted points (`step`), the first step's from the Euler
-    point.  Watches the problem's events (`ContinuationProblem.watched`).
+    ds0 and ds_max, like the arclength s of each point, are measured in
+    the problem's metric.  Each step's corrector starts from the Hermite
+    extrapolation of the last two accepted points (`step`), the first
+    step's from the Euler point.  Watches the problem's events
+    (`ContinuationProblem.watched`).
     Halves the step on corrector failure, grows it by GROW_FACTOR after
     fast convergence, and stops on the step budget, a bounds violation,
     a step failure at the minimal step, or an event whose kind appears
@@ -736,7 +768,10 @@ def augmented_continuation_problem(template, monitors=(),
     fold, cusp or swallowtail line G_u is singular by construction, so
     the sign is undefined there and the recorded signature is 0.
     newton_tol and max_newton set every corrector of the runs on the
-    problem.
+    problem.  Arclength is the discrete L2 one: the metric weighs each
+    grid unknown (u, alpha and vbar) by its cell area over
+    REFERENCE_AREA and each active parameter by 1, so it is the
+    Euclidean one on a 10x10 grid.
     """
     if template.dimension != template.residual_size + 1:
         raise ValueError("continuation needs a square-plus-one system; "
@@ -748,8 +783,11 @@ def augmented_continuation_problem(template, monitors=(),
     named = {name: _pde_monitor(template, name) for name in monitors}
 
     fold_index = template.dimension - 1 if template.level == 0 else None
+    n_lam = len(template.active)
+    metric = np.ones(template.dimension)
+    metric[:-n_lam] = template.problem.weight / REFERENCE_AREA
     return ContinuationProblem(system, named, fold_index, newton_tol,
-                               max_newton)
+                               max_newton, metric=metric)
 
 
 def _pde_monitor(template, name: str):

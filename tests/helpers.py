@@ -392,18 +392,20 @@ def superlu_solve(mat, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
     return sol
 
 
-def superlu_tangent(jac, previous=None) -> np.ndarray:
-    """Unit null vector of a level-1/2 BlockJacobian from the SuperLU
-    solve of the assembled [J; row^T] s = e_last, row the previous
-    tangent or the last unit vector, oriented along row."""
+def superlu_tangent(jac, previous=None, metric=None) -> np.ndarray:
+    """Null vector of a level-1/2 BlockJacobian, unit in the diagonal
+    metric M (None the identity), from the SuperLU solve of the
+    assembled [J; row^T] s = e_last, row M times the previous tangent or
+    the last unit vector, oriented along row."""
     rhs = np.zeros(jac.shape[1])
     rhs[-1] = 1.0
-    row = rhs if previous is None else np.asarray(previous, dtype=float)
+    weights = np.ones(jac.shape[1]) if metric is None else metric
+    row = rhs if previous is None else weights * previous
     try:
         sol = superlu_solve(assembled_jacobian(jac, row), rhs)
     except SingularJacobianError as exc:
         raise RankDeficientError(str(exc)) from exc
-    t = sol / np.linalg.norm(sol)
+    t = sol / np.sqrt(sol @ (weights * sol))
     return -t if row @ t < 0.0 else t
 
 
@@ -481,8 +483,9 @@ def dense_det_sign(mat) -> int:
 
 def euler_step(problem, point, ds, other=None):
     """`continuation.step` with its corrector started from the Euler
-    point z + ds t, other unused: the same hyperplane, anchor and row,
-    so the same accepted point up to the Newton tolerance."""
+    point z + ds t, other unused: the same hyperplane, anchor and row M
+    t, so the same accepted point up to the Newton tolerance."""
     t = point.tangent
+    row = t if problem.metric is None else problem.metric * t
     anchor = point.z + ds * t
-    return _pinned_point(problem, anchor, anchor, t, t, point.s + ds)
+    return _pinned_point(problem, anchor, anchor, row, t, point.s + ds)

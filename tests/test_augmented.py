@@ -265,6 +265,13 @@ class TestAuxiliarySolve:
         with pytest.raises(SingularAuxiliaryError):
             lu.orthogonal_solve(np.array([1.0, 1.0]))
 
+    def test_cancelled_border_raises(self):
+        # B = G + k k^T is regular, but k.B^-1 k is 0 in exact arithmetic
+        # and rounds to about 4e-17: v would be about 1.7e16, not an error
+        lu = BorderedGu(sp.diags([1.0, -1.0]).tocsr(), np.array([1.0, 1.0]))
+        with pytest.raises(SingularAuxiliaryError, match="cancels"):
+            lu.orthogonal_solve(np.array([1.0, 0.0]))
+
     @pytest.mark.parametrize("stage", [1, 2], ids=["fold", "cusp"])
     def test_agrees_with_the_squared_formulation(self, stage):
         # at a located point G_u a = 0 to Newton tolerance, so the

@@ -22,6 +22,7 @@ from aseries.continuation import (
     RankDeficientError,
     SingularJacobianError,
     _linear_solve,
+    augmented_continuation_problem,
     tangent,
 )
 from aseries.harness import (
@@ -80,10 +81,10 @@ def recorded(request):
             newton.append(mat)
         return solve(mat, rhs)
 
-    def recording_tangent(jac, previous=None):
-        found = tan(jac, previous)
+    def recording_tangent(jac, previous=None, metric=None):
+        found = tan(jac, previous, metric)
         if _is_block(jac):
-            tangents.append((jac, previous, found[0]))
+            tangents.append((jac, previous, metric, found[0]))
         return found
 
     def recording_check(problem, jac, null=None, factor=None):
@@ -138,9 +139,49 @@ def test_newton_solves_match_superlu(recorded):
 
 def test_tangents_match_superlu(recorded):
     _, _, tangents, _ = recorded
-    for jac, previous, found in tangents:
-        expected = superlu_tangent(jac, previous)
+    for jac, previous, metric, found in tangents:
+        expected = superlu_tangent(jac, previous, metric)
         assert np.max(np.abs(found - expected)) < TANGENT_TOL
+
+
+def test_tangents_are_metric_unit_and_oriented(recorded):
+    report, _, tangents, _ = recorded
+    problem = report.chain[0].state.problem
+    n = problem.grid.size
+    for jac, previous, metric, found in tangents:
+        # the lines' metric: u and alpha by area, lam by 1, so 1.0
+        # throughout on the 10x10 grid
+        weight = problem.weight / continuation.REFERENCE_AREA
+        assert np.all(metric[: 2 * n] == weight)
+        assert np.all(metric[2 * n:] == 1.0)
+        assert (weight == 1.0) == (n == 100)
+        assert abs(found @ (metric * found) - 1.0) < 1e-13
+        assert (metric * previous) @ found > 0.0
+
+
+def test_rank_verdicts_match_the_euclidean_tangent(recorded, monkeypatch):
+    # each check gets the Euclidean unit null vector with the factor
+    # that the M-unit tangent came from; a factor bordered by that unit
+    # vector itself gives the same sigma_min and verdict
+    values, largest = [], continuation._largest_eigenvalue
+
+    def recording(matvec, size):
+        values.append(largest(matvec, size))
+        return values[-1]
+
+    monkeypatch.setattr(continuation, "_largest_eigenvalue", recording)
+    probe = ContinuationProblem(lambda z: None)
+    for jac, null, factor, found, _ in recorded[3]:
+        if not _is_block(jac):
+            continue
+        assert abs(np.linalg.norm(null) - 1.0) < 1e-14
+        euclidean, other = tangent(jac, null)
+        assert np.max(np.abs(euclidean - null)) < TANGENT_TOL
+        values.clear()
+        continuation._check_rank(probe, jac, euclidean, other)
+        assert len(values) == len(found) == 1
+        sigma, expected = 1.0 / np.sqrt(np.abs([values[0], found[0]]))
+        assert abs(sigma - expected) < SIGMA_TOL * expected
 
 
 def test_rank_verdicts_match_dense_svd(recorded):
@@ -289,7 +330,11 @@ def test_rank_deficient_lines_rejected_by_both(recorded, level):
         dense_rank_check(assembled_jacobian(jac))
     with pytest.raises(RankDeficientError):
         superlu_tangent(jac)
-    with pytest.raises(RankDeficientError):
-        null, factor = tangent(jac)
-        continuation._check_rank(ContinuationProblem(lambda z: None), jac,
-                                 null, factor)
+    # with the Euclidean tangent, and with the line's metric as `step`
+    # takes it
+    for metric in (None, augmented_continuation_problem(state).metric):
+        with pytest.raises(RankDeficientError):
+            null, factor = tangent(jac, metric=metric)
+            continuation._check_rank(ContinuationProblem(lambda z: None),
+                                     jac, null / np.linalg.norm(null),
+                                     factor)

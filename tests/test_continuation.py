@@ -262,22 +262,44 @@ class TestHermiteStart:
             assert continuation._hermite(b, a, ds) == pytest.approx(
                 point(b.s + ds).z, rel=1e-12, abs=1e-12)
 
-    def test_bratu_branch_to_its_fold(self):
-        grid = Grid(15, 15)
+    @staticmethod
+    def bratu_branch(size: int, metric: bool):
+        """The level-0 Bratu branch to its fold on a size x size grid,
+        with the Hermite start and with the Euler start: ((run, Newton
+        iterations), (oracle run, its iterations)).  Without metric its
+        steps are Euclidean."""
+        grid = Grid(size, size)
         tmpl = AugmentedState(Problem(grid, ExpSineNonlinearity()), 0,
                               np.zeros(grid.size), np.zeros(3), active=(0,))
         cp = augmented_continuation_problem(tmpl)
+        if not metric:
+            cp = dataclasses.replace(cp, metric=None)
         start = initial_point(cp, tmpl.pack())
 
         def run():
             return run_branch(cp, start, ds0=0.1, max_steps=200,
                               stop_at=("fold",))
 
-        (found, iters), (oracle, oracle_iters) = (with_starts(False, run),
-                                                  with_starts(True, run))
+        return with_starts(False, run), with_starts(True, run)
+
+    def test_bratu_branch_to_its_fold(self):
+        # measured on Euclidean steps, which at 15x15 are longer in L2
+        # than the 10x10 ones and read 36/70 iterations
+        (found, iters), (oracle, oracle_iters) = self.bratu_branch(15, False)
         assert found.stopped_on == "event:fold"
         assert_same_run(found, oracle, 1)
         assert iters <= 0.6 * oracle_iters
+
+    @pytest.mark.parametrize("size", [10, 15, 30])
+    def test_bratu_branch_in_the_metric(self, size):
+        # the discrete L2 steps are the same on every grid: 27 points,
+        # and 38 Hermite against 58 Euler iterations at each size
+        (found, iters), (oracle, oracle_iters) = self.bratu_branch(size,
+                                                                    True)
+        assert found.stopped_on == "event:fold"
+        assert_same_run(found, oracle, 1)
+        assert len(found.points) == 27
+        assert iters < oracle_iters
 
     def test_robust_hunt_lines(self):
         def run():
@@ -793,6 +815,141 @@ class TestBratuBranch:
             assert np.array_equal(a.z, b.z)
             assert a.s == b.s
             assert np.array_equal(a.tangent, b.tangent)
+
+
+class TestMetric:
+    """The discrete L2 metric in which augmented lines step."""
+
+    @staticmethod
+    def bratu(size: int):
+        grid = Grid(size, size)
+        tmpl = AugmentedState(Problem(grid, ExpSineNonlinearity()), 0,
+                              np.zeros(grid.size), np.zeros(3), active=(0,))
+        return tmpl, augmented_continuation_problem(tmpl)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_weights(self, level):
+        grid = Grid(15, 15)
+        prob = Problem(grid, ExpSineNonlinearity())
+        tmpl = AugmentedState(prob, level, np.zeros(grid.size), np.zeros(3),
+                              alpha=np.ones(grid.size) if level else None,
+                              active=tuple(range(level + 1)))
+        metric = augmented_continuation_problem(tmpl).metric
+        grid_part = metric[:-(level + 1)]
+        assert len(metric) == tmpl.dimension
+        assert np.all(grid_part == prob.weight / continuation.REFERENCE_AREA)
+        assert np.all(metric[-(level + 1):] == 1.0)
+        # exactly the identity on the 10x10 grid
+        ten = Problem(Grid(10, 10), ExpSineNonlinearity())
+        tmpl = dataclasses.replace(tmpl, problem=ten, u=np.zeros(100),
+                                   alpha=tmpl.alpha[:100] if level else None)
+        assert np.all(augmented_continuation_problem(tmpl).metric == 1.0)
+
+    def test_arclength_does_not_grow_with_the_grid(self):
+        # arclength between lam1 = 2 and 6 on the solution branch, summed
+        # from the chords of its accepted points: in the metric it moves
+        # by O(h^2) from grid to grid, in the Euclidean norm it grows
+        # like N (measured 5.4686, 5.4701, 5.4704 against 5.47, 8.08 and
+        # 11.06 at N = 10, 20 and 30)
+        metric_lengths, euclidean_lengths = [], []
+        for size in (10, 20, 30):
+            tmpl, cp = self.bratu(size)
+            run = run_branch(cp, initial_point(cp, tmpl.pack()),
+                             stop_at=("fold",))
+            z = np.array([p.z for p in run.points])
+            for weights, found in ((cp.metric, metric_lengths),
+                                   (1.0, euclidean_lengths)):
+                chords = np.sqrt((np.diff(z, axis=0) ** 2 * weights).sum(1))
+                s = np.append(0.0, np.cumsum(chords))
+                found.append(np.interp(6.0, z[:, -1], s)
+                             - np.interp(2.0, z[:, -1], s))
+        coarse, middle, fine = metric_lengths
+        assert abs(coarse - fine) < 1e-3 * fine
+        # the differences shrink like h^2: by 4.5 in exact O(h^2)
+        assert abs(middle - fine) < abs(coarse - middle) / 3.0
+        assert euclidean_lengths[0] == coarse
+        assert euclidean_lengths[2] > 1.8 * euclidean_lengths[0]
+
+    def test_tangents_are_metric_unit_and_oriented(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 20):
+            jac = jacobian_with_singular_values(rng.uniform(1.0, 10.0, n),
+                                                n, True)
+            metric = rng.uniform(0.1, 10.0, n + 1)
+            previous = rng.standard_normal(n + 1)
+            found, factor = tangent(jac, previous, metric)
+            euclidean, _ = tangent(jac, previous)
+            assert abs(found @ (metric * found) - 1.0) < 1e-13
+            assert (metric * previous) @ found > 0.0
+            assert np.array_equal(factor.row, metric * previous)
+            # the same null vector, scaled
+            unit = found / np.linalg.norm(found)
+            assert np.max(np.abs(unit - euclidean)) < 1e-12
+
+    def test_rebordered_tangent_keeps_the_metric(self):
+        # a row nearly orthogonal to the kernel is replaced by M t
+        jac = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        metric = np.array([2.0, 0.5, 3.0])
+        previous = np.array([0.0, 1e-4, 1.0])
+        found, factor = tangent(jac, previous, metric)
+        assert np.allclose(found, [0.0, np.sqrt(2.0), 0.0], rtol=0,
+                           atol=1e-15)
+        assert np.array_equal(factor.row, metric * found)
+
+    def test_robust_10x10_hunt_is_the_euclidean_one(self, monkeypatch):
+        def run(euclidean: bool):
+            lines, real, trace = ([], harness.augmented_continuation_problem,
+                                  harness.trace_line)
+
+            def problem(*args, **kwargs):
+                found = real(*args, **kwargs)
+                assert np.all(found.metric == 1.0)
+                return (dataclasses.replace(found, metric=None) if euclidean
+                        else found)
+
+            def recording(*args, **kwargs):
+                template, found = trace(*args, **kwargs)
+                lines.append(found)
+                return template, found
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "augmented_continuation_problem",
+                           problem)
+                mp.setattr(harness, "trace_line", recording)
+                report = hunt_swallowtail(ExpSineNonlinearity(),
+                                          Grid(10, 10), ROBUST_CONFIG)
+            return report, lines
+
+        (report, lines), (oracle, oracle_lines) = run(False), run(True)
+        assert report.stage_reached == oracle.stage_reached == "swallowtail"
+        assert len(lines) == len(oracle_lines) == 3
+        for line, expected in zip(lines, oracle_lines):
+            assert len(line.points) == len(expected.points)
+            for a, b in zip(line.points + [e.point for e in line.events],
+                            expected.points
+                            + [e.point for e in expected.events]):
+                assert np.array_equal(a.z, b.z) and a.s == b.s
+                assert np.array_equal(a.tangent, b.tangent)
+        for a, b in zip(report.chain, oracle.chain):
+            assert np.array_equal(a.state.pack(), b.state.pack())
+
+    def test_robust_hunt_steps_are_flat_in_the_grid(self):
+        # measured 67, 66, 66 and 66 steps; Euclidean steps took 67, 76,
+        # 91 and 117
+        counts, real = [], continuation.step
+
+        def counted(*args, **kwargs):
+            counts[-1] += 1
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(continuation, "step", counted)
+            for size in (10, 15, 20, 30):
+                counts.append(0)
+                report = hunt_swallowtail(ExpSineNonlinearity(),
+                                          Grid(size, size), ROBUST_CONFIG)
+                assert report.stage_reached == "swallowtail"
+        assert all(abs(c - counts[0]) <= 0.1 * counts[0] for c in counts)
 
 
 def test_newton_settings_reach_every_corrector(monkeypatch):
