@@ -394,13 +394,13 @@ class SolutionJacobian:
     pattern and the lam columns, never one sparse matrix.
 
     `bordered` appends single rows below.  With one lam column and one
-    row it is square, G_u bordered once, and `permuted` gathers it in
-    the Problem's bordered_order for SuperLU to factor.
+    row `permuted` gathers it for SuperLU in the Problem's bordered_order,
+    or, for a plain matrix of no grid (problem None), the identity order.
     """
 
     gu: sp.csr_matrix
     cols: np.ndarray
-    problem: Problem
+    problem: Problem | None
     rows: tuple = ()
 
     @property
@@ -441,7 +441,8 @@ class SolutionJacobian:
         if self.shape != (self.gu.shape[0] + 1,) * 2:
             raise ValueError("the level-0 factor needs one lam column "
                              "and one row")
-        order = self.problem.bordered_order
+        order = (BorderedOrder.of(self.gu) if self.problem is None
+                 else self.problem.bordered_order)
         return (order.gather(self.gu, self.cols[:, 0], self.rows[0]),
                 order.perm)
 

@@ -225,7 +225,7 @@ def _resolve(args, config: dict, options) -> dict:
 
 
 def _check_step_controls(values) -> None:
-    """Step-control checks shared by `continue`, `hunt` and `converge`."""
+    """Option checks shared by `continue`, `hunt` and `converge`."""
     for key in ("tol", "ds0", "ds_max", "bounds"):
         flag = "--" + key.replace("_", "-")
         if not values[key] > 0:
@@ -236,6 +236,8 @@ def _check_step_controls(values) -> None:
         raise UsageError("--max-steps must be >= 0")
     if values["max_newton"] < 1:
         raise UsageError("--max-newton must be >= 1")
+    if values["seed"] < 0:
+        raise UsageError(f"--seed must be >= 0, got {values['seed']}")
 
 
 def _make_nonlinearity(problem: str, tail):
@@ -727,22 +729,27 @@ def cmd_export_plot(opts: dict) -> int:
     try:
         with open(opts["report"]) as fh:
             doc = json.load(fh)
+        rows = []
+        if "rows" in doc:
+            rows.append("dx,distance")
+            for row in doc["rows"]:
+                dx = 1.0 / (row["N"] + 1)
+                rows.append(f"{_g(dx)},{_g(row['distance'])}")
+        elif "chain" in doc:
+            rows.append("kind,lambda1,lambda2,lambda3,residual_inf,"
+                        "newton_iters")
+            for entry in doc["chain"]:
+                lam = ",".join(_g(v) for v in entry["lam"])
+                rows.append(f"{entry['kind']},{lam},"
+                            f"{_g(entry['residual_inf'])},"
+                            f"{entry['newton_iters']}")
+        else:
+            raise UsageError("--report: unrecognized document (expected a "
+                             "hunt chain or a convergence table)")
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(f"--report: {err}") from None
-    rows = []
-    if "rows" in doc:
-        rows.append("dx,distance")
-        for row in doc["rows"]:
-            rows.append(f"{_g(1.0 / (row['N'] + 1))},{_g(row['distance'])}")
-    elif "chain" in doc:
-        rows.append("kind,lambda1,lambda2,lambda3,residual_inf,newton_iters")
-        for entry in doc["chain"]:
-            lam = ",".join(_g(v) for v in entry["lam"])
-            rows.append(f"{entry['kind']},{lam},{_g(entry['residual_inf'])},"
-                        f"{entry['newton_iters']}")
-    else:
-        raise UsageError("--report: unrecognized document (expected a hunt "
-                         "chain or a convergence table)")
+    except KeyError as err:
+        raise UsageError(f"--report: an entry lacks the key {err}") from None
     with open(opts["out"], "w") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {len(rows) - 1} rows to {opts['out']}")

@@ -24,11 +24,11 @@ A level-1-3 augmented.BlockJacobian keeps its blocks and factors G_u
 bordered by the kernel vector, inside augmented.  The level-0
 augmented.SolutionJacobian keeps G_u and its lam column apart, and
 [G_u, dG/dlam; row^T] is gathered from them straight into the grid's
-nested-dissection order for one SuperLU here.  A plain Jacobian (dense
-ones converted) gets one SuperLU of the whole matrix in its own order.
-Every factor solves with the matrix and its transpose.  A singular
-bordered tangent matrix raises RankDeficientError, which a branch run
-treats like any failed step.
+nested-dissection order for one SuperLU here; a plain matrix is split
+so too, of no grid, and gathered in the identity order.  Every factor
+solves with the matrix and its transpose.  A singular bordered tangent
+matrix raises RankDeficientError, which a branch run treats like any
+failed step.
 Every accepted point is checked to keep full row rank (`_check_rank`)
 by a Sherman-Morrison update of the tangent's LU, which factors nothing
 more and forms no dense or global matrix.  The same LU gives the sign of
@@ -152,64 +152,26 @@ class ConvergenceError(ContinuationError):
         self.residual_norm = residual_norm
 
 
-def bordered_csr(mat, cols: np.ndarray, rows=()) -> sp.csr_matrix:
-    """[[mat, cols], [rows]] in CSR, cols and rows stored whole, zeros
-    too: each row of mat gains its cols entries last, the rows follow."""
-    mat, m = sp.csr_matrix(mat), cols.shape[1]
-    (n, width), ends = mat.shape, np.repeat(mat.indptr[1:], m)
-    rows, full = np.reshape(rows, (-1, width + m)), np.arange(width + m)
-    data = np.append(np.insert(mat.data, ends, cols.ravel()), rows)
-    indices = np.append(np.insert(mat.indices, ends,
-                                  np.tile(full[width:], n)),
-                        np.tile(full, len(rows)))
-    indptr = np.append(mat.indptr + m * np.arange(n + 1), mat.nnz + n * m
-                       + (width + m) * np.arange(1, len(rows) + 1))
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(n + len(rows), width + m))
-
-
-@dataclass(frozen=True)
-class _SparseJacobian:
-    """A plain Jacobian, of no grid, behind the BlockJacobian interface;
-    its factor is one SuperLU of the whole [mat; row^T] in mat's own
-    order."""
-
-    mat: sp.csr_matrix
-
-    @property
-    def shape(self) -> tuple:
-        return self.mat.shape
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.mat @ x
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.mat.T @ y
-
-    def norms(self) -> tuple:
-        magnitude = abs(self.mat)
-        return magnitude.sum(axis=0).max(), magnitude.sum(axis=1).max()
-
-    def bordered(self, row: np.ndarray) -> "_SparseJacobian":
-        """[mat; row^T], the row stored whole."""
-        empty = np.empty((self.shape[0], 0))
-        return replace(self, mat=bordered_csr(self.mat, empty, row))
-
-    def permuted(self) -> tuple:
-        return self.mat.tocsc(), np.arange(self.shape[0])
-
-
 def _jacobian(jac):
-    """Any Jacobian but the augmented ones, as a _SparseJacobian."""
-    if isinstance(jac, (BlockJacobian, SolutionJacobian, _SparseJacobian)):
+    """jac as one of the augmented Jacobians.  A plain matrix becomes a
+    SolutionJacobian of no grid: an m x (m+1) one splits off its last
+    column, a square one its last column and its last row."""
+    if isinstance(jac, (BlockJacobian, SolutionJacobian)):
         return jac
-    return _SparseJacobian(sp.csr_matrix(jac))
+    mat = sp.coo_matrix(jac).tocsr()  # sums duplicates, for the gather
+    n = mat.shape[1] - 1
+    if mat.shape[0] not in (n, n + 1):
+        raise ValueError("a plain Jacobian must be square or one column wider")
+    last = np.eye(1, n + 1, n)[0]
+    rows = (mat.T @ last,) if mat.shape[0] > n else ()
+    return SolutionJacobian(mat[:n, :n], (mat @ last)[:n, None], None, rows)
 
 
 def _factor(jac, strict: bool):
     """Factor of a square Jacobian from `_jacobian`, the one place where
     level 0 and the block levels part: the block solve at levels 1-3,
-    else one SuperLU of P A P^T as the Jacobian gathers it (`permuted`).
+    else one SuperLU of P A P^T as the SolutionJacobian gathers it
+    (`permuted`), a plain matrix's in the identity order.
     Without strict the block solve accepts a nearly singular matrix;
     SuperLU fails on an exactly zero pivot only, strict or not.  Both
     raise a RuntimeError when singular."""
@@ -223,7 +185,7 @@ def _factor(jac, strict: bool):
 
 def _linear_solve(mat, rhs: np.ndarray) -> np.ndarray:
     """Solve the square system mat x = rhs through `_factor`: SuperLU at
-    level 0, the block solve at levels 1-3."""
+    level 0 and for a plain matrix, the block solve at levels 1-3."""
     try:
         sol = _factor(_jacobian(mat), strict=True).solve(rhs)
     except RuntimeError as exc:
@@ -418,8 +380,8 @@ def solution_signature(factor: BorderedFactor, k: int) -> int:
     At level 0, k = n picks the parameter and J_(-n) is G_u.  0 only
     when s_k is exactly 0; otherwise the sign flips exactly where s_k,
     the tangent's component k, does, as det T keeps its sign along a
-    regular branch.  factor.lu must be a PermutedLU (level 0 or a plain
-    Jacobian)."""
+    regular branch.  factor.lu must be a PermutedLU: J a SolutionJacobian,
+    at level 0 or of a plain matrix."""
     n = len(factor.s) - 1
     return int((-1) ** (n + k) * np.sign(factor.s[k]) * factor.lu.det_sign())
 

@@ -22,8 +22,6 @@ from aseries.continuation import (
     RankDeficientError,
     SingularJacobianError,
     _pinned_point,
-    _SparseJacobian,
-    bordered_csr,
     solution_signature,
     tangent,
 )
@@ -210,15 +208,13 @@ def dense_jacobian(jac) -> np.ndarray:
 
     A BlockJacobian is formed from its blocks in the residual's row
     order: the full analytic Jacobian, G_u^2 multiplied out.  A
-    SolutionJacobian is [G_u, cols] over its rows, a _SparseJacobian its
-    matrix; sparse matrices and arrays are converted as they are.
+    SolutionJacobian is [G_u, cols] over its rows; sparse matrices and
+    arrays are converted as they are.
     """
     if isinstance(jac, SolutionJacobian):
         width = jac.shape[1]
         return np.vstack([np.hstack([jac.gu.toarray(), jac.cols]),
                           np.reshape(jac.rows, (-1, width))])
-    if isinstance(jac, _SparseJacobian):
-        return jac.mat.toarray()
     if not isinstance(jac, BlockJacobian):
         return jac.toarray() if sp.issparse(jac) else np.asarray(jac, float)
     n = jac.a.size
@@ -416,14 +412,13 @@ def superlu_tangent(jac, previous=None, metric=None) -> np.ndarray:
 def tangent_factor(gu, seed: int = 0, problem=None):
     """The BorderedFactor that `tangent` makes for J = [G_u, g], g and the
     bordering row seeded standard normal draws.  With a Problem, G_u is
-    on its grid and J a SolutionJacobian, gathered in the grid's order;
-    without, J is the plain matrix in its own order."""
+    on its grid, gathered in the grid's order; without, J is a
+    SolutionJacobian of no grid, gathered in the identity order."""
     gu = sp.csr_matrix(gu)
     n = gu.shape[0]
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, 1))
-    jac = (_SparseJacobian(bordered_csr(gu, g)) if problem is None
-           else SolutionJacobian(gu, g, problem))
+    jac = SolutionJacobian(gu, g, problem)
     return tangent(jac, rng.standard_normal(n + 1))[1]
 
 
@@ -434,6 +429,22 @@ def tangent_signature(gu, seed: int = 0, problem=None) -> int:
 
 # ---------------------------------------------------------------------------
 # the bordered matrix built and permuted whole (oracle for the gather)
+
+
+def bordered_csr(mat, cols: np.ndarray, rows=()) -> sp.csr_matrix:
+    """[[mat, cols], [rows]] in CSR, cols and rows stored whole, zeros
+    too: each row of mat gains its cols entries last, the rows follow."""
+    mat, m = sp.csr_matrix(mat), cols.shape[1]
+    (n, width), ends = mat.shape, np.repeat(mat.indptr[1:], m)
+    rows, full = np.reshape(rows, (-1, width + m)), np.arange(width + m)
+    data = np.append(np.insert(mat.data, ends, cols.ravel()), rows)
+    indices = np.append(np.insert(mat.indices, ends,
+                                  np.tile(full[width:], n)),
+                        np.tile(full, len(rows)))
+    indptr = np.append(mat.indptr + m * np.arange(n + 1), mat.nnz + n * m
+                       + (width + m) * np.arange(1, len(rows) + 1))
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(n + len(rows), width + m))
 
 
 @dataclass(frozen=True)

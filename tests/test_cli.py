@@ -329,6 +329,7 @@ STEP_COMMANDS = {
     ("--bounds", "-5", "--bounds must be positive, got -5.0"),
     ("--max-steps", "-1", "--max-steps must be >= 0"),
     ("--max-newton", "0", "--max-newton must be >= 1"),
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
 ])
 def test_step_controls_checked(tmp_path, capsys, command, flag, value,
                                message):
@@ -501,3 +502,17 @@ class TestExportPlot:
         src.write_text("{}")
         assert main(["export-plot", "--report", str(src),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"rows": [{"N": 3}]}, "an entry lacks the key 'distance'"),
+        ({"chain": [{"kind": "fold", "lam": [1, 0, 0], "newton_iters": 2}]},
+         "an entry lacks the key 'residual_inf'"),
+    ])
+    def test_entry_without_a_key_is_usage_error(self, tmp_path, capsys, doc,
+                                                message):
+        src, out = tmp_path / "bad.json", tmp_path / "bad.csv"
+        src.write_text(json.dumps(doc))
+        assert main(["export-plot", "--report", str(src),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --report: {message}\n"
+        assert not out.exists()

@@ -52,6 +52,7 @@ from helpers import (
     dense_rank_check,
     dense_tangent,
     euler_step,
+    relative_error,
 )
 
 ROBUST_CONFIG = HuntConfig(lam0=(0.0, 0.15, 2.0), lam2_direction=1,
@@ -1339,3 +1340,91 @@ def test_signature_drops_the_fold_column(fold_index):
         kept = np.delete(jac, fold_index, axis=1)
         assert point.signature == dense_det_sign(kept)
     assert {p.signature for p in res.points[1:]} == {-1, 1}
+
+
+def plain_matrix(rows: int, cols: int, sparse: bool, seed: int):
+    """A random sparse rows x cols matrix with 3 added on its diagonal,
+    so that it, and it bordered by a random row, is regular; CSR or
+    dense."""
+    rng = np.random.default_rng(seed)
+    mat = (sp.random(rows, cols, density=0.4, random_state=rng)
+           + 3.0 * sp.eye(rows, cols)).tocsr()
+    return mat if sparse else mat.toarray()
+
+
+ZERO_DIAGONAL = np.array([[0.0, 1.0], [1.0, 0.0]])
+SQUARE = [(k, sparse) for k in (1, 2, 5) for sparse in (False, True)]
+WIDE = [(m, sparse) for m in (1, 4, 12) for sparse in (False, True)]
+
+
+class TestPlainJacobian:
+    """A plain matrix goes through `_jacobian` as a SolutionJacobian of no
+    grid, gathered in the identity order: its solves, tangent, products
+    and norms against dense numpy."""
+
+    @pytest.mark.parametrize("k, sparse",
+                             SQUARE + [("zero diagonal", False)])
+    def test_square_solves(self, k, sparse):
+        mat = (ZERO_DIAGONAL if k == "zero diagonal"
+               else plain_matrix(k, k, sparse, seed=k))
+        dense = sp.csr_matrix(mat).toarray()
+        rhs = np.random.default_rng(1).standard_normal(len(dense))
+        jac = continuation._jacobian(mat)
+        assert isinstance(jac, augmented.SolutionJacobian)
+        assert jac.problem is None and jac.shape == dense.shape
+        assert relative_error(continuation._linear_solve(mat, rhs),
+                              np.linalg.solve(dense, rhs)) < 1e-12
+        lu = continuation._factor(jac, strict=True)
+        for trans, oracle in (("N", dense), ("T", dense.T)):
+            assert relative_error(lu.solve(rhs, trans=trans),
+                                  np.linalg.solve(oracle, rhs)) < 1e-12
+
+    @pytest.mark.parametrize("m, sparse", WIDE)
+    def test_bordered_solves_and_tangent(self, m, sparse):
+        mat = plain_matrix(m, m + 1, sparse, seed=m)
+        dense = sp.csr_matrix(mat).toarray()
+        rng = np.random.default_rng(2)
+        row, rhs = rng.standard_normal(m + 1), rng.standard_normal(m + 1)
+        whole = np.vstack([dense, row])
+        lu = continuation._factor(continuation._jacobian(mat).bordered(row),
+                                  strict=True)
+        for trans, oracle in (("N", whole), ("T", whole.T)):
+            assert relative_error(lu.solve(rhs, trans=trans),
+                                  np.linalg.solve(oracle, rhs)) < 1e-12
+        for previous in (None, row):
+            found, _ = tangent(mat, previous)
+            expected = dense_tangent(dense, previous)
+            assert relative_error(found, expected) < 1e-12
+
+    @pytest.mark.parametrize(
+        "shape, sparse",
+        [((k, k), s) for k, s in SQUARE] + [((m, m + 1), s) for m, s in WIDE])
+    def test_products_and_norms(self, shape, sparse):
+        mat = plain_matrix(*shape, sparse, seed=sum(shape))
+        dense = sp.csr_matrix(mat).toarray()
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+        jac = continuation._jacobian(mat)
+        assert relative_error(jac @ x, dense @ x) < 1e-12
+        assert relative_error(jac.rmatvec(y), dense.T @ y) < 1e-12
+        one, inf = jac.norms()
+        assert one == pytest.approx(np.linalg.norm(dense, ord=1), rel=1e-12)
+        assert inf == pytest.approx(np.linalg.norm(dense, ord=np.inf),
+                                    rel=1e-12)
+
+    def test_duplicate_csr_entries_are_summed(self):
+        # (0, 0) stored twice as 1 + 2: the gather takes one entry per
+        # position, so G_u is summed before it is ordered
+        mat = sp.csr_matrix((np.array([1.0, 2.0, 1.0, 1.0, 4.0]),
+                             np.array([0, 0, 1, 0, 1]),
+                             np.array([0, 3, 5])), shape=(2, 2))
+        assert not mat.has_canonical_format
+        rhs = np.array([1.0, 2.0])
+        expected = np.linalg.solve([[3.0, 1.0], [1.0, 4.0]], rhs)
+        assert relative_error(continuation._linear_solve(mat, rhs),
+                              expected) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 2)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="square or one column wider"):
+            continuation._jacobian(np.ones(shape))

@@ -1,15 +1,16 @@
 """Which factorizations the robust 10x10 hunt runs, counted.
 
-Every grid factor's input is gathered from G_u and its border, so no
-Newton iterate, tangent or monitor of the hunt builds a bordered CSR
-matrix (`continuation.bordered_csr`, left to plain Jacobians).  An
-accepted point on a cusp line factors G_u bordered by its kernel vector
-once per Newton iterate and once for its tangent: the monitors solve
-with the tangent's BorderedGu.  Each recorded monitor value is checked
-bit for bit against a fresh Linearization and `solve_v` at its z.  A
-Jacobian keeps the BorderedGu its factors share, so Newton lets one
-iterate's Jacobian go before it assembles the next: no factor is alive
-at any assembly.
+Every grid factor's input is gathered from G_u and its border in the
+grid's order: each Jacobian that the hunt factors carries its grid, the
+Problem of a level-0 SolutionJacobian or the Linearization of a
+BlockJacobian, so none falls back to the identity order that a plain
+matrix is gathered in.  An accepted point on a cusp line factors G_u
+bordered by its kernel vector once per Newton iterate and once for its
+tangent: the monitors solve with the tangent's BorderedGu.  Each
+recorded monitor value is checked bit for bit against a fresh
+Linearization and `solve_v` at its z.  A Jacobian keeps the BorderedGu
+its factors share, so Newton lets one iterate's Jacobian go before it
+assembles the next: no factor is alive at any assembly.
 """
 
 import weakref
@@ -36,12 +37,12 @@ GRID = Grid(10, 10)
 @pytest.fixture(scope="module")
 def counted():
     """The hunt's report and, recorded by wrappers: the calls of each
-    counted name, the type of every Jacobian factored in continuation,
-    (dimension, Newton iterations, splu calls by module) of each accepted
-    point, (template, name, z, value) of each monitor evaluation and the
-    number of BorderedGu factors alive at each assembly."""
-    calls = {"augmented.splu": 0, "continuation.splu": 0,
-             "bordered_csr": 0}
+    counted name, the type and grid of every Jacobian factored in
+    continuation, (dimension, Newton iterations, splu calls by module)
+    of each accepted point, (template, name, z, value) of each monitor
+    evaluation and the number of BorderedGu factors alive at each
+    assembly."""
+    calls = {"augmented.splu": 0, "continuation.splu": 0}
     factored, points, monitored, alive = [], [], [], []
     factors = weakref.WeakSet()
 
@@ -66,7 +67,10 @@ def counted():
     pde_monitor = continuation._pde_monitor
 
     def recording_factor(jac, strict):
-        factored.append(type(jac))
+        # the type and grid only: holding jac would keep its factor alive
+        owner = jac if isinstance(jac, SolutionJacobian) else jac.lin
+        problem = None if owner is None else owner.problem
+        factored.append((type(jac), None if problem is None else problem.grid))
         return factor(jac, strict)
 
     def recording_pinned(problem, anchor, *args):
@@ -90,8 +94,6 @@ def counted():
                                               augmented.splu))
         mp.setattr(continuation, "splu", counter("continuation.splu",
                                                  continuation.splu))
-        mp.setattr(continuation, "bordered_csr",
-                   counter("bordered_csr", continuation.bordered_csr))
         mp.setattr(continuation, "_factor", recording_factor)
         mp.setattr(continuation, "_pinned_point", recording_pinned)
         mp.setattr(continuation, "_pde_monitor", recording_monitor)
@@ -103,11 +105,11 @@ def counted():
     return report, calls, factored, points, monitored, alive
 
 
-def test_no_bordered_csr_on_the_grid(counted):
+def test_every_factored_jacobian_carries_its_grid(counted):
     _, calls, factored, _, _, _ = counted
-    assert calls["bordered_csr"] == 0
-    # every Newton iterate and tangent factored G_u and its border
-    assert set(factored) == {BlockJacobian, SolutionJacobian}
+    # every Newton iterate and tangent factored G_u and its border, in
+    # the order of the hunt's grid
+    assert set(factored) == {(BlockJacobian, GRID), (SolutionJacobian, GRID)}
     assert calls["augmented.splu"] > 0 and calls["continuation.splu"] > 0
 
 
@@ -118,7 +120,7 @@ def test_cusp_line_point_factors_only_newton_and_tangent(counted):
     assert len(cusp_line) > 10
     for _, iters, splus in cusp_line:
         assert splus == {"augmented.splu": iters + 1,
-                         "continuation.splu": 0, "bordered_csr": 0}
+                         "continuation.splu": 0}
 
 
 def test_monitor_values_match_a_fresh_evaluation(counted):

@@ -31,13 +31,13 @@ from aseries.augmented import (
 from aseries.continuation import (
     _factor,
     augmented_continuation_problem,
-    bordered_csr,
     initial_point,
     run_branch,
 )
 from aseries.poisson import ExpSineNonlinearity, Grid, nested_dissection
 from helpers import (
     Ordering,
+    bordered_csr,
     dense_det_sign,
     dense_jacobian,
     permuted_bordered,
