@@ -63,6 +63,14 @@ from .poisson import Grid, Nonlinearity, build_laplacian, nested_dissection
 #: diag_pivot_thresh of the level-0 and BorderedGu factors: at a fold
 #: t_lam and G_u are singular, so a small diagonal pivot is swapped.
 PIVOT_THRESH = 0.1
+#: SuperLU's supernode relaxation and panel size in every factor.  Its
+#: defaults suit the wide fronts of 3-D problems; the separators of a
+#: 2-D grid are small.  (1, 1) keeps the fill (29,664 L+U entries for
+#: the level-0 bordered matrix at N = 30) and cut one such factor from
+#: 497 to 373 us at N = 30 and from 7.0 to 5.7 ms at N = 90; (2, 2),
+#: (1, 4), (2, 4) and (4, 8) were slower at both sizes.
+SPLU_RELAX = 1
+SPLU_PANEL = 1
 #: A strict block solve treats its Jacobian as singular when the
 #: capacitance, rows and then columns scaled by the magnitudes it was
 #: summed from, has a larger condition number.  On every level-1/2
@@ -141,7 +149,8 @@ def _permutation_parity(perm: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class PermutedLU:
-    """SuperLU of P A P^T; solves with A, or A^T for trans "T", 1-D or 2-D."""
+    """SuperLU of P A P^T; solves with A, or A^T for trans "T", 1-D or 2-D.
+    It refines nothing, so `solve_once` is `solve`."""
 
     lu: SuperLU
     perm: np.ndarray
@@ -150,6 +159,8 @@ class PermutedLU:
         x = np.empty(np.shape(rhs))
         x[self.perm] = self.lu.solve(np.asarray(rhs)[self.perm], trans=trans)
         return x
+
+    solve_once = solve
 
     def det_sign(self) -> int:
         """Sign of det A.  P A P^T has A's determinant; SuperLU's row and
@@ -333,7 +344,7 @@ class BorderedGu:
     def __init__(self, gu, a: np.ndarray,
                  order: BorderedOrder | None = None):
         if order is None:
-            gu = sp.csr_matrix(gu)
+            gu = sp.coo_matrix(gu).tocsr()  # sums duplicates, for the gather
             order = BorderedOrder.of(gu)
         self.k = k = a / np.sqrt(np.linalg.norm(a) or 1.0)
         self.g = gu @ k
@@ -341,6 +352,7 @@ class BorderedGu:
             self.lu = PermutedLU(splu(
                 order.gather(gu, k, np.append(k, -1.0)),
                 permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESH,
+                relax=SPLU_RELAX, panel_size=SPLU_PANEL,
                 options={"SymmetricMode": True}), order.perm)
         except RuntimeError as exc:
             raise SingularAuxiliaryError(
@@ -571,8 +583,10 @@ class BlockFactor:
     in the G_u^2 block, the lam columns and the single rows.  Woodbury
     folds that term into a capacitance of order 2 + 2m (4 + 2m at level
     3) for m single rows, 8 on the bordered cusp line and 10 at level 3;
-    its transpose serves the transposed solve (levels 1-2).  Each solve
-    takes one step of iterative refinement against the full product.  A
+    its transpose serves the transposed solve (levels 1-2).  `solve`
+    takes one step of iterative refinement against the full product:
+    two Woodbury passes and one product.  `solve_once` is one pass, for
+    the rank check's Gram operator, whose verdict needs no refinement.  A
     singular factorization or capacitance raises SingularAuxiliaryError;
     with strict, so does a scaled capacitance condition of
     CAPACITANCE_COND_MAX or more.  Without strict a nearly singular J
@@ -637,7 +651,8 @@ class BlockFactor:
         return np.vstack([lu.solve(f[:n] - self.jac.d[:, None] * x2, "T"),
                           x2])
 
-    def _once(self, b: np.ndarray, trans: str) -> np.ndarray:
+    def solve_once(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """One Woodbury pass of `solve`, without its refinement."""
         size = self.block.size
         if trans == "N":
             y = np.concatenate([self._forward(b[self.block, None])[:, 0],
@@ -652,9 +667,9 @@ class BlockFactor:
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """x with J x = rhs, or J^T x = rhs with trans "T"."""
-        x = self._once(rhs, trans)
+        x = self.solve_once(rhs, trans)
         product = self.jac @ x if trans == "N" else self.jac.rmatvec(x)
-        return x + self._once(rhs - product, trans)
+        return x + self.solve_once(rhs - product, trans)
 
 
 def _swallowtail_system(gu, f, dlam, a, vbar):

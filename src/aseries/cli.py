@@ -729,13 +729,14 @@ def cmd_export_plot(opts: dict) -> int:
     try:
         with open(opts["report"]) as fh:
             doc = json.load(fh)
+        keys = doc if isinstance(doc, dict) else {}
         rows = []
-        if "rows" in doc:
+        if "rows" in keys:
             rows.append("dx,distance")
             for row in doc["rows"]:
                 dx = 1.0 / (row["N"] + 1)
                 rows.append(f"{_g(dx)},{_g(row['distance'])}")
-        elif "chain" in doc:
+        elif "chain" in keys:
             rows.append("kind,lambda1,lambda2,lambda3,residual_inf,"
                         "newton_iters")
             for entry in doc["chain"]:
@@ -746,10 +747,13 @@ def cmd_export_plot(opts: dict) -> int:
         else:
             raise UsageError("--report: unrecognized document (expected a "
                              "hunt chain or a convergence table)")
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise UsageError(f"--report: {err}") from None
     except KeyError as err:
         raise UsageError(f"--report: an entry lacks the key {err}") from None
+    except (TypeError, ValueError, ArithmeticError) as err:
+        raise UsageError(f"--report: an entry has a bad value: {err}") \
+            from None
     with open(opts["out"], "w") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {len(rows) - 1} rows to {opts['out']}")

@@ -21,6 +21,7 @@ from aseries.classifier import TensorOracle
 from aseries.continuation import (
     RankDeficientError,
     SingularJacobianError,
+    _largest_eigenvalue,
     _pinned_point,
     solution_signature,
     tangent,
@@ -257,6 +258,41 @@ def dense_rank_check(jac, rank_tol: float = 1e-8) -> None:
     if sing[-1] < rank_tol * max(sing[0], 1.0):
         raise RankDeficientError(
             f"smallest singular value {sing[-1]:.3e} at an accepted point")
+
+
+def refined_sigma_min(jac, null, factor) -> tuple:
+    """(sigma_min, scale) of an n x (n+1) Jacobian from the inverse Gram
+    operator of `continuation._check_rank` built on the refined `solve`
+    of factor.lu, as the rank check built it before it solved once per
+    application: the oracle of that single-pass operator."""
+    scale = max(np.sqrt(np.prod(jac.norms())), 1.0)
+    lu, s = factor.lu, factor.s
+    w = scale * null - factor.row
+    denom = 1.0 + w @ s
+    w_t = lu.solve(w, trans="T")
+
+    def inverse_gram(x):
+        y = lu.solve(x)
+        y -= s * ((w @ y) / denom)
+        z = lu.solve(y, trans="T")
+        return z - w_t * ((s @ y) / denom)
+
+    value = _largest_eigenvalue(inverse_gram, jac.shape[1])
+    return 1.0 / np.sqrt(abs(value)), scale
+
+
+def refined_rank_check(jac, null, factor, rank_tol: float = 1e-8) -> float:
+    """The rank check's verdict from `refined_sigma_min`, sigma_max by a
+    dense SVD when the norm bound leaves it open: raises
+    RankDeficientError, else returns sigma_min."""
+    sigma_min, scale = refined_sigma_min(jac, null, factor)
+    if sigma_min < rank_tol * scale:
+        threshold = rank_tol * max(svdvals(dense_jacobian(jac))[0], 1.0)
+        if sigma_min < threshold:
+            raise RankDeficientError(
+                f"smallest singular value {sigma_min:.3e} below "
+                f"{threshold:.3e}")
+    return sigma_min
 
 
 def dense_tangent(jac, previous=None, rank_tol: float = 1e-8) -> np.ndarray:

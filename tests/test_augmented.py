@@ -259,6 +259,19 @@ class TestAuxiliarySolve:
             BorderedGu(zero, np.array([1.0, 0.0])).orthogonal_solve(
                 np.array([1.0, 1.0]))
 
+    def test_duplicate_entries_are_summed(self):
+        # G = [[1 + 2, 1], [1, 4]] with (0, 0) stored twice, factored in
+        # its own order; a = e_0 gives B = G + e_0 e_0^T = [[4, 1], [1, 4]]
+        gu = sp.csr_matrix((np.array([1.0, 2.0, 1.0, 1.0, 4.0]),
+                            np.array([0, 0, 1, 0, 1]), np.array([0, 3, 5])),
+                           shape=(2, 2))
+        assert not gu.has_canonical_format
+        lu = BorderedGu(gu, np.array([1.0, 0.0]))
+        expected = np.linalg.solve([[4.0, 1.0], [1.0, 4.0]], [1.0, 2.0])
+        assert relative_error(lu.solve(np.array([[1.0], [2.0]]))[:, 0],
+                              expected) < 1e-14
+        assert relative_error(lu.g, [3.0, 1.0]) == 0.0
+
     def test_zero_kernel_vector_raises(self):
         # B = G is regular, but k = 0 leaves mu undefined
         lu = BorderedGu(sp.identity(2, format="csr"), np.zeros(2))

@@ -4,7 +4,8 @@ Every level-1/2 Newton matrix, tangent and rank check of the robust
 10x10 and 15x15 hunts, and of a short fold line either way from their
 folds, is recorded by wrappers and replayed through the block path and
 through the oracles of `helpers`: the sp.bmat assembly of the whole
-matrix, its SuperLU solve and a dense SVD.
+matrix, its SuperLU solve, a dense SVD and the rank check's Gram
+operator on refined block solves.
 """
 
 from dataclasses import replace
@@ -15,7 +16,7 @@ import scipy.sparse as sp
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from aseries import continuation
+from aseries import augmented, continuation
 from aseries.augmented import BlockJacobian, residual_jacobian
 from aseries.continuation import (
     ContinuationProblem,
@@ -37,6 +38,8 @@ from helpers import (
     assembled_jacobian,
     dense_jacobian,
     dense_rank_check,
+    refined_rank_check,
+    refined_sigma_min,
     relative_error,
     superlu_solve,
     superlu_tangent,
@@ -52,6 +55,9 @@ TANGENT_TOL = 1e-11
 #: sigma_min from the block path's Lanczos against the dense SVD,
 #: relative; measured 6.3e-13 (RANK_LANCZOS_TOL is 1e-10).
 SIGMA_TOL = 1e-10
+#: sigma_min from the single-pass and the refined Gram operators,
+#: relative; measured 1.6e-15.
+GRAM_TOL = 1e-13
 #: Steps of each extra fold line.  With one Newton iteration on most
 #: steps the hunts alone record 72 Newton matrices and 35 tangents at
 #: 10x10, and 81 and 38 at 15x15; the two lines add about 44 and 25.
@@ -192,10 +198,35 @@ def test_rank_verdicts_match_dense_svd(recorded):
         whole = assembled_jacobian(jac)
         dense_rank_check(whole)  # every recorded point is regular
         continuation._check_rank(probe, jac, null, factor)
-        # the norm bound decided each check: one Lanczos run, sigma_min's
+        # the norm bound decided each check: one Lanczos run, sigma_min's,
+        # on the Gram operator of single-pass solves; the refined
+        # operator gives the same sigma_min
         assert len(values) == 1
         sigma = svdvals(whole.toarray())[-1]
-        assert abs(1.0 / np.sqrt(abs(values[0])) - sigma) < SIGMA_TOL * sigma
+        single = 1.0 / np.sqrt(abs(values[0]))
+        refined, _ = refined_sigma_min(jac, null, factor)
+        assert abs(single - sigma) < SIGMA_TOL * sigma
+        assert abs(refined - sigma) < SIGMA_TOL * sigma
+        assert abs(single - refined) < GRAM_TOL * refined
+
+
+def test_gram_application_solves_four_times(recorded, monkeypatch):
+    # one Woodbury pass forward and one back, each two solves with B
+    calls, solve = [], augmented.BorderedGu.solve
+
+    def counted(self, rhs, trans="N"):
+        calls.append(trans)
+        return solve(self, rhs, trans)
+
+    monkeypatch.setattr(augmented.BorderedGu, "solve", counted)
+    rng = np.random.default_rng(0)
+    for jac, *_, runs in recorded[3]:
+        if not _is_block(jac):
+            continue
+        matvec, size = runs[0]
+        calls.clear()
+        matvec(rng.standard_normal(size))
+        assert calls == ["N", "N", "T", "T"]
 
 
 def test_sigma_max_fallback_from_blocks(recorded, monkeypatch):
@@ -338,3 +369,32 @@ def test_rank_deficient_lines_rejected_by_both(recorded, level):
             continuation._check_rank(ContinuationProblem(lambda z: None),
                                      jac, null / np.linalg.norm(null),
                                      factor)
+
+
+@pytest.mark.parametrize("make_singular", [_repeated_g_row,
+                                           _zeroed_lam_column],
+                         ids=["repeated-G-row", "zeroed-lam-column"])
+@pytest.mark.parametrize("level", [1, 2])
+def test_singular_lines_rejected_by_single_pass_and_refined(
+        recorded, make_singular, level):
+    # the fold line at the hunt's cusp and the cusp line at its
+    # swallowtail, where the line's tangent has no lam component: a
+    # repeated G row, or a zeroed lam column (its unit vector joins the
+    # kernel), leaves J rank deficient.  Bordered by the line's tangent,
+    # as a step borders, the tangent accepts the nearly singular matrix,
+    # and the Gram operators on single-pass and on refined solves both
+    # reject it
+    at = recorded[0].located("cusp" if level == 1 else "swallowtail").state
+    state = replace(at, level=level, vbar=None,
+                    active=tuple(range(level + 1)))
+    line = residual_jacobian(state)[1]
+    jac = make_singular(line)
+    with pytest.raises(RankDeficientError):
+        dense_rank_check(jac)
+    null, factor = tangent(jac, tangent(line)[0])
+    null /= np.linalg.norm(null)
+    with pytest.raises(RankDeficientError):
+        continuation._check_rank(ContinuationProblem(lambda z: None), jac,
+                                 null, factor)
+    with pytest.raises(RankDeficientError):
+        refined_rank_check(jac, null, factor)

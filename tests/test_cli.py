@@ -516,3 +516,32 @@ class TestExportPlot:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: --report: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"rows": [{"N": "3", "distance": 1}]}, "an entry has a bad value: "),
+        ({"rows": [{"N": -1, "distance": 1}]}, "an entry has a bad value: "),
+        ({"chain": [{"kind": "fold", "lam": 1, "residual_inf": 0,
+                     "newton_iters": 2}]}, "an entry has a bad value: "),
+        ("rows", "unrecognized document"),
+        (["chain"], "unrecognized document"),
+    ], ids=["string-N", "N-minus-one", "scalar-lam", "string-document",
+            "list-document"])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, doc,
+                                      message):
+        src, out = tmp_path / "bad.json", tmp_path / "bad.csv"
+        src.write_text(json.dumps(doc))
+        assert main(["export-plot", "--report", str(src),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --report: {message}")
+        assert not out.exists()
+
+    def test_undecodable_file_is_usage_error(self, tmp_path, capsys):
+        src, out = tmp_path / "bad.json", tmp_path / "bad.csv"
+        src.write_bytes(b'{"rows": "\xff"}')
+        assert main(["export-plot", "--report", str(src),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --report: ")
+        assert "codec can't decode" in err
+        assert not out.exists()

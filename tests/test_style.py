@@ -7,7 +7,8 @@ watched events from the problem rather than from parameters, and every
 defaulted parameter of a module-level function is passed by some call
 in the sources, tests or benchmark, importing the command line
 loads no SciPy subpackage that only a rarely called function needs,
-and every SuperLU factorization keeps the order it is given."""
+and every SuperLU factorization keeps the order it is given and takes
+the package's one supernode relaxation and panel size."""
 
 import ast
 import os
@@ -39,6 +40,10 @@ LAZY_SUBPACKAGES = ("scipy.integrate", "scipy.interpolate")
 #: each matrix comes already permuted by an augmented.Ordering, so
 #: SuperLU must not reorder it.
 SPLU_ORDERING = "NATURAL"
+#: The names that every `splu` call in the sources must pass as its
+#: relax and panel_size, by keyword or position (3 and 4): the shared
+#: constants of augmented, so that no factor is blocked differently.
+SPLU_BLOCKING = (("relax", 3, "SPLU_RELAX"), ("panel_size", 4, "SPLU_PANEL"))
 #: Package modules in layer order; each imports only earlier ones.
 LAYERS = ("bell", "poisson", "classifier", "augmented", "continuation",
           "harness", "cli")
@@ -121,24 +126,47 @@ def dense_calls(source: str) -> list:
     return sorted(found)
 
 
+def splu_calls(source: str) -> list:
+    """Every call of a function named `splu`, however it is imported."""
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "splu"]
+
+
+def splu_argument(call: ast.Call, name: str, position: int):
+    """The expression a `splu` call passes as parameter `name`, by
+    keyword or at `position`; None when it leaves the default."""
+    given = call.args[position : position + 1] + [
+        k.value for k in call.keywords if k.arg == name]
+    return given[0] if given else None
+
+
 def splu_orderings(source: str) -> list:
     """(line, permc_spec) of each `splu` call whose permc_spec, by
     keyword or second position, is not the literal SPLU_ORDERING; None
     when the call leaves SuperLU's default, else the source text."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and ast.unparse(node.func).split(
-                ".")[-1] == "splu"):
-            continue
-        specs = node.args[1:2] + [k.value for k in node.keywords
-                                  if k.arg == "permc_spec"]
-        spec = specs[0] if specs else None
+    for node in splu_calls(source):
+        spec = splu_argument(node, "permc_spec", 1)
         if spec is None:
             found.append((node.lineno, None))
         elif not (isinstance(spec, ast.Constant)
                   and spec.value == SPLU_ORDERING):
             found.append((node.lineno, getattr(spec, "value",
                                                ast.unparse(spec))))
+    return sorted(found)
+
+
+def splu_blockings(source: str) -> list:
+    """(line, parameter, source text) of each relax or panel_size of a
+    `splu` call that is not the SPLU_BLOCKING name; None as the text
+    when the call leaves SuperLU's default."""
+    found = []
+    for node in splu_calls(source):
+        for name, position, constant in SPLU_BLOCKING:
+            value = splu_argument(node, name, position)
+            if not (isinstance(value, ast.Name) and value.id == constant):
+                found.append((node.lineno, name, value and ast.unparse(value)))
     return sorted(found)
 
 
@@ -331,6 +359,43 @@ def test_splu_scan_catches_other_orderings_and_spares_natural():
               "g = splu(m, 'NATURAL', options={'SymmetricMode': True})\n")
     assert splu_orderings(source) == [(3, None), (4, "COLAMD"),
                                       (5, "MMD_AT_PLUS_A"), (6, "spec")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_superlu_takes_the_shared_blocking(path):
+    other = splu_blockings(path.read_text(encoding="utf-8"))
+    assert not other, f"{path.name}: splu calls without the shared " \
+                      f"relax and panel size (line, parameter, value): " \
+                      f"{other}"
+
+
+def test_blocking_constants_are_defined_once():
+    # augmented names them, every other module imports them
+    defined = {(path.stem, node.targets[0].id)
+               for path in SOURCES
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.Assign)
+               and isinstance(node.targets[0], ast.Name)
+               and node.targets[0].id in {c for *_, c in SPLU_BLOCKING}}
+    assert defined == {("augmented", c) for *_, c in SPLU_BLOCKING}
+
+
+def test_splu_blocking_scan_catches_other_settings_and_spares_constants():
+    source = ("from scipy.sparse.linalg import splu\n"
+              "a = splu(m, 'NATURAL', relax=SPLU_RELAX,\n"
+              "         panel_size=SPLU_PANEL)\n"
+              "b = splu(m, 'NATURAL', 0.1, SPLU_RELAX, SPLU_PANEL)\n"
+              "c = splu(m, permc_spec='NATURAL')\n"
+              "d = scipy.sparse.linalg.splu(m, relax=1, panel_size=1)\n"
+              "e = splu(m, relax=SPLU_PANEL, panel_size=augmented."
+              "SPLU_PANEL)\n"
+              "f = splu(m, 'NATURAL', 0.1, SPLU_RELAX)\n"
+              "g = spsolve(m, rhs, relax=4)\n")
+    assert splu_blockings(source) == [
+        (5, "panel_size", None), (5, "relax", None),
+        (6, "panel_size", "1"), (6, "relax", "1"),
+        (7, "panel_size", "augmented.SPLU_PANEL"),
+        (7, "relax", "SPLU_PANEL"), (8, "panel_size", None)]
 
 
 def test_continuation_reads_settings_from_the_problem():
