@@ -40,12 +40,14 @@ bordered by one column and one row: [[G_u, k], [k^T, -1]] here
 also reads the sign of det G_u from that factor.  `Problem.gu` keeps
 G_u on the Laplacian's CSR pattern, so `Problem.bordered_order`
 gathers each factor's input straight from [G_u data | column | row]
-into the nested-dissection order of the grid's points, the border
-last; no bordered matrix is built per factor.  An assembly's
-Linearization (its jet, G_u and BorderedGu) rides on its BlockJacobian:
-every factor of that Jacobian shares the one BorderedGu, and on a line
-the monitors at an accepted point solve with the BorderedGu that the
-tangent factored there and read the assembly's jet.
+into one order of the grid's points, the border last; no bordered
+matrix is built per factor.  That order is SuperLU's multiple minimum
+degree on the Laplacian's pattern, computed once per Problem by one
+ordering pass; every factor then keeps it (permc_spec "NATURAL").  An
+assembly's Linearization (its jet, G_u and BorderedGu) rides on its
+BlockJacobian: every factor of that Jacobian shares the one BorderedGu,
+and on a line the monitors at an accepted point solve with the
+BorderedGu that the tangent factored there and read the assembly's jet.
 """
 
 from __future__ import annotations
@@ -58,17 +60,19 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from .poisson import Grid, Nonlinearity, build_laplacian, nested_dissection
+from .poisson import Grid, Nonlinearity, build_laplacian
 
 #: diag_pivot_thresh of the level-0 and BorderedGu factors: at a fold
 #: t_lam and G_u are singular, so a small diagonal pivot is swapped.
 PIVOT_THRESH = 0.1
 #: SuperLU's supernode relaxation and panel size in every factor.  Its
 #: defaults suit the wide fronts of 3-D problems; the separators of a
-#: 2-D grid are small.  (1, 1) keeps the fill (29,664 L+U entries for
-#: the level-0 bordered matrix at N = 30) and cut one such factor from
-#: 497 to 373 us at N = 30 and from 7.0 to 5.7 ms at N = 90; (2, 2),
-#: (1, 4), (2, 4) and (4, 8) were slower at both sizes.
+#: 2-D grid are small.  The fill does not depend on them: the level-0
+#: bordered matrix in the minimum-degree order has 21,998 L+U entries
+#: at N = 30.  (1, 1) factored it in 291 us against 668 us at SuperLU's
+#: default, 4.1 ms against 8.5 ms at N = 90, and one solve took 21 us
+#: against 28 us at N = 30; (2, 2), (1, 4), (2, 4) and (4, 8) were
+#: slower at both sizes.
 SPLU_RELAX = 1
 SPLU_PANEL = 1
 #: A strict block solve treats its Jacobian as singular when the
@@ -207,10 +211,17 @@ class Problem:
     @cached_property
     def bordered_order(self) -> BorderedOrder:
         """Order of G_u bordered by one row and column, built on first
-        use: the grid's nested dissection, the border last."""
-        n = self.grid.size
+        use: SuperLU's multiple minimum degree on the pattern of L + L^T,
+        which is G_u's, with the border last (George & Liu, SIAM Review
+        31, 1989).  The order depends on the pattern alone, so one
+        ordering pass, a factor of L, serves every G_u of the Problem.
+        In SymmetricMode, as every factor runs, SuperLU keeps that
+        order as it is, without postordering it."""
+        lu = splu(self.lap.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  relax=SPLU_RELAX, panel_size=SPLU_PANEL,
+                  options={"SymmetricMode": True})
         return BorderedOrder.of(
-            self.lap, np.append(nested_dissection(self.grid), n))
+            self.lap, np.append(np.argsort(lu.perm_c), self.grid.size))
 
     @cached_property
     def _off_diagonal_sums(self) -> tuple:

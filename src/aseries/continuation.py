@@ -24,15 +24,16 @@ A level-1-3 augmented.BlockJacobian keeps its blocks and factors G_u
 bordered by the kernel vector, inside augmented.  The level-0
 augmented.SolutionJacobian keeps G_u and its lam column apart, and
 [G_u, dG/dlam; row^T] is gathered from them straight into the grid's
-nested-dissection order for one SuperLU here; a plain matrix is split
-so too, of no grid, and gathered in the identity order.  Every factor
-solves with the matrix and its transpose.  A singular bordered tangent
-matrix raises RankDeficientError, which a branch run treats like any
-failed step.
+minimum-degree order (`augmented.Problem.bordered_order`) for one
+SuperLU here; a plain matrix is split so too, of no grid, and gathered
+in the identity order.  Every factor solves with the matrix and its
+transpose.  A singular bordered tangent matrix raises
+RankDeficientError, which a branch run treats like any failed step.
 Every accepted point is checked to keep full row rank (`_check_rank`)
 by a Sherman-Morrison update of the tangent's LU, which factors nothing
-more and forms no dense or global matrix.  The same LU gives the sign of
-det G_u on a level-0 branch (`solution_signature`).
+more and forms no dense or global matrix, and a Lanczos run with full
+reorthogonalization on it (`_largest_eigenvalue`).  The same LU gives
+the sign of det G_u on a level-0 branch (`solution_signature`).
 Monitors are named scalar functions of z and of the tangent's factor,
 recorded at every accepted point: an augmented line's monitors solve
 with the BorderedGu that the tangent factored there.  Sign changes
@@ -48,12 +49,14 @@ the Newton settings of its correctors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.linalg.lapack import dstev
+from scipy.sparse.linalg import splu
 
 from .augmented import (
     PIVOT_THRESH,
@@ -105,14 +108,12 @@ BRACKET_RESOLUTION = 1e-12
 #: shrinks.  On the monitor expm1(100 (x - 0.2)) over 0 <= x <= 0.35 it
 #: used all REFINE_BUDGET trials and ended approximate.
 STALL_TRIALS = 3
-#: Relative Ritz residual at which the rank check's Lanczos runs stop.
-#: The eigenvalue error is at most this, far below the eps * sigma_max
-#: rounding of a dense SVD's sigma_min near the rank_tol threshold.
+#: Relative Ritz residual at which the rank check's Lanczos runs stop:
+#: a run stops when beta_j |y_j|, the residual norm of its Ritz pair, is
+#: at most this times |theta|, ARPACK's test.  The eigenvalue error is
+#: at most this, far below the eps * sigma_max rounding of a dense SVD's
+#: sigma_min near the rank_tol threshold.
 RANK_LANCZOS_TOL = 1e-10
-#: Lanczos subspace size of the rank check's runs.  On the robust 10x10
-#: and 15x15 hunts a check took 21 operator applications at ARPACK's
-#: default of 20 and 5-15 (mean 7-8) at 4, sigma_min agreeing to 1e-15.
-LANCZOS_NCV = 4
 #: `tangent` borders again with the tangent it found when the cosine
 #: between its bordering row and the tangent is smaller than this.
 BORDER_COS_MIN = 1e-3
@@ -391,20 +392,57 @@ def solution_signature(factor: BorderedFactor, k: int) -> int:
 
 
 def _largest_eigenvalue(matvec, size: int) -> float:
-    """Largest eigenvalue of a symmetric positive semidefinite operator.
+    """Eigenvalue of largest magnitude of a symmetric operator on R^size.
 
-    Lanczos (ARPACK) from a fixed random start vector on a subspace of
-    LANCZOS_NCV vectors, stopped at a Ritz residual of RANK_LANCZOS_TOL
-    relative; a failure to converge is a ContinuationError.
+    Lanczos with full reorthogonalization (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998, ch. 13) from a fixed random start
+    vector, without restarts: the basis grows by one vector per
+    operator application.  Each new vector is orthogonalized against
+    the whole basis, and once more when that cancelled more than half
+    its squared norm, the DGKS test that ARPACK applies (Daniel, Gragg,
+    Kaufman & Stewart, Math. Comp. 30, 1976).  After step j the run
+    takes the Ritz value theta of largest magnitude of the tridiagonal
+    T_j, y its unit eigenvector, and stops when beta_j |y_j| <=
+    RANK_LANCZOS_TOL |theta|, ARPACK's test; a breakdown, beta_j = 0,
+    leaves theta exact.  A run that spans R^size without converging,
+    meets a non-finite vector or cannot diagonalize T_j is a
+    ContinuationError.
     """
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
     start = np.random.default_rng(0).standard_normal(size)
-    try:
-        return float(eigsh(op, k=1, ncv=min(LANCZOS_NCV, size), v0=start,
-                           tol=RANK_LANCZOS_TOL,
-                           return_eigenvectors=False)[0])
-    except ArpackError as exc:
-        raise ContinuationError(f"rank check: ARPACK failed: {exc}") from exc
+    basis = np.empty((min(size, 16), size))  # rows double when full
+    basis[0] = start / np.linalg.norm(start)
+    diagonal, off = np.zeros(size), np.zeros(size)
+    for j in range(size):
+        q = basis[: j + 1]
+        w = matvec(q[j])
+        h = q @ w
+        w = w - h @ q
+        beta = math.sqrt(w @ w)
+        if beta * beta < h @ h:
+            again = q @ w
+            w -= again @ q
+            h += again
+            beta = math.sqrt(w @ w)
+        if not math.isfinite(beta):
+            raise ContinuationError(
+                "rank check: the Lanczos operator gave a non-finite vector")
+        diagonal[j] = h[j]
+        theta, y, info = dstev(diagonal[: j + 1], off[: max(j, 1)])
+        if info:
+            raise ContinuationError(f"rank check: LAPACK dstev failed on "
+                                    f"the Lanczos tridiagonal (info {info})")
+        k = -1 if theta[-1] >= -theta[0] else 0  # theta ascends
+        if beta * abs(y[j, k]) <= RANK_LANCZOS_TOL * abs(theta[k]):
+            return float(theta[k])
+        if j + 1 == size:
+            break
+        off[j] = beta
+        if j + 1 == len(basis):
+            basis = np.concatenate(
+                [basis, np.empty((min(j + 1, size - j - 1), size))])
+        basis[j + 1] = w / beta
+    raise ContinuationError(f"rank check: the Lanczos run did not converge "
+                            f"in {size} steps, the operator's size")
 
 
 def _check_rank(problem: ContinuationProblem, jac,
@@ -421,12 +459,15 @@ def _check_rank(problem: ContinuationProblem, jac,
     sigma_min of B = [jac; c t^T] is sigma_min(J) exactly.  B = T +
     e_last w^T with w = c t - row, and row^T s = 1 makes the
     Sherman-Morrison denominator 1 + w^T s = c t^T s = +-c ||s||, well
-    away from zero.  The Gram operator solves with T by the factor's
-    `solve_once`: a block factor skips the iterative refinement of its
-    `solve`, which halves its SuperLU solves and moved sigma_min by at
-    most 3.7e-15 relative on the robust and default-config hunts.  The
-    Lanczos run for sigma_max(J) happens only when sigma_min < rank_tol
-    * c leaves the verdict open.
+    away from zero.  sigma_min is the inverse square root of the largest
+    eigenvalue of the inverse Gram operator (B^T B)^-1, sigma_max(J) the
+    square root of J^T J's, each from one run of `_largest_eigenvalue`,
+    an unrestarted Lanczos from a fixed start vector.  The Gram operator
+    solves with T by the factor's `solve_once`: a block factor skips the
+    iterative refinement of its `solve`, which halves its SuperLU solves
+    and moved sigma_min by at most 3.7e-15 relative on the robust and
+    default-config hunts.  The Lanczos run for sigma_max(J) happens only
+    when sigma_min < rank_tol * c leaves the verdict open.
     """
     jac = _jacobian(jac)
     if factor is None:

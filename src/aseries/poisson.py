@@ -135,27 +135,6 @@ def build_laplacian(grid: Grid) -> sp.csr_matrix:
     return lap.tocsr()
 
 
-def nested_dissection(grid: Grid) -> np.ndarray:
-    """Grid points in nested-dissection order (George, SIAM J. Numer.
-    Anal. 10, 1973): a box of more than 8 points is cut across its
-    longer side by a line of points, its halves are ordered first, the
-    same way, then the line; the stencil fills O(n log n) in O(n^1.5)."""
-
-    def dissect(box):  # box[y, x] is the flattened index x + nx y
-        if box.size <= 8:
-            return [box.ravel()]
-        if box.shape[1] >= box.shape[0]:
-            mid = box.shape[1] // 2
-            low, line, high = box[:, :mid], box[:, mid], box[:, mid + 1:]
-        else:
-            mid = box.shape[0] // 2
-            low, line, high = box[:mid], box[mid], box[mid + 1:]
-        return dissect(low) + dissect(high) + [line]
-
-    return np.concatenate(dissect(
-        np.arange(grid.size).reshape(grid.ny, grid.nx)))
-
-
 def laplacian_eigenvalue(grid: Grid, p: int = 1, q: int = 1) -> float:
     """Analytic eigenvalue of the discrete Laplacian for mode (p, q)."""
     if not (1 <= p <= grid.nx and 1 <= q <= grid.ny):
@@ -341,12 +320,6 @@ def residual(u: np.ndarray, lam, nl: Nonlinearity, lap) -> np.ndarray:
     if u.shape != (lap.shape[0],):
         raise ValueError(f"expected {lap.shape[0]} unknowns, got {u.shape}")
     return lap @ u + nl.derivative(0, u, lam)[0]
-
-
-def jacobian(u: np.ndarray, lam, nl: Nonlinearity, lap) -> sp.csr_matrix:
-    """G_u = L + diag(f_u(u, lam)); symmetric."""
-    u = np.asarray(u, dtype=float)
-    return (lap + sp.diags(nl.derivative(1, u, lam)[1])).tocsr()
 
 
 def discrete_functional(u: np.ndarray, lam, nl: Nonlinearity, grid: Grid,

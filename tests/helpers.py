@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import svdvals
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from aseries.augmented import BlockJacobian, SolutionJacobian
 from aseries.classifier import TensorOracle
 from aseries.continuation import (
+    RANK_LANCZOS_TOL,
     RankDeficientError,
     SingularJacobianError,
     _largest_eigenvalue,
@@ -281,6 +282,17 @@ def refined_sigma_min(jac, null, factor) -> tuple:
     return 1.0 / np.sqrt(abs(value)), scale
 
 
+def arpack_largest(matvec, size: int) -> float:
+    """Eigenvalue of largest magnitude of a symmetric operator on
+    R^size by ARPACK's eigsh, restarted Lanczos on its default subspace,
+    from the rank check's start vector and to its tolerance: the oracle
+    of `continuation._largest_eigenvalue`."""
+    op = LinearOperator((size, size), matvec=matvec, dtype=float)
+    start = np.random.default_rng(0).standard_normal(size)
+    return float(eigsh(op, k=1, v0=start, tol=RANK_LANCZOS_TOL,
+                       return_eigenvectors=False)[0])
+
+
 def refined_rank_check(jac, null, factor, rank_tol: float = 1e-8) -> float:
     """The rank check's verdict from `refined_sigma_min`, sigma_max by a
     dense SVD when the norm bound leaves it open: raises
@@ -461,6 +473,39 @@ def tangent_factor(gu, seed: int = 0, problem=None):
 def tangent_signature(gu, seed: int = 0, problem=None) -> int:
     """`solution_signature` of J = [G_u, g] at k = n: the sign of det G_u."""
     return solution_signature(tangent_factor(gu, seed, problem), gu.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# G_u built whole and the nested-dissection order (oracles for
+# `Problem.gu` and for the minimum-degree order of every grid factor)
+
+
+def poisson_jacobian(u: np.ndarray, lam, nl, lap) -> sp.csr_matrix:
+    """G_u = L + diag(f_u(u, lam)), the sum of two sparse matrices;
+    symmetric."""
+    u = np.asarray(u, dtype=float)
+    return (lap + sp.diags(nl.derivative(1, u, lam)[1])).tocsr()
+
+
+def nested_dissection(grid) -> np.ndarray:
+    """Grid points in nested-dissection order (George, SIAM J. Numer.
+    Anal. 10, 1973): a box of more than 8 points is cut across its
+    longer side by a line of points, its halves are ordered first, the
+    same way, then the line; the stencil fills O(n log n) in O(n^1.5)."""
+
+    def dissect(box):  # box[y, x] is the flattened index x + nx y
+        if box.size <= 8:
+            return [box.ravel()]
+        if box.shape[1] >= box.shape[0]:
+            mid = box.shape[1] // 2
+            low, line, high = box[:, :mid], box[:, mid], box[:, mid + 1:]
+        else:
+            mid = box.shape[0] // 2
+            low, line, high = box[:mid], box[mid], box[mid + 1:]
+        return dissect(low) + dissect(high) + [line]
+
+    return np.concatenate(dissect(
+        np.arange(grid.size).reshape(grid.ny, grid.nx)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,17 @@ Every level-1/2 Newton matrix, tangent and rank check of the robust
 10x10 and 15x15 hunts, and of a short fold line either way from their
 folds, is recorded by wrappers and replayed through the block path and
 through the oracles of `helpers`: the sp.bmat assembly of the whole
-matrix, its SuperLU solve, a dense SVD and the rank check's Gram
-operator on refined block solves.
+matrix, its SuperLU solve, a dense SVD, the rank check's Gram
+operator on refined block solves and ARPACK's Lanczos.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import svdvals
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from aseries import augmented, continuation
 from aseries.augmented import BlockJacobian, residual_jacobian
@@ -35,6 +35,7 @@ from aseries.harness import (
 )
 from aseries.poisson import ExpSineNonlinearity, Grid
 from helpers import (
+    arpack_largest,
     assembled_jacobian,
     dense_jacobian,
     dense_rank_check,
@@ -55,6 +56,9 @@ TANGENT_TOL = 1e-11
 #: sigma_min from the block path's Lanczos against the dense SVD,
 #: relative; measured 6.3e-13 (RANK_LANCZOS_TOL is 1e-10).
 SIGMA_TOL = 1e-10
+#: The rank check's Lanczos against ARPACK's on one operator, relative;
+#: measured 2.2e-15 on the robust 10x10-30x30 hunts' checks.
+LANCZOS_TOL = 1e-12
 #: sigma_min from the single-pass and the refined Gram operators,
 #: relative; measured 1.6e-15.
 GRAM_TOL = 1e-13
@@ -237,8 +241,12 @@ def test_sigma_max_fallback_from_blocks(recorded, monkeypatch):
     largest = continuation._largest_eigenvalue
 
     def counted(matvec, size):
+        # both runs, sigma_min's and sigma_max's, give ARPACK's value
         runs.append(size)
-        return largest(matvec, size)
+        value = largest(matvec, size)
+        expected = arpack_largest(matvec, size)
+        assert abs(value - expected) < LANCZOS_TOL * abs(expected)
+        return value
 
     monkeypatch.setattr(continuation, "_largest_eigenvalue", counted)
     blocks = [c[:3] for c in recorded[3] if _is_block(c[0])]
@@ -294,25 +302,68 @@ def test_norms_and_transposed_products_match_dense(heavy):
                           np.linalg.solve(dense_jacobian(square).T, rhs)) < 1e-10
 
 
-def test_small_lanczos_subspace_keeps_sigma_min(recorded):
-    # ARPACK's default subspace (20 vectors) gives the same sigma_min
-    checks = recorded[3]
-    for *_, runs in checks:
-        matvec, size = runs[0]
-        op = LinearOperator((size, size), matvec=matvec, dtype=float)
-        start = np.random.default_rng(0).standard_normal(size)
-        default = eigsh(op, k=1, v0=start, tol=continuation.RANK_LANCZOS_TOL,
-                        return_eigenvectors=False)[0]
-        small = continuation._largest_eigenvalue(matvec, size)
-        assert abs(small - default) < 1e-12 * abs(default)
+def test_lanczos_matches_arpack(recorded):
+    # every run of every recorded check: the value the unrestarted
+    # Lanczos gave in the hunt is ARPACK's on the same operator
+    compared = 0
+    for *_, values, runs in recorded[3]:
+        for value, (matvec, size) in zip(values, runs):
+            expected = arpack_largest(matvec, size)
+            assert abs(value - expected) < LANCZOS_TOL * abs(expected)
+            compared += 1
+    assert compared >= len(recorded[3]) > 40
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_lanczos_on_small_operators(size):
-    # the subspace is capped at the operator's size
+    # a run ends by the operator's size at the latest
     diag = np.arange(1.0, size + 1.0)
     assert continuation._largest_eigenvalue(lambda x: diag * x, size) == \
         pytest.approx(size, rel=1e-12)
+
+
+def test_lanczos_takes_the_largest_magnitude():
+    # eigsh's which="LM": a negative eigenvalue larger in magnitude wins
+    diag = np.array([-10.0, 1.0, 2.0])
+    assert continuation._largest_eigenvalue(lambda x: diag * x, 3) == \
+        pytest.approx(-10.0, rel=1e-12)
+
+
+def test_lanczos_breakdown_is_exact():
+    # a multiple of the identity: the first vector spans an invariant
+    # subspace, and one application gives the eigenvalue up to rounding
+    applications = []
+
+    def scaled(x):
+        applications.append(x)
+        return 3.0 * x
+
+    assert continuation._largest_eigenvalue(scaled, 50) == \
+        pytest.approx(3.0, rel=1e-15)
+    assert len(applications) == 1
+
+
+def test_lanczos_basis_grows_with_the_run():
+    # the basis holds about the vectors a run made, never size x size:
+    # 29 applications on R^20000 peak near 68 vectors, not 20000
+    size = 20_000
+    diag = np.linspace(0.0, 1.0, size)
+    diag[-1] = 1.3
+    applications = []
+
+    def scaled(x):
+        applications.append(1)
+        return diag * x
+
+    tracemalloc.start()
+    try:
+        value = continuation._largest_eigenvalue(scaled, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1.3, rel=1e-12)
+    assert len(applications) > 16  # past the first allocation
+    assert peak < 4 * len(applications) * size * 8
 
 
 def _repeated_g_row(jac):

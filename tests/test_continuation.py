@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from aseries import augmented, continuation, harness
 from aseries.augmented import (
@@ -1181,13 +1180,20 @@ class TestRankCheckOracle:
                            match="bordered tangent matrix is singular"):
             sparse_rank_check(jac, previous=np.array([0.0, 0.0, 1.0]))
 
-    def test_arpack_failure_is_named(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(continuation, "eigsh", no_convergence)
-        with pytest.raises(ContinuationError, match="ARPACK") as info:
+    def test_lanczos_failure_is_named(self, monkeypatch):
+        # at tolerance 0 only an exact breakdown converges: the run spans
+        # the whole space, 2 vectors here, and gives up
+        monkeypatch.setattr(continuation, "RANK_LANCZOS_TOL", 0.0)
+        with pytest.raises(ContinuationError,
+                           match="Lanczos run did not converge in 2 steps"
+                           ) as info:
             sparse_rank_check(np.array([[1.0, -1.0]]))
+        assert not isinstance(info.value, RankDeficientError)
+
+    def test_non_finite_lanczos_vector_is_named(self):
+        with pytest.raises(ContinuationError, match="non-finite") as info:
+            continuation._largest_eigenvalue(lambda x: np.full_like(x, np.nan),
+                                             4)
         assert not isinstance(info.value, RankDeficientError)
 
     def test_sparse_level0_jacobian_stays_sparse(self, monkeypatch):

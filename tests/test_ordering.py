@@ -1,15 +1,19 @@
-"""The nested-dissection factor of every grid matrix, against oracles.
+"""The minimum-degree factor of every grid matrix, against oracles.
 
 Every grid factorization (the level-0 [J; t^T] and BorderedGu) runs in
-one nested-dissection order of the grid's points with the border last,
-its input gathered from G_u and the border (`BorderedOrder.gather`).
-Here the order is checked to be a permutation, the gathered matrix bit
-for bit against the bordered CSR built whole and permuted
+one order of the grid's points with the border last, SuperLU's multiple
+minimum degree on the Laplacian's pattern, its input gathered from G_u
+and the border (`BorderedOrder.gather`).  Here the order is checked to
+be a permutation, built by one ordering pass per Problem, the gathered
+matrix bit for bit against the bordered CSR built whole and permuted
 (`helpers.permuted_bordered`), the permuted solves against SuperLU in
 its default order (`helpers.superlu_solve`), the signature read from
-the level-0 factor against a dense slogdet, all on G_u shifted across
-Laplacian eigenvalue crossings and at a refined fold, and the
-permutation parity against an inversion count.
+the level-0 factor against a dense slogdet and the closed-form
+spectrum, all on G_u shifted across Laplacian eigenvalue crossings and
+at a refined fold, the factors at N = 15, 30 and 60 against the same
+factors in a nested-dissection order (`helpers.nested_dissection`): the
+same solves and signs, no more fill; and the permutation parity against
+an inversion count.
 """
 
 import itertools
@@ -18,6 +22,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from aseries import augmented
 from aseries.augmented import (
     AugmentedState,
     BorderedGu,
@@ -33,16 +38,19 @@ from aseries.continuation import (
     augmented_continuation_problem,
     initial_point,
     run_branch,
+    solution_signature,
 )
-from aseries.poisson import ExpSineNonlinearity, Grid, nested_dissection
+from aseries.poisson import ExpSineNonlinearity, Grid, laplacian_eigenvalue
 from helpers import (
     Ordering,
     bordered_csr,
     dense_det_sign,
     dense_jacobian,
+    nested_dissection,
     permuted_bordered,
     relative_error,
     superlu_solve,
+    tangent_factor,
     tangent_signature,
 )
 
@@ -51,6 +59,9 @@ SOLVE_TOL = 1e-12
 #: A rectangular grid: its Laplacian eigenvalues are simple, so each
 #: crossing flips the sign of det G_u.
 GRID = Grid(9, 6)
+#: Square grids whose minimum-degree factors are checked against the
+#: nested-dissection ones.
+ORACLE_SIZES = (15, 30, 60)
 
 
 def inversion_parity(perm) -> int:
@@ -61,14 +72,23 @@ def inversion_parity(perm) -> int:
 
 
 def shifted_gus(problem, crossings: int = 3):
-    """G_u = L + sigma I on both sides of the first `crossings`
-    eigenvalues -mu of L, a quarter of the gap from each: (gu, side)."""
-    mu = np.sort(-np.linalg.eigvalsh(problem.lap.toarray()))[:crossings + 1]
+    """(G_u, sign of det G_u) for G_u = L + sigma I on both sides of the
+    first `crossings` distinct eigenvalues mu of -L, a quarter of the
+    gap from each.  The mu are known in closed form and G_u's
+    eigenvalues are sigma - mu, so det G_u has the sign (-1)^m for the
+    m eigenvalues mu, counted with multiplicity, above sigma."""
+    grid = problem.grid
+    mu = np.sort([-laplacian_eigenvalue(grid, p, q)
+                  for p in range(1, grid.nx + 1)
+                  for q in range(1, grid.ny + 1)])
+    distinct = mu[np.append(True, np.diff(mu) > 1e-9 * mu[1:])]
     for k in range(crossings):
-        gap = min(mu[k + 1] - mu[k], mu[k] - (mu[k - 1] if k else 0.0))
+        below = distinct[k - 1] if k else 0.0
+        gap = min(distinct[k + 1] - distinct[k], distinct[k] - below)
         for side in (-1, 1):
-            sigma = mu[k] + side * 0.25 * gap
-            yield problem.gu(np.full(problem.grid.size, sigma)), side
+            sigma = distinct[k] + side * 0.25 * gap
+            yield (problem.gu(np.full(grid.size, sigma)),
+                   (-1) ** int(np.count_nonzero(mu > sigma)))
 
 
 @pytest.fixture(scope="module")
@@ -78,12 +98,13 @@ def problem():
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (6, 9), (30, 30)])
 def test_order_is_a_permutation(shape):
+    # the minimum-degree order, and its nested-dissection oracle
     grid = Grid(*shape)
-    order = nested_dissection(grid)
-    assert np.array_equal(np.sort(order), np.arange(grid.size))
-    problem = Problem(grid, ExpSineNonlinearity())
-    assert np.array_equal(problem.bordered_order.perm,
-                          np.append(order, grid.size))
+    perm = Problem(grid, ExpSineNonlinearity()).bordered_order.perm
+    assert np.array_equal(np.sort(perm), np.arange(grid.size + 1))
+    assert perm[-1] == grid.size
+    assert np.array_equal(np.sort(nested_dissection(grid)),
+                          np.arange(grid.size))
 
 
 def test_separators_come_last():
@@ -102,11 +123,21 @@ def test_pinned_order_of_a_small_grid():
         3, 10, 17, 24, 31]
 
 
-def test_problem_builds_no_order_until_used(problem):
+def test_problem_builds_no_order_until_used(monkeypatch):
+    # one ordering pass, a minimum-degree SuperLU of L, on first use
+    specs, splu = [], augmented.splu
+
+    def recording(mat, *args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(augmented, "splu", recording)
     fresh = Problem(Grid(5, 5), ExpSineNonlinearity())
     assert not {"lap", "bordered_order"} & set(vars(fresh))
-    fresh.bordered_order
+    order = fresh.bordered_order
     assert {"lap", "bordered_order"} <= set(vars(fresh))
+    assert fresh.bordered_order is order
+    assert specs == ["MMD_AT_PLUS_A"]
 
 
 def test_bordered_layout_and_permutation(problem):
@@ -220,13 +251,69 @@ def test_bordered_gu_solves_across_crossings(problem, trans):
 
 def test_signature_sign_across_crossings(problem):
     signs = []
-    for seed, (gu, side) in enumerate(shifted_gus(problem)):
+    for seed, (gu, sign) in enumerate(shifted_gus(problem)):
         expected = dense_det_sign(gu)
+        assert expected == sign
         assert tangent_signature(gu, seed, problem) == expected
         assert tangent_signature(gu, seed) == expected  # the plain order too
         signs.append(expected)
     # each crossing flips the sign once
     assert signs == [1, -1, -1, 1, 1, -1]
+
+
+def in_order(problem, perm):
+    """A fresh Problem of problem's grid and nonlinearity whose cached
+    bordered order is perm, the border last."""
+    other = Problem(problem.grid, problem.nl)
+    vars(other)["bordered_order"] = BorderedOrder.of(
+        other.lap, np.append(perm, problem.grid.size))
+    return other
+
+
+@pytest.fixture(scope="module", params=ORACLE_SIZES, ids=lambda n: f"N{n}")
+def both_orders(request):
+    """(the Problem in its minimum-degree order, the same Problem in
+    nested-dissection order) on the N x N grid."""
+    mmd = Problem(Grid(request.param, request.param), ExpSineNonlinearity())
+    return mmd, in_order(mmd, nested_dissection(mmd.grid))
+
+
+def fill(lu) -> int:
+    """L + U entries of a PermutedLU."""
+    return lu.lu.L.nnz + lu.lu.U.nnz
+
+
+def test_level0_factor_matches_nested_dissection(both_orders):
+    # [G_u, g; t^T] across three crossings: the same tangent, solves and
+    # sign of det G_u in either order, the closed-form sign, no more fill
+    mmd, nd = both_orders
+    n, rng = mmd.grid.size, np.random.default_rng(12)
+    for seed, (gu, sign) in enumerate(shifted_gus(mmd)):
+        mine, oracle = (tangent_factor(gu, seed, p) for p in (mmd, nd))
+        assert relative_error(mine.s, oracle.s) < SOLVE_TOL
+        rhs = rng.standard_normal((n + 1, 2))
+        for trans in ("N", "T"):
+            assert relative_error(mine.lu.solve(rhs, trans),
+                                  oracle.lu.solve(rhs, trans)) < SOLVE_TOL
+        assert solution_signature(mine, n) == \
+            solution_signature(oracle, n) == sign
+        assert fill(mine.lu) <= fill(oracle.lu)
+
+
+def test_bordered_gu_factor_matches_nested_dissection(both_orders):
+    # [[G_u, k], [k^T, -1]] across three crossings
+    mmd, nd = both_orders
+    n, rng = mmd.grid.size, np.random.default_rng(13)
+    for gu, _ in shifted_gus(mmd):
+        a = rng.standard_normal(n)
+        mine, oracle = (BorderedGu(gu, a, p.bordered_order)
+                        for p in (mmd, nd))
+        rhs = rng.standard_normal((n, 2))
+        for trans in ("N", "T"):
+            assert relative_error(mine.solve(rhs, trans),
+                                  oracle.solve(rhs, trans)) < SOLVE_TOL
+        assert mine.lu.det_sign() == oracle.lu.det_sign()
+        assert fill(mine.lu) <= fill(oracle.lu)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aseries.augmented import Problem
 from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
@@ -13,13 +14,13 @@ from aseries.poisson import (
     build_laplacian,
     discrete_functional,
     interpolate_to,
-    jacobian,
     laplacian_eigenvalue,
     laplacian_eigenvector,
     load_grid_function,
     residual,
     save_grid_function,
 )
+from helpers import poisson_jacobian
 
 LAM = np.array([0.9, 0.23, 0.6])
 
@@ -213,7 +214,7 @@ class TestResidualJacobian:
         lam = np.array([1.0, 0.0, 0.0])
         np.testing.assert_allclose(residual(np.zeros(1), lam, nl, lap), [1.0])
         np.testing.assert_allclose(
-            jacobian(np.zeros(1), lam, nl, lap).toarray(), [[-15.0]]
+            poisson_jacobian(np.zeros(1), lam, nl, lap).toarray(), [[-15.0]]
         )
 
     def test_zero_states(self):
@@ -231,7 +232,8 @@ class TestResidualJacobian:
         grid = Grid(3, 2)
         lap = build_laplacian(grid)
         lam = np.array([2.5, 0.0, 0.0])
-        found = jacobian(np.zeros(grid.size), lam, PolynomialNonlinearity(), lap)
+        found = poisson_jacobian(np.zeros(grid.size), lam,
+                                 PolynomialNonlinearity(), lap)
         np.testing.assert_allclose(
             found.toarray(), lap.toarray() + 2.5 * np.eye(grid.size)
         )
@@ -242,7 +244,7 @@ class TestResidualJacobian:
         nl = ExpSineNonlinearity()
         rng = np.random.default_rng(23)
         u = rng.uniform(-0.5, 0.5, grid.size)
-        ju = jacobian(u, LAM, nl, lap)
+        ju = poisson_jacobian(u, LAM, nl, lap)
         np.testing.assert_allclose(ju.toarray(), ju.toarray().T)
         h = 1e-6
         for k in rng.integers(0, grid.size, 4):
@@ -251,6 +253,20 @@ class TestResidualJacobian:
             um[k] -= h
             fd = (residual(up, LAM, nl, lap) - residual(um, LAM, nl, lap)) / (2 * h)
             np.testing.assert_allclose(fd, ju.toarray()[:, k], atol=1e-6)
+
+    def test_problem_gu_matches_the_sum(self):
+        # Problem.gu adds f_u into the Laplacian's diagonal data: the
+        # same sums as L + diag(f_u), on the Laplacian's pattern
+        grid = Grid(5, 4)
+        nl = ExpSineNonlinearity()
+        problem = Problem(grid, nl)
+        u = np.random.default_rng(37).uniform(-0.5, 0.5, grid.size)
+        found = problem.gu(nl.derivative(1, u, LAM)[1])
+        expected = poisson_jacobian(u, LAM, nl, problem.lap)
+        assert np.array_equal(found.toarray(), expected.toarray())
+        for part in ("indptr", "indices"):
+            assert np.array_equal(getattr(found, part),
+                                  getattr(problem.lap, part))
 
     def test_shape_validation(self):
         lap = build_laplacian(Grid(2, 2))
@@ -306,7 +322,7 @@ class TestOracle:
 
     def test_contract_two_is_jacobian(self):
         a, b = self.rng.standard_normal((2, self.grid.size))
-        ju = jacobian(self.u, LAM, self.nl, self.lap)
+        ju = poisson_jacobian(self.u, LAM, self.nl, self.lap)
         assert self.orc.contract(2, a, b) == pytest.approx(a @ (ju @ b))
         np.testing.assert_allclose(self.orc.hessian(), ju.toarray())
 

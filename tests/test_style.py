@@ -7,8 +7,9 @@ watched events from the problem rather than from parameters, and every
 defaulted parameter of a module-level function is passed by some call
 in the sources, tests or benchmark, importing the command line
 loads no SciPy subpackage that only a rarely called function needs,
-and every SuperLU factorization keeps the order it is given and takes
-the package's one supernode relaxation and panel size."""
+and every SuperLU factorization keeps the order it is given, but for
+the one ordering pass that computes that order, and takes the
+package's one supernode relaxation and panel size."""
 
 import ast
 import os
@@ -37,9 +38,14 @@ CALLERS = sorted(path for part in ("src", "tests", "bench")
 #: into every run.
 LAZY_SUBPACKAGES = ("scipy.integrate", "scipy.interpolate")
 #: The only column ordering a `splu` call in the sources may ask for:
-#: each matrix comes already permuted by an augmented.Ordering, so
+#: each matrix comes already permuted by an augmented.BorderedOrder, so
 #: SuperLU must not reorder it.
 SPLU_ORDERING = "NATURAL"
+#: The one `splu` call that may ask for another ordering, as (module
+#: file, enclosing function, permc_spec): the ordering pass that gives
+#: every grid factor its order.  It factors the Laplacian only to read
+#: the minimum-degree permutation.
+ORDERING_PASS = ("augmented.py", "Problem.bordered_order", "MMD_AT_PLUS_A")
 #: The names that every `splu` call in the sources must pass as its
 #: relax and panel_size, by keyword or position (3 and 4): the shared
 #: constants of augmented, so that no factor is blocked differently.
@@ -127,10 +133,24 @@ def dense_calls(source: str) -> list:
 
 
 def splu_calls(source: str) -> list:
-    """Every call of a function named `splu`, however it is imported."""
-    return [node for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call)
-            and ast.unparse(node.func).split(".")[-1] == "splu"]
+    """(enclosing scope, call) of every call of a function named `splu`,
+    however it is imported; the scope is the dotted names of the
+    classes and functions around the call, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and \
+                    ast.unparse(child.func).split(".")[-1] == "splu":
+                found.append((".".join(scope), child))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
 
 
 def splu_argument(call: ast.Call, name: str, position: int):
@@ -141,20 +161,24 @@ def splu_argument(call: ast.Call, name: str, position: int):
     return given[0] if given else None
 
 
-def splu_orderings(source: str) -> list:
-    """(line, permc_spec) of each `splu` call whose permc_spec, by
+def splu_orderings(source: str, allowed=None) -> list:
+    """(line, scope, permc_spec) of each `splu` call whose permc_spec, by
     keyword or second position, is not the literal SPLU_ORDERING; None
-    when the call leaves SuperLU's default, else the source text."""
+    when the call leaves SuperLU's default, else the source text.
+    allowed, a (scope, permc_spec) pair, spares one call, the first
+    that matches it: a second such call is found."""
     found = []
-    for node in splu_calls(source):
+    for scope, node in splu_calls(source):
         spec = splu_argument(node, "permc_spec", 1)
         if spec is None:
-            found.append((node.lineno, None))
+            found.append((node.lineno, scope, None))
         elif not (isinstance(spec, ast.Constant)
                   and spec.value == SPLU_ORDERING):
-            found.append((node.lineno, getattr(spec, "value",
-                                               ast.unparse(spec))))
-    return sorted(found)
+            found.append((node.lineno, scope,
+                          getattr(spec, "value", ast.unparse(spec))))
+    found.sort()
+    spared = [f for f in found if f[1:] == allowed][:1]
+    return [f for f in found if f not in spared]
 
 
 def splu_blockings(source: str) -> list:
@@ -162,7 +186,7 @@ def splu_blockings(source: str) -> list:
     `splu` call that is not the SPLU_BLOCKING name; None as the text
     when the call leaves SuperLU's default."""
     found = []
-    for node in splu_calls(source):
+    for _, node in splu_calls(source):
         for name, position, constant in SPLU_BLOCKING:
             value = splu_argument(node, name, position)
             if not (isinstance(value, ast.Name) and value.id == constant):
@@ -343,9 +367,14 @@ def test_dense_scan_catches_dense_calls_and_spares_norm():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_superlu_keeps_the_given_order(path):
-    other = splu_orderings(path.read_text(encoding="utf-8"))
+    source = path.read_text(encoding="utf-8")
+    allowed = ORDERING_PASS[1:] if path.name == ORDERING_PASS[0] else None
+    other = splu_orderings(source, allowed)
     assert not other, f"{path.name}: splu calls with a permc_spec other " \
-                      f"than {SPLU_ORDERING!r} (line, permc_spec): {other}"
+                      f"than {SPLU_ORDERING!r} (line, scope, permc_spec): " \
+                      f"{other}"
+    if allowed:  # the ordering pass is there, once
+        assert len(splu_orderings(source)) == 1
 
 
 def test_splu_scan_catches_other_orderings_and_spares_natural():
@@ -357,8 +386,36 @@ def test_splu_scan_catches_other_orderings_and_spares_natural():
               "e = splu(m, permc_spec=spec)\n"
               "f = spsolve(m, rhs, permc_spec='COLAMD')\n"
               "g = splu(m, 'NATURAL', options={'SymmetricMode': True})\n")
-    assert splu_orderings(source) == [(3, None), (4, "COLAMD"),
-                                      (5, "MMD_AT_PLUS_A"), (6, "spec")]
+    assert splu_orderings(source) == [
+        (3, "", None), (4, "", "COLAMD"), (5, "", "MMD_AT_PLUS_A"),
+        (6, "", "spec")]
+
+
+def test_splu_scan_spares_only_the_ordering_pass():
+    # the one minimum-degree call in Problem.bordered_order is spared; a
+    # second one there, the same call in another function and another
+    # ordering in that function are still found
+    allowed = ORDERING_PASS[1:]
+    one = ("class Problem:\n"
+           "    def bordered_order(self):\n"
+           "        lu = splu(lap, permc_spec='MMD_AT_PLUS_A')\n"
+           "        return lu\n")
+    assert splu_orderings(one, allowed) == []
+    second = one.replace("        return lu\n",
+                         "        return splu(lap, 'MMD_AT_PLUS_A')\n")
+    assert splu_orderings(second, allowed) == [
+        (4, "Problem.bordered_order", "MMD_AT_PLUS_A")]
+    elsewhere = one + ("def order(lap):\n"
+                       "    return splu(lap, permc_spec='MMD_AT_PLUS_A')\n"
+                       "class Other:\n"
+                       "    def bordered_order(self):\n"
+                       "        return splu(lap, 'MMD_AT_PLUS_A')\n")
+    assert splu_orderings(elsewhere, allowed) == [
+        (6, "order", "MMD_AT_PLUS_A"),
+        (9, "Other.bordered_order", "MMD_AT_PLUS_A")]
+    colamd = one.replace("MMD_AT_PLUS_A", "COLAMD")
+    assert splu_orderings(colamd, allowed) == [
+        (3, "Problem.bordered_order", "COLAMD")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
