@@ -23,8 +23,13 @@ level.  `solution_residual_jacobian` and
 level-k name applied to a higher-level state still gives level k.
 
 The normalization is the discrete-L2 dx dy a.a = 1.  Only level 3
-carries vbar, with v = G_u vbar.  The monitors solve for v itself:
-G_u v + mu a = -f_uu . a^2 with a.v = 0, one bordered solve.
+carries vbar, with v = G_u vbar.  The monitors are the classifier's
+test values r^3 (cusp), r^4 (swallowtail) and r^5 (butterfly), run on
+a state's Linearization, the grid's sparse derivative oracle.  Their
+jet vectors v = F'' and w = F''' solve the classifier's Bell
+right-hand sides kernel-orthogonally, one bordered solve each:
+G_u v + mu a = -f_uu . a^2 with a.v = 0.  The cusp row is the same
+contraction as the cusp monitor.
 
 Levels 1-3 return their Jacobian as a BlockJacobian, never one global
 matrix.  Its BlockFactor factors one (n+1) x (n+1) matrix, G_u bordered
@@ -60,6 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
+from .classifier import jet_rhs, test_value
 from .poisson import Grid, Nonlinearity, build_laplacian
 
 #: diag_pivot_thresh of the level-0 and BorderedGu factors: at a fold
@@ -314,6 +320,10 @@ class AugmentedState:
         lam = self.lam.copy()
         lam[list(self.active)] = z[-len(self.active) :]
         return replace(self, u=u, alpha=alpha, vbar=vbar, lam=lam)
+
+
+#: The classifier's order n of each grid monitor r^n.
+MONITOR_ORDERS = {"cusp": 3, "swallowtail": 4, "butterfly": 5}
 
 
 @dataclass
@@ -740,7 +750,7 @@ def _assemble(state: AugmentedState, level: int):
     res += [gu @ a, [prob.inner(a, a) - 1.0]]
     rows = [(zero, 2.0 * prob.weight * a, np.zeros(3))]
     if level >= 2:
-        res.append([f[2] @ a**3])
+        res.append([lin.contract(3, a, a, a)])
         rows.append((f[3] * a**3, 3.0 * f[2] * a**2, a**3 @ dlam[2]))
     cols = [dlam[0], a[:, None] * dlam[1]]
     blocks = {}
@@ -793,13 +803,25 @@ class Linearization:
     state, and G_u bordered by the kernel vector, factored on first use.
     One derivative call builds the jet; the monitors evaluated at one
     state share one Linearization, and so does an assembly with its
-    Jacobian's factors and, on a line, the monitors at its point."""
+    Jacobian's factors and, on a line, the monitors at its point.
+
+    It is the grid's `classifier.DerivativeOracle` of orders 2..top + 1:
+    contract_free(2, x) = G_u x and, for k >= 3, the diagonal product
+    f^(k-1) . x_1 ... x_(k-1).  It has no dense `hessian`; its jet
+    vectors solve with the BorderedGu, and `classifier.detect` still
+    needs a TensorOracle.
+    """
 
     def __init__(self, state: AugmentedState, top: int):
         self.state = state
         self.alpha, self.problem = state.alpha, state.problem
+        self.dimension = state.problem.grid.size
         self.f = state.problem.nl.derivative(top, state.u, state.lam)
         self.gu = state.problem.gu(self.f[1])
+
+    @property
+    def max_order(self) -> int:
+        return len(self.f)
 
     @cached_property
     def bordered(self) -> BorderedGu:
@@ -815,52 +837,50 @@ class Linearization:
         out.f = self.problem.nl.derivative(top, self.state.u, self.state.lam)
         return out
 
+    def contract_free(self, k: int, *vectors) -> np.ndarray:
+        if len(vectors) != k - 1:
+            raise ValueError(f"contract_free({k}) needs {k - 1} vectors")
+        if not 2 <= k <= self.max_order:
+            raise ValueError(f"order {k} outside 2..{self.max_order}")
+        if k == 2:
+            return self.gu @ vectors[0]
+        out = self.f[k - 1]
+        for x in vectors:
+            out = out * x
+        return out
 
-def cusp_monitor(state: AugmentedState,
-                 lin: Linearization | None = None) -> float:
-    f2 = (lin or Linearization(state, 2)).f[2]
-    return float(f2 @ state.alpha**3)
+    def contract(self, k: int, *vectors) -> float:
+        return float(self.contract_free(k, *vectors[:-1]) @ vectors[-1])
+
+    def jet_vector(self, jet: list) -> np.ndarray:
+        """The jet's next vector F^(m) after jet = [F'', .., F^(m-1)]: the
+        classifier's Bell right-hand side of order m + 2 solved, kernel
+        orthogonal, by one bordered solve."""
+        return self.bordered.orthogonal_solve(
+            jet_rhs(self, self.alpha, jet, len(jet) + 4))
 
 
 def solve_v(state: AugmentedState, lin: Linearization | None = None):
-    """Kernel-orthogonal correction v: G_u v + mu a = -(f_uu . a^2) with
+    """The jet's first vector F'' = v: G_u v + mu a = -(f_uu . a^2) with
     a.v = 0, one bordered solve on lin's BorderedGu."""
-    lin = lin or Linearization(state, 2)
-    return lin.bordered.orthogonal_solve(-lin.f[2] * state.alpha**2)
+    return (lin or Linearization(state, 2)).jet_vector([])
 
 
-def swallowtail_monitor(state: AugmentedState, v: np.ndarray,
-                        lin: Linearization | None = None) -> float:
-    a = state.alpha
-    lin = lin or Linearization(state, 3)
-    f2, f3 = lin.f[2:4]
-    return float(f3 @ a**4 + 6.0 * (f2 * a**2) @ v + 3.0 * v @ (lin.gu @ v))
-
-
-def butterfly_monitor(state: AugmentedState, v: np.ndarray,
-                      lin: Linearization | None = None) -> float:
-    """Butterfly test with the auxiliary w-solve.
-
-    G_u w + mu a = -(3 f_uu . a . v + f_uuu . a^3) with a.w = 0, solved
-    like v, and value = f_uuuu . a^5 - 15 (f_uu . a) . v^2
-    + 10 (f_uu . a^2) . w.
-    """
-    a = state.alpha
-    lin = lin or Linearization(state, 4)
-    f2, f3, f4 = lin.f[2:5]
-    w = lin.bordered.orthogonal_solve(-(3.0 * f2 * a * v + f3 * a**3))
-    return float(f4 @ a**5 - 15.0 * (f2 * a) @ (v * v)
-                 + 10.0 * (f2 * a**2) @ w)
+def monitor_value(lin: Linearization, n: int, jet=()) -> float:
+    """The classifier's test value r^n on lin: the cusp (n = 3),
+    swallowtail (4) or butterfly (5) monitor.  jet, the leading vectors
+    F'', F''', .. that the caller has, is completed to F^(n-2) by
+    `Linearization.jet_vector`, and lin's jet is raised to f^(n-1)."""
+    lin, jet = lin.raised(n - 1), list(jet)
+    while len(jet) < n - 3:
+        jet.append(lin.jet_vector(jet))
+    return test_value(lin, lin.alpha, jet, n)
 
 
 def evaluate_monitors(state: AugmentedState) -> MonitorRecord:
     """Cusp and swallowtail values at a state; butterfly at level 3."""
     lin = Linearization(state, 4 if state.level == 3 else 3)
-    v = solve_v(state, lin)
-    butterfly = (butterfly_monitor(state, v, lin) if state.level == 3
-                 else None)
+    jet = [solve_v(state, lin)]
     return MonitorRecord(
-        cusp=cusp_monitor(state, lin),
-        swallowtail=swallowtail_monitor(state, v, lin),
-        butterfly=butterfly,
-    )
+        cusp=monitor_value(lin, 3), swallowtail=monitor_value(lin, 4, jet),
+        butterfly=monitor_value(lin, 5, jet) if state.level == 3 else None)

@@ -51,10 +51,12 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order {n} exceeds supported maximum {MAX_ORDER}")
 
 
-def enumerate_multi_indices(n: int, k: int) -> list[MultiIndex]:
+@functools.cache
+def enumerate_multi_indices(n: int, k: int) -> tuple[MultiIndex, ...]:
     """All j = (j_1, ..., j_{n-k+1}) with sum j_l = k and sum l*j_l = n.
 
-    Returned in lexicographic order of the entry tuples.
+    Returned in lexicographic order of the entry tuples, built once per
+    (n, k) and shared: the result is an immutable tuple.
 
     >>> [m.entries for m in enumerate_multi_indices(4, 2)]
     [(0, 2, 0), (1, 0, 1)]
@@ -80,9 +82,10 @@ def enumerate_multi_indices(n: int, k: int) -> list[MultiIndex]:
 
     extend([], k, n)
     out.sort(key=lambda m: m.entries)
-    return out
+    return tuple(out)
 
 
+@functools.cache
 def multi_index_coefficient(index: MultiIndex) -> int:
     """Coefficient n!/(j! * prod_l (l!)**j_l) of the monomial for `index`."""
     num = math.factorial(index.n)
@@ -138,8 +141,3 @@ def bell_value(n: int, xs):
                 term = term * x**p
         total = term if total is None else total + term
     return total
-
-
-def bell_number(n: int) -> int:
-    """Number of partitions of an n-set: B_n(1, ..., 1)."""
-    return int(bell_value(n, (1,) * n))

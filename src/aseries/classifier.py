@@ -8,6 +8,12 @@ Hessian: the jet of the implicitly defined map F is recovered order by
 order from Bell-polynomial contraction identities, and the derivatives
 r^(n)(0) serve as test values.  r^(k)(0) = 0 for 3 <= k <= n together
 with r^(n+1)(0) != 0 identifies a singularity of type A_n.
+
+`test_value` and `jet_rhs` need only contractions, so they run on any
+oracle; they are the grid's monitors too, on the sparse
+`augmented.Linearization`.  `solve_jet_step`, `kernel_of_hessian` and
+`detect` read the oracle's dense Hessian, so they need a
+`TensorOracle`.
 """
 
 from __future__ import annotations
@@ -43,7 +49,10 @@ class DerivativeOracle(Protocol):
     `contract(k, v_1, ..., v_k)` is the k-th form on k vectors,
     `contract_free(k, v_1, ..., v_{k-1})` the vector of contractions
     with one slot left open, and `hessian()` the dense symmetric second
-    form.  `TensorOracle` and `poisson.PoissonOracle` implement it; the
+    form.  `TensorOracle` implements all of it densely.  The grid's
+    `augmented.Linearization` implements `contract` and `contract_free`
+    from order 2, sparse, but no `hessian`: `test_value` and `jet_rhs`
+    run on it, and its jet vectors solve with its bordered factor.  The
     protocol holds no code of its own.
     """
 
@@ -97,19 +106,6 @@ class TensorOracle:
             raise ValueError("oracle has no second-order tensor")
         h = self.tensors[1]
         return 0.5 * (h + h.T)
-
-    def value(self, z) -> float:
-        """Taylor evaluation sum_k T_k[z,...,z]/k! (exact for polynomials)."""
-        z = np.asarray(z, dtype=float)
-        total = 0.0
-        fact = 1.0
-        for k in range(1, self.max_order + 1):
-            fact *= k
-            t = self.tensors[k - 1]
-            for _ in range(k):
-                t = t @ z
-            total += float(t) / fact
-        return total
 
 
 @dataclass
@@ -198,8 +194,8 @@ def _solve_restricted(hessian: np.ndarray, alpha: np.ndarray, rhs: np.ndarray):
     return x
 
 
-def solve_jet_step(oracle: DerivativeOracle, alpha, jet, n: int) -> np.ndarray:
-    """Next jet vector F^(n-2)(0) from the order-(n-2) contraction identity.
+def jet_rhs(oracle: DerivativeOracle, alpha, jet, n: int) -> np.ndarray:
+    """Right-hand side b of the order-(n-2) contraction identity.
 
     For every xi orthogonal to alpha,
 
@@ -207,8 +203,9 @@ def solve_jet_step(oracle: DerivativeOracle, alpha, jet, n: int) -> np.ndarray:
             S^(k+1)(xi (x) args(j)),   m = n - 2,
 
     with args drawn from alpha (l=1) and F^(l)(0) (l >= 2); the unknown
-    F^(m)(0) enters only through S^(2)(xi, F^(m)) and is solved for on
-    the orthogonal complement of alpha.
+    F^(m)(0) enters only through S^(2)(xi, F^(m)).  Moved to the left,
+    it reads S^(2)(F^(m), xi) = b . xi on the complement of alpha: F^(m)
+    solves H x + mu alpha = b with alpha . x = 0.
     """
     if n < 4:
         raise ValueError("jet recursion starts at n=4")
@@ -227,8 +224,14 @@ def solve_jet_step(oracle: DerivativeOracle, alpha, jet, n: int) -> np.ndarray:
                 args.extend([table[l]] * count)
             rhs += multi_index_coefficient(index) * oracle.contract_free(
                 k + 1, *args)
-    # 0 = rhs . xi + S^(2)(F^(m), xi)  on the complement of alpha
-    return _solve_restricted(oracle.hessian(), alpha, -rhs)
+    return -rhs
+
+
+def solve_jet_step(oracle: DerivativeOracle, alpha, jet, n: int) -> np.ndarray:
+    """Next jet vector F^(n-2)(0): `jet_rhs` solved on the complement of
+    alpha by one dense bordered solve of the oracle's Hessian."""
+    return _solve_restricted(oracle.hessian(), alpha,
+                             jet_rhs(oracle, alpha, jet, n))
 
 
 def test_value(oracle: DerivativeOracle, alpha, jet, n: int) -> float:
@@ -278,7 +281,9 @@ def closed_form_tests(
     Evaluation stops after the first test value that is nonzero at the
     working tolerance (deeper auxiliary equations are then unsolvable:
     the kernel component of each right-hand side equals the previous
-    test value up to sign).
+    test value up to sign).  No pipeline path calls it: it is kept as
+    the acceptance tests' independent reference for the Bell-recursion
+    values, on the grid (criterion 9) and on tensors.
     """
     tol = tolerances or Tolerances()
     alpha = np.asarray(alpha, dtype=float)
@@ -343,14 +348,9 @@ def detect(oracle: DerivativeOracle,
     anorm = np.linalg.norm(alpha)
     values: list[float] = []
     jet: list[np.ndarray] = []
-    r3 = oracle.contract(3, alpha, alpha, alpha)
-    values.append(r3)
-    if abs(r3) > tol.zero_test * anorm**3:
-        return SingularityReport(
-            kind="A2", order=2, test_values=values, kernel_dim=1, alpha=alpha
-        )
-    for n in range(4, max_order + 1):
-        jet.append(solve_jet_step(oracle, alpha, jet, n))
+    for n in range(3, max_order + 1):
+        if n > 3:
+            jet.append(solve_jet_step(oracle, alpha, jet, n))
         rn = test_value(oracle, alpha, jet, n)
         values.append(rn)
         if abs(rn) > tol.zero_test * anorm**n:

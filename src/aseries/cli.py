@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmented import (
+    MONITOR_ORDERS,
     AugmentedState,
     Problem,
     SingularAuxiliaryError,
@@ -56,7 +57,6 @@ CSV_COLUMNS = ("step", "s", "lambda1", "lambda2", "lambda3", "norm_u_inf",
                "u_center", "monitor_fold", "monitor_cusp", "monitor_sw",
                "signature", "newton_iters")
 LAM_NAMES = {"l1": 0, "l2": 1, "l3": 2}
-MONITOR_NAMES = ("cusp", "swallowtail", "butterfly")
 NUMERICAL_ERRORS = (ContinuationError, RefinementError,
                     SingularAuxiliaryError, PoleError, ClassifierError,
                     np.linalg.LinAlgError)
@@ -383,7 +383,7 @@ def _check_continue(opts: dict, monitors: tuple) -> None:
         raise UsageError(f"--direction must be a nonzero number, "
                          f"got {opts['direction']}")
     for name in monitors:
-        if name not in MONITOR_NAMES:
+        if name not in MONITOR_ORDERS:
             raise UsageError(f"unknown monitor {name!r}")
         if level == 0:
             raise UsageError(f"monitor {name!r} needs level >= 1")

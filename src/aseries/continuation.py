@@ -59,6 +59,7 @@ from scipy.linalg.lapack import dstev
 from scipy.sparse.linalg import splu
 
 from .augmented import (
+    MONITOR_ORDERS,
     PIVOT_THRESH,
     SPLU_PANEL,
     SPLU_RELAX,
@@ -67,11 +68,9 @@ from .augmented import (
     MonitorRecord,
     PermutedLU,
     SolutionJacobian,
-    butterfly_monitor,
-    cusp_monitor,
+    monitor_value,
     residual_jacobian,
     solve_v,
-    swallowtail_monitor,
 )
 from .poisson import Grid
 
@@ -803,20 +802,17 @@ def augmented_continuation_problem(template, monitors=(),
 
 def _pde_monitor(template, name: str):
     """The named monitor of a line through template, at z and the
-    tangent's factor there.  The factor's Jacobian carries the accepted
-    assembly's Linearization: the monitor reads that jet, raised to its
-    own top where it is lower, and solves with the BorderedGu that the
-    tangent factored, so it factors nothing of its own."""
-    if name not in ("cusp", "swallowtail", "butterfly"):
+    tangent's factor there: `monitor_value` of the name's order on the
+    accepted assembly's Linearization, which the factor's Jacobian
+    carries.  It solves with the BorderedGu that the tangent factored,
+    so it factors nothing of its own."""
+    if name not in MONITOR_ORDERS:
         raise ValueError(f"unknown monitor {name!r}")
+    order = MONITOR_ORDERS[name]
 
     def monitor(z, factor):
         state, lin = template.with_vector(z), factor.lu.jac.lin
-        if name == "cusp":
-            return cusp_monitor(state, lin)
-        v = solve_v(state, lin)
-        if name == "swallowtail":
-            return swallowtail_monitor(state, v, lin.raised(3))
-        return butterfly_monitor(state, v, lin.raised(4))
+        jet = [solve_v(state, lin)] if order > 3 else []
+        return monitor_value(lin, order, jet)
 
     return monitor

@@ -652,7 +652,9 @@ def verify_swallowtail_geometry(state: AugmentedState) -> GeometryReport:
     at a traced cusp; the other side's slice starts from a fold solve
     seeded by the swallowtail data.  Each slice runs the fold line both
     ways inside a parameter ball of radius 2 dlam3 and counts distinct
-    cusp-monitor zeros.  A swallowtail shows the pair (2, 0).
+    cusp-monitor zeros.  A swallowtail shows the pair (2, 0).  No
+    command runs it: it is the geometry check of the acceptance tests,
+    kept as the package's workflow for it.
     """
     if state.level < 2:
         raise ValueError("need a swallowtail state with a kernel vector")

@@ -77,10 +77,6 @@ class GridFunction:
         """Nodal values as an (nx, ny) matrix."""
         return self.values.reshape((self.grid.nx, self.grid.ny), order="F")
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, grid: Grid) -> "GridFunction":
-        return cls(np.asarray(matrix, dtype=float).flatten(order="F"), grid)
-
 
 def save_grid_function(path, gf: GridFunction) -> None:
     """Text format: header line `nx ny`, then the flattened values."""
@@ -121,7 +117,13 @@ def interpolate_to(gf: GridFunction, target: Grid) -> GridFunction:
 
 
 def build_laplacian(grid: Grid) -> sp.csr_matrix:
-    """Five-point Laplacian as the Kronecker sum of 1-d second differences."""
+    """Five-point Laplacian as the Kronecker sum of 1-d second differences.
+
+    It stores its nonzeros only, 5 n - 2 nx - 2 ny of them: the sum
+    leaves explicit zeros where the diagonals of its terms overlap on
+    small grids, and `Problem.gu` and every factor's gather would carry
+    them on.
+    """
 
     def second_difference(n: int, h: float) -> sp.csr_matrix:
         main = np.full(n, -2.0)
@@ -131,12 +133,17 @@ def build_laplacian(grid: Grid) -> sp.csr_matrix:
     dxx = second_difference(grid.nx, grid.dx)
     dyy = second_difference(grid.ny, grid.dy)
     lap = (sp.kron(sp.identity(grid.ny), dxx)
-           + sp.kron(dyy, sp.identity(grid.nx)))
-    return lap.tocsr()
+           + sp.kron(dyy, sp.identity(grid.nx))).tocsr()
+    lap.eliminate_zeros()
+    return lap
 
 
 def laplacian_eigenvalue(grid: Grid, p: int = 1, q: int = 1) -> float:
-    """Analytic eigenvalue of the discrete Laplacian for mode (p, q)."""
+    """Analytic eigenvalue of the discrete Laplacian for mode (p, q).
+
+    Kept beside `laplacian_eigenvector` as its pair: the analytic fold
+    lam1 = -eigenvalue that the eigen-fold checks start from.
+    """
     if not (1 <= p <= grid.nx and 1 <= q <= grid.ny):
         raise ValueError("mode indices outside the grid")
     sx = math.sin(p * math.pi * grid.dx / 2.0)
@@ -145,7 +152,11 @@ def laplacian_eigenvalue(grid: Grid, p: int = 1, q: int = 1) -> float:
 
 
 def laplacian_eigenvector(grid: Grid, p: int = 1, q: int = 1) -> np.ndarray:
-    """Flattened product-sine eigenvector for mode (p, q), unnormalized."""
+    """Flattened product-sine eigenvector for mode (p, q), unnormalized.
+
+    Kept in the package because the benchmark's scaling probe builds its
+    states from it.
+    """
     i = np.arange(1, grid.nx + 1)
     j = np.arange(1, grid.ny + 1)
     wx = np.sin(p * np.pi * i * grid.dx)
@@ -314,59 +325,15 @@ class PolynomialNonlinearity(Nonlinearity):
         return total * t
 
 
-def residual(u: np.ndarray, lam, nl: Nonlinearity, lap) -> np.ndarray:
-    """G(u, lam) = L u + f(u, lam) componentwise."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (lap.shape[0],):
-        raise ValueError(f"expected {lap.shape[0]} unknowns, got {u.shape}")
-    return lap @ u + nl.derivative(0, u, lam)[0]
-
-
 def discrete_functional(u: np.ndarray, lam, nl: Nonlinearity, grid: Grid,
                         lap=None) -> float:
-    """S(u, lam) = 1/2 u^T L u + sum_k fbar(u_k, lam)."""
+    """S(u, lam) = 1/2 u^T L u + sum_k fbar(u_k, lam).
+
+    The paper's functional S itself, kept with the `antiderivative`s it
+    sums: G and its Jacobian are checked against its finite differences.
+    """
     u = np.asarray(u, dtype=float)
     if lap is None:
         lap = build_laplacian(grid)
     return (0.5 * float(u @ (lap @ u))
             + float(np.sum(nl.antiderivative(u, lam))))
-
-
-class PoissonOracle:
-    """Derivative oracle of the discrete functional at a given state.
-
-    Implements the `classifier.DerivativeOracle` protocol.
-
-    contract(1, v) = G . v, contract(2, a, b) = a^T G_u b, and for k >= 3
-    the forms are diagonal: contract(k, v_1..v_k) =
-    sum_j f^(k-1)(u_j, lam) v_1j ... v_kj.
-    """
-
-    def __init__(self, u, lam, nl: Nonlinearity, lap):
-        u = np.asarray(u, dtype=float)
-        self.dimension = u.shape[0]
-        self.max_order = nl.max_u_order + 1
-        self._jet = nl.derivative(nl.max_u_order, u,
-                                  np.asarray(lam, dtype=float))
-        self._residual = lap @ u + self._jet[0]
-        self._jacobian = (lap + sp.diags(self._jet[1])).tocsr()
-
-    def contract(self, k: int, *vectors) -> float:
-        return float(np.dot(self.contract_free(k, *vectors[:-1]), vectors[-1]))
-
-    def contract_free(self, k: int, *vectors) -> np.ndarray:
-        if len(vectors) != k - 1:
-            raise ValueError(f"contract_free({k}) needs {k - 1} vectors")
-        if k < 1 or k > self.max_order:
-            raise ValueError(f"order {k} outside 1..{self.max_order}")
-        if k == 1:
-            return self._residual.copy()
-        if k == 2:
-            return self._jacobian @ np.asarray(vectors[0], dtype=float)
-        out = self._jet[k - 1]
-        for v in vectors:
-            out = out * np.asarray(v, dtype=float)
-        return out
-
-    def hessian(self) -> np.ndarray:
-        return self._jacobian.toarray()

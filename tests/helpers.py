@@ -16,8 +16,15 @@ import scipy.sparse as sp
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from aseries.augmented import BlockJacobian, SolutionJacobian
+from aseries.augmented import (
+    BlockJacobian,
+    Linearization,
+    SolutionJacobian,
+    monitor_value,
+)
+from aseries.bell import bell_value
 from aseries.classifier import TensorOracle
+from aseries.poisson import GridFunction
 from aseries.continuation import (
     RANK_LANCZOS_TOL,
     RankDeficientError,
@@ -48,6 +55,11 @@ def set_partitions(items):
 
 def partition_count(n: int) -> int:
     return sum(1 for _ in set_partitions(range(n)))
+
+
+def bell_number(n: int) -> int:
+    """Number of partitions of an n-set: B_n(1, ..., 1)."""
+    return int(bell_value(n, (1,) * n))
 
 
 def bell_value_by_partitions(n: int, xs) -> float:
@@ -86,6 +98,20 @@ def tensors_from_polynomial(coeffs: dict, m: int, max_order: int):
         for perm in set(itertools.permutations(base)):
             tensors[k - 1][perm] = value
     return tensors
+
+
+def tensor_value(oracle: TensorOracle, z) -> float:
+    """Taylor evaluation sum_k T_k[z,...,z]/k! (exact for polynomials)."""
+    z = np.asarray(z, dtype=float)
+    total = 0.0
+    fact = 1.0
+    for k in range(1, oracle.max_order + 1):
+        fact *= k
+        t = oracle.tensors[k - 1]
+        for _ in range(k):
+            t = t @ z
+        total += float(t) / fact
+    return total
 
 
 def polynomial_value(coeffs: dict, z) -> float:
@@ -140,7 +166,7 @@ def reduced_function(oracle: TensorOracle, alpha, newton_tol=1e-13):
         else:
             raise RuntimeError(f"constrained stationarity failed at s={s}")
         state["y"] = y
-        return oracle.value(s * alpha + basis @ y)
+        return tensor_value(oracle, s * alpha + basis @ y)
 
     return r
 
@@ -480,6 +506,14 @@ def tangent_signature(gu, seed: int = 0, problem=None) -> int:
 # `Problem.gu` and for the minimum-degree order of every grid factor)
 
 
+def residual(u: np.ndarray, lam, nl, lap) -> np.ndarray:
+    """G(u, lam) = L u + f(u, lam) componentwise."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (lap.shape[0],):
+        raise ValueError(f"expected {lap.shape[0]} unknowns, got {u.shape}")
+    return lap @ u + nl.derivative(0, u, lam)[0]
+
+
 def poisson_jacobian(u: np.ndarray, lam, nl, lap) -> sp.csr_matrix:
     """G_u = L + diag(f_u(u, lam)), the sum of two sparse matrices;
     symmetric."""
@@ -581,3 +615,34 @@ def euler_step(problem, point, ds, other=None):
     row = t if problem.metric is None else problem.metric * t
     anchor = point.z + ds * t
     return _pinned_point(problem, anchor, anchor, row, t, point.s + ds)
+
+
+# ---------------------------------------------------------------------------
+# the discrete functional's dense derivative tensors (oracle for the
+# grid's sparse Linearization and its monitors)
+
+
+def grid_tensor_oracle(u: np.ndarray, lam, nl, lap) -> TensorOracle:
+    """Dense TensorOracle of S(u + x, lam) at a small grid state: T1 = G,
+    T2 = G_u and, for k = 3..5, T_k the diagonal tensor of f^(k-1)."""
+    u, n = np.asarray(u, dtype=float), lap.shape[0]
+    f = nl.derivative(4, u, lam)
+    tensors = [residual(u, lam, nl, lap),
+               poisson_jacobian(u, lam, nl, lap).toarray()]
+    for k in range(3, 6):
+        t = np.zeros((n,) * k)
+        t[(np.arange(n),) * k] = f[k - 1]
+        tensors.append(t)
+    return TensorOracle(tensors)
+
+
+def grid_monitor(state, n: int) -> float:
+    """The grid monitor r^n at state from a fresh Linearization."""
+    return monitor_value(Linearization(state, n - 1), n)
+
+
+def grid_function_from_matrix(matrix: np.ndarray, grid):
+    """The GridFunction of an (nx, ny) matrix of nodal values, flattened
+    column by column."""
+    return GridFunction(np.asarray(matrix, dtype=float).flatten(order="F"),
+                        grid)

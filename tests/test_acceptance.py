@@ -15,10 +15,8 @@ import pytest
 from aseries.augmented import (
     AugmentedState,
     Problem,
-    cusp_monitor,
     residual_jacobian,
     solve_v,
-    swallowtail_monitor,
 )
 from aseries.bell import bell_monomials, bell_value
 from aseries.classifier import (
@@ -47,7 +45,6 @@ from aseries.harness import (
 from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
-    PoissonOracle,
     PolynomialNonlinearity,
     laplacian_eigenvalue,
     laplacian_eigenvector,
@@ -56,6 +53,8 @@ from helpers import (
     dense_jacobian,
     fd_jacobian,
     fit_derivatives,
+    grid_monitor,
+    grid_tensor_oracle,
     random_orthogonal,
     reduced_function,
     relative_error,
@@ -167,13 +166,13 @@ def test_criterion_4_analytic_eigen_fold():
         residual = residual_jacobian(eigen_state(grid, 0.0, 0.0))[0]
         assert np.max(np.abs(residual)) <= 1e-10
         # cusp value is linear in lam2, regardless of lam3
-        assert cusp_monitor(eigen_state(grid, 0.0, 0.7)) == 0.0
-        assert abs(cusp_monitor(eigen_state(grid, 0.3, 0.7))) > 1e-3
+        assert grid_monitor(eigen_state(grid, 0.0, 0.7), 3) == 0.0
+        assert abs(grid_monitor(eigen_state(grid, 0.3, 0.7), 3)) > 1e-3
         # on the lam2 = 0 slice the swallowtail value is linear in lam3
         state = eigen_state(grid, 0.0, 0.0)
-        assert swallowtail_monitor(state, solve_v(state)) == 0.0
+        assert grid_monitor(state, 4) == 0.0
         skewed = eigen_state(grid, 0.0, 0.2)
-        assert abs(swallowtail_monitor(skewed, solve_v(skewed))) > 1e-3
+        assert abs(grid_monitor(skewed, 4)) > 1e-3
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -299,13 +298,14 @@ def test_criterion_9_commutation_with_classifier_oracle():
         f = nl.derivative(2, u, lam)
         vbar, _ = squared_auxiliary(prob.gu(f[1]).toarray(), alpha,
                                     -f[2] * alpha**2)
-        oracle = PoissonOracle(u, lam, nl, prob.lap)
+        oracle = grid_tensor_oracle(u, lam, nl, prob.lap)
         closed = closed_form_tests(oracle, alpha,
                                    Tolerances(zero_test=np.inf,
                                               solvability=np.inf))
         assert np.max(np.abs(v - closed.v)) < 1e-12
-        assert cusp_monitor(level1) == pytest.approx(closed.cusp, abs=1e-12)
-        assert swallowtail_monitor(level1, v) == pytest.approx(
+        assert grid_monitor(level1, 3) == pytest.approx(closed.cusp,
+                                                        abs=1e-12)
+        assert grid_monitor(level1, 4) == pytest.approx(
             closed.swallowtail, abs=1e-12)
         res2 = residual_jacobian(
             AugmentedState(prob, 2, u, lam, alpha=alpha,

@@ -12,26 +12,28 @@ from aseries.augmented import (
     AugmentedState,
     BlockJacobian,
     BorderedGu,
+    Linearization,
     Problem,
     SingularAuxiliaryError,
-    butterfly_monitor,
-    cusp_monitor,
     evaluate_monitors,
     f1_residual_jacobian,
     f2_residual_jacobian,
     f3_residual_jacobian,
     residual_jacobian,
     solve_v,
-    swallowtail_monitor,
 )
-from aseries.classifier import Tolerances, closed_form_tests
+from aseries.classifier import (
+    Tolerances,
+    closed_form_tests,
+    solve_jet_step,
+)
+from aseries.classifier import test_value as order_test
 from aseries.continuation import SingularJacobianError, _linear_solve
 from aseries.harness import HuntConfig, hunt_swallowtail, refine_on_grid
 from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
     Nonlinearity,
-    PoissonOracle,
     PolynomialNonlinearity,
     build_laplacian,
     laplacian_eigenvalue,
@@ -45,6 +47,8 @@ from helpers import (
     dense_jacobian,
     dense_newton_step,
     fd_jacobian,
+    grid_monitor,
+    grid_tensor_oracle,
     relative_error,
     squared_auxiliary,
     tangent_factor,
@@ -186,14 +190,14 @@ class TestCuspValue:
             st = AugmentedState(unit_problem(), 2, np.zeros(1),
                                 np.array([16.0, lam2, 0.0]),
                                 alpha=np.array([2.0]), active=(0, 1))
-            assert cusp_monitor(st) == pytest.approx(8.0 * lam2)
+            assert grid_monitor(st, 3) == pytest.approx(8.0 * lam2)
 
     def test_exp_sine_vanishes_at_half(self):
         # f_uu(0) = lam1 (1 - 2 lam2) = 0 at lam2 = 1/2
         st = AugmentedState(unit_problem(ExpSineNonlinearity()), 1,
                             np.zeros(1), np.array([1.0, 0.5, 0.0]),
                             alpha=np.array([2.0]), active=(0,))
-        assert cusp_monitor(st) == 0.0
+        assert grid_monitor(st, 3) == 0.0
 
     def test_f2_extends_f1(self):
         rng = np.random.default_rng(4)
@@ -202,7 +206,7 @@ class TestCuspValue:
         res1, jac1 = f1_residual_jacobian(st)
         res2, jac2 = f2_residual_jacobian(st)
         assert np.array_equal(res2[:-1], res1)
-        assert res2[-1] == cusp_monitor(st)
+        assert res2[-1] == grid_monitor(st, 3)
         assert np.array_equal(dense_jacobian(jac2)[:-1], dense_jacobian(jac1))
 
 
@@ -317,8 +321,7 @@ class TestHigherMonitors:
             st = AugmentedState(unit_problem(), 1, np.zeros(1),
                                 np.array([16.0, 0.0, lam3]),
                                 alpha=np.array([2.0]), active=(0,))
-            v = solve_v(st)
-            assert swallowtail_monitor(st, v) == pytest.approx(16.0 * lam3)
+            assert grid_monitor(st, 4) == pytest.approx(16.0 * lam3)
 
     def test_butterfly_from_quartic_tail(self):
         grid = Grid(3, 3)
@@ -326,7 +329,7 @@ class TestHigherMonitors:
         v = solve_v(st)
         assert np.max(np.abs(v)) == 0.0
         expected = 0.6 * np.sum(st.alpha**5)
-        assert butterfly_monitor(st, v) == pytest.approx(expected, rel=1e-12)
+        assert grid_monitor(st, 5) == pytest.approx(expected, rel=1e-12)
 
     def test_parity_under_kernel_sign_flip(self):
         rng = np.random.default_rng(2)
@@ -337,48 +340,44 @@ class TestHigherMonitors:
         v = solve_v(st)
         v_f = solve_v(flipped)
         assert np.max(np.abs(v - v_f)) < 1e-12  # v is even in alpha
-        assert cusp_monitor(flipped) == pytest.approx(-cusp_monitor(st))
-        assert swallowtail_monitor(flipped, v_f) == pytest.approx(
-            swallowtail_monitor(st, v))
+        assert grid_monitor(flipped, 3) == pytest.approx(
+            -grid_monitor(st, 3))
+        assert grid_monitor(flipped, 4) == pytest.approx(grid_monitor(st, 4))
 
     def test_monitors_vanish_exactly_with_parameters(self):
         grid = Grid(4, 4)
         base = eigen_fold_state(grid, PolynomialNonlinearity())
-        v = solve_v(base)
-        assert cusp_monitor(base) == 0.0
-        assert swallowtail_monitor(base, v) == 0.0
+        assert grid_monitor(base, 3) == 0.0
+        assert grid_monitor(base, 4) == 0.0
         tilted = eigen_fold_state(grid, PolynomialNonlinearity(), lam2=0.3)
-        assert cusp_monitor(tilted) != 0.0
+        assert grid_monitor(tilted, 3) != 0.0
         skewed = eigen_fold_state(grid, PolynomialNonlinearity(), lam3=0.2)
-        v_s = solve_v(skewed)
-        assert swallowtail_monitor(skewed, v_s) != 0.0
+        assert grid_monitor(skewed, 4) != 0.0
 
     def test_matches_closed_form_tests(self):
         # Same tensors through the jet classifier: dual route agreement.
         grid = Grid(3, 3)
         nl = PolynomialNonlinearity(tail=(0.37, -0.21))
         st = eigen_fold_state(grid, nl, lam2=0.45, lam3=-0.3)
-        orc = PoissonOracle(st.u, st.lam, nl, st.problem.lap)
+        orc = grid_tensor_oracle(st.u, st.lam, nl, st.problem.lap)
         loose = Tolerances(zero_test=np.inf, solvability=np.inf)
         cf = closed_form_tests(orc, st.alpha, loose)
         v = solve_v(st)
         assert np.max(np.abs(v - cf.v)) < 1e-12
-        assert cusp_monitor(st) == pytest.approx(cf.cusp, abs=1e-12)
-        assert swallowtail_monitor(st, v) == pytest.approx(cf.swallowtail,
-                                                           abs=1e-12)
-        assert butterfly_monitor(st, v) == pytest.approx(cf.butterfly,
-                                                         abs=1e-12)
+        assert grid_monitor(st, 3) == pytest.approx(cf.cusp, abs=1e-12)
+        assert grid_monitor(st, 4) == pytest.approx(cf.swallowtail,
+                                                    abs=1e-12)
+        assert grid_monitor(st, 5) == pytest.approx(cf.butterfly, abs=1e-12)
 
     def test_evaluate_monitors_record(self):
         st = eigen_fold_state(Grid(3, 3), PolynomialNonlinearity(tail=(0.6,)),
                               lam2=0.2, lam3=0.1)
-        v = solve_v(st)
         top = replace(st, level=3, vbar=np.zeros(st.u.size))
         rec = evaluate_monitors(top)
         assert rec.fold_direction == 0.0
-        assert rec.cusp == cusp_monitor(st)
-        assert rec.swallowtail == swallowtail_monitor(st, v)
-        assert rec.butterfly == butterfly_monitor(st, v)
+        assert rec.cusp == grid_monitor(st, 3)
+        assert rec.swallowtail == grid_monitor(st, 4)
+        assert rec.butterfly == grid_monitor(st, 5)
         assert st.level == 1
         assert evaluate_monitors(st).butterfly is None
 
@@ -387,6 +386,42 @@ CASES = [
     (PolynomialNonlinearity(tail=(0.3, -0.2)), Grid(3, 3)),
     (ExpSineNonlinearity(), Grid(4, 3)),
 ]
+
+
+@pytest.mark.parametrize("nl,grid", CASES, ids=["polynomial", "exp-sine"])
+class TestGridOracle:
+    """The Linearization against the dense tensors of the same state."""
+
+    def oracles(self, nl, grid):
+        st = random_state(Problem(grid, nl), 1, (0,),
+                          np.random.default_rng(17))
+        return st, Linearization(st, 4), grid_tensor_oracle(
+            st.u, st.lam, nl, st.problem.lap)
+
+    def test_contractions_match_the_dense_tensors(self, nl, grid):
+        st, lin, dense = self.oracles(nl, grid)
+        xs = np.random.default_rng(5).standard_normal((5, grid.size))
+        for k in range(2, 6):
+            free = lin.contract_free(k, *xs[:k - 1])
+            expected = dense.contract_free(k, *xs[:k - 1])
+            assert relative_error(free, expected) < 1e-12
+            value, scalar = lin.contract(k, *xs[:k]), dense.contract(k, *xs[:k])
+            assert abs(value - scalar) <= 1e-12 * abs(scalar)
+        assert lin.dimension == dense.dimension
+        assert lin.max_order == dense.max_order
+
+    def test_monitors_match_the_dense_route(self, nl, grid):
+        # r^3..r^5 by bordered solves on G_u against solve_jet_step's
+        # dense restricted solves and test_value on the tensors
+        st, lin, dense = self.oracles(nl, grid)
+        jet = []
+        for n in (3, 4, 5):
+            if n > 3:
+                jet.append(solve_jet_step(dense, st.alpha, jet, n))
+            expected = order_test(dense, st.alpha, jet, n)
+            assert abs(grid_monitor(st, n) - expected) <= 1e-12 * max(
+                abs(expected), 1.0)
+        assert evaluate_monitors(st).swallowtail == grid_monitor(st, 4)
 
 
 class TestAnalyticJacobians:

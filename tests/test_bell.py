@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from aseries.bell import (
     MAX_ORDER,
     bell_monomials,
-    bell_number,
     bell_value,
     enumerate_multi_indices,
     multi_index_coefficient,
 )
-from helpers import bell_value_by_partitions, set_partitions
+from helpers import bell_number, bell_value_by_partitions, set_partitions
 
 # brute-force partition counts of an n-element set, n = 0..10
 BELL_ORACLE = [sum(1 for _ in set_partitions(range(n))) for n in range(11)]

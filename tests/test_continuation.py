@@ -13,10 +13,6 @@ from aseries.augmented import (
     AugmentedState,
     MonitorRecord,
     Problem,
-    butterfly_monitor,
-    cusp_monitor,
-    solve_v,
-    swallowtail_monitor,
 )
 from aseries.cli import main
 from aseries.continuation import (
@@ -51,6 +47,7 @@ from helpers import (
     dense_rank_check,
     dense_tangent,
     euler_step,
+    grid_monitor,
     relative_error,
 )
 
@@ -716,7 +713,7 @@ class TestAugmentedWrapper:
         # a monitor reads the tangent's factor at z
         factor = tangent(cp.system(z)[1])[1]
         assert cp.monitors["cusp"](z, factor) == \
-            cusp_monitor(tmpl.with_vector(z))
+            grid_monitor(tmpl.with_vector(z), 3)
         # a fold line watches its monitors, not a fold
         assert cp.fold_index is None
         # a solution branch watches its one active parameter, packed last
@@ -737,10 +734,9 @@ class TestAugmentedWrapper:
         watched = augmented_continuation_problem(cusp_line, ("swallowtail",))
         assert watched.watched == ("swallowtail",)
 
-    @pytest.mark.parametrize("name,monitor", [
-        ("swallowtail", swallowtail_monitor),
-        ("butterfly", butterfly_monitor)])
-    def test_v_monitor_wiring(self, name, monitor):
+    @pytest.mark.parametrize("name,order", [("swallowtail", 4),
+                                            ("butterfly", 5)])
+    def test_v_monitor_wiring(self, name, order):
         prob = Problem(Grid(2, 2), PolynomialNonlinearity((1.0,)))
         tmpl = AugmentedState(prob, 1, np.array([0.1, -0.2, 0.3, 0.05]),
                               np.array([5.0, 0.3, 0.2]),
@@ -749,7 +745,7 @@ class TestAugmentedWrapper:
         cp = augmented_continuation_problem(tmpl, monitors=(name,))
         z = tmpl.pack()
         state = tmpl.with_vector(z)
-        expected = monitor(state, solve_v(state))
+        expected = grid_monitor(state, order)
         assert expected != 0.0
         # the same bits from the BorderedGu that the tangent factored
         factor = tangent(cp.system(z)[1])[1]

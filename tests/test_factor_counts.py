@@ -19,12 +19,12 @@ import pytest
 
 from aseries import augmented, continuation
 from aseries.augmented import (
+    MONITOR_ORDERS,
     BlockJacobian,
     Linearization,
     SolutionJacobian,
-    cusp_monitor,
+    monitor_value,
     solve_v,
-    swallowtail_monitor,
 )
 from aseries.harness import HuntConfig, hunt_swallowtail
 from aseries.poisson import ExpSineNonlinearity, Grid
@@ -129,13 +129,10 @@ def test_monitor_values_match_a_fresh_evaluation(counted):
     assert names == {"cusp", "swallowtail"}
     for template, name, z, value in monitored:
         state = template.with_vector(z)
-        if name == "cusp":
-            fresh = cusp_monitor(state)
-        else:
-            lin = Linearization(state, 3)
-            v = solve_v(state, lin)
-            fresh = swallowtail_monitor(state, v, lin)
-        assert value == fresh
+        order = MONITOR_ORDERS[name]
+        lin = Linearization(state, order - 1)
+        jet = [solve_v(state, lin)] if order > 3 else []
+        assert value == monitor_value(lin, order, jet)
 
 
 def test_no_factor_alive_at_an_assembly(counted):

@@ -1,14 +1,15 @@
 """Discretization tests: pinned stencils, eigen-oracle, derivative stacks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from aseries.augmented import Problem
+from aseries.augmented import AugmentedState, Linearization, Problem
 from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
     GridFunction,
-    PoissonOracle,
     PoleError,
     PolynomialNonlinearity,
     build_laplacian,
@@ -17,10 +18,14 @@ from aseries.poisson import (
     laplacian_eigenvalue,
     laplacian_eigenvector,
     load_grid_function,
-    residual,
     save_grid_function,
 )
-from helpers import poisson_jacobian
+from helpers import (
+    grid_function_from_matrix,
+    grid_tensor_oracle,
+    poisson_jacobian,
+    residual,
+)
 
 LAM = np.array([0.9, 0.23, 0.6])
 
@@ -33,6 +38,16 @@ class TestLaplacian:
         np.testing.assert_allclose(
             build_laplacian(Grid(2, 1)).toarray(), [[-26.0, 9.0], [9.0, -26.0]]
         )
+
+    def test_stores_its_nonzeros_only(self):
+        # 5 n - 2 nx - 2 ny entries on every grid up to 11x11, all of
+        # them nonzero, the whole diagonal among them
+        for nx, ny in itertools.product(range(1, 12), repeat=2):
+            lap = build_laplacian(Grid(nx, ny))
+            n = nx * ny
+            assert lap.nnz == 5 * n - 2 * nx - 2 * ny
+            assert np.all(lap.data != 0.0)
+            assert np.all(lap.diagonal() != 0.0)
 
     def test_first_eigenvalue_formula(self):
         for n in (1, 3, 7):
@@ -312,7 +327,7 @@ class TestOracle:
         self.nl = ExpSineNonlinearity()
         rng = np.random.default_rng(31)
         self.u = rng.uniform(-0.4, 0.4, self.grid.size)
-        self.orc = PoissonOracle(self.u, LAM, self.nl, self.lap)
+        self.orc = grid_tensor_oracle(self.u, LAM, self.nl, self.lap)
         self.rng = rng
 
     def test_contract_one_is_residual(self):
@@ -343,7 +358,7 @@ class TestOracle:
 
     def test_polynomial_cubic_form(self):
         lam = np.array([1.0, 0.7, 0.0])
-        orc = PoissonOracle(
+        orc = grid_tensor_oracle(
             np.zeros(self.grid.size), lam, PolynomialNonlinearity(), self.lap
         )
         alpha = self.rng.standard_normal(self.grid.size)
@@ -355,9 +370,10 @@ class TestOracle:
         grid = Grid(5, 5)
         lap = build_laplacian(grid)
         lam = np.array([-laplacian_eigenvalue(grid), 0.0, 0.0])
-        orc = PoissonOracle(np.zeros(grid.size), lam,
-                            PolynomialNonlinearity(), lap)
         alpha = laplacian_eigenvector(grid)
+        state = AugmentedState(Problem(grid, PolynomialNonlinearity()), 1,
+                               np.zeros(grid.size), lam, alpha=alpha)
+        orc = Linearization(state, 2)
         assert orc.contract(2, alpha, alpha) == pytest.approx(0.0, abs=1e-9)
 
     def test_order_guard(self):
@@ -385,7 +401,7 @@ class TestGridFunctionIO:
     def test_matrix_ordering(self):
         # u_{(j-1)N+i} = U_{i,j}: flattened vector walks columns of U
         matrix = np.array([[1.0, 3.0], [2.0, 4.0]])
-        gf = GridFunction.from_matrix(matrix, Grid(2, 2))
+        gf = grid_function_from_matrix(matrix, Grid(2, 2))
         np.testing.assert_array_equal(gf.values, [1.0, 2.0, 3.0, 4.0])
         np.testing.assert_array_equal(gf.as_matrix(), matrix)
 
@@ -394,7 +410,7 @@ class TestGridFunctionIO:
         # there, and stay near the smooth sample in between
         coarse = Grid(4, 4)
         xs = np.arange(1, 5) * coarse.dx
-        u = GridFunction.from_matrix(
+        u = grid_function_from_matrix(
             np.outer(np.sin(np.pi * xs), np.sin(np.pi * xs)), coarse
         )
         fine = interpolate_to(u, Grid(9, 9))

@@ -7,9 +7,11 @@ watched events from the problem rather than from parameters, and every
 defaulted parameter of a module-level function is passed by some call
 in the sources, tests or benchmark, importing the command line
 loads no SciPy subpackage that only a rarely called function needs,
-and every SuperLU factorization keeps the order it is given, but for
-the one ordering pass that computes that order, and takes the
-package's one supernode relaxation and panel size."""
+every SuperLU factorization keeps the order it is given, but for the
+one ordering pass that computes that order, and takes the package's
+one supernode relaxation and panel size, and every public module-level
+function and class is read by some package code but its own, or kept
+for a stated reason."""
 
 import ast
 import os
@@ -50,6 +52,15 @@ ORDERING_PASS = ("augmented.py", "Problem.bordered_order", "MMD_AT_PLUS_A")
 #: relax and panel_size, by keyword or position (3 and 4): the shared
 #: constants of augmented, so that no factor is blocked differently.
 SPLU_BLOCKING = (("relax", 3, "SPLU_RELAX"), ("panel_size", 4, "SPLU_PANEL"))
+#: Public module-level names that no package code reads, each kept for
+#: the reason its docstring states too.
+UNREAD_PUBLIC = {
+    "laplacian_eigenvector": "the benchmark's scaling probe imports it",
+    "laplacian_eigenvalue": "its pair: the analytic fold of criteria 4, 9",
+    "discrete_functional": "the paper's functional S, G's reference",
+    "closed_form_tests": "criterion 9's independent reference",
+    "verify_swallowtail_geometry": "criterion 8's workflow",
+}
 #: Package modules in layer order; each imports only earlier ones.
 LAYERS = ("bell", "poisson", "classifier", "augmented", "continuation",
           "harness", "cli")
@@ -98,6 +109,37 @@ def unused_private_names(source: str) -> list:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in defined.items()
                   if name not in read)
+
+
+def unread_public_names(sources: dict, allowed=()) -> list:
+    """(module, line, name) of each public module-level function or class
+    of `sources`, a map of module name to source, that no code of the
+    sources reads outside its own definition, as a name, an attribute or
+    an imported name; the `allowed` names are spared."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = []  # (module, line, name)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((module, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                reads.extend((module, node.lineno, alias.name)
+                             for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) \
+                    or node.name.startswith("_") or node.name in allowed:
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name
+                       and not (where == module and line in inside)
+                       for where, line, name in reads):
+                found.append((module, node.lineno, node.name))
+    return sorted(found)
 
 
 def layer_violations(module: str, source: str) -> list:
@@ -308,6 +350,38 @@ def test_private_scan_catches_unread_and_spares_read():
               "print(_helper())\n")
     assert unused_private_names(source) == [(3, "_stale"), (7, "_orphan"),
                                             (10, "_Unused")]
+
+
+def test_every_public_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SOURCES}
+    unread = unread_public_names(sources, UNREAD_PUBLIC)
+    assert not unread, f"public names no package code reads (module, " \
+                       f"line, name): {unread}"
+    # the allow-list holds only names that are defined and unread
+    kept = {name for _, _, name in unread_public_names(sources)}
+    assert kept == set(UNREAD_PUBLIC)
+
+
+def test_public_scan_catches_unread_and_spares_read():
+    sources = {
+        "first": ("def unread():\n"
+                  "    return unread()\n"
+                  "def imported():\n"
+                  "    pass\n"
+                  "class Attribute:\n"
+                  "    pass\n"
+                  "def kept():\n"
+                  "    pass\n"
+                  "def _private():\n"
+                  "    pass\n"),
+        "second": ("from . import first\n"
+                   "from .first import imported\n"
+                   "x = first.Attribute\n"),
+    }
+    assert unread_public_names(sources, {"kept"}) == [("first", 1, "unread")]
+    assert unread_public_names(sources) == [("first", 1, "unread"),
+                                            ("first", 7, "kept")]
 
 
 def test_layers_cover_the_package():
