@@ -36,23 +36,29 @@ matrix.  Its BlockFactor factors one (n+1) x (n+1) matrix, G_u bordered
 by the scaled kernel vector, and folds the rest into a small Woodbury
 capacitance: the bordering / mixed block elimination of Govaerts,
 Numerical Methods for Bifurcations of Dynamical Equilibria (SIAM 2000),
-ch. 3, and Govaerts & Pryce (IMA J. Numer. Anal. 1993).  Level 0
-returns a SolutionJacobian, G_u and its lam column kept apart.
+ch. 3, and Govaerts & Pryce (IMA J. Numer. Anal. 1993).  Its forward
+substitution skips the capacitance columns that are zero in the block
+rows and reuses B^-1 k, which the BorderedGu solves once for its
+kernel-orthogonal solves too.  Level 0 returns a SolutionJacobian, G_u
+and its lam column kept apart.
 
 Every grid matrix that this module or continuation factors is one G_u
 bordered by one column and one row: [[G_u, k], [k^T, -1]] here
 (`BorderedGu`), [G_u, dG/dlam; t^T] at level 0 in continuation, which
 also reads the sign of det G_u from that factor.  `Problem.gu` keeps
-G_u on the Laplacian's CSR pattern, so `Problem.bordered_order`
-gathers each factor's input straight from [G_u data | column | row]
-into one order of the grid's points, the border last; no bordered
-matrix is built per factor.  That order is SuperLU's multiple minimum
-degree on the Laplacian's pattern, computed once per Problem by one
-ordering pass; every factor then keeps it (permc_spec "NATURAL").  An
-assembly's Linearization (its jet, G_u and BorderedGu) rides on its
-BlockJacobian: every factor of that Jacobian shares the one BorderedGu,
-and on a line the monitors at an accepted point solve with the
-BorderedGu that the tangent factored there and read the assembly's jet.
+G_u on the Laplacian's CSR pattern, and the level-3 block
+G_u diag(f_uu vbar) + diag(f_uu v + f_uuu a^2) on the same pattern
+(`Problem.on_pattern`): no grid matrix comes from sparse products or
+sums.  So `Problem.bordered_order` gathers each factor's input
+straight from [G_u data | column | row] into one order of the grid's
+points, the border last; no bordered matrix is built per factor.  That
+order is SuperLU's multiple minimum degree on the Laplacian's pattern,
+computed once per Problem by one ordering pass; every factor then
+keeps it (permc_spec "NATURAL").  An assembly's Linearization (its
+jet, G_u and BorderedGu) rides on its BlockJacobian: every factor of
+that Jacobian shares the one BorderedGu, and on a line the monitors at
+an accepted point solve with the BorderedGu that the tangent factored
+there and read the assembly's jet.
 """
 
 from __future__ import annotations
@@ -241,8 +247,13 @@ class Problem:
 
     def gu(self, fu: np.ndarray) -> sp.csr_matrix:
         """G_u = L + diag(f_u), on the Laplacian's sparsity pattern."""
-        data = self.lap.data.copy()
-        data[self._diagonal] += fu
+        return self.on_pattern(self.lap.data.copy(), fu)
+
+    def on_pattern(self, data: np.ndarray,
+                   diagonal: np.ndarray) -> sp.csr_matrix:
+        """The matrix with `data` on the Laplacian's CSR pattern and
+        `diagonal` added to its diagonal entries, in place in data."""
+        data[self._diagonal] += diagonal
         return sp.csr_matrix((data, self.lap.indices, self.lap.indptr),
                              shape=self.lap.shape)
 
@@ -358,9 +369,11 @@ class BorderedGu:
     With right-hand side [b; 0] the bordered matrix [[G_u, k], [k^T, -1]]
     has the solution [x; k.x] with B x = b, B = G_u + k k^T, and it is
     singular exactly when B is.  B is regular at a simple fold, where a
-    spans the kernel of G_u.  g = G_u k serves the level-3 block solve.
-    order is a Problem's bordered_order, which gathers the bordered
-    matrix from gu and k; None for a plain gu factors in gu's own order."""
+    spans the kernel of G_u.  g = G_u k serves the level-3 block solve,
+    and `bk` = B^-1 k, solved once, serves `orthogonal_solve` and every
+    BlockFactor that shares this factor.  order is a Problem's
+    bordered_order, which gathers the bordered matrix from gu and k;
+    None for a plain gu factors in gu's own order."""
 
     def __init__(self, gu, a: np.ndarray,
                  order: BorderedOrder | None = None):
@@ -384,15 +397,22 @@ class BorderedGu:
         pad = np.zeros((1, rhs.shape[1]))
         return self.lu.solve(np.vstack([rhs, pad]), trans=trans)[:-1]
 
+    @cached_property
+    def bk(self) -> np.ndarray:
+        """B^-1 k, solved on first use."""
+        return self.solve(self.k[:, None])[:, 0]
+
     def orthogonal_solve(self, rhs: np.ndarray) -> np.ndarray:
         """v with G_u v + mu k = rhs and k.v = 0, for any G_u.
 
-        x = B^-1 [rhs, k] in one solve; mu = k.x_rhs / k.x_k makes
-        v = x_rhs - mu x_k orthogonal to k, and then B v = rhs - mu k
-        reads G_u v + mu k = rhs.  A k.x_k that cancels to rounding
-        (AUX_CANCEL), and a non-finite v, raise SingularAuxiliaryError.
+        x = B^-1 [rhs, k], its second column the factor's `bk`; mu =
+        k.x_rhs / k.x_k makes v = x_rhs - mu x_k orthogonal to k, and then
+        B v = rhs - mu k reads G_u v + mu k = rhs.  A k.x_k that cancels
+        to rounding (AUX_CANCEL), and a non-finite v, raise
+        SingularAuxiliaryError.  The products read x's strided columns:
+        BLAS rounds a strided dot product unlike a contiguous one.
         """
-        x = self.solve(np.column_stack([rhs, self.k]))
+        x = np.column_stack([self.solve(rhs[:, None])[:, 0], self.bk])
         k_x = self.k @ x[:, 1]
         eps = np.finfo(float).eps
         if not abs(k_x) > AUX_CANCEL * eps * (np.abs(self.k)
@@ -494,11 +514,14 @@ class BlockJacobian:
 
          [p,  diag(e) + a vbar^T,  G_u^2 + a a^T,  cols[2n:]]
 
-    (p, e and vbar are None below level 3).  `rows` holds the single
-    rows in full: normalization, cusp (level >= 2), value (level 3)
-    and, after `bordered`, a continuation row.  G_u^2 is applied as G_u
-    twice, never formed.  The residual interleaves the rows: G, G_u a,
-    normalization, cusp, vbar equation, then the remaining single rows.
+    (p, e and vbar are None below level 3).  p = G_u diag(f_uu vbar) +
+    diag(f_uu v + f_uuu a^2) stores G_u's pattern, zeros too: at
+    vbar = 0 its whole off-diagonal; `nnz` counts its nonzeros only.
+    `rows` holds the single rows in full: normalization, cusp (level >=
+    2), value (level 3) and, after `bordered`, a continuation row.
+    G_u^2 is applied as G_u twice, never formed.  The residual
+    interleaves the rows: G, G_u a, normalization, cusp, vbar equation,
+    then the remaining single rows.
     lin, on a grid, is the Linearization that gu, d and a came from: its
     Problem's order and sums, its jet for the monitors and its
     BorderedGu, which every factor of the Jacobian shares.
@@ -526,8 +549,10 @@ class BlockJacobian:
 
     @property
     def nnz(self) -> int:
-        """Stored entries: the sparse blocks' plus the dense nonzeros."""
-        sparse = self.gu.nnz + (0 if self.p is None else self.p.nnz)
+        """G_u's stored entries plus the nonzeros of the other blocks; p
+        stores G_u's pattern, zeros too, and counts its nonzeros."""
+        sparse = self.gu.nnz + (0 if self.p is None
+                                else np.count_nonzero(self.p.data))
         return int(sparse + sum(
             np.count_nonzero(x) for x in (self.d, self.e, self.a, self.vbar,
                                           self.cols, self.rows)
@@ -604,7 +629,13 @@ class BlockFactor:
     in the G_u^2 block, the lam columns and the single rows.  Woodbury
     folds that term into a capacitance of order 2 + 2m (4 + 2m at level
     3) for m single rows, 8 on the bordered cusp line and 10 at level 3;
-    its transpose serves the transposed solve (levels 1-2).  `solve`
+    its transpose serves the transposed solve (levels 1-2).  It needs
+    L^-1 U in the block rows, and forward substitution solves only the
+    blocks of U's columns that are not known: the m columns of the single
+    rows are zero there, and -B^-1 k, the BorderedGu's `bk`, is the first
+    block of the first column and the second block of the second.  At
+    level 3 the blocks B, B and B^2 solve 3, 4 and twice 7 of the 10
+    columns, and `bk` one more.  `solve`
     takes one step of iterative refinement against the full product:
     two Woodbury passes and one product.  `solve_once` is one pass, for
     the rank check's Gram operator, whose verdict needs no refinement.  A
@@ -638,7 +669,8 @@ class BlockFactor:
         left[size:, low + m :] = np.eye(m)
         right[:size, low + m :] = jac.rows[:, :size].T
         self.right = right
-        self.z = np.vstack([self._forward(left[:size]), left[size:]])
+        self.z = np.vstack([self._forward_left(left[:size], low, m),
+                            left[size:]])
         cap = np.eye(low + 2 * m) + right.T @ self.z
         cond = _scaled_cond(cap, np.eye(low + 2 * m)
                             + np.abs(right).T @ np.abs(self.z))
@@ -659,10 +691,40 @@ class BlockFactor:
         x2 = lu.solve(f[n : 2 * n] - jac.d[:, None] * x1)
         if jac.vbar is None:
             return np.vstack([x1, x2])
-        x3 = lu.solve(lu.solve(
-            f[2 * n :] - jac.p @ x1 - jac.e[:, None] * x2
-            - np.outer(jac.a, jac.vbar @ x2)))
-        return np.vstack([x1, x2, x3])
+        return np.vstack([x1, x2, self._third(f[2 * n :], x1, x2)])
+
+    def _third(self, f3: np.ndarray, x1: np.ndarray, x2: np.ndarray,
+               cols=slice(None)) -> np.ndarray:
+        """Columns cols of the level-3 block of L^-1 f, from the first two
+        blocks x1 and x2.  The right-hand side is formed in every column:
+        BLAS rounds vbar . x2 in a column by its place among them."""
+        jac, lu = self.jac, self.lu
+        rhs = (f3 - jac.p @ x1 - jac.e[:, None] * x2
+               - np.outer(jac.a, jac.vbar @ x2))
+        return lu.solve(lu.solve(rhs[:, cols]))
+
+    def _forward_left(self, f: np.ndarray, low: int, m: int) -> np.ndarray:
+        """L^-1 f for the block rows f of the Woodbury factor `left`,
+        solving only the blocks that are not known in advance.
+
+        Its last m columns are zero, and so is their L^-1.  Column 0 is
+        -k in the first block, column 1 -k in the second, and each is
+        zero above, so that block of L^-1 is -B^-1 k, the BorderedGu's
+        `bk`; the other level-3 columns are zero in the first two.
+        """
+        jac, lu, n = self.jac, self.lu, self.jac.a.size
+        z = np.zeros_like(f)
+        x1, x2 = z[:n], z[n : 2 * n]
+        lam = slice(low, low + m)
+        solved = np.r_[0, low : low + m]  # the second block's unknowns
+        x1[:, 0] = x2[:, 1] = -lu.bk
+        x1[:, lam] = lu.solve(f[:n, lam])
+        x2[:, solved] = lu.solve(f[n : 2 * n, solved]
+                                 - jac.d[:, None] * x1[:, solved])
+        if jac.vbar is not None:
+            z[2 * n :, : low + m] = self._third(f[2 * n :], x1, x2,
+                                                slice(0, low + m))
+        return z
 
     def _backward(self, f: np.ndarray) -> np.ndarray:
         """L^-T f, column by column; levels 1-2."""
@@ -693,15 +755,18 @@ class BlockFactor:
         return x + self.solve_once(rhs - product, trans)
 
 
-def _swallowtail_system(gu, f, dlam, a, vbar):
+def _swallowtail_system(lin, dlam, a, vbar):
     """Residuals of the vbar equation and the swallowtail value, the
     value row over (u, alpha, vbar, all three lam), the vbar rows' lam
-    columns and the level-3 blocks p, e and vbar.
+    columns and the level-3 blocks p, e and vbar, from lin's G_u and jet.
 
     The cubic vbar term differentiates into the weight
-    2 vbar . G_u^2 vbar + (G_u vbar)^2 against d(f_u).
+    2 vbar . G_u^2 vbar + (G_u vbar)^2 against d(f_u).  The block
+    p = G_u diag(f_uu vbar) + diag(f_uu v + f_uuu a^2) is written on
+    G_u's own pattern, zeros stored too: each entry of G_u scaled by its
+    column's f_uu vbar, the diagonal then added.
     """
-    f2, f3, f4 = f[2:]
+    gu, (f2, f3, f4) = lin.gu, lin.f[2:]
     dlam_fu, dlam_fuu, dlam_fuuu = dlam[1:]
     v = gu @ vbar          # kernel-orthogonal correction
     q = gu @ v             # G_u^2 vbar
@@ -718,8 +783,9 @@ def _swallowtail_system(gu, f, dlam, a, vbar):
     )
     cols = (v[:, None] * dlam_fu + gu @ (vbar[:, None] * dlam_fu)
             + (a**2)[:, None] * dlam_fuu)
-    blocks = dict(p=gu @ sp.diags(f2 * vbar) + sp.diags(f2 * v + f3 * a**2),
-                  e=(a @ vbar) + 2.0 * f2 * a, vbar=vbar)
+    p = lin.problem.on_pattern(gu.data * (f2 * vbar)[gu.indices],
+                               f2 * v + f3 * a**2)
+    blocks = dict(p=p, e=(a @ vbar) + 2.0 * f2 * a, vbar=vbar)
     return res, value, cols, blocks
 
 
@@ -756,7 +822,7 @@ def _assemble(state: AugmentedState, level: int):
     blocks = {}
     if level == 3:
         more_res, value, vbar_cols, blocks = _swallowtail_system(
-            gu, f, dlam, a, state.vbar)
+            lin, dlam, a, state.vbar)
         res += more_res
         rows = [(x, y, zero, g) for x, y, g in rows] + [value]
         cols.append(vbar_cols)

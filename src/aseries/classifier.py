@@ -142,13 +142,11 @@ class ClosedFormTests:
 def kernel_of_hessian(oracle: DerivativeOracle, tol_ratio: float = 1e-6):
     """Kernel dimension of the Hessian and, if it is one, a unit basis vector.
 
-    The dimension counts singular values below tol_ratio times the
-    largest one (an all-zero Hessian has full-dimensional kernel).
+    The dimension counts singular values at most tol_ratio times the
+    largest one, so an all-zero Hessian has a full-dimensional kernel:
+    in one dimension that kernel is spanned by the SVD's unit vector.
     """
-    h = oracle.hessian()
-    u, s, _ = np.linalg.svd(h)
-    if s[0] == 0.0:
-        return h.shape[0], None
+    u, s, _ = np.linalg.svd(oracle.hessian())
     dim = int(np.sum(s <= tol_ratio * s[0]))
     if dim != 1:
         return dim, None

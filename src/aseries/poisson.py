@@ -117,25 +117,28 @@ def interpolate_to(gf: GridFunction, target: Grid) -> GridFunction:
 
 
 def build_laplacian(grid: Grid) -> sp.csr_matrix:
-    """Five-point Laplacian as the Kronecker sum of 1-d second differences.
+    """Five-point Laplacian, written in CSR straight from the grid.
 
-    It stores its nonzeros only, 5 n - 2 nx - 2 ny of them: the sum
-    leaves explicit zeros where the diagonals of its terms overlap on
-    small grids, and `Problem.gu` and every factor's gather would carry
-    them on.
+    Row k = j nx + i holds, columns ascending, its neighbours k - nx,
+    k - 1, k + 1 and k + nx inside the grid and the diagonal, and no
+    other entry: 5 n - 2 nx - 2 ny nonzeros, each stored once.  The
+    values are those of the Kronecker sum I (x) D_xx + D_yy (x) I of
+    the 1-d second differences: 1/dx^2 and 1/dy^2 off the diagonal,
+    -2/dx^2 + -2/dy^2 on it, summed in that order.
     """
-
-    def second_difference(n: int, h: float) -> sp.csr_matrix:
-        main = np.full(n, -2.0)
-        off = np.ones(n - 1)
-        return sp.diags([off, main, off], [-1, 0, 1]) / h**2
-
-    dxx = second_difference(grid.nx, grid.dx)
-    dyy = second_difference(grid.ny, grid.dy)
-    lap = (sp.kron(sp.identity(grid.ny), dxx)
-           + sp.kron(dyy, sp.identity(grid.nx))).tocsr()
-    lap.eliminate_zeros()
-    return lap
+    nx, n = grid.nx, grid.size
+    k = np.arange(n)
+    i = k % nx
+    cols = np.column_stack([k - nx, k - 1, k, k + 1, k + nx])
+    keep = np.column_stack([k >= nx, i > 0, np.ones(n, dtype=bool),
+                            i < nx - 1, k < n - nx])
+    values = np.array([1.0 / grid.dy**2, 1.0 / grid.dx**2,
+                       -2.0 / grid.dx**2 + -2.0 / grid.dy**2,
+                       1.0 / grid.dx**2, 1.0 / grid.dy**2])
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix(
+        (np.broadcast_to(values, cols.shape)[keep], cols[keep], indptr),
+        shape=(n, n))
 
 
 def laplacian_eigenvalue(grid: Grid, p: int = 1, q: int = 1) -> float:
@@ -189,10 +192,11 @@ class Nonlinearity:
         raise NotImplementedError
 
 
-def _sin_derivative(k: int, x):
-    """k-th derivative of sin at x: sin, cos, -sin, -cos, ..."""
-    value = [np.sin, np.cos][k % 2](x)
-    return -value if k % 4 >= 2 else value
+def _sine_cycle(x) -> tuple:
+    """sin, cos, -sin, -cos at x: entry k % 4 is the k-th derivative of
+    sin, from one sin and one cos."""
+    sin, cos = np.sin(x), np.cos(x)
+    return sin, cos, -sin, -cos
 
 
 class ExpSineNonlinearity(Nonlinearity):
@@ -204,7 +208,8 @@ class ExpSineNonlinearity(Nonlinearity):
     complete Bell polynomial in g', .., g^(k).  As dg/dlam2 = -t^2/c^2 =
     -t^2 g', de_k/dlam2 = -(t^2 e_1)^(k) needs e_(k+1), so k < 4 there.
     The sine part's k-th t-derivative is lam3 lam1^k sin^(k)(lam1 t),
-    with sin^(k)(x) = sin(x + k pi/2) a rule both evaluators share.
+    with sin^(k)(x) = sin(x + k pi/2): each evaluator takes one sin and
+    one cos of lam1 t per call and reads the cycle sin, cos, -sin, -cos.
     """
 
     @staticmethod
@@ -229,8 +234,8 @@ class ExpSineNonlinearity(Nonlinearity):
             raise ValueError("t-derivatives available for top = 0..4")
         t, ek = self._exp_stack(t, lam, top)
         lam1, _, lam3 = lam
-        return np.stack([lam1 * ek[k]
-                         + lam3 * lam1**k * _sin_derivative(k, lam1 * t)
+        sin = _sine_cycle(lam1 * t)
+        return np.stack([lam1 * ek[k] + lam3 * lam1**k * sin[k % 4]
                          for k in range(top + 1)])
 
     def lambda_derivative(self, top: int, t, lam):
@@ -238,11 +243,12 @@ class ExpSineNonlinearity(Nonlinearity):
             raise ValueError("lam-derivatives available for top = 0..3")
         t, ek = self._exp_stack(t, lam, top + 1)
         lam1, _, lam3 = lam
+        sin = _sine_cycle(lam1 * t)
         jet = []
         for k in range(top + 1):
-            sin_k = _sin_derivative(k, lam1 * t)
+            sin_k = sin[k % 4]
             # d(lam1^k)/dlam1 is 0 at k = 0; the max keeps lam1 = 0 finite
-            d1 = ek[k] + lam3 * (lam1**k * t * _sin_derivative(k + 1, lam1 * t)
+            d1 = ek[k] + lam3 * (lam1**k * t * sin[(k + 1) % 4]
                                  + k * lam1 ** max(k - 1, 0) * sin_k)
             # k (k - 1) vanishes for k < 2; e_1 stands in for e_-1 at k = 0
             d2 = -lam1 * (t**2 * ek[k + 1] + 2 * k * t * ek[k]

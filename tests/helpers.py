@@ -646,3 +646,85 @@ def grid_function_from_matrix(matrix: np.ndarray, grid):
     column by column."""
     return GridFunction(np.asarray(matrix, dtype=float).flatten(order="F"),
                         grid)
+
+
+# ---------------------------------------------------------------------------
+# grid matrices by sparse arithmetic, the exp-sine jets with one trig call
+# per order and the block capacitance solved in all its columns (oracles
+# for the direct CSR builds, the shared sine cycle and the skipped solves)
+
+
+def kronecker_laplacian(grid) -> sp.csr_matrix:
+    """The five-point Laplacian as the Kronecker sum I (x) D_xx + D_yy (x)
+    I of the 1-d second differences, its explicit zeros dropped."""
+
+    def second_difference(n: int, h: float) -> sp.csr_matrix:
+        main = np.full(n, -2.0)
+        off = np.ones(n - 1)
+        return sp.diags([off, main, off], [-1, 0, 1]) / h**2
+
+    lap = (sp.kron(sp.identity(grid.ny), second_difference(grid.nx, grid.dx))
+           + sp.kron(second_difference(grid.ny, grid.dy),
+                     sp.identity(grid.nx))).tocsr()
+    lap.eliminate_zeros()
+    return lap
+
+
+def level3_product_block(lin, vbar: np.ndarray,
+                         a: np.ndarray) -> sp.csr_matrix:
+    """The level-3 block p = G_u diag(c) + diag(d) of lin's G_u and jet,
+    c = f_uu vbar and d = f_uu v + f_uuu a^2 with v = G_u vbar, by a
+    sparse product and a sparse sum, which drop the zeros they make."""
+    gu, f2, f3 = lin.gu, lin.f[2], lin.f[3]
+    return (gu @ sp.diags(f2 * vbar)
+            + sp.diags(f2 * (gu @ vbar) + f3 * a**2)).tocsr()
+
+
+def sin_derivative(k: int, x):
+    """k-th derivative of sin at x, one trig call: sin, cos, -sin, ..."""
+    value = [np.sin, np.cos][k % 2](x)
+    return -value if k % 4 >= 2 else value
+
+
+def exp_sine_derivative(nl, top: int, t, lam) -> np.ndarray:
+    """`ExpSineNonlinearity.derivative` with sin^(k) taken anew per k."""
+    t, ek = nl._exp_stack(t, lam, top)
+    lam1, _, lam3 = lam
+    return np.stack([lam1 * ek[k] + lam3 * lam1**k * sin_derivative(
+        k, lam1 * t) for k in range(top + 1)])
+
+
+def exp_sine_lambda_derivative(nl, top: int, t, lam) -> np.ndarray:
+    """`ExpSineNonlinearity.lambda_derivative` with sin^(k) and
+    sin^(k+1) taken anew per k."""
+    t, ek = nl._exp_stack(t, lam, top + 1)
+    lam1, _, lam3 = lam
+    jet = []
+    for k in range(top + 1):
+        sin_k = sin_derivative(k, lam1 * t)
+        d1 = ek[k] + lam3 * (lam1**k * t * sin_derivative(k + 1, lam1 * t)
+                             + k * lam1 ** max(k - 1, 0) * sin_k)
+        d2 = -lam1 * (t**2 * ek[k + 1] + 2 * k * t * ek[k]
+                      + k * (k - 1) * ek[abs(k - 1)])
+        jet.append(np.stack(np.broadcast_arrays(d1, d2, lam1**k * sin_k),
+                            axis=-1))
+    return np.stack(jet)
+
+
+def all_column_z(factor) -> np.ndarray:
+    """A BlockFactor's z = [L^-1 left[:size]; left[size:]] with every
+    column of the Woodbury factor `left` forward-solved, the zero ones
+    too, and no block of L^-1 taken as known."""
+    jac = factor.jac
+    n, m = jac.a.size, jac.rows.shape[0]
+    size = jac.blocks * n
+    k, g = factor.lu.k, factor.lu.g
+    low = 2 * jac.blocks - 2
+    left = np.zeros((size + m, low + 2 * m))
+    left[:n, 0] = left[n : 2 * n, 1] = -k
+    if jac.vbar is not None:
+        left[2 * n : size, 2:4] = np.column_stack([-g, -k])
+    left[:size, low : low + m] = jac.cols
+    left[size:, low : low + m] = jac.rows[:, size:] - np.eye(m)
+    left[size:, low + m :] = np.eye(m)
+    return np.vstack([factor._forward(left[:size]), left[size:]])

@@ -49,6 +49,7 @@ from helpers import (
     fd_jacobian,
     grid_monitor,
     grid_tensor_oracle,
+    level3_product_block,
     relative_error,
     squared_auxiliary,
     tangent_factor,
@@ -601,6 +602,29 @@ class TestBorderedSolve:
         _, jac = f3_residual_jacobian(st)
         x = np.random.default_rng(5).standard_normal(jac.shape[1])
         assert relative_error(jac @ x, dense_jacobian(jac) @ x) < 1e-13
+
+    @pytest.mark.parametrize("nl", [PolynomialNonlinearity(tail=(0.3, -0.2)),
+                                    ExpSineNonlinearity()],
+                             ids=["polynomial", "exp-sine"])
+    def test_product_block_matches_sparse_arithmetic(self, nl):
+        # p on G_u's pattern holds the sparse product and sum's values and
+        # products bit for bit, and counts their nonzeros; at vbar = 0, as
+        # a level-3 state climbed from level 2 starts, it stores zeros
+        prob = Problem(Grid(5, 4), nl)
+        rng = np.random.default_rng(6)
+        states = [random_state(prob, 3, (0, 1, 2), rng) for _ in range(3)]
+        states.append(replace(states[0], vbar=np.zeros(prob.grid.size)))
+        for st in states:
+            _, jac = f3_residual_jacobian(st)
+            expected = level3_product_block(jac.lin, st.vbar, st.alpha)
+            assert np.array_equal(jac.p.toarray(), expected.toarray())
+            x = rng.standard_normal((prob.grid.size, 3))
+            assert (jac.p @ x).tobytes() == (expected @ x).tobytes()
+            assert (jac.p @ x[:, 0]).tobytes() == (expected
+                                                   @ x[:, 0]).tobytes()
+            assert np.count_nonzero(jac.p.data) == expected.nnz
+            assert jac.nnz == replace(jac, p=expected).nnz
+        assert jac.p.nnz == jac.gu.nnz > expected.nnz == prob.grid.size
 
     def test_nonzeros_grow_linearly(self):
         nnz = {}

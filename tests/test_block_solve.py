@@ -5,7 +5,10 @@ Every level-1/2 Newton matrix, tangent and rank check of the robust
 folds, is recorded by wrappers and replayed through the block path and
 through the oracles of `helpers`: the sp.bmat assembly of the whole
 matrix, its SuperLU solve, a dense SVD, the rank check's Gram
-operator on refined block solves and ARPACK's Lanczos.
+operator on refined block solves and ARPACK's Lanczos.  The Woodbury
+factor z of every block factor of the robust 10x10 hunt and of a
+10 -> 20 ladder, levels 1-3, is checked against its every column
+forward-solved.
 """
 
 import tracemalloc
@@ -30,11 +33,13 @@ from aseries.harness import (
     MAX_NEWTON,
     NEWTON_TOL,
     HuntConfig,
+    convergence_study,
     hunt_swallowtail,
     trace_line,
 )
 from aseries.poisson import ExpSineNonlinearity, Grid
 from helpers import (
+    all_column_z,
     arpack_largest,
     assembled_jacobian,
     dense_jacobian,
@@ -62,6 +67,10 @@ LANCZOS_TOL = 1e-12
 #: sigma_min from the single-pass and the refined Gram operators,
 #: relative; measured 1.6e-15.
 GRAM_TOL = 1e-13
+#: A block factor's z against every column forward-solved, relative to
+#: its largest entry; measured 0: the skipped solves are exact zeros and
+#: SuperLU solves each column of a block alike.
+Z_TOL = 1e-14
 #: Steps of each extra fold line.  With one Newton iteration on most
 #: steps the hunts alone record 72 Newton matrices and 35 tangents at
 #: 10x10, and 81 and 38 at 15x15; the two lines add about 44 and 25.
@@ -449,3 +458,27 @@ def test_singular_lines_rejected_by_single_pass_and_refined(
                                  null, factor)
     with pytest.raises(RankDeficientError):
         refined_rank_check(jac, null, factor)
+
+
+def test_block_factors_solve_only_the_unknown_columns(monkeypatch):
+    # every block factor of the robust 10x10 hunt and of the ladder it
+    # seeds to 20x20 keeps the z of the all-column forward solve
+    errors = {}
+
+    class CheckedBlockFactor(augmented.BlockFactor):
+        def __init__(self, jac, strict=True):
+            super().__init__(jac, strict)
+            expected = all_column_z(self)
+            errors.setdefault(len(jac.lin.f) - 2, []).append(
+                np.max(np.abs(self.z - expected))
+                / np.max(np.abs(expected)))
+
+    monkeypatch.setattr(augmented, "BlockFactor", CheckedBlockFactor)
+    nl = ExpSineNonlinearity()
+    report = hunt_swallowtail(nl, Grid(10, 10), ROBUST_CONFIG)
+    assert report.stage_reached == "swallowtail"
+    table = convergence_study(nl, (10, 15, 20), report.swallowtail.state)
+    assert [row.n for row in table.rows] == [10, 15, 20]
+    assert {1, 2, 3} <= set(errors)
+    worst = max(max(found) for found in errors.values())
+    assert worst <= Z_TOL

@@ -301,6 +301,20 @@ class TestDetect:
         rep = detect(oracle_from({(4, 0, 0): 1.0, (0, 0, 2): 1.0}, m=3))
         assert rep.kind == "not-A-series" and rep.kernel_dim == 2
 
+    def test_zero_one_dimensional_oracle_gives_a_report(self):
+        # the kernel of a zero 1 x 1 Hessian is the whole line
+        rep = detect(TensorOracle([np.zeros((1,) * k) for k in range(1, 7)]))
+        assert (rep.kind, rep.kernel_dim) == ("undetermined", 1)
+        assert abs(rep.alpha[0]) == 1.0
+        assert rep.test_values == [0.0] * 4
+
+    def test_zero_two_dimensional_oracle_is_not_a_series(self):
+        dim, alpha = kernel_of_hessian(TensorOracle([np.zeros(2),
+                                                     np.zeros((2, 2))]))
+        assert (dim, alpha) == (2, None)
+        rep = detect(TensorOracle([np.zeros((2,) * k) for k in range(1, 7)]))
+        assert (rep.kind, rep.kernel_dim) == ("not-A-series", 2)
+
     def test_undetermined(self):
         rep = detect(oracle_from({(8, 0): 1.0, (0, 2): 0.5}, top=6))
         assert rep.kind == "undetermined"

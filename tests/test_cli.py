@@ -439,6 +439,16 @@ class TestClassify:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[0] == "not-critical"
 
+    def test_zero_one_dimensional_tensors_give_a_report(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "zero.txt"
+        path.write_text("".join(f"tensor {k}\n0\n" for k in range(1, 5)))
+        rc = main(["classify", "--tensors", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 0 and "Traceback" not in captured.err
+        assert captured.out.splitlines()[:2] == ["undetermined",
+                                                 "kernel dimension: 1"]
+
     def test_wrong_value_count(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("tensor 1\n0 0\ntensor 2\n1 0 0\n")

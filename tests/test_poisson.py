@@ -21,8 +21,11 @@ from aseries.poisson import (
     save_grid_function,
 )
 from helpers import (
+    exp_sine_derivative,
+    exp_sine_lambda_derivative,
     grid_function_from_matrix,
     grid_tensor_oracle,
+    kronecker_laplacian,
     poisson_jacobian,
     residual,
 )
@@ -48,6 +51,15 @@ class TestLaplacian:
             assert lap.nnz == 5 * n - 2 * nx - 2 * ny
             assert np.all(lap.data != 0.0)
             assert np.all(lap.diagonal() != 0.0)
+
+    def test_matches_the_kronecker_sum(self):
+        # the CSR written from the grid is the Kronecker sum's, bit for bit
+        for nx, ny in itertools.product(range(1, 13), repeat=2):
+            lap = build_laplacian(Grid(nx, ny))
+            expected = kronecker_laplacian(Grid(nx, ny))
+            assert np.array_equal(lap.indptr, expected.indptr), (nx, ny)
+            assert np.array_equal(lap.indices, expected.indices), (nx, ny)
+            assert lap.data.tobytes() == expected.data.tobytes(), (nx, ny)
 
     def test_first_eigenvalue_formula(self):
         for n in (1, 3, 7):
@@ -191,6 +203,24 @@ class TestNonlinearities:
             assert v == pytest.approx(float(nl.derivative(2, t, LAM)[2]))
         grad = nl.lambda_derivative(3, ts, LAM)
         assert grad.shape == (4,) + ts.shape + (3,)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [LAM, np.array([0.0, 0.3, 0.9]), np.array([1.1, -0.4, -0.7])],
+        ids=["generic", "lam1-zero", "lam2-negative"],
+    )
+    def test_exp_sine_jets_match_the_per_order_sine(self, lam):
+        # one sin and one cos per call give the per-order jets bit for bit
+        nl = ExpSineNonlinearity()
+        for t in (np.random.default_rng(20).uniform(-0.8, 0.8, 7),
+                  np.linspace(-0.5, 0.5, 7), 0.0, 0.37):
+            for top in range(5):
+                assert (nl.derivative(top, t, lam).tobytes()
+                        == exp_sine_derivative(nl, top, t, lam).tobytes())
+            for top in range(4):
+                assert (nl.lambda_derivative(top, t, lam).tobytes()
+                        == exp_sine_lambda_derivative(nl, top, t,
+                                                      lam).tobytes())
 
     @pytest.mark.parametrize(
         "nl",

@@ -9,9 +9,10 @@ in the sources, tests or benchmark, importing the command line
 loads no SciPy subpackage that only a rarely called function needs,
 every SuperLU factorization keeps the order it is given, but for the
 one ordering pass that computes that order, and takes the package's
-one supernode relaxation and panel size, and every public module-level
+one supernode relaxation and panel size, every public module-level
 function and class is read by some package code but its own, or kept
-for a stated reason."""
+for a stated reason, and no grid matrix is built by SciPy's sparse
+products, sums or stacks."""
 
 import ast
 import os
@@ -61,6 +62,11 @@ UNREAD_PUBLIC = {
     "closed_form_tests": "criterion 9's independent reference",
     "verify_swallowtail_geometry": "criterion 8's workflow",
 }
+#: scipy.sparse functions that build a matrix from other sparse matrices
+#: or diagonals.  The package calls none: every grid matrix is written
+#: on the Laplacian's CSR pattern, and every factor's input is gathered.
+SPARSE_BUILDERS = {"diags", "kron", "identity", "eye", "bmat", "hstack",
+                   "vstack", "block_diag"}
 #: Package modules in layer order; each imports only earlier ones.
 LAYERS = ("bell", "poisson", "classifier", "augmented", "continuation",
           "harness", "cli")
@@ -171,6 +177,40 @@ def dense_calls(source: str) -> list:
             name = ast.unparse(node.func)
             if name in DENSE_CALLS or node.func.attr in DENSE_METHODS:
                 found.append((node.lineno, name))
+    return sorted(found)
+
+
+def sparse_builder_calls(source: str) -> list:
+    """(line, call) of each call of a SPARSE_BUILDERS function of
+    scipy.sparse: through the module, under any name it is imported as,
+    or by a name imported from it."""
+    tree = ast.parse(source)
+    modules, names = {"scipy.sparse"}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.name == "scipy.sparse" and alias.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "sparse")
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module == "scipy.sparse":
+            names.update((alias.asname or alias.name, alias.name)
+                         for alias in node.names)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) \
+                and ast.unparse(func.value) in modules:
+            name = func.attr
+        elif isinstance(func, ast.Name):
+            name = names.get(func.id)
+        else:
+            continue
+        if name in SPARSE_BUILDERS:
+            found.append((node.lineno, ast.unparse(func)))
     return sorted(found)
 
 
@@ -437,6 +477,39 @@ def test_dense_scan_catches_dense_calls_and_spares_norm():
     assert dense_calls(source) == [(2, "np.linalg.solve"),
                                    (3, "np.linalg.svd"), (5, "np.vstack"),
                                    (6, "jac.toarray"), (7, "jac.T.todense")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_sparse_arithmetic_builds(path):
+    found = sparse_builder_calls(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name}: grid matrices built by scipy.sparse " \
+                      f"arithmetic (line, call): {found}"
+
+
+def test_sparse_builder_scan_catches_each_builder_and_spares_csr():
+    source = ("import numpy as np\n"
+              "import scipy.sparse as sp\n"
+              "from scipy import sparse\n"
+              "from scipy.sparse import kron as k, csr_matrix\n"
+              "a = sp.diags(d)\n"
+              "b = sp.kron(x, y)\n"
+              "c = sp.identity(3)\n"
+              "d = sp.eye(3)\n"
+              "e = sp.bmat([[x, None], [None, y]])\n"
+              "f = sp.hstack([x, y])\n"
+              "g = sp.vstack([x, y])\n"
+              "h = sp.block_diag([x, y])\n"
+              "i = k(x, y)\n"
+              "j = scipy.sparse.eye(2)\n"
+              "l = sparse.diags(d)\n"
+              "m = sp.csr_matrix((data, indices, indptr))\n"
+              "n = csr_matrix((data, indices, indptr), shape=(2, 2))\n"
+              "o = np.eye(3) + np.hstack([x, y]) + np.kron(x, y)\n")
+    assert sparse_builder_calls(source) == [
+        (5, "sp.diags"), (6, "sp.kron"), (7, "sp.identity"), (8, "sp.eye"),
+        (9, "sp.bmat"), (10, "sp.hstack"), (11, "sp.vstack"),
+        (12, "sp.block_diag"), (13, "k"), (14, "scipy.sparse.eye"),
+        (15, "sparse.diags")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
