@@ -1,24 +1,27 @@
 """Augmented systems locating folds, cusps and swallowtails directly.
 
 The level-k system is the level-(k-1) system plus its own test
-equations, one level of rows on top of the last:
+equations, nested per kind: grid rows (n equations each) and single
+rows (one equation each),
 
-    level 0 (solution):    G(u, lam)
-    level 1 (fold):        + G_u a and dx dy a.a - 1
-    level 2 (cusp):        + f_uu . a^3
-    level 3 (swallowtail): + the vbar equation
-                             (G_u^2 + a a^T) vbar + f_uu . a^2
-                           + the swallowtail value
-                             f_uuu . a^4 + 6 (f_uu a^2) . G_u vbar
-                             + 3 vbar . G_u^3 vbar
+    level 0 (solution):    grid   G(u, lam)
+    level 1 (fold):        grid   + G_u a
+                           single dx dy a.a - 1
+    level 2 (cusp):        single + f_uu . a^3
+    level 3 (swallowtail): grid   + the vbar equation
+                                    (G_u^2 + a a^T) vbar + f_uu . a^2
+                           single + the swallowtail value
+                                    f_uuu . a^4 + 6 (f_uu a^2) . G_u vbar
+                                    + 3 vbar . G_u^3 vbar
 
 (. is the componentwise product, vector powers componentwise).  The
-unknowns are u, then alpha (level >= 1), then vbar (level 3), then the
-active parameters.  One routine, `_assemble(state, level)`, builds the
+residual lists every grid row before every single row, the row order of
+the Jacobian's blocks; each kind stacks level by level.  The unknowns
+are u, then alpha (level >= 1), then vbar (level 3), then the active
+parameters.  One routine, `_assemble(state, level)`, builds the
 residual and the analytic Jacobian of every level: one call each
 evaluates the jet f[k] = f^(k), k = 0..level+1, of derivative diagonals
-and its lam-gradients up to order level, and the rows stack level by
-level.  `solution_residual_jacobian` and
+and its lam-gradients up to order level.  `solution_residual_jacobian` and
 `f1_`/`f2_`/`f3_residual_jacobian` each assemble one fixed level, so a
 level-k name applied to a higher-level state still gives level k.
 
@@ -519,9 +522,8 @@ class BlockJacobian:
     vbar = 0 its whole off-diagonal; `nnz` counts its nonzeros only.
     `rows` holds the single rows in full: normalization, cusp (level >=
     2), value (level 3) and, after `bordered`, a continuation row.
-    G_u^2 is applied as G_u twice, never formed.  The residual
-    interleaves the rows: G, G_u a, normalization, cusp, vbar equation,
-    then the remaining single rows.
+    G_u^2 is applied as G_u twice, never formed.  The rows are in the
+    residual's order: the `size` block rows, then the single rows.
     lin, on a grid, is the Linearization that gu, d and a came from: its
     Problem's order and sums, its jet for the monitors and its
     BorderedGu, which every factor of the Jacobian shares.
@@ -544,8 +546,7 @@ class BlockJacobian:
 
     @property
     def shape(self) -> tuple:
-        return (self.blocks * self.a.size + self.rows.shape[0],
-                self.rows.shape[1])
+        return self.size + self.rows.shape[0], self.rows.shape[1]
 
     @property
     def nnz(self) -> int:
@@ -558,28 +559,21 @@ class BlockJacobian:
                                           self.cols, self.rows)
             if x is not None))
 
-    @cached_property
-    def _order(self) -> tuple:
-        """Residual positions of the block rows and of the single rows."""
-        n, m = self.a.size, self.rows.shape[0]
-        head = m if self.vbar is None else 2
-        single = np.concatenate([2 * n + np.arange(head),
-                                 3 * n + 2 + np.arange(m - head)])
-        return np.delete(np.arange(self.shape[0]), single), single
+    @property
+    def size(self) -> int:
+        """Number of block rows, the grid rows before the single rows."""
+        return self.blocks * self.a.size
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        n, size = self.a.size, self.blocks * self.a.size
+        n, size = self.a.size, self.size
         xu, xa = x[:n], x[n : 2 * n]
         out = [self.gu @ xu, self.d * xu + self.gu @ xa]
         if self.vbar is not None:
-            xv = x[2 * n : 3 * n]
+            xv = x[2 * n : size]
             out.append(self.p @ xu + self.e * xa + self.a * (self.vbar @ xa)
                        + self.gu @ (self.gu @ xv) + self.a * (self.a @ xv))
-        block, single = self._order
-        y = np.empty(self.shape[0])
-        y[block] = np.concatenate(out) + self.cols @ x[size:]
-        y[single] = self.rows @ x
-        return y
+        return np.concatenate([np.concatenate(out) + self.cols @ x[size:],
+                               self.rows @ x])
 
     def _below_level_3(self, what: str) -> None:
         # continuation, which needs these, never runs at level 3
@@ -589,11 +583,10 @@ class BlockJacobian:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """The transposed product J^T y; levels 1-2."""
         self._below_level_3("transposed products")
-        block, single = self._order
-        yb, n, gu_t = y[block], self.a.size, self.gu.T
+        yb, n, gu_t = y[: self.size], self.a.size, self.gu.T
         out = np.concatenate([gu_t @ yb[:n] + self.d * yb[n:],
                               gu_t @ yb[n:], self.cols.T @ yb])
-        return out + self.rows.T @ y[single]
+        return out + self.rows.T @ y[self.size :]
 
     def norms(self) -> tuple:
         """(||J||_1, ||J||_inf) exactly, from the blocks; levels 1-2."""
@@ -623,22 +616,23 @@ class BlockFactor:
     One BorderedGu factorization solves with B = G_u + k k^T (its lin's,
     when J has one, factored once for every J bordered from it), so the
     block triangle L with diagonal blocks B, B (and B^2 at level 3)
-    solves by forward substitution, and L^T by back substitution.  In
-    the block rows, then the single rows, J is [[L, 0], [0, I]] plus a
-    low-rank term U V^T: -k k^T in the two G_u blocks, -(g k^T + k g^T)
-    in the G_u^2 block, the lam columns and the single rows.  Woodbury
-    folds that term into a capacitance of order 2 + 2m (4 + 2m at level
-    3) for m single rows, 8 on the bordered cusp line and 10 at level 3;
-    its transpose serves the transposed solve (levels 1-2).  It needs
-    L^-1 U in the block rows, and forward substitution solves only the
-    blocks of U's columns that are not known: the m columns of the single
-    rows are zero there, and -B^-1 k, the BorderedGu's `bk`, is the first
+    solves by forward substitution, and L^T by back substitution.  J,
+    its block rows first, is [[L, 0], [0, I]] plus a low-rank term
+    U V^T: -k k^T in the two G_u blocks, -(g k^T + k g^T) in the G_u^2
+    block, the lam columns and the single rows.  Woodbury folds that
+    term into a capacitance of order 2 + 2m (4 + 2m at level 3) for m
+    single rows, 8 on the bordered cusp line and 10 at level 3; its
+    transpose serves the transposed solve (levels 1-2).  It needs L^-1 U
+    in the block rows, and forward substitution solves only the blocks
+    of U's columns that are not known: the m columns of the single rows
+    are zero there, and -B^-1 k, the BorderedGu's `bk`, is the first
     block of the first column and the second block of the second.  At
     level 3 the blocks B, B and B^2 solve 3, 4 and twice 7 of the 10
-    columns, and `bk` one more.  `solve`
-    takes one step of iterative refinement against the full product:
-    two Woodbury passes and one product.  `solve_once` is one pass, for
-    the rank check's Gram operator, whose verdict needs no refinement.  A
+    columns, and `bk` one more.  Every solve cuts its vector at J's
+    `size`, into the block rows and the single rows.  `solve` takes one
+    step of iterative refinement against the full product: two Woodbury
+    passes and one product.  `solve_once` is one pass, for the rank
+    check's Gram operator, whose verdict needs no refinement.  A
     singular factorization or capacitance raises SingularAuxiliaryError;
     with strict, so does a scaled capacitance condition of
     CAPACITANCE_COND_MAX or more.  Without strict a nearly singular J
@@ -648,8 +642,7 @@ class BlockFactor:
     def __init__(self, jac: BlockJacobian, strict: bool = True):
         if jac.shape[0] != jac.shape[1]:
             raise ValueError("the block solve needs a square Jacobian")
-        n, m = jac.a.size, jac.rows.shape[0]
-        size = jac.blocks * n
+        n, m, size = jac.a.size, jac.rows.shape[0], jac.size
         self.jac = jac
         self.lu = (BorderedGu(jac.gu, jac.a) if jac.lin is None
                    else jac.lin.bordered)
@@ -682,7 +675,6 @@ class BlockFactor:
             raise SingularAuxiliaryError(
                 f"block Jacobian is singular: scaled capacitance "
                 f"condition {cond:.3g}")
-        self.block, self.single = jac._order
 
     def _forward(self, f: np.ndarray) -> np.ndarray:
         """L^-1 f, column by column."""
@@ -736,17 +728,14 @@ class BlockFactor:
 
     def solve_once(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """One Woodbury pass of `solve`, without its refinement."""
-        size = self.block.size
+        size = self.jac.size
         if trans == "N":
-            y = np.concatenate([self._forward(b[self.block, None])[:, 0],
-                                b[self.single]])
+            y = np.concatenate([self._forward(b[:size, None])[:, 0],
+                                b[size:]])
             return y - self.z @ (self.cap_inv @ (self.right.T @ y))
-        # J^T = M^T P for M = P J, the rows permuted into block order
         c = b - self.right @ (self.cap_inv.T @ (self.z.T @ b))
-        x = np.empty_like(c)
-        x[self.block] = self._backward(c[:size, None])[:, 0]
-        x[self.single] = c[size:]
-        return x
+        return np.concatenate([self._backward(c[:size, None])[:, 0],
+                               c[size:]])
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """x with J x = rhs, or J^T x = rhs with trans "T"."""
@@ -756,9 +745,10 @@ class BlockFactor:
 
 
 def _swallowtail_system(lin, dlam, a, vbar):
-    """Residuals of the vbar equation and the swallowtail value, the
-    value row over (u, alpha, vbar, all three lam), the vbar rows' lam
-    columns and the level-3 blocks p, e and vbar, from lin's G_u and jet.
+    """The pair of residuals of the vbar equation and the swallowtail
+    value, the value row over (u, alpha, vbar, all three lam), the vbar
+    rows' lam columns and the level-3 blocks p, e and vbar, from lin's
+    G_u and jet.
 
     The cubic vbar term differentiates into the weight
     2 vbar . G_u^2 vbar + (G_u vbar)^2 against d(f_u).  The block
@@ -770,8 +760,8 @@ def _swallowtail_system(lin, dlam, a, vbar):
     dlam_fu, dlam_fuu, dlam_fuuu = dlam[1:]
     v = gu @ vbar          # kernel-orthogonal correction
     q = gu @ v             # G_u^2 vbar
-    res = [q + a * (a @ vbar) + f2 * a**2,
-           [f3 @ a**4 + 6.0 * (f2 * a**2) @ v + 3.0 * vbar @ (gu @ q)]]
+    res = (q + a * (a @ vbar) + f2 * a**2,
+           f3 @ a**4 + 6.0 * (f2 * a**2) @ v + 3.0 * vbar @ (gu @ q))
     weight = 2.0 * vbar * q + v * v
     value = (
         f4 * a**4 + 6.0 * f3 * a**2 * v + 6.0 * f2**2 * a**2 * vbar
@@ -792,7 +782,9 @@ def _swallowtail_system(lin, dlam, a, vbar):
 def _assemble(state: AugmentedState, level: int):
     """Residual and analytic Jacobian of the level-`level` system.
 
-    Each level appends its rows to the rows of the level below.  The
+    Each level appends its grid rows to the grid rows of the level
+    below, and its single rows to the single rows; the residual is the
+    grid rows, then the single rows, the order of its Jacobian.  The
     t-derivatives come from one Linearization(state, level + 1) and the
     lam-gradients from one lambda_derivative(level) call.  A single
     row is (u, alpha, [vbar,] lam) with the lam-gradient over all three
@@ -813,24 +805,26 @@ def _assemble(state: AugmentedState, level: int):
         return res[0], SolutionJacobian(gu, dlam[0][:, act], prob)
     a = state.alpha
     zero = np.zeros_like(a)
-    res += [gu @ a, [prob.inner(a, a) - 1.0]]
+    res.append(gu @ a)
+    single = [prob.inner(a, a) - 1.0]
     rows = [(zero, 2.0 * prob.weight * a, np.zeros(3))]
     if level >= 2:
-        res.append([lin.contract(3, a, a, a)])
+        single.append(lin.contract(3, a, a, a))
         rows.append((f[3] * a**3, 3.0 * f[2] * a**2, a**3 @ dlam[2]))
     cols = [dlam[0], a[:, None] * dlam[1]]
     blocks = {}
     if level == 3:
-        more_res, value, vbar_cols, blocks = _swallowtail_system(
-            lin, dlam, a, state.vbar)
-        res += more_res
+        (vbar_res, value_res), value, vbar_cols, blocks = (
+            _swallowtail_system(lin, dlam, a, state.vbar))
+        res.append(vbar_res)
+        single.append(value_res)
         rows = [(x, y, zero, g) for x, y, g in rows] + [value]
         cols.append(vbar_cols)
     jac = BlockJacobian(
         gu=gu, d=f[2] * a, a=a, cols=np.vstack(cols)[:, act],
         rows=np.array([np.concatenate(row[:-1] + (row[-1][act],))
                        for row in rows]), lin=lin, **blocks)
-    return np.concatenate(res), jac
+    return np.concatenate(res + [single]), jac
 
 
 def residual_jacobian(state: AugmentedState):

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -261,6 +262,36 @@ def _load_matching(path: str, grid: Grid, label: str) -> np.ndarray:
     return gf.values
 
 
+def _check_outputs(*outputs) -> None:
+    """A usage error, before any work, for an output (flag, path) whose
+    directory is missing or not writable, or that names a directory."""
+    for flag, path in outputs:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise UsageError(f"--{flag}: no directory {folder!r} for "
+                             f"{path!r}")
+        if os.path.isdir(path):
+            raise UsageError(f"--{flag}: {path!r} is a directory")
+        if not os.access(folder, os.W_OK):
+            raise UsageError(f"--{flag}: cannot write in {folder!r}")
+
+
+@contextlib.contextmanager
+def _output_errors(flag: str):
+    """An OSError in the block is a usage error of --flag."""
+    try:
+        yield
+    except OSError as err:
+        raise UsageError(f"--{flag}: {err}") from None
+
+
+def _write_output(flag: str, path: str, text: str) -> None:
+    """Write text to the file of --flag: the one place the command line
+    opens a file to write."""
+    with _output_errors(flag), open(path, "w") as fh:
+        fh.write(text)
+
+
 PROBLEM_OPTIONS = (
     Option("problem", _parse_str, required=True, help="bratu | polynomial"),
     Option("tail", _parse_floats, default=(),
@@ -389,20 +420,20 @@ def _check_continue(opts: dict, monitors: tuple) -> None:
             raise UsageError(f"monitor {name!r} needs level >= 1")
 
 
-def _write_branch_csv(path: str, template: AugmentedState, points) -> None:
+def _branch_csv(template: AugmentedState, points) -> str:
     grid = template.problem.grid
     center = (grid.nx // 2) + (grid.ny // 2) * grid.nx
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i, point in enumerate(points):
-            state = template.with_vector(point.z)
-            rec = point.monitors
-            cells = [str(i), _g(point.s), _g(state.lam[0]), _g(state.lam[1]),
-                     _g(state.lam[2]), _g(np.max(np.abs(state.u))),
-                     _g(state.u[center]), _g(rec.fold_direction),
-                     _g(rec.cusp), _g(rec.swallowtail),
-                     str(int(point.signature)), str(int(point.newton_iters))]
-            fh.write(",".join(cells) + "\n")
+    lines = [",".join(CSV_COLUMNS)]
+    for i, point in enumerate(points):
+        state = template.with_vector(point.z)
+        rec = point.monitors
+        cells = [str(i), _g(point.s), _g(state.lam[0]), _g(state.lam[1]),
+                 _g(state.lam[2]), _g(np.max(np.abs(state.u))),
+                 _g(state.u[center]), _g(rec.fold_direction),
+                 _g(rec.cusp), _g(rec.swallowtail),
+                 str(int(point.signature)), str(int(point.newton_iters))]
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)
 
 
 def _event_entries(template: AugmentedState, events) -> list:
@@ -451,6 +482,10 @@ def cmd_continue(opts: dict) -> int:
             have = ", ".join(sorted(wrapper.watched))
             raise UsageError(f"--stop-at {kind!r} is not detected by "
                              f"this run (have: {have})")
+    events_path = opts["events"]
+    if events_path is None:
+        events_path = os.path.splitext(opts["out"])[0] + ".events.json"
+    _check_outputs(("out", opts["out"]), ("events", events_path))
     start = initial_point(wrapper, template.pack(), opts["direction"])
     limit = opts["bounds"]
 
@@ -460,16 +495,11 @@ def cmd_continue(opts: dict) -> int:
     result = run_branch(wrapper, start, ds0=opts["ds0"],
                         ds_max=opts["ds_max"], max_steps=opts["max_steps"],
                         stop_at=opts["stop_at"], bounds=in_bounds)
-    _write_branch_csv(opts["out"], template, result.points)
+    _write_output("out", opts["out"], _branch_csv(template, result.points))
     doc = {"seed": opts["seed"], "stopped_on": result.stopped_on,
            "points": len(result.points),
            "events": _event_entries(template, result.events)}
-    events_path = opts["events"]
-    if events_path is None:
-        events_path = os.path.splitext(opts["out"])[0] + ".events.json"
-    with open(events_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_output("events", events_path, json.dumps(doc, indent=2) + "\n")
     print(f"{len(result.points)} points, stopped on {result.stopped_on}; "
           f"{len(result.events)} event(s)")
     for entry in doc["events"]:
@@ -505,8 +535,8 @@ def _hunt_config(opts: dict) -> HuntConfig:
 
 
 def _save_chain_states(report, directory: str) -> dict:
-    """Write each chain point's grid functions; returns index -> files."""
-    os.makedirs(directory, exist_ok=True)
+    """Write each chain point's grid functions into the existing
+    directory; returns index -> files."""
     seen = {}
     files_by_index = {}
     for i, point in enumerate(report.chain):
@@ -542,15 +572,18 @@ def cmd_hunt(opts: dict) -> int:
         raise UsageError(f"--target must be fold, cusp or swallowtail, "
                          f"got {target!r}")
     config = _hunt_config(opts)
+    _check_outputs(("out", opts["out"]))
+    if opts["save_states"]:
+        with _output_errors("save-states"):
+            os.makedirs(opts["save_states"], exist_ok=True)
     report = hunt_swallowtail(nl, grid, config)
     doc = report.to_dict()
     if opts["save_states"]:
-        files_by_index = _save_chain_states(report, opts["save_states"])
+        with _output_errors("save-states"):
+            files_by_index = _save_chain_states(report, opts["save_states"])
         for i, files in files_by_index.items():
             doc["chain"][i]["files"] = files
-    with open(opts["out"], "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_output("out", opts["out"], json.dumps(doc, indent=2) + "\n")
     print(f"stage reached: {report.stage_reached}")
     _print_chain(report)
     # wall-clock seconds vary from run to run: kept out of --out
@@ -573,11 +606,32 @@ def _resolve_report_path(base: str, path: str) -> str:
 
 
 def _seed_from_report(path: str, nl, n0: int) -> AugmentedState:
+    """The last swallowtail of a hunt report with saved states, on the
+    n0 x n0 grid.  A report that does not hold one is a usage error."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise UsageError(f"--seed-report: {err}") from None
+    try:
+        state = _report_state(path, doc, nl, n0)
+    except KeyError as err:
+        raise UsageError(f"--seed-report: the swallowtail entry lacks the "
+                         f"key {err}") from None
+    except (AttributeError, TypeError, ValueError) as err:
+        raise UsageError(f"--seed-report: a bad value: {err}") from None
+    residual = float(np.max(np.abs(residual_jacobian(state)[0])))
+    if not residual <= 1e-6:  # a NaN in a saved state fails too
+        raise RefinementError(f"seed report residual is {residual:.3e}; "
+                              f"the report does not match these problem "
+                              f"settings", state, residual)
+    return state
+
+
+def _report_state(path: str, doc, nl, n0: int) -> AugmentedState:
+    if not isinstance(doc, dict):
+        raise UsageError("--seed-report: not a hunt report (expected a "
+                         "JSON object)")
     entries = [e for e in doc.get("chain", [])
                if e.get("kind") == "swallowtail"]
     if not entries:
@@ -594,20 +648,18 @@ def _seed_from_report(path: str, nl, n0: int) -> AugmentedState:
             loaded[name] = load_grid_function(file_path)
         except (OSError, ValueError) as err:
             raise UsageError(f"--seed-report: {err}") from None
-    grid = loaded["u"].grid
-    if (grid.nx, grid.ny) != (n0, n0):
-        raise UsageError(f"--seed-report lives on {grid.nx}x{grid.ny}; the "
-                         f"coarsest requested grid is {n0}x{n0}")
-    state = AugmentedState(Problem(grid, nl), 3, loaded["u"].values,
-                           np.asarray(entry["lam"], dtype=float),
-                           alpha=loaded["alpha"].values,
-                           vbar=loaded["vbar"].values, active=(0, 1, 2))
-    residual = float(np.max(np.abs(residual_jacobian(state)[0])))
-    if residual > 1e-6:
-        raise RefinementError(f"seed report residual is {residual:.3e}; "
-                              f"the report does not match these problem "
-                              f"settings", state, residual)
-    return state
+        grid = loaded[name].grid
+        if (grid.nx, grid.ny) != (n0, n0):
+            raise UsageError(f"--seed-report: {name} lives on "
+                             f"{grid.nx}x{grid.ny}; the coarsest requested "
+                             f"grid is {n0}x{n0}")
+    lam = np.asarray(entry["lam"], dtype=float)
+    if lam.shape != (3,) or not np.all(np.isfinite(lam)):
+        raise UsageError(f"--seed-report: lam must be three finite numbers, "
+                         f"got {entry['lam']!r}")
+    return AugmentedState(Problem(Grid(n0, n0), nl), 3, loaded["u"].values,
+                          lam, alpha=loaded["alpha"].values,
+                          vbar=loaded["vbar"].values, active=(0, 1, 2))
 
 
 def cmd_converge(opts: dict) -> int:
@@ -618,6 +670,7 @@ def cmd_converge(opts: dict) -> int:
     if independent and opts["seed_report"]:
         raise UsageError("--independent hunts every grid from scratch and "
                          "ignores --seed-report; drop one of the two")
+    _check_outputs(("out", opts["out"]))
     seed_state = None
     if not independent:
         if opts["seed_report"]:
@@ -636,9 +689,7 @@ def cmd_converge(opts: dict) -> int:
                               independent=independent, config=config)
     doc = {"problem": opts["problem"], "grids": [int(s) for s in sizes],
            "seed": opts["seed"], **table.to_dict()}
-    with open(opts["out"], "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_output("out", opts["out"], json.dumps(doc, indent=2) + "\n")
     for row in table.rows:
         lam = ", ".join(f"{v:.8g}" for v in row.lam)
         print(f"  N = {row.n:<4d} lam = ({lam})  distance = "
@@ -726,6 +777,7 @@ def cmd_classify(opts: dict) -> int:
 # ---------------------------------------------------------- export-plot
 
 def cmd_export_plot(opts: dict) -> int:
+    _check_outputs(("out", opts["out"]))
     try:
         with open(opts["report"]) as fh:
             doc = json.load(fh)
@@ -754,8 +806,7 @@ def cmd_export_plot(opts: dict) -> int:
     except (TypeError, ValueError, ArithmeticError) as err:
         raise UsageError(f"--report: an entry has a bad value: {err}") \
             from None
-    with open(opts["out"], "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_output("out", opts["out"], "\n".join(rows) + "\n")
     print(f"wrote {len(rows) - 1} rows to {opts['out']}")
     return 0
 

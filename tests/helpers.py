@@ -234,8 +234,8 @@ def fd_derivative(func, order: int, h: float) -> float:
 def dense_jacobian(jac) -> np.ndarray:
     """Any Jacobian the library returns, as one dense array.
 
-    A BlockJacobian is formed from its blocks in the residual's row
-    order: the full analytic Jacobian, G_u^2 multiplied out.  A
+    A BlockJacobian is formed from its blocks, the block rows over the
+    single rows: the full analytic Jacobian, G_u^2 multiplied out.  A
     SolutionJacobian is [G_u, cols] over its rows; sparse matrices and
     arrays are converted as they are.
     """
@@ -253,11 +253,7 @@ def dense_jacobian(jac) -> np.ndarray:
         body.append([jac.p.toarray(),
                      np.diag(jac.e) + np.outer(jac.a, jac.vbar),
                      gu @ gu + np.outer(jac.a, jac.a)])
-    block, single = jac._order
-    out = np.empty(jac.shape)
-    out[block] = np.hstack([np.block(body), jac.cols])
-    out[single] = jac.rows
-    return out
+    return np.vstack([np.hstack([np.block(body), jac.cols]), jac.rows])
 
 
 def fd_jacobian(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -412,10 +408,9 @@ def bordered_newton_step(jac, res: np.ndarray) -> np.ndarray:
                      [sp.diags(jac.d), jac.gu, zero, cols[1]],
                      [jac.p, sp.diags(jac.e), jac.gu @ jac.gu, cols[2]]],
                     format="csr")
-    core = sp.vstack([block[: 2 * n], sp.csr_matrix(jac.rows[:2]),
-                      block[2 * n :], sp.csr_matrix(jac.rows[2:])])
+    core = sp.vstack([block, sp.csr_matrix(jac.rows)])
     left = np.zeros(jac.shape[0])
-    left[2 * n + 2 : 3 * n + 2] = jac.a
+    left[2 * n : 3 * n] = jac.a
     right = np.zeros(jac.shape[1])
     right[n : 2 * n] = jac.vbar
     right[2 * n : 3 * n] = jac.a

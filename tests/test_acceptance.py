@@ -199,7 +199,7 @@ def test_criterion_5_jacobian_fidelity():
             assert relative_error(analytic, numeric) < 1e-5
             if level == 3:
                 # auxiliary-equation block on its own
-                rows = slice(2 * n + 2, 3 * n + 2)
+                rows = slice(2 * n, 3 * n)
                 assert relative_error(analytic[rows], numeric[rows]) < 1e-5
     assert time.perf_counter() - t0 < 30.0
 
@@ -314,7 +314,7 @@ def test_criterion_9_commutation_with_classifier_oracle():
         res3 = residual_jacobian(
             AugmentedState(prob, 3, u, lam, alpha=alpha, vbar=vbar,
                            active=(0, 1, 2)))[0]
-        assert res3[2 * n + 1] == pytest.approx(closed.cusp, abs=1e-12)
+        assert res3[3 * n + 1] == pytest.approx(closed.cusp, abs=1e-12)
         assert res3[-1] == pytest.approx(closed.swallowtail, abs=1e-12)
-        assert np.max(np.abs(res3[2 * n + 2:3 * n + 2])) < 1e-12
+        assert np.max(np.abs(res3[2 * n:3 * n])) < 1e-12
     assert time.perf_counter() - t0 < 1.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aseries.augmented import AugmentedState, Problem, residual_jacobian
+from aseries import cli
 from aseries.cli import (
     CSV_COLUMNS,
     HUNT_CMD_OPTIONS,
@@ -17,7 +18,13 @@ from aseries.cli import (
     read_config,
 )
 from aseries.harness import HuntConfig, hunt_swallowtail
-from aseries.poisson import ExpSineNonlinearity, Grid, load_grid_function
+from aseries.poisson import (
+    ExpSineNonlinearity,
+    Grid,
+    GridFunction,
+    load_grid_function,
+    save_grid_function,
+)
 
 HUNT_ARGS = ("--problem", "bratu", "--grid", "10x10",
              "--lam0", "0,0.15,2.0", "--lam3-direction", "-1",
@@ -397,6 +404,23 @@ class TestConverge:
                    "--out", str(tmp_path / "c.json")])
         assert rc == 2
 
+    def test_non_finite_seed_state_fails(self, tmp_path, hunt_dir,
+                                         hunt_doc, capsys):
+        doc = json.loads(json.dumps(hunt_doc))
+        u = load_grid_function(_swallowtail_entry(doc)["files"]["u"])
+        u.values[3] = np.nan
+        save_grid_function(tmp_path / "u.txt", u)
+        _swallowtail_entry(doc)["files"]["u"] = str(tmp_path / "u.txt")
+        report, out = tmp_path / "nan.json", tmp_path / "c.json"
+        report.write_text(json.dumps(doc))
+        rc = main(["converge", "--problem", "bratu", "--grids", "10,15",
+                   "--seed-report", str(report), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: RefinementError: seed report residual is "
+            "nan")
+        assert not out.exists()
+
     def test_grid_range_syntax(self):
         from aseries.cli import _parse_sizes
         assert _parse_sizes("10:85:5") == tuple(range(10, 86, 5))
@@ -411,6 +435,140 @@ class TestConverge:
                    "--out", str(tmp_path / "c.json")])
         assert rc == 2
         assert "save-states" in capsys.readouterr().err
+
+
+def _swallowtail_entry(doc):
+    return next(e for e in doc["chain"] if e["kind"] == "swallowtail")
+
+
+def _nine_by_nine_alpha(doc, tmp_path):
+    path = tmp_path / "alpha9.txt"
+    save_grid_function(path, GridFunction(np.ones(81), Grid(9, 9)))
+    _swallowtail_entry(doc)["files"]["alpha"] = str(path)
+    return doc
+
+
+#: Malformed seed reports, each made from a copy of the CLI hunt's
+#: report, and the cause that `converge` names for it.  dict.update
+#: returns None and dict.pop the value, so `or doc` and `and doc` hand
+#: on the edited copy.
+MALFORMED_SEED_REPORTS = {
+    "list-document": (lambda doc, tmp: [doc], "not a hunt report"),
+    "number-path": (
+        lambda doc, tmp: _swallowtail_entry(doc)["files"].update(u=5) or doc,
+        "a bad value: "),
+    "no-lam": (lambda doc, tmp: _swallowtail_entry(doc).pop("lam") and doc,
+               "the swallowtail entry lacks the key 'lam'"),
+    "two-lam": (
+        lambda doc, tmp: _swallowtail_entry(doc).update(lam=[8.0, 0.1])
+        or doc, "lam must be three finite numbers, got [8.0, 0.1]"),
+    "null-lam": (
+        lambda doc, tmp: _swallowtail_entry(doc).update(lam=[8.0, 0.1, None])
+        or doc, "lam must be three finite numbers, got [8.0, 0.1, None]"),
+    "text-lam": (
+        lambda doc, tmp: _swallowtail_entry(doc).update(lam="8,0.1,2")
+        or doc, "a bad value: "),
+    "undecodable": (lambda doc, tmp: b'{"chain": "\xff"}',
+                    "'utf-8' codec can't decode"),
+    "mixed-grids": (_nine_by_nine_alpha,
+                    "alpha lives on 9x9; the coarsest requested grid is "
+                    "10x10"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SEED_REPORTS))
+def test_malformed_seed_report_is_usage_error(tmp_path, capsys, hunt_doc,
+                                              case):
+    make, cause = MALFORMED_SEED_REPORTS[case]
+    path, out = tmp_path / "bad.json", tmp_path / "c.json"
+    made = make(json.loads(json.dumps(hunt_doc)), tmp_path)
+    path.write_bytes(made if isinstance(made, bytes)
+                     else json.dumps(made).encode())
+    rc = main(["converge", "--problem", "bratu", "--grids", "10,15",
+               "--seed-report", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --seed-report: {cause}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command computed before checking its outputs")
+
+
+#: Each command with an output it cannot write, the usage error it
+#: gives, and the outputs that must not appear; "{tmp}" is the test's
+#: directory, and "taken" there is an existing file.
+UNWRITABLE_OUTPUTS = {
+    "hunt-out": (["hunt", "--problem", "bratu", "--grid", "6x6",
+                  "--out", "{tmp}/nodir/x.json"],
+                 "--out: no directory '{tmp}/nodir' for "
+                 "'{tmp}/nodir/x.json'", []),
+    "hunt-save-states": (["hunt", "--problem", "bratu", "--grid", "6x6",
+                          "--save-states", "{tmp}/taken",
+                          "--out", "{tmp}/h.json"],
+                         "--save-states: [Errno 17] File exists: "
+                         "'{tmp}/taken'", ["h.json"]),
+    "continue-out": (["continue", "--problem", "bratu", "--grid", "6x6",
+                      "--out", "{tmp}/nodir/b.csv"],
+                     "--out: no directory '{tmp}/nodir' for "
+                     "'{tmp}/nodir/b.csv'", []),
+    "continue-events": (["continue", "--problem", "bratu", "--grid", "6x6",
+                         "--out", "{tmp}/b.csv",
+                         "--events", "{tmp}/nodir/e.json"],
+                        "--events: no directory '{tmp}/nodir' for "
+                        "'{tmp}/nodir/e.json'", ["b.csv"]),
+    "continue-directory": (["continue", "--problem", "bratu", "--grid",
+                            "6x6", "--out", "{tmp}"],
+                           "--out: '{tmp}' is a directory", []),
+    "converge-out": (["converge", "--problem", "bratu", "--grids", "4,6",
+                      "--out", "{tmp}/nodir/c.json"],
+                     "--out: no directory '{tmp}/nodir' for "
+                     "'{tmp}/nodir/c.json'", []),
+    "export-plot-out": (["export-plot", "--report", "{tmp}/taken",
+                         "--out", "{tmp}/nodir/p.csv"],
+                        "--out: no directory '{tmp}/nodir' for "
+                        "'{tmp}/nodir/p.csv'", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_is_usage_error_before_any_work(
+        tmp_path, capsys, monkeypatch, case):
+    argv, message, absent = UNWRITABLE_OUTPUTS[case]
+    for name in ("initial_point", "run_branch", "hunt_swallowtail",
+                 "convergence_study"):
+        monkeypatch.setattr(cli, name, _no_work)
+    (tmp_path / "taken").write_text('{"rows": []}')
+    tmp = str(tmp_path)
+    rc = main([arg.format(tmp=tmp) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message.format(tmp=tmp)}\n"
+    assert not any((tmp_path / name).exists() for name in absent)
+
+
+def test_write_failure_after_the_check_is_usage_error(tmp_path, capsys,
+                                                      monkeypatch):
+    # a directory that vanishes between the check and the write
+    out = tmp_path / "gone" / "p.csv"
+    out.parent.mkdir()
+    src = tmp_path / "conv.json"
+    src.write_text(json.dumps({"rows": [{"N": 3, "distance": 1.0}]}))
+    check = cli._check_outputs
+
+    def check_then_remove(*outputs):
+        check(*outputs)
+        out.parent.rmdir()
+
+    monkeypatch.setattr(cli, "_check_outputs", check_then_remove)
+    assert main(["export-plot", "--report", str(src),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: [Errno 2] No such file or "
+                          "directory: ")
+    assert "Traceback" not in err
 
 
 def write_cusp_tensors(path):

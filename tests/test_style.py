@@ -11,8 +11,9 @@ every SuperLU factorization keeps the order it is given, but for the
 one ordering pass that computes that order, and takes the package's
 one supernode relaxation and panel size, every public module-level
 function and class is read by some package code but its own, or kept
-for a stated reason, and no grid matrix is built by SciPy's sparse
-products, sums or stacks."""
+for a stated reason, no grid matrix is built by SciPy's sparse
+products, sums or stacks, and the command line opens a file for writing
+in one helper only."""
 
 import ast
 import os
@@ -67,6 +68,11 @@ UNREAD_PUBLIC = {
 #: on the Laplacian's CSR pattern, and every factor's input is gathered.
 SPARSE_BUILDERS = {"diags", "kron", "identity", "eye", "bmat", "hstack",
                    "vstack", "block_diag"}
+#: The one function of cli.py that opens a file for writing: every
+#: output goes through it, so that an OSError is a usage error.
+OUTPUT_WRITER = "_write_output"
+#: Characters of a file mode that only reads.
+READ_MODE = set("rbt")
 #: Package modules in layer order; each imports only earlier ones.
 LAYERS = ("bell", "poisson", "classifier", "augmented", "continuation",
           "harness", "cli")
@@ -229,6 +235,40 @@ def splu_calls(source: str) -> list:
             elif isinstance(child, ast.Call) and \
                     ast.unparse(child.func).split(".")[-1] == "splu":
                 found.append((".".join(scope), child))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def stray_writes(source: str) -> list:
+    """(line, scope) of each call outside OUTPUT_WRITER that opens a
+    file for writing: `write_text`, `write_bytes`, or an `open` (the
+    builtin or a method) whose mode is not a literal of READ_MODE; a
+    mode that is not a literal counts as writing.  The scope is the
+    dotted names of the classes and functions around the call."""
+    found = []
+
+    def writes(call):
+        name = ast.unparse(call.func).split(".")[-1]
+        if name in ("write_text", "write_bytes"):
+            return True
+        position = 1 if isinstance(call.func, ast.Name) else 0
+        mode = call.args[position : position + 1] + [
+            k.value for k in call.keywords if k.arg == "mode"]
+        return name == "open" and bool(mode) and not (
+            isinstance(mode[0], ast.Constant)
+            and set(str(mode[0].value)) <= READ_MODE)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and writes(child) \
+                    and scope != (OUTPUT_WRITER,):
+                found.append((child.lineno, ".".join(scope)))
             visit(child, inner)
 
     visit(ast.parse(source), ())
@@ -510,6 +550,39 @@ def test_sparse_builder_scan_catches_each_builder_and_spares_csr():
         (9, "sp.bmat"), (10, "sp.hstack"), (11, "sp.vstack"),
         (12, "sp.block_diag"), (13, "k"), (14, "scipy.sparse.eye"),
         (15, "sparse.diags")]
+
+
+def test_cli_writes_through_one_helper():
+    source = (SOURCES[0].parent / "cli.py").read_text(encoding="utf-8")
+    found = stray_writes(source)
+    assert not found, f"cli.py opens files for writing outside " \
+                      f"{OUTPUT_WRITER} (line, scope): {found}"
+    helper = [node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef)
+              and node.name == OUTPUT_WRITER]
+    assert len(helper) == 1  # the helper is there, so the scan is not moot
+
+
+def test_write_scan_catches_stray_opens_and_spares_the_helper():
+    source = ("def _write_output(flag, path, text):\n"
+              "    with open(path, 'w') as fh:\n"
+              "        fh.write(text)\n"
+              "def read(path):\n"
+              "    with open(path) as fh, path.open('rb') as raw:\n"
+              "        return open(path, mode='rt'), fh, raw\n"
+              "def stray(p, mode):\n"
+              "    open(p, 'w')\n"
+              "    open(p, mode='a')\n"
+              "    p.open('x')\n"
+              "    p.write_text('t')\n"
+              "    open(p, 'r+')\n"
+              "    open(p, mode)\n"
+              "class Writer:\n"
+              "    def _write_output(self, p):\n"
+              "        open(p, 'wb')\n")
+    assert stray_writes(source) == [
+        (8, "stray"), (9, "stray"), (10, "stray"), (11, "stray"),
+        (12, "stray"), (13, "stray"), (16, "Writer._write_output")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
