@@ -43,6 +43,7 @@ from .harness import (
     convergence_study,
     hunt_swallowtail,
     seed_kernel_vector,
+    window_bounds,
 )
 from .poisson import (
     ExpSineNonlinearity,
@@ -124,6 +125,17 @@ def _parse_triple(text: str) -> tuple:
         raise UsageError(
             f"expected three comma-separated values, got {text!r}")
     return values
+
+
+def _finite(parse: callable) -> callable:
+    """parse, with every value it returns checked to be finite."""
+    def parse_finite(text: str) -> tuple:
+        values = parse(text)
+        if not np.all(np.isfinite(values)):
+            raise UsageError(f"values must be finite, got {text!r}")
+        return values
+
+    return parse_finite
 
 
 def _parse_active(text: str) -> tuple:
@@ -294,7 +306,7 @@ def _write_output(flag: str, path: str, text: str) -> None:
 
 PROBLEM_OPTIONS = (
     Option("problem", _parse_str, required=True, help="bratu | polynomial"),
-    Option("tail", _parse_floats, default=(),
+    Option("tail", _finite(_parse_floats), default=(),
            help="quartic-and-up Taylor coefficients of the polynomial "
                 "problem, comma separated"),
 )
@@ -307,7 +319,7 @@ SOLVER_OPTIONS = (
            help="seed for the kernel-vector guess"),
 )
 HUNT_OPTIONS = (
-    Option("lam0", _parse_triple, default=HuntConfig.lam0,
+    Option("lam0", _finite(_parse_triple), default=HuntConfig.lam0,
            help="starting parameter triple"),
     Option("ds0", _parse_float, default=HuntConfig.ds0,
            help="initial step length, in the discrete L2 arclength "
@@ -337,7 +349,7 @@ CONTINUE_OPTIONS = PROBLEM_OPTIONS + (
            help="augmentation level: 0 solution, 1 fold, 2 cusp"),
     Option("active", _parse_active, default=(0,),
            help="active parameters, e.g. l1,l2 (level + 1 of them)"),
-    Option("lam", _parse_triple, default=(0.0, 0.0, 0.0),
+    Option("lam", _finite(_parse_triple), default=(0.0, 0.0, 0.0),
            help="full parameter triple; inactive entries stay fixed"),
     Option("u0", _parse_str, help="grid-function file for the starting u"),
     Option("alpha0", _parse_str,
@@ -487,14 +499,11 @@ def cmd_continue(opts: dict) -> int:
         events_path = os.path.splitext(opts["out"])[0] + ".events.json"
     _check_outputs(("out", opts["out"]), ("events", events_path))
     start = initial_point(wrapper, template.pack(), opts["direction"])
-    limit = opts["bounds"]
-
-    def in_bounds(z, k=len(active)):
-        return bool(np.all(np.abs(z[-k:]) < limit))
-
+    limit = (opts["bounds"],) * len(active)
     result = run_branch(wrapper, start, ds0=opts["ds0"],
                         ds_max=opts["ds_max"], max_steps=opts["max_steps"],
-                        stop_at=opts["stop_at"], bounds=in_bounds)
+                        stop_at=opts["stop_at"],
+                        bounds=window_bounds(np.zeros(len(active)), limit))
     _write_output("out", opts["out"], _branch_csv(template, result.points))
     doc = {"seed": opts["seed"], "stopped_on": result.stopped_on,
            "points": len(result.points),

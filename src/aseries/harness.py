@@ -7,7 +7,10 @@ third parameter.
 
 Each hunt stage handles its level k the same way: `climb` solves the
 square level-k system and `trace_line` continues the level-k line,
-watching the level-(k+1) test function.  Cusp lines can run into
+watching the level-(k+1) test function.  `trace_line` is the one place
+that runs a line in several directions: it yields one run per
+direction, lazily, and every direction after the first that starts
+begins from that first start reversed.  Cusp lines can run into
 regions where the monitor grows without bound (a two-dimensional kernel
 ahead); the hunt then pivots: it freezes the third parameter at a point
 already reached on the cusp line, continues the fold line of that slice
@@ -16,9 +19,10 @@ to find a neighbouring cusp line, and resumes the monitor search there.
 `report.timings[stage]` is the time to locate that stage's point plus
 trace its line; it stays out of `HuntReport.to_dict`, so that one
 configuration always gives the same document.  No `ContinuationError`
-escapes a hunt: a failed solve or a line that cannot start gives a
-partial report whose note names the error.  The pivot slice's window
-and directions are module constants.
+and no failed monitor solve escapes a hunt: a failed solve, a located
+point whose monitors cannot be evaluated (`SingularAuxiliaryError`) or
+a line that cannot start gives a partial report whose note names the
+error.  The pivot slice's window and directions are module constants.
 """
 
 from __future__ import annotations
@@ -32,13 +36,13 @@ from .augmented import (
     AugmentedState,
     MonitorRecord,
     Problem,
+    SingularAuxiliaryError,
     evaluate_monitors,
     residual_jacobian,
 )
 from .continuation import (
     MAX_NEWTON,
     NEWTON_TOL,
-    BranchPoint,
     ContinuationError,
     ConvergenceError,
     augmented_continuation_problem,
@@ -205,7 +209,7 @@ def locate(template: AugmentedState, tol: float = NEWTON_TOL,
     return template.with_vector(z), iters, float(np.max(np.abs(res)))
 
 
-def _cause(err: ContinuationError) -> str:
+def _cause(err: Exception) -> str:
     return f"{type(err).__name__}: {err}"
 
 
@@ -228,7 +232,9 @@ def _event_doc(stage: str, event, active: tuple) -> dict:
     }
 
 
-def _window_bounds(center: np.ndarray, widths) -> callable:
+def window_bounds(center: np.ndarray, widths) -> callable:
+    """Bounds predicate of z: are its last len(widths) entries strictly
+    within widths of center?"""
     widths = np.asarray(widths, dtype=float)
 
     def bounds(z):
@@ -274,100 +280,104 @@ def climb(state: AugmentedState, level: int, tol: float, max_newton: int,
     return locate(replace(state, **fields), tol, max_newton)
 
 
-def trace_line(state: AugmentedState, level: int, direction: float,
+def trace_line(state: AugmentedState, level: int, directions,
                bounds, ds0: float, ds_max: float, max_steps: int,
-               tol: float, max_newton: int, stop: bool = True,
-               reverse_of: BranchPoint | None = None):
-    """Continue the level-`level` line through `state`, lam[:level + 1] free.
+               tol: float, max_newton: int, stop: bool = True):
+    """Continue the level-`level` line through `state`, lam[:level + 1]
+    free, each way in `directions`: yields (direction, template, run)
+    per direction, lazily.
 
-    The run watches the next stage (lam1 turning on the solution branch,
-    else its monitor) and with `stop` ends at its first event.  Returns
-    the template and the run, whose first point is the oriented start.
-    reverse_of is the first point of a run of the same line the other
-    way, from the same `state`: the run then starts from it reversed
-    (`reversed_point`), converges no start of its own, and direction
-    goes unused.
+    Each run watches the next stage (lam1 turning on the solution
+    branch, else its monitor) and with `stop` ends at its first event;
+    its first point is the oriented start.  The first run that starts
+    converges the line's start; each later run starts from it reversed
+    (`reversed_point`), so directions after the first are the other way
+    and a line traced both ways converges one start.  run is the
+    ContinuationError of a direction that cannot start.
     """
     template = replace(state, level=level, lam=state.lam.copy(), vbar=None,
                        active=tuple(range(level + 1)))
     watch = STAGES[level + 1]
     wrapper = augmented_continuation_problem(
         template, (watch,) if level > 0 else (), tol, max_newton)
-    if reverse_of is None:
-        start = initial_point(wrapper, template.pack(), direction)
-    else:
-        start = reversed_point(reverse_of)
-    return template, run_branch(wrapper, start, ds0=ds0, ds_max=ds_max,
-                                max_steps=max_steps,
-                                stop_at=(watch,) if stop else (),
-                                bounds=bounds)
+    first = None
+    for direction in directions:
+        try:
+            start = (initial_point(wrapper, template.pack(), direction)
+                     if first is None else reversed_point(first))
+            run = run_branch(wrapper, start, ds0=ds0, ds_max=ds_max,
+                             max_steps=max_steps,
+                             stop_at=(watch,) if stop else (), bounds=bounds)
+        except ContinuationError as err:
+            yield direction, template, err
+            continue
+        first = run.points[0]
+        yield direction, template, run
 
 
-def _line_event(state: AugmentedState, level: int, direction: float,
-                config: HuntConfig, report: HuntReport, notes: list,
-                reverse_of: BranchPoint | None = None):
-    """The hunt's level-`level` line: (event state or None, template, run).
+def _line_events(state: AugmentedState, level: int, directions,
+                 config: HuntConfig, report: HuntReport, notes: list):
+    """The hunt's level-`level` line each way in `directions`, lazily:
+    yields (direction, event state or None, template, run).
 
     A cusp line keeps to stage3_window, the others to the lam_bounds
-    box.  A line that cannot start, or a solution or fold line without
-    event, leaves a note.  reverse_of goes to `trace_line`.
+    box.  A direction that cannot start (run its ContinuationError), or
+    a solution or fold line without event, leaves a note.
     """
     if level < 2:
         width = (config.lam_bounds,) * (level + 1)
-        bounds = _window_bounds(np.zeros(level + 1), width)
+        bounds = window_bounds(np.zeros(level + 1), width)
         ds0, ds_max = config.ds0, config.ds_max
     else:
-        bounds = _window_bounds(state.lam.copy(), config.stage3_window)
+        bounds = window_bounds(state.lam.copy(), config.stage3_window)
         ds0, ds_max = 0.05, 0.1
-    try:
-        template, run = trace_line(state, level, direction, bounds, ds0,
-                                   ds_max, config.max_steps,
-                                   config.newton_tol, config.max_newton,
-                                   reverse_of=reverse_of)
-    except ContinuationError as err:
-        notes.append(f"{LINES[level]} dir {direction:+.0f}: {_cause(err)}")
-        return None, None, None
-    if level == 0:  # its start is the hunt's first chain point
-        start = template.with_vector(run.points[0].z)
-        report.chain.append(LocatedPoint("solution", start, _recheck(start),
-                                         run.points[0].newton_iters))
-    # the solution branch's first fold event counts even when bracketed
     watch = STAGES[level + 1]
-    events = [e for e in run.events
-              if e.kind == watch and (level == 0 or not e.approximate)]
-    if not events:
-        if level < 2:
-            notes.append(f"no {watch} event "
-                         f"({LINES[level]}: {run.stopped_on})")
-        return None, template, run
-    report.events.append(_event_doc(STAGES[level], events[0],
-                                    template.active))
-    return template.with_vector(events[0].point.z), template, run
+    for direction, template, run in trace_line(
+            state, level, directions, bounds, ds0, ds_max, config.max_steps,
+            config.newton_tol, config.max_newton):
+        if isinstance(run, ContinuationError):
+            notes.append(f"{LINES[level]} dir {direction:+.0f}: {_cause(run)}")
+            yield direction, None, template, run
+            continue
+        if level == 0:  # its start is the hunt's first chain point
+            start = template.with_vector(run.points[0].z)
+            report.chain.append(LocatedPoint("solution", start,
+                                             _recheck(start),
+                                             run.points[0].newton_iters))
+        # the solution branch's first fold event counts even when bracketed
+        events = [e for e in run.events
+                  if e.kind == watch and (level == 0 or not e.approximate)]
+        found = None
+        if events:
+            report.events.append(_event_doc(STAGES[level], events[0],
+                                            template.active))
+            found = template.with_vector(events[0].point.z)
+        elif level < 2:
+            notes.append(f"no {watch} event ({LINES[level]}: "
+                         f"{run.stopped_on})")
+        yield direction, found, template, run
 
 
 def _slice_for_cusp(pivot: AugmentedState, config: HuntConfig):
-    """(`climb` result, event) of a new cusp on the pivot's lam3 slice.
+    """(LocatedPoint, event) of a new cusp on the pivot's lam3 slice.
 
-    (None, None) when the slice finds no cusp distinct from the pivot.
+    (None, None) when the slice finds no cusp distinct from the pivot
+    whose monitors can be evaluated.
     """
-    window = _window_bounds(pivot.lam[:2].copy(), PIVOT_WINDOW)
-    first = None
-    for direction in SLICE_DIRECTIONS:
-        try:
-            template, run = trace_line(pivot, 1, direction, window, 0.02, 0.1,
-                                       config.max_steps, config.newton_tol,
-                                       config.max_newton, reverse_of=first)
-        except ContinuationError:
+    window = window_bounds(pivot.lam[:2].copy(), PIVOT_WINDOW)
+    for _, template, run in trace_line(
+            pivot, 1, SLICE_DIRECTIONS, window, 0.02, 0.1, config.max_steps,
+            config.newton_tol, config.max_newton):
+        if isinstance(run, ContinuationError):
             continue
-        first = run.points[0]
         for event in _clean(run.events, "cusp"):
             try:
                 located = climb(template.with_vector(event.point.z), 2,
                                 config.newton_tol, config.max_newton)
-            except ContinuationError:
+                if np.linalg.norm(located[0].lam - pivot.lam) > DISTINCT_TOL:
+                    return _located(*located, note="pivot slice"), event
+            except (ContinuationError, SingularAuxiliaryError):
                 continue
-            if np.linalg.norm(located[0].lam - pivot.lam) > DISTINCT_TOL:
-                return located, event
     return None, None
 
 
@@ -375,17 +385,18 @@ def _swallowtail_event(cusp: AugmentedState, config: HuntConfig,
                        report: HuntReport, notes: list):
     """State at the first refined swallowtail event (or None); pivots.
 
-    Each cusp line that is traced both ways converges its start once."""
+    The cusp line runs lam3_direction's way first.  When a run's
+    monitor keeps sign, pivot slices off that run look for a second
+    cusp, whose line is searched both ways, the other way first, before
+    the first cusp line runs its other way.
+    """
     sign = float(config.lam3_direction)
-    first = None
-    for direction in (sign, -sign):
-        found, template, run = _line_event(cusp, 2, direction, config,
-                                           report, notes, first)
+    for direction, found, template, run in _line_events(
+            cusp, 2, (sign, -sign), config, report, notes):
         if found is not None:
             return found
-        if run is None:
+        if isinstance(run, ContinuationError):
             continue
-        first = run.points[0]
         notes.append(f"cusp line dir {direction:+.0f}: monitor kept sign "
                      f"({run.stopped_on})")
         for offset in config.pivot_offsets:
@@ -400,14 +411,12 @@ def _swallowtail_event(cusp: AugmentedState, config: HuntConfig,
             notes.append(f"pivot slice at lam3 = {pivot.lam[2]:+.6f} "
                          f"found a second cusp line")
             report.events.append(_event_doc("pivot", slice_event, (0, 1)))
-            report.chain.append(_located(*located, note="pivot slice"))
-            retried = None
-            for retry in (-sign, sign):
-                found, _, retried = _line_event(
-                    located[0], 2, retry, config, report, notes,
-                    retried.points[0] if retried is not None else None)
-                if found is not None:
-                    return found
+            report.chain.append(located)
+            found = next((state for _, state, _, _ in _line_events(
+                located.state, 2, (-sign, sign), config, report, notes)
+                if state is not None), None)
+            if found is not None:
+                return found
     return None
 
 
@@ -432,7 +441,11 @@ def _stage(state: AugmentedState, level: int, config: HuntConfig,
         except ContinuationError as err:
             notes.append(f"{stage} system did not converge: {_cause(err)}")
             return None
-        report.chain.append(_located(*located))
+        try:
+            report.chain.append(_located(*located))
+        except SingularAuxiliaryError as err:
+            notes.append(f"{stage} monitors failed: {_cause(err)}")
+            return None
         report.stage_reached = stage
         state = located[0]
     if level == 3 or config.direct_start:
@@ -440,7 +453,8 @@ def _stage(state: AugmentedState, level: int, config: HuntConfig,
     if level == 2:
         return _swallowtail_event(state, config, report, notes)
     direction = 1.0 if level == 0 else float(config.lam2_direction)
-    return _line_event(state, level, direction, config, report, notes)[0]
+    return next(_line_events(state, level, (direction,), config, report,
+                             notes))[1]
 
 
 def hunt_swallowtail(nl: Nonlinearity, grid: Grid,
@@ -558,6 +572,11 @@ def convergence_study(nl: Nonlinearity, sizes,
         raise ValueError(f"grid sizes must increase, got {sizes}")
     config = config or HuntConfig()
     table = ConvergenceTable()
+
+    def append(n, state, iters):
+        table.rows.append(ConvergenceRow(n, tuple(state.lam), iters))
+        table.states.append(state)
+
     if independent:
         for n in sizes:
             report = hunt_swallowtail(nl, Grid(n, n), config)
@@ -565,29 +584,24 @@ def convergence_study(nl: Nonlinearity, sizes,
                 table.note = (f"stopped at N = {n}: hunt reached "
                               f"{report.stage_reached} ({report.note})")
                 break
-            point = report.swallowtail
-            table.rows.append(ConvergenceRow(n, tuple(point.lam),
-                                             point.newton_iters))
-            table.states.append(point.state)
+            append(n, report.swallowtail.state,
+                   report.swallowtail.newton_iters)
     else:
         if seed_state is None:
             raise ValueError("chained refinement needs a seed state")
         if seed_state.problem.grid.nx != sizes[0] or \
                 seed_state.problem.grid.ny != sizes[0]:
             raise ValueError("seed state lives on the wrong grid")
-        table.rows.append(ConvergenceRow(sizes[0], tuple(seed_state.lam), 0))
-        table.states.append(seed_state)
-        current = seed_state
+        append(sizes[0], seed_state, 0)  # a chain's first row is its seed
         for n in sizes[1:]:
             try:
-                current, iters = refine_on_grid(current, Grid(n, n),
-                                                config.newton_tol,
-                                                config.max_newton)
+                state, iters = refine_on_grid(table.states[-1], Grid(n, n),
+                                              config.newton_tol,
+                                              config.max_newton)
             except RefinementError as err:
                 table.note = f"stopped at N = {n}: {err}"
                 break
-            table.rows.append(ConvergenceRow(n, tuple(current.lam), iters))
-            table.states.append(current)
+            append(n, state, iters)
     if not table.rows:
         return table
     lam_fine = np.asarray(table.rows[-1].lam)
@@ -664,17 +678,12 @@ def verify_swallowtail_geometry(state: AugmentedState) -> GeometryReport:
         return GeometryReport(tuple(lam_sw), 0.0, at_singularity=True)
 
     # trace the cusp line away from the swallowtail on both sides
-    anchors, first = {}, None
-    for direction in (1.0, -1.0):
-        try:
-            template, run = trace_line(
-                state, 2, direction,
-                lambda z: abs(z[-1] - lam_sw[2]) < dlam3, 0.02, 0.1,
-                TRACE_STEPS, NEWTON_TOL, MAX_NEWTON, stop=False,
-                reverse_of=first)
-        except ContinuationError as err:
-            raise GeometryError(f"cusp line trace failed: {err}") from err
-        first = run.points[0]
+    anchors = {}
+    for _, template, run in trace_line(
+            state, 2, (1.0, -1.0), lambda z: abs(z[-1] - lam_sw[2]) < dlam3,
+            0.02, 0.1, TRACE_STEPS, NEWTON_TOL, MAX_NEWTON, stop=False):
+        if isinstance(run, ContinuationError):
+            raise GeometryError(f"cusp line trace failed: {run}") from run
         end = template.with_vector(run.points[-1].z)
         offset = end.lam[2] - lam_sw[2]
         if abs(offset) < dlam3:
@@ -712,16 +721,13 @@ def verify_swallowtail_geometry(state: AugmentedState) -> GeometryReport:
             lam = np.array([z[-2], z[-1], lam3_fixed])
             return bool(np.linalg.norm(lam - lam_sw) < radius)
 
-        stopped, first = [], None
-        for direction in (1.0, -1.0):
-            try:
-                _, run = trace_line(base, 1, direction, in_ball, 0.01,
+        stopped = []
+        for _, _, run in trace_line(base, 1, (1.0, -1.0), in_ball, 0.01,
                                     SLICE_DS_MAX, SLICE_STEPS, NEWTON_TOL,
-                                    MAX_NEWTON, stop=False, reverse_of=first)
-            except ContinuationError as err:
+                                    MAX_NEWTON, stop=False):
+            if isinstance(run, ContinuationError):
                 raise GeometryError(
-                    f"{side_name}-side fold line lost: {err}") from err
-            first = run.points[0]
+                    f"{side_name}-side fold line lost: {run}") from run
             stopped.append(run.stopped_on)
             zeros.extend(tuple(e.point.z[-2:])
                          for e in _clean(run.events, "cusp"))

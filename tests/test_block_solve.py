@@ -22,6 +22,7 @@ from scipy.linalg import svdvals
 from aseries import augmented, continuation
 from aseries.augmented import BlockJacobian, residual_jacobian
 from aseries.continuation import (
+    ContinuationError,
     ContinuationProblem,
     RankDeficientError,
     SingularJacobianError,
@@ -125,10 +126,11 @@ def recorded(request):
                                   Grid(request.param, request.param),
                                   ROBUST_CONFIG)
         assert report.stage_reached == "swallowtail"
-        for direction in (1.0, -1.0):
-            trace_line(report.located("fold").state, 1, direction,
-                       lambda z: True, 0.05, 0.1, FOLD_STEPS, NEWTON_TOL,
-                       MAX_NEWTON, stop=False)
+        for _, _, run in trace_line(report.located("fold").state, 1,
+                                    (1.0, -1.0), lambda z: True, 0.05, 0.1,
+                                    FOLD_STEPS, NEWTON_TOL, MAX_NEWTON,
+                                    stop=False):
+            assert not isinstance(run, ContinuationError), run
     return report, newton, tangents, checks
 
 

@@ -279,6 +279,23 @@ class TestHunt:
                                     f"swallowtail_{name}.txt")
             assert gf.grid.nx == 10
 
+    def test_failed_monitor_solve_writes_partial_report(self, tmp_path,
+                                                        capsys):
+        # the 3x3 polynomial fold sits on a double eigenvalue: its
+        # monitors' regularized solve is singular
+        out = tmp_path / "h3.json"
+        rc = main(["hunt", "--problem", "polynomial", "--tail", "1",
+                   "--direct", "--grid", "3", "--out", str(out)])
+        assert rc == 1
+        note = ("fold monitors failed: SingularAuxiliaryError: regularized "
+                "system is singular")
+        assert capsys.readouterr().err.endswith(
+            f"numerical failure: {note}\n")
+        doc = json.loads(out.read_text())
+        assert doc["stage_reached"] == "solution"
+        assert doc["chain"] == []
+        assert doc["note"] == note
+
     def test_saved_states_round_trip_bitwise(self, hunt_dir, hunt_doc):
         # the same deterministic hunt in process: saved text files must
         # reproduce every array exactly, and the rebuilt state must
@@ -426,6 +443,24 @@ class TestConverge:
         assert _parse_sizes("10:85:5") == tuple(range(10, 86, 5))
         assert len(_parse_sizes("10:85:5")) == 16
 
+    def test_failed_monitor_solve_keeps_finished_rows(self, tmp_path,
+                                                      capsys):
+        # the 3x3 hunt's fold monitors fail (see TestHunt); the 1x1 and
+        # 2x2 rows stay in the written table
+        out = tmp_path / "conv.json"
+        rc = main(["converge", "--problem", "polynomial", "--tail", "1",
+                   "--direct", "--grids", "1,2,3", "--independent",
+                   "--out", str(out)])
+        assert rc == 1
+        note = ("stopped at N = 3: hunt reached solution (fold monitors "
+                "failed: SingularAuxiliaryError: regularized system is "
+                "singular)")
+        assert capsys.readouterr().err.endswith(
+            f"numerical failure: {note}\n")
+        doc = json.loads(out.read_text())
+        assert [row["N"] for row in doc["rows"]] == [1, 2]
+        assert doc["note"] == note
+
     def test_report_without_states_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bare.json"
         path.write_text(json.dumps(
@@ -569,6 +604,32 @@ def test_write_failure_after_the_check_is_usage_error(tmp_path, capsys,
     assert err.startswith("error: --out: [Errno 2] No such file or "
                           "directory: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, flag, text", [
+    (("hunt", *STEP_COMMANDS["hunt"]), "lam0", "{},0,0"),
+    (("converge", *STEP_COMMANDS["converge"]), "lam0", "0,0.15,{}"),
+    (("continue", *STEP_COMMANDS["continue"]), "lam", "0,{},0"),
+    (("hunt", "--problem", "polynomial", "--direct", "--grid", "3"),
+     "tail", "{}"),
+    (("converge", "--problem", "polynomial", "--direct", "--grids", "1,2"),
+     "tail", "1,{}"),
+], ids=["hunt-lam0", "converge-lam0", "continue-lam", "hunt-tail",
+        "converge-tail"])
+def test_non_finite_parameters_are_usage_errors(tmp_path, capsys,
+                                                monkeypatch, argv, flag,
+                                                text, value):
+    for name in ("initial_point", "run_branch", "hunt_swallowtail",
+                 "convergence_study"):
+        monkeypatch.setattr(cli, name, _no_work)
+    out = tmp_path / "out.json"
+    given = text.format(value)
+    rc = main([*argv, f"--{flag}={given}", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --{flag}: values must be finite, got {given!r}\n")
+    assert not out.exists()
 
 
 def write_cusp_tensors(path):

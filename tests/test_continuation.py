@@ -303,9 +303,10 @@ class TestHermiteStart:
             lines, real = [], harness.trace_line
 
             def recording(state, level, *args, **kwargs):
-                template, found = real(state, level, *args, **kwargs)
-                lines.append((level, found))
-                return template, found
+                for direction, template, found in real(state, level, *args,
+                                                       **kwargs):
+                    lines.append((level, found))
+                    yield direction, template, found
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(harness, "trace_line", recording)
@@ -904,9 +905,11 @@ class TestMetric:
                         else found)
 
             def recording(*args, **kwargs):
-                template, found = trace(*args, **kwargs)
-                lines.append(found)
-                return template, found
+                # every yielded run, so that a direction run after its
+                # line found the event would show as a fourth line
+                for direction, template, found in trace(*args, **kwargs):
+                    lines.append(found)
+                    yield direction, template, found
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(harness, "augmented_continuation_problem",

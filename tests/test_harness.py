@@ -9,6 +9,7 @@ from aseries import augmented, continuation, harness
 from aseries.augmented import AugmentedState, Problem, residual_jacobian
 from aseries.continuation import RankDeficientError, SingularJacobianError
 from aseries.harness import (
+    LINES,
     HuntConfig,
     RefinementError,
     _recheck,
@@ -149,11 +150,17 @@ class TestHuntBudget:
         assert report.note.startswith("fold system did not converge: "
                                       "SingularJacobianError")
 
-    @pytest.mark.parametrize("failing_call, chain", [
-        (1, []), (2, ["solution", "fold"])], ids=["solution", "fold"])
+    @pytest.mark.parametrize("failing_call, chain, directions", [
+        (1, [], [1.0]), (2, ["solution", "fold"], [1.0, 1.0]),
+        (3, ["solution", "fold", "cusp", "cusp", "swallowtail"],
+         [1.0, 1.0, 1.0, -1.0, -1.0, -1.0])],
+        ids=["solution", "fold", "cusp"])
     def test_line_that_cannot_start_gives_partial_report(
-            self, monkeypatch, failing_call, chain):
-        # call 1 starts the solution branch, call 2 the fold line
+            self, monkeypatch, failing_call, chain, directions):
+        # call 1 starts the solution branch, call 2 the fold line, call 3
+        # the cusp line's lam3_direction way; with no start to reverse,
+        # call 4 converges the cusp line's other way's own start, then
+        # come a pivot slice and the second cusp line
         start = harness.initial_point
         calls = []
 
@@ -166,8 +173,43 @@ class TestHuntBudget:
         monkeypatch.setattr(harness, "initial_point", rank_deficient)
         report = hunt_swallowtail(ExpSineNonlinearity(), Grid(6, 6))
         assert [p.kind for p in report.chain] == chain
-        line = ("solution branch", "fold line")[failing_call - 1]
+        assert [args[-1] for args in calls] == directions
+        line = LINES[failing_call - 1]
         assert report.note.startswith(f"{line} dir +1: RankDeficientError")
+
+    def test_pivot_cusp_without_monitors_is_skipped(self, monkeypatch):
+        # the default 6 x 6 hunt locates its fold, its cusp, then a
+        # pivot slice's cusp; that one's monitor solve fails here, so the
+        # slice counts as finding nothing
+        real, calls = harness.evaluate_monitors, []
+
+        def failing_third(state):
+            calls.append(state.level)
+            if len(calls) == 3:
+                raise augmented.SingularAuxiliaryError("singular")
+            return real(state)
+
+        monkeypatch.setattr(harness, "evaluate_monitors", failing_third)
+        report = hunt_swallowtail(ExpSineNonlinearity(), Grid(6, 6))
+        assert calls == [1, 2, 2]
+        assert report.stage_reached == "cusp"
+        assert [p.kind for p in report.chain] == ["solution", "fold", "cusp"]
+        assert "pivot slice" not in report.note
+
+    def test_line_with_its_event_runs_one_way(self, monkeypatch):
+        # the robust hunt's cusp line finds its swallowtail on its first
+        # way, so the other way never runs: one run per line
+        runs, real = [], harness.run_branch
+
+        def counting(problem, start, **kwargs):
+            runs.append(start)
+            return real(problem, start, **kwargs)
+
+        monkeypatch.setattr(harness, "run_branch", counting)
+        report = hunt_swallowtail(ExpSineNonlinearity(), Grid(10, 10),
+                                  ROBUST_CONFIG)
+        assert report.stage_reached == "swallowtail"
+        assert len(runs) == 3
 
     def test_singular_direct_solve_gives_partial_report(self, monkeypatch):
         # only the square cusp system on one cell has 2 * 1 + 2 rows
@@ -390,9 +432,15 @@ class TestGeometry:
         report = verify_swallowtail_geometry(robust_sw)
         assert starts == [1.0] * 3
         trace = harness.trace_line
-        monkeypatch.setattr(harness, "trace_line",
-                            lambda *args, reverse_of=None, **kwargs:
-                            trace(*args, **kwargs))
+
+        def fresh_starts(state, level, directions, *args, **kwargs):
+            # one one-direction line per direction: each converges its
+            # own start
+            for direction in directions:
+                yield from trace(state, level, (direction,), *args,
+                                 **kwargs)
+
+        monkeypatch.setattr(harness, "trace_line", fresh_starts)
         starts.clear()
         fresh = verify_swallowtail_geometry(robust_sw)
         assert starts == [1.0, -1.0] * 3
