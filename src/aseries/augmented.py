@@ -28,11 +28,13 @@ level-k name applied to a higher-level state still gives level k.
 The normalization is the discrete-L2 dx dy a.a = 1.  Only level 3
 carries vbar, with v = G_u vbar.  The monitors are the classifier's
 test values r^3 (cusp), r^4 (swallowtail) and r^5 (butterfly), run on
-a state's Linearization, the grid's sparse derivative oracle.  Their
-jet vectors v = F'' and w = F''' solve the classifier's Bell
-right-hand sides kernel-orthogonally, one bordered solve each:
-G_u v + mu a = -f_uu . a^2 with a.v = 0.  The cusp row is the same
-contraction as the cusp monitor.
+a state's Linearization, the grid's sparse derivative oracle:
+`monitor_value` gives one, and continuation's `monitor_values` the
+named ones of every point, located or on a line.  Their jet vectors
+v = F'' and w = F''' solve the classifier's Bell right-hand sides
+kernel-orthogonally, one bordered solve each: G_u v + mu a =
+-f_uu . a^2 with a.v = 0.  The cusp row is the same contraction as
+the cusp monitor.
 
 Levels 1-3 return their Jacobian as a BlockJacobian, never one global
 matrix.  Its BlockFactor factors one (n+1) x (n+1) matrix, G_u bordered
@@ -338,16 +340,6 @@ class AugmentedState:
 
 #: The classifier's order n of each grid monitor r^n.
 MONITOR_ORDERS = {"cusp": 3, "swallowtail": 4, "butterfly": 5}
-
-
-@dataclass
-class MonitorRecord:
-    """Scalar diagnostics carried along a continuation branch."""
-
-    fold_direction: float = 0.0
-    cusp: float = 0.0
-    swallowtail: float = 0.0
-    butterfly: float | None = None
 
 
 def _scaled_cond(mat: np.ndarray, ref: np.ndarray) -> float:
@@ -936,11 +928,3 @@ def monitor_value(lin: Linearization, n: int, jet=()) -> float:
         jet.append(lin.jet_vector(jet))
     return test_value(lin, lin.alpha, jet, n)
 
-
-def evaluate_monitors(state: AugmentedState) -> MonitorRecord:
-    """Cusp and swallowtail values at a state; butterfly at level 3."""
-    lin = Linearization(state, 4 if state.level == 3 else 3)
-    jet = [solve_v(state, lin)]
-    return MonitorRecord(
-        cusp=monitor_value(lin, 3), swallowtail=monitor_value(lin, 4, jet),
-        butterfly=monitor_value(lin, 5, jet) if state.level == 3 else None)

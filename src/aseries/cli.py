@@ -441,8 +441,8 @@ def _branch_csv(template: AugmentedState, points) -> str:
         rec = point.monitors
         cells = [str(i), _g(point.s), _g(state.lam[0]), _g(state.lam[1]),
                  _g(state.lam[2]), _g(np.max(np.abs(state.u))),
-                 _g(state.u[center]), _g(rec.fold_direction),
-                 _g(rec.cusp), _g(rec.swallowtail),
+                 _g(state.u[center]), _g(rec.get("fold", 0.0)),
+                 _g(rec.get("cusp", 0.0)), _g(rec.get("swallowtail", 0.0)),
                  str(int(point.signature)), str(int(point.newton_iters))]
         lines.append(",".join(cells))
     return "".join(line + "\n" for line in lines)

@@ -34,9 +34,12 @@ by a Sherman-Morrison update of the tangent's LU, which factors nothing
 more and forms no dense or global matrix, and a Lanczos run with full
 reorthogonalization on it (`_largest_eigenvalue`).  The same LU gives
 the sign of det G_u on a level-0 branch (`solution_signature`).
-Monitors are named scalar functions of z and of the tangent's factor,
-recorded at every accepted point: an augmented line's monitors solve
-with the BorderedGu that the tangent factored there.  Sign changes
+Every accepted point records its monitors in a dict keyed by event
+kind: "fold", the tangent's component below, and each named monitor, a
+scalar function of z and of the tangent's factor.  `monitor_values` is
+the one evaluator of the grid monitors, for a line's points, which
+solve with the BorderedGu that the tangent factored there, and for the
+hunt's located points.  Sign changes
 between consecutive points are refined by re-stepping with
 Anderson-Bjorck regula falsi on arclength, down to
 EVENT_TOL of the monitor's scale or a bracket that floating point can
@@ -65,7 +68,7 @@ from .augmented import (
     SPLU_RELAX,
     BlockFactor,
     BlockJacobian,
-    MonitorRecord,
+    Linearization,
     PermutedLU,
     SolutionJacobian,
     monitor_value,
@@ -281,10 +284,13 @@ class ContinuationProblem:
 
 @dataclass
 class BranchPoint:
+    """An accepted point; monitors maps each event kind its problem
+    watches to the value recorded there."""
+
     z: np.ndarray
     s: float
     tangent: np.ndarray
-    monitors: MonitorRecord
+    monitors: dict
     signature: int
     newton_iters: int
 
@@ -500,13 +506,13 @@ def _check_rank(problem: ContinuationProblem, jac,
 
 
 def _record(problem: ContinuationProblem, z: np.ndarray, tang: np.ndarray,
-            factor: BorderedFactor) -> MonitorRecord:
-    direction = 0.0
-    if problem.fold_index is not None:
-        direction = float(tang[problem.fold_index])
-    rec = MonitorRecord(fold_direction=direction)
+            factor: BorderedFactor) -> dict:
+    """The point's monitors by event kind: "fold", the tangent's
+    fold_index component, when the problem has one, then each monitor."""
+    rec = ({} if problem.fold_index is None
+           else {"fold": float(tang[problem.fold_index])})
     for name, fn in problem.monitors.items():
-        setattr(rec, name, float(fn(z, factor)))
+        rec[name] = float(fn(z, factor))
     return rec
 
 
@@ -559,13 +565,12 @@ def initial_point(problem: ContinuationProblem, z0: np.ndarray,
 
 def reversed_point(point: BranchPoint) -> BranchPoint:
     """point as the start of its line's other way: its tangent, and the
-    fold direction recorded from it, negated.  Everything else recorded
-    there is the same either way: the monitors read z and G_u, and the
-    signature's two signs, of s_k and det [J; row^T], flip together."""
-    return replace(point, tangent=-point.tangent,
-                   monitors=replace(point.monitors,
-                                    fold_direction=-point.monitors
-                                    .fold_direction))
+    "fold" monitor recorded from it, negated.  Everything else recorded
+    there is the same either way: the other monitors read z and G_u, and
+    the signature's two signs, of s_k and det [J; row^T], flip together."""
+    return replace(point, tangent=-point.tangent, monitors={
+        kind: -value if kind == "fold" else value
+        for kind, value in point.monitors.items()})
 
 
 def _hermite(a: BranchPoint, b: BranchPoint, ds: float) -> np.ndarray:
@@ -600,12 +605,6 @@ def step(problem: ContinuationProblem, point: BranchPoint, ds: float,
     return _pinned_point(problem, start, anchor, row, t, point.s + ds)
 
 
-def _event_scalar(kind: str, point: BranchPoint) -> float | None:
-    if kind == "fold":
-        return point.monitors.fold_direction
-    return getattr(point.monitors, kind)
-
-
 def _refine_event(problem, kind, before, after) -> Event:
     """Shrink a sign-change bracket by regula falsi trials in step length.
 
@@ -626,7 +625,7 @@ def _refine_event(problem, kind, before, after) -> Event:
     |m| holds a jump or a pole of the monitor rather than a root, and
     ends there too.
     """
-    m_lo, m_hi = _event_scalar(kind, before), _event_scalar(kind, after)
+    m_lo, m_hi = before.monitors[kind], after.monitors[kind]
     scale = max(abs(m_lo), abs(m_hi))
     d_lo, d_hi = 0.0, after.s - before.s
     min_width = BRACKET_RESOLUTION * d_hi
@@ -652,7 +651,7 @@ def _refine_event(problem, kind, before, after) -> Event:
                 trial = step(problem, before, d_trial, after)
             except ContinuationError:
                 break
-        m_trial = _event_scalar(kind, trial)
+        m_trial = trial.monitors[kind]
         if abs(m_trial) < abs(best_m):
             best, best_m = trial, m_trial
         if np.sign(m_trial) == np.sign(m_lo):
@@ -678,7 +677,7 @@ def _on_root(kind: str, start: BranchPoint, first: BranchPoint) -> bool:
     """Whether a run starts on a root of the monitor, within EVENT_TOL of
     its value at the first step.  The monitor's sign there is rounding
     noise, and an event between the two would refine onto the start."""
-    m_start, m_first = _event_scalar(kind, start), _event_scalar(kind, first)
+    m_start, m_first = start.monitors.get(kind), first.monitors.get(kind)
     return (m_start is not None and m_first is not None
             and abs(m_start) < EVENT_TOL * abs(m_first))
 
@@ -691,8 +690,7 @@ def detect_events(problem: ContinuationProblem, before: BranchPoint,
     for kind in kinds:
         if kind == "fold" and problem.fold_index is None:
             raise ValueError("fold events need a designated fold_index")
-        m_lo = _event_scalar(kind, before)
-        m_hi = _event_scalar(kind, after)
+        m_lo, m_hi = before.monitors.get(kind), after.monitors.get(kind)
         if m_lo is None or m_hi is None:
             raise ValueError(
                 f"monitor {kind!r} is not recorded on this branch")
@@ -790,7 +788,7 @@ def augmented_continuation_problem(template, monitors=(),
     def system(z):
         return residual_jacobian(template.with_vector(z))
 
-    named = {name: _pde_monitor(template, name) for name in monitors}
+    named = {name: _pde_monitor(name) for name in monitors}
 
     fold_index = template.dimension - 1 if template.level == 0 else None
     n_lam = len(template.active)
@@ -800,19 +798,21 @@ def augmented_continuation_problem(template, monitors=(),
                                max_newton, metric=metric)
 
 
-def _pde_monitor(template, name: str):
-    """The named monitor of a line through template, at z and the
-    tangent's factor there: `monitor_value` of the name's order on the
-    accepted assembly's Linearization, which the factor's Jacobian
-    carries.  It solves with the BorderedGu that the tangent factored,
-    so it factors nothing of its own."""
+def _pde_monitor(name: str):
+    """The named monitor of a line at z and the tangent's factor there:
+    `monitor_values` on the accepted assembly's Linearization, which the
+    factor's Jacobian carries.  It solves with the BorderedGu that the
+    tangent factored, so it factors nothing of its own."""
     if name not in MONITOR_ORDERS:
         raise ValueError(f"unknown monitor {name!r}")
-    order = MONITOR_ORDERS[name]
+    return lambda z, factor: monitor_values(factor.lu.jac.lin, (name,))[name]
 
-    def monitor(z, factor):
-        state, lin = template.with_vector(z), factor.lu.jac.lin
-        jet = [solve_v(state, lin)] if order > 3 else []
-        return monitor_value(lin, order, jet)
 
-    return monitor
+def monitor_values(lin: Linearization, names) -> dict:
+    """The named monitors on lin by name: each name's test value r^n,
+    n its `MONITOR_ORDERS` order.  F'', which the orders above 3 need,
+    is solved once, by `solve_v` on lin's BorderedGu."""
+    orders = {name: MONITOR_ORDERS[name] for name in names}
+    jet = ([solve_v(lin.state, lin)] if any(n > 3 for n in orders.values())
+           else [])
+    return {name: monitor_value(lin, n, jet) for name, n in orders.items()}

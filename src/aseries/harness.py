@@ -15,6 +15,10 @@ regions where the monitor grows without bound (a two-dimensional kernel
 ahead); the hunt then pivots: it freezes the third parameter at a point
 already reached on the cusp line, continues the fold line of that slice
 to find a neighbouring cusp line, and resumes the monitor search there.
+A direct chain locates its stages without lines, its fold from the
+lowest Laplacian mode.  Every located point records its monitors by
+name from `continuation.monitor_values`, the evaluator of a line's
+monitors too.
 
 `report.timings[stage]` is the time to locate that stage's point plus
 trace its line; it stays out of `HuntReport.to_dict`, so that one
@@ -33,11 +37,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .augmented import (
+    MONITOR_ORDERS,
     AugmentedState,
-    MonitorRecord,
+    Linearization,
     Problem,
     SingularAuxiliaryError,
-    evaluate_monitors,
     residual_jacobian,
 )
 from .continuation import (
@@ -47,11 +51,18 @@ from .continuation import (
     ConvergenceError,
     augmented_continuation_problem,
     initial_point,
+    monitor_values,
     newton_solve,
     reversed_point,
     run_branch,
 )
-from .poisson import Grid, GridFunction, Nonlinearity, interpolate_to
+from .poisson import (
+    Grid,
+    GridFunction,
+    Nonlinearity,
+    interpolate_to,
+    laplacian_eigenvector,
+)
 
 STAGES = ("solution", "fold", "cusp", "swallowtail")
 LINES = ("solution branch", "fold line", "cusp line")
@@ -113,7 +124,7 @@ class LocatedPoint:
     state: AugmentedState
     residual_inf: float
     newton_iters: int
-    monitors: MonitorRecord | None = None
+    monitors: dict | None = None
     note: str = ""
 
     @property
@@ -130,12 +141,7 @@ class LocatedPoint:
             "newton_iters": int(self.newton_iters),
         }
         if self.monitors is not None:
-            doc["monitors"] = {
-                "cusp": float(self.monitors.cusp),
-                "swallowtail": float(self.monitors.swallowtail),
-            }
-            if self.monitors.butterfly is not None:
-                doc["monitors"]["butterfly"] = float(self.monitors.butterfly)
+            doc["monitors"] = dict(self.monitors)
         if self.note:
             doc["note"] = self.note
         return doc
@@ -215,10 +221,13 @@ def _cause(err: Exception) -> str:
 
 def _located(state: AugmentedState, iters: int, residual: float,
              note: str = "") -> LocatedPoint:
-    """LocatedPoint of a `locate` result; residual is its accepted norm."""
-    monitors = evaluate_monitors(state)
+    """LocatedPoint of a `locate` result; residual is its accepted norm.
+    Its monitors are those that the jet of its Linearization reaches:
+    cusp and swallowtail, and butterfly at level 3."""
+    lin = Linearization(state, 4 if state.level == 3 else 3)
+    names = [k for k, n in MONITOR_ORDERS.items() if n <= lin.max_order]
     return LocatedPoint(STAGES[state.level], state, residual, iters,
-                        monitors, note)
+                        monitor_values(lin, names), note)
 
 
 def _event_doc(stage: str, event, active: tuple) -> dict:
@@ -424,13 +433,18 @@ def _stage(state: AugmentedState, level: int, config: HuntConfig,
            report: HuntReport, notes: list) -> AugmentedState | None:
     """Locate the level's point from `state`, then trace its line.
 
-    A direct chain traces no line and nudges lam off the previous root.
-    Returns the next stage's start, or None with a note.
+    A direct chain starts its fold's kernel vector at the lowest
+    Laplacian mode, so its fold is the first eigenvalue's, traces no
+    line and nudges lam off the previous root.  Returns the next
+    stage's start, or None with a note.
     """
     stage = STAGES[level]
     if level > 0:
         overrides = {}
-        if level == 1:
+        if level == 1 and config.direct_start:
+            overrides["alpha"] = state.problem.normalize(
+                laplacian_eigenvector(state.problem.grid))
+        elif level == 1:
             overrides["alpha"] = seed_kernel_vector(state.problem,
                                                     config.seed)
         elif config.direct_start:
@@ -621,12 +635,6 @@ class SliceReport:
     zeros: list = field(default_factory=list)
     stopped: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"side": self.side, "lam3": float(self.lam3),
-                "start": self.start, "count": self.count,
-                "zeros": [[float(v) for v in z] for z in self.zeros],
-                "stopped": list(self.stopped)}
-
 
 @dataclass
 class GeometryReport:
@@ -638,14 +646,6 @@ class GeometryReport:
     cusp_side: int = 0
     counts: tuple | None = None
     slices: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"lam_sw": [float(v) for v in self.lam_sw],
-                "dlam3": float(self.dlam3),
-                "at_singularity": self.at_singularity,
-                "cusp_side": self.cusp_side,
-                "counts": list(self.counts) if self.counts else None,
-                "slices": [s.to_dict() for s in self.slices]}
 
 
 def _dedup_zeros(zeros) -> list:

@@ -157,8 +157,9 @@ def laplacian_eigenvalue(grid: Grid, p: int = 1, q: int = 1) -> float:
 def laplacian_eigenvector(grid: Grid, p: int = 1, q: int = 1) -> np.ndarray:
     """Flattened product-sine eigenvector for mode (p, q), unnormalized.
 
-    Kept in the package because the benchmark's scaling probe builds its
-    states from it.
+    The lowest mode (1, 1) is the kernel vector at which a direct hunt
+    starts its fold, and the benchmark's scaling probe builds its states
+    from it.
     """
     i = np.arange(1, grid.nx + 1)
     j = np.arange(1, grid.ny + 1)

@@ -21,6 +21,7 @@ from aseries.augmented import (
     Linearization,
     SolutionJacobian,
     monitor_value,
+    solve_v,
 )
 from aseries.bell import bell_value
 from aseries.classifier import TensorOracle
@@ -634,6 +635,20 @@ def grid_tensor_oracle(u: np.ndarray, lam, nl, lap) -> TensorOracle:
 def grid_monitor(state, n: int) -> float:
     """The grid monitor r^n at state from a fresh Linearization."""
     return monitor_value(Linearization(state, n - 1), n)
+
+
+def fresh_monitors(state) -> dict:
+    """The monitors of a located point, evaluated apart from the hunt: a
+    fresh Linearization to f (f' at level 3), F'' from one
+    `solve_v` on it, then `monitor_value` of each order.  Cusp and
+    swallowtail, and butterfly at level 3."""
+    lin = Linearization(state, 4 if state.level == 3 else 3)
+    jet = [solve_v(state, lin)]
+    monitors = {"cusp": monitor_value(lin, 3),
+                "swallowtail": monitor_value(lin, 4, jet)}
+    if state.level == 3:
+        monitors["butterfly"] = monitor_value(lin, 5, jet)
+    return monitors
 
 
 def grid_function_from_matrix(matrix: np.ndarray, grid):

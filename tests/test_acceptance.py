@@ -250,7 +250,7 @@ def test_criterion_7_swallowtail_hunt_and_grid_convergence():
     assert not cusp_stage[0]["approximate"]
     sw15 = report.swallowtail
     # the monitor root is simple: the next-order value stays away from 0
-    assert abs(sw15.monitors.butterfly) > 1e3
+    assert abs(sw15.monitors["butterfly"]) > 1e3
     _SHARED["sw15"] = sw15.state
 
     coarse = hunt_swallowtail(nl, Grid(10, 10), PIPELINE_CONFIG)

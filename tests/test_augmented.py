@@ -15,7 +15,6 @@ from aseries.augmented import (
     Linearization,
     Problem,
     SingularAuxiliaryError,
-    evaluate_monitors,
     f1_residual_jacobian,
     f2_residual_jacobian,
     f3_residual_jacobian,
@@ -28,8 +27,17 @@ from aseries.classifier import (
     solve_jet_step,
 )
 from aseries.classifier import test_value as order_test
-from aseries.continuation import SingularJacobianError, _linear_solve
-from aseries.harness import HuntConfig, hunt_swallowtail, refine_on_grid
+from aseries.continuation import (
+    SingularJacobianError,
+    _linear_solve,
+    monitor_values,
+)
+from aseries.harness import (
+    HuntConfig,
+    _located,
+    hunt_swallowtail,
+    refine_on_grid,
+)
 from aseries.poisson import (
     ExpSineNonlinearity,
     Grid,
@@ -47,6 +55,7 @@ from helpers import (
     dense_jacobian,
     dense_newton_step,
     fd_jacobian,
+    fresh_monitors,
     grid_monitor,
     grid_tensor_oracle,
     level3_product_block,
@@ -374,13 +383,18 @@ class TestHigherMonitors:
         st = eigen_fold_state(Grid(3, 3), PolynomialNonlinearity(tail=(0.6,)),
                               lam2=0.2, lam3=0.1)
         top = replace(st, level=3, vbar=np.zeros(st.u.size))
-        rec = evaluate_monitors(top)
-        assert rec.fold_direction == 0.0
-        assert rec.cusp == grid_monitor(st, 3)
-        assert rec.swallowtail == grid_monitor(st, 4)
-        assert rec.butterfly == grid_monitor(st, 5)
+        rec = fresh_monitors(top)
+        assert "fold" not in rec  # a located point records no fold
+        assert rec["cusp"] == grid_monitor(st, 3)
+        assert rec["swallowtail"] == grid_monitor(st, 4)
+        assert rec["butterfly"] == grid_monitor(st, 5)
         assert st.level == 1
-        assert evaluate_monitors(st).butterfly is None
+        assert "butterfly" not in fresh_monitors(st)
+        # the package's one evaluator gives the oracle's bits, keys too
+        names = ("cusp", "swallowtail", "butterfly")
+        assert monitor_values(Linearization(top, 4), names) == rec
+        assert monitor_values(Linearization(st, 3), names[:2]) == \
+            fresh_monitors(st)
 
 
 CASES = [
@@ -422,7 +436,7 @@ class TestGridOracle:
             expected = order_test(dense, st.alpha, jet, n)
             assert abs(grid_monitor(st, n) - expected) <= 1e-12 * max(
                 abs(expected), 1.0)
-        assert evaluate_monitors(st).swallowtail == grid_monitor(st, 4)
+        assert fresh_monitors(st)["swallowtail"] == grid_monitor(st, 4)
 
 
 class TestAnalyticJacobians:
@@ -521,7 +535,7 @@ class TestAssemblyEvaluations:
         assert builds == [level + 1, level + 1]
         if level >= 1:
             builds.clear()
-            evaluate_monitors(st)
+            _located(st, 0, 0.0)
             assert builds == [4 if level == 3 else 3]
 
 

@@ -5,8 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from aseries.augmented import AugmentedState, Problem, residual_jacobian
-from aseries import cli
+from aseries.augmented import (
+    AugmentedState,
+    Problem,
+    SingularAuxiliaryError,
+    residual_jacobian,
+)
+from aseries import cli, harness
 from aseries.cli import (
     CSV_COLUMNS,
     HUNT_CMD_OPTIONS,
@@ -29,6 +34,19 @@ from aseries.poisson import (
 HUNT_ARGS = ("--problem", "bratu", "--grid", "10x10",
              "--lam0", "0,0.15,2.0", "--lam3-direction", "-1",
              "--stage3-window", "3.0,0.25,2.5")
+
+
+def singular_3x3_fold(monkeypatch):
+    """Make the located fold's monitors on a 3x3 grid raise the error of
+    a singular regularized solve; every other point's evaluate."""
+    real = harness.monitor_values
+
+    def failing(lin, names):
+        if lin.state.level == 1 and lin.state.problem.grid.size == 9:
+            raise SingularAuxiliaryError("regularized system is singular")
+        return real(lin, names)
+
+    monkeypatch.setattr(harness, "monitor_values", failing)
 
 
 @pytest.fixture(scope="module")
@@ -280,9 +298,11 @@ class TestHunt:
             assert gf.grid.nx == 10
 
     def test_failed_monitor_solve_writes_partial_report(self, tmp_path,
-                                                        capsys):
-        # the 3x3 polynomial fold sits on a double eigenvalue: its
-        # monitors' regularized solve is singular
+                                                        capsys,
+                                                        monkeypatch):
+        # the 3x3 polynomial fold's monitors fail as a fold on a double
+        # eigenvalue's would: their regularized solve is singular
+        singular_3x3_fold(monkeypatch)
         out = tmp_path / "h3.json"
         rc = main(["hunt", "--problem", "polynomial", "--tail", "1",
                    "--direct", "--grid", "3", "--out", str(out)])
@@ -444,9 +464,10 @@ class TestConverge:
         assert len(_parse_sizes("10:85:5")) == 16
 
     def test_failed_monitor_solve_keeps_finished_rows(self, tmp_path,
-                                                      capsys):
+                                                      capsys, monkeypatch):
         # the 3x3 hunt's fold monitors fail (see TestHunt); the 1x1 and
         # 2x2 rows stay in the written table
+        singular_3x3_fold(monkeypatch)
         out = tmp_path / "conv.json"
         rc = main(["converge", "--problem", "polynomial", "--tail", "1",
                    "--direct", "--grids", "1,2,3", "--independent",

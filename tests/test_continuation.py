@@ -9,11 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from aseries import augmented, continuation, harness
-from aseries.augmented import (
-    AugmentedState,
-    MonitorRecord,
-    Problem,
-)
+from aseries.augmented import AugmentedState, Problem
 from aseries.cli import main
 from aseries.continuation import (
     MAX_NEWTON,
@@ -250,7 +246,7 @@ class TestHermiteStart:
         def point(s):
             z = s ** np.arange(4) @ coeffs
             dz = np.arange(1, 4) * s ** np.arange(3) @ coeffs[1:]
-            return BranchPoint(z, s, dz, MonitorRecord(), 0, 0)
+            return BranchPoint(z, s, dz, {}, 0, 0)
 
         a, b = point(0.4), point(1.1)
         for ds in (-0.7, 0.3, 1.9):
@@ -368,7 +364,7 @@ class TestStep:
         with pytest.raises(RankDeficientError, match="singular value"):
             initial_point(strict, np.zeros(3))
         point = BranchPoint(np.zeros(3), 0.0, np.array([0.0, 0.0, 1.0]),
-                            MonitorRecord(), 0, 0)
+                            {}, 0, 0)
         step(loose, point, 0.0)
         with pytest.raises(RankDeficientError, match="singular value"):
             step(strict, point, 0.0)
@@ -464,7 +460,7 @@ def fold_bracket():
     for _ in range(3):
         before = step(problem, before, 0.4)
     after = step(problem, before, 0.4)
-    assert before.monitors.fold_direction > 0 > after.monitors.fold_direction
+    assert before.monitors["fold"] > 0 > after.monitors["fold"]
     return problem, before, after
 
 
@@ -480,7 +476,7 @@ def failing_steps(monkeypatch, failures: int, zero_at=None) -> list:
             raise ContinuationError("forced trial failure")
         trial = step(problem, point, ds, other)
         if len(lengths) == zero_at:
-            trial.monitors = MonitorRecord(fold_direction=0.0)
+            trial.monitors = {"fold": 0.0}
         return trial
 
     monkeypatch.setattr(continuation, "step", patched)
@@ -503,11 +499,11 @@ class TestRefineFallback:
         event = continuation._refine_event(problem, "fold", before, after)
         assert len(lengths) == 2
         assert event.approximate
-        m_lo = before.monitors.fold_direction
-        m_hi = after.monitors.fold_direction
+        m_lo = before.monitors["fold"]
+        m_hi = after.monitors["fold"]
         better = before if abs(m_lo) <= abs(m_hi) else after
         assert event.point is better
-        assert event.monitor_value == better.monitors.fold_direction
+        assert event.monitor_value == better.monitors["fold"]
 
     def test_exact_zero_ends_refinement(self, monkeypatch):
         problem, before, after = fold_bracket()
@@ -799,8 +795,8 @@ class TestBratuBranch:
             gu = state.problem.lap + sp.diags(f1)
             assert point.signature == dense_det_sign(gu) != 0
         for before, after in zip(res.points, res.points[1:]):
-            turned = (np.sign(before.monitors.fold_direction)
-                      != np.sign(after.monitors.fold_direction))
+            turned = (np.sign(before.monitors["fold"])
+                      != np.sign(after.monitors["fold"]))
             assert (before.signature != after.signature) == turned
 
     def test_deterministic(self, branch):

@@ -8,9 +8,9 @@ matrix is gathered in.  An accepted point on a cusp line factors G_u
 bordered by its kernel vector once per Newton iterate and once for its
 tangent: the monitors solve with the tangent's BorderedGu.  Each
 recorded monitor value is checked bit for bit against a fresh
-Linearization and `solve_v` at its z.  A Jacobian keeps the BorderedGu
-its factors share, so Newton lets one iterate's Jacobian go before it
-assembles the next: no factor is alive at any assembly.
+Linearization and `solve_v` at its state.  A Jacobian keeps the
+BorderedGu its factors share, so Newton lets one iterate's Jacobian go
+before it assembles the next: no factor is alive at any assembly.
 """
 
 import weakref
@@ -39,9 +39,9 @@ def counted():
     """The hunt's report and, recorded by wrappers: the calls of each
     counted name, the type and grid of every Jacobian factored in
     continuation, (dimension, Newton iterations, splu calls by module)
-    of each accepted point, (template, name, z, value) of each monitor
-    evaluation and the number of BorderedGu factors alive at each
-    assembly."""
+    of each accepted point, (state, name, value) of each monitor
+    evaluation, state the one its factor's Linearization was made at,
+    and the number of BorderedGu factors alive at each assembly."""
     calls = {"augmented.splu": 0, "continuation.splu": 0}
     factored, points, monitored, alive = [], [], [], []
     factors = weakref.WeakSet()
@@ -80,12 +80,12 @@ def counted():
                        {k: calls[k] - before[k] for k in calls}))
         return point
 
-    def recording_monitor(template, name):
-        monitor = pde_monitor(template, name)
+    def recording_monitor(name):
+        monitor = pde_monitor(name)
 
         def recorded(z, factor):
             value = monitor(z, factor)
-            monitored.append((template, name, z.copy(), value))
+            monitored.append((factor.lu.jac.lin.state, name, value))
             return value
         return recorded
 
@@ -125,10 +125,9 @@ def test_cusp_line_point_factors_only_newton_and_tangent(counted):
 
 def test_monitor_values_match_a_fresh_evaluation(counted):
     _, _, _, _, monitored, _ = counted
-    names = {name for _, name, _, _ in monitored}
+    names = {name for _, name, _ in monitored}
     assert names == {"cusp", "swallowtail"}
-    for template, name, z, value in monitored:
-        state = template.with_vector(z)
+    for state, name, value in monitored:
         order = MONITOR_ORDERS[name]
         lin = Linearization(state, order - 1)
         jet = [solve_v(state, lin)] if order > 3 else []

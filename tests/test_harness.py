@@ -21,6 +21,8 @@ from aseries.harness import (
 )
 from aseries.poisson import ExpSineNonlinearity, Grid, PolynomialNonlinearity
 
+from helpers import fresh_monitors
+
 
 def eigenvalue(n: int) -> float:
     """Smallest discrete Laplacian eigenvalue on the n x n unit-square grid."""
@@ -120,9 +122,53 @@ class TestDirectChain:
     def test_butterfly_value_on_single_cell(self, poly_report):
         # f'''' = 1 at the origin; the closed form gives 32 on one cell
         monitors = poly_report.swallowtail.monitors
-        assert monitors.butterfly == pytest.approx(32.0, rel=1e-6)
-        assert abs(monitors.cusp) < 1e-6
-        assert abs(monitors.swallowtail) < 1e-6
+        assert monitors["butterfly"] == pytest.approx(32.0, rel=1e-6)
+        assert abs(monitors["cusp"]) < 1e-6
+        assert abs(monitors["swallowtail"]) < 1e-6
+
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_fold_lands_on_the_first_eigenvalue(self, n):
+        # the direct fold starts at the lowest Laplacian mode whatever
+        # the seed; a random start fell to a higher eigenvalue on 3x3
+        # (and its monitors failed) and on 4x4
+        for seed in range(10):
+            report = hunt_swallowtail(PolynomialNonlinearity((1.0,)),
+                                      Grid(n, n),
+                                      HuntConfig(direct_start=True,
+                                                 seed=seed))
+            fold = report.located("fold")
+            assert fold is not None, report.note
+            assert fold.lam[0] == pytest.approx(eigenvalue(n), rel=1e-10)
+            assert report.stage_reached == "swallowtail"
+
+
+def _bits(monitors: dict) -> dict:
+    return {kind: float(value).hex() for kind, value in monitors.items()}
+
+
+@pytest.mark.parametrize("hunt", ["robust 10x10", "default 10x10",
+                                  "direct 2x2"])
+def test_located_monitors_match_a_fresh_evaluation(request, hunt):
+    """Every located chain point's monitors, bit for bit and keys
+    included, are the oracle's: a fresh Linearization, one solve_v and
+    monitor_value at its state."""
+    if hunt == "robust 10x10":
+        report = request.getfixturevalue("robust_report")
+    elif hunt == "default 10x10":
+        report = hunt_swallowtail(ExpSineNonlinearity(), Grid(10, 10))
+    else:
+        report = hunt_swallowtail(PolynomialNonlinearity((1.0,)),
+                                  Grid(2, 2), HuntConfig(direct_start=True))
+    assert report.stage_reached == "swallowtail"
+    located = [p for p in report.chain if p.kind != "solution"]
+    assert [p.kind for p in located][-1] == "swallowtail"
+    for point in located:
+        expected = ["cusp", "swallowtail"] + (["butterfly"]
+                                              if point.state.level == 3
+                                              else [])
+        assert list(point.monitors) == expected
+        assert _bits(point.monitors) == _bits(fresh_monitors(point.state))
 
 
 class TestHuntBudget:
@@ -181,15 +227,15 @@ class TestHuntBudget:
         # the default 6 x 6 hunt locates its fold, its cusp, then a
         # pivot slice's cusp; that one's monitor solve fails here, so the
         # slice counts as finding nothing
-        real, calls = harness.evaluate_monitors, []
+        real, calls = harness.monitor_values, []
 
-        def failing_third(state):
-            calls.append(state.level)
+        def failing_third(lin, names):
+            calls.append(lin.state.level)
             if len(calls) == 3:
                 raise augmented.SingularAuxiliaryError("singular")
-            return real(state)
+            return real(lin, names)
 
-        monkeypatch.setattr(harness, "evaluate_monitors", failing_third)
+        monkeypatch.setattr(harness, "monitor_values", failing_third)
         report = hunt_swallowtail(ExpSineNonlinearity(), Grid(6, 6))
         assert calls == [1, 2, 2]
         assert report.stage_reached == "cusp"
@@ -255,7 +301,7 @@ class TestStagedHunt:
             assert fresh < 1e-9
 
     def test_butterfly_bounded_away_from_zero(self, robust_report):
-        assert abs(robust_report.swallowtail.monitors.butterfly) > 1e3
+        assert abs(robust_report.swallowtail.monitors["butterfly"]) > 1e3
 
     def test_report_serializes(self, robust_report):
         doc = json.loads(json.dumps(robust_report.to_dict()))
@@ -444,17 +490,12 @@ class TestGeometry:
         starts.clear()
         fresh = verify_swallowtail_geometry(robust_sw)
         assert starts == [1.0, -1.0] * 3
-        assert fresh.to_dict() == report.to_dict()
+        assert fresh == report
 
     def test_zero_offset_flags_singularity(self, poly_report):
         report = verify_swallowtail_geometry(poly_report.swallowtail.state)
         assert report.at_singularity
         assert report.counts is None
-
-    def test_serializes(self, geometry_report):
-        doc = json.loads(json.dumps(geometry_report.to_dict()))
-        assert doc["counts"] == [2, 0]
-        assert len(doc["slices"]) == 2
 
     def test_rejects_solution_level_state(self):
         prob = Problem(Grid(1, 1), PolynomialNonlinearity())

@@ -12,8 +12,8 @@ one ordering pass that computes that order, and takes the package's
 one supernode relaxation and panel size, every public module-level
 function and class is read by some package code but its own, or kept
 for a stated reason, no grid matrix is built by SciPy's sparse
-products, sums or stacks, and the command line opens a file for writing
-in one helper only."""
+products, sums or stacks, the command line opens a file for writing
+in one helper only, and one function evaluates the grid monitors."""
 
 import ast
 import os
@@ -57,7 +57,6 @@ SPLU_BLOCKING = (("relax", 3, "SPLU_RELAX"), ("panel_size", 4, "SPLU_PANEL"))
 #: Public module-level names that no package code reads, each kept for
 #: the reason its docstring states too.
 UNREAD_PUBLIC = {
-    "laplacian_eigenvector": "the benchmark's scaling probe imports it",
     "laplacian_eigenvalue": "its pair: the analytic fold of criteria 4, 9",
     "discrete_functional": "the paper's functional S, G's reference",
     "closed_form_tests": "criterion 9's independent reference",
@@ -71,6 +70,12 @@ SPARSE_BUILDERS = {"diags", "kron", "identity", "eye", "bmat", "hstack",
 #: The one function of cli.py that opens a file for writing: every
 #: output goes through it, so that an OSError is a usage error.
 OUTPUT_WRITER = "_write_output"
+#: The one function of the sources that evaluates the grid monitors, as
+#: (module file, function), and the function it calls for each test
+#: value: the hunt's located points and a line's points reach the
+#: monitors through it alone.
+MONITOR_EVALUATOR = ("continuation.py", "monitor_values")
+MONITOR_CALL = "monitor_value"
 #: Characters of a file mode that only reads.
 READ_MODE = set("rbt")
 #: Package modules in layer order; each imports only earlier ones.
@@ -220,8 +225,8 @@ def sparse_builder_calls(source: str) -> list:
     return sorted(found)
 
 
-def splu_calls(source: str) -> list:
-    """(enclosing scope, call) of every call of a function named `splu`,
+def named_calls(source: str, name: str) -> list:
+    """(enclosing scope, call) of every call of a function named `name`,
     however it is imported; the scope is the dotted names of the
     classes and functions around the call, "" at module level."""
     found = []
@@ -233,12 +238,20 @@ def splu_calls(source: str) -> list:
                                   ast.ClassDef)):
                 inner = scope + (child.name,)
             elif isinstance(child, ast.Call) and \
-                    ast.unparse(child.func).split(".")[-1] == "splu":
+                    ast.unparse(child.func).split(".")[-1] == name:
                 found.append((".".join(scope), child))
             visit(child, inner)
 
     visit(ast.parse(source), ())
     return found
+
+
+def stray_monitor_calls(source: str, allowed=None) -> list:
+    """(line, scope) of each call of MONITOR_CALL outside the function
+    whose dotted scope is `allowed`."""
+    return [(node.lineno, scope)
+            for scope, node in named_calls(source, MONITOR_CALL)
+            if scope != allowed]
 
 
 def stray_writes(source: str) -> list:
@@ -290,7 +303,7 @@ def splu_orderings(source: str, allowed=None) -> list:
     allowed, a (scope, permc_spec) pair, spares one call, the first
     that matches it: a second such call is found."""
     found = []
-    for scope, node in splu_calls(source):
+    for scope, node in named_calls(source, "splu"):
         spec = splu_argument(node, "permc_spec", 1)
         if spec is None:
             found.append((node.lineno, scope, None))
@@ -308,7 +321,7 @@ def splu_blockings(source: str) -> list:
     `splu` call that is not the SPLU_BLOCKING name; None as the text
     when the call leaves SuperLU's default."""
     found = []
-    for _, node in splu_calls(source):
+    for _, node in named_calls(source, "splu"):
         for name, position, constant in SPLU_BLOCKING:
             value = splu_argument(node, name, position)
             if not (isinstance(value, ast.Name) and value.id == constant):
@@ -583,6 +596,40 @@ def test_write_scan_catches_stray_opens_and_spares_the_helper():
     assert stray_writes(source) == [
         (8, "stray"), (9, "stray"), (10, "stray"), (11, "stray"),
         (12, "stray"), (13, "stray"), (16, "Writer._write_output")]
+
+
+def test_monitors_are_evaluated_in_one_function():
+    found = []
+    for path in SOURCES:
+        allowed = (MONITOR_EVALUATOR[1] if path.name == MONITOR_EVALUATOR[0]
+                   else None)
+        found += [(path.name,) + hit for hit in stray_monitor_calls(
+            path.read_text(encoding="utf-8"), allowed)]
+    assert not found, f"calls of {MONITOR_CALL} outside " \
+                      f"{MONITOR_EVALUATOR} (file, line, scope): {found}"
+    # the evaluator calls it, so the scan is not moot
+    source = (SOURCES[0].parent / MONITOR_EVALUATOR[0]).read_text(
+        encoding="utf-8")
+    assert {scope for _, scope in stray_monitor_calls(source)} == {
+        MONITOR_EVALUATOR[1]}
+
+
+def test_monitor_scan_catches_stray_calls_and_spares_the_evaluator():
+    source = ("from .augmented import monitor_value\n"
+              "def monitor_values(lin, names):\n"
+              "    return {n: monitor_value(lin, 3) for n in names}\n"
+              "def _pde_monitor(name):\n"
+              "    return lambda z, f: monitor_value(f.lin, 3)\n"
+              "class Record:\n"
+              "    def monitor_values(self, lin):\n"
+              "        return augmented.monitor_value(lin, 4)\n"
+              "x = monitor_value(lin, 5)\n"
+              "y = monitor_values(lin, ('cusp',))\n")
+    assert stray_monitor_calls(source, "monitor_values") == [
+        (5, "_pde_monitor"), (8, "Record.monitor_values"), (9, "")]
+    assert stray_monitor_calls(source) == [
+        (3, "monitor_values"), (5, "_pde_monitor"),
+        (8, "Record.monitor_values"), (9, "")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
